@@ -51,8 +51,6 @@ from .classes import (
 )
 from .duality import (
     DualitySubstitution,
-    double_dual_residual,
-    duality_residuals,
     invert_variables,
     substitution,
     verify_duality,

@@ -42,6 +42,7 @@ from .elliptic import (
     twist_point,
     zeta_monomial,
 )
+from .rootsys import _basis
 from .weyl import WeylGroup, _matvec
 
 
@@ -81,14 +82,18 @@ def _delta_h(point, m_a):
     return delta(eval_monomial(point, m_a), point.h, point.ctx)
 
 
+def _coroot_product(point, coroots):
+    """prod over the coroots gamma of delta(h^{-gamma}, h), in their order."""
+    acc = point.ctx.one()
+    for gamma in coroots:
+        acc = acc * _delta_h(point, nu_monomial(point.rank, gamma).inverse())
+    return acc
+
+
 def initial_table(W: WeylGroup, point: EvalPoint) -> ClassTable:
     """EE table for omega = id: the full delta product at id, 0 elsewhere."""
-    rank = W.rank
-    acc = point.ctx.one()
-    for gamma in W.rs.positive_coroots:
-        acc = acc * _delta_h(point, nu_monomial(rank, gamma).inverse())
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = acc
+    values[W.identity] = _coroot_product(point, W.rs.positive_coroots)
     return ClassTable(W, (), point, tuple(values))
 
 
@@ -96,7 +101,7 @@ def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint) -> 
     """One Bott-Samelson step; table must live at the nu-transform of
     outer_point by s."""
     rank = W.rank
-    nu_s = nu_monomial(rank, _unit(rank, s))
+    nu_s = nu_monomial(rank, _basis(rank, s))
     den = _delta_h(outer_point, nu_s)
     values = []
     for sigma in range(W.order):
@@ -139,7 +144,7 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     omega = W.identity
     for j, s in enumerate(word):
         outer = points[j + 1]
-        nu_s = nu_monomial(rank, _unit(rank, s))
+        nu_s = nu_monomial(rank, _basis(rank, s))
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
             down = _delta_h(outer, nu_s) * _delta_h(outer, nu_s.inverse())
@@ -159,10 +164,7 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
 def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     """Em normalization: EE divided by the full delta product over Pi."""
     table = bs_table(W, word, point)
-    rank = W.rank
-    full = point.ctx.one()
-    for gamma in W.rs.positive_coroots:
-        full = full * _delta_h(point, nu_monomial(rank, gamma).inverse())
+    full = _coroot_product(point, W.rs.positive_coroots)
     values = tuple(_checked_div(v, full) for v in table.values)
     return ClassTable(W, table.word, point, values, "Em")
 
@@ -208,12 +210,8 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, twists):
     ctx = point.ctx
     if depth == 0:
         if sigma == W.identity:
-            rank = W.rank
-            p = _twisted(W, twists, point, twist)
-            acc = ctx.one()
-            for gamma in W.rs.positive_coroots:
-                acc = acc * _delta_h(p, nu_monomial(rank, gamma).inverse())
-            out = acc
+            out = _coroot_product(_twisted(W, twists, point, twist),
+                                  W.rs.positive_coroots)
         else:
             out = ctx.zero()
         memo[key] = out
@@ -223,9 +221,9 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, twists):
     rank = W.rank
     prev = W.from_word(rest)
     p = _twisted(W, twists, point, twist)
-    gamma = _matvec(W.coroot_matrices[W.inv(prev)], _unit(rank, s))
+    gamma = _matvec(W.coroot_matrices[W.inv(prev)], _basis(rank, s))
     den = _delta_h(p, nu_monomial(rank, gamma).inverse())
-    zeta_s = zeta_monomial(rank, _unit(rank, s))
+    zeta_s = zeta_monomial(rank, _basis(rank, s))
     c_keep = _checked_div(_delta_at(p, zeta_s, nu_monomial(rank, gamma)), den)
     c_mix = _checked_div(_delta_h(p, zeta_s.inverse()), den)
     keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, twists)
@@ -264,11 +262,7 @@ def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
 
 def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint):
     """c(G, omega) at the point."""
-    rank = W.rank
-    acc = point.ctx.one()
-    for gamma in sorted(normalization_index_set(W, omega)):
-        acc = acc * _delta_h(point, nu_monomial(rank, gamma).inverse())
-    return acc
+    return _coroot_product(point, sorted(normalization_index_set(W, omega)))
 
 
 def c_recursion_right_sides(W, omega, s, point):
@@ -276,7 +270,7 @@ def c_recursion_right_sides(W, omega, s, point):
     rank = W.rank
     lhs = normalization_factor(W, W.rmult(omega, s), point)
     shifted = normalization_factor(W, omega, transform_point(point, s, NU, W.rs))
-    nu_s = nu_monomial(rank, _unit(rank, s))
+    nu_s = nu_monomial(rank, _basis(rank, s))
     if W.length(W.rmult(omega, s)) > W.length(omega):
         rhs = _checked_div(shifted, _delta_h(point, nu_s))
     else:
@@ -294,7 +288,7 @@ def c_recursion_left_sides(W, omega, s, point):
     rank = W.rank
     lhs = normalization_factor(W, W.lmult(s, omega), point)
     base = normalization_factor(W, omega, point)
-    gamma = _matvec(W.coroot_matrices[W.inv(omega)], _unit(rank, s))
+    gamma = _matvec(W.coroot_matrices[W.inv(omega)], _basis(rank, s))
     if W.length(W.lmult(s, omega)) > W.length(omega):
         rhs = _checked_div(base, _delta_h(point, nu_monomial(rank, gamma).inverse()))
     else:
@@ -317,10 +311,6 @@ def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
         if all(c <= 0 for c in _matvec(W.matrices[inv], beta)):
             acc = acc * _delta_h(point, zeta_monomial(rank, beta).inverse())
     return acc
-
-
-def _unit(rank, s):
-    return tuple(1 if t == s - 1 else 0 for t in range(rank))
 
 
 def _column(matrix, s):

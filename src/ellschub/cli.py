@@ -11,18 +11,19 @@ import argparse
 import json
 import os
 import sys
-from random import Random
 
 from . import corpus as corpus_mod
-from .classes import (
-    bs_table,
-    c_recursion_left_sides,
-    c_recursion_right_sides,
-    normalization_factor,
-    rmatrix_table,
-    unnormalized_table,
+from .campaigns import (
+    DEFAULT_TOLS,
+    ctx_fields,
+    resample,
+    run_corpus,
+    run_double_dual,
+    run_duality,
+    run_normalization,
+    run_recursions,
 )
-from .duality import dual_element_map, double_dual_pairs, duality_pairs
+from .classes import bs_table
 from .elliptic import (
     COMPLEX,
     EXACT,
@@ -32,20 +33,8 @@ from .elliptic import (
     sample_point,
     var_names,
 )
-from .rootsys import langlands_dual, parse_label
-from .weyl import WeylGroup, enumerate_group, group
-
-DEFAULT_TOLS = {
-    "duality": 1e-9,
-    "recursions": 1e-8,
-    "normalization": 1e-9,
-    "double-dual": 1e-9,
-    "corpus": 1e-9,
-}
-
-
-def _dual_group(label: str) -> WeylGroup:
-    return enumerate_group(langlands_dual(group(label).rs))
+from .rootsys import parse_label
+from .weyl import group
 
 
 def make_context(backend: str, qorder: int, q: float) -> QContext:
@@ -61,296 +50,11 @@ def _scalar_json(ctx: QContext, value):
 
 
 def _point_json(point: EvalPoint):
-    names = var_names(point.rank)
-    ctx = point.ctx
-    if ctx.backend == EXACT:
-        vals = {n: f"{v.numerator}/{v.denominator}" for n, v in zip(names, point.values)}
+    if point.ctx.backend == EXACT:
+        vals = [f"{v.numerator}/{v.denominator}" for v in point.values]
     else:
-        vals = {n: [v.real, v.imag] for n, v in zip(names, point.values)}
-    doc = {"backend": ctx.backend, "qorder": ctx.order, "values": vals}
-    if ctx.backend == COMPLEX:
-        doc["q"] = [ctx.q.real, ctx.q.imag]
-    return doc
-
-
-def _compare(ctx: QContext, lhs, rhs, tol: float):
-    """(pass, relative residual) under the backend's notion of equality."""
-    if ctx.backend == EXACT:
-        diff = lhs - rhs
-        if all(c == 0 for c in diff.coeffs):
-            return True, 0.0
-        return False, max(abs(float(c)) for c in diff.coeffs)
-    scale = max(abs(lhs), abs(rhs))
-    rel = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
-    return rel <= tol, rel
-
-
-def _ctx_fields(ctx: QContext) -> dict:
-    fields = {"backend": ctx.backend, "qorder": ctx.order}
-    if ctx.backend == COMPLEX:
-        fields["q"] = [ctx.q.real, ctx.q.imag]
-    return fields
-
-
-def _seeded_point(rank: int, ctx: QContext, seed: int, tag: str) -> EvalPoint:
-    return sample_point(rank, ctx, Random(f"{seed}:{tag}"))
-
-
-def _retry(compute, attempts=10):
-    """compute(attempt) until it avoids SingularPointError; the attempt index
-    must flow into the point seed."""
-    last = None
-    for attempt in range(attempts):
-        try:
-            return compute(attempt)
-        except SingularPointError as err:
-            last = err
-    raise SingularPointError(f"no nonsingular point after {attempts} tries: {last}")
-
-
-def _with_point_retries(rank, ctx, seed, tag, compute, attempts=10):
-    return _retry(
-        lambda attempt: compute(_seeded_point(rank, ctx, seed, f"{tag}:{attempt}")),
-        attempts,
-    )
-
-
-# ---------------------------------------------------------------------------
-# verification campaigns
-
-
-def run_duality(label, ctx, points, seed, tol, flip_sign=False):
-    W = group(label)
-    Wdual = _dual_group(label)
-    dual_label = str(Wdual.rs.label)
-    records = []
-    for k in range(points):
-        def sides(point):
-            return duality_pairs(W, Wdual, point, flip_sign)
-
-        pairs = _with_point_retries(W.rank, ctx, seed, f"duality:{k}", sides)
-        for (omega, sigma), (lhs, rhs) in sorted(pairs.items()):
-            ok, rel = _compare(ctx, lhs, rhs, tol)
-            records.append({
-                "check": "duality",
-                "type": label,
-                "dual_type": dual_label,
-                "omega_word": list(W.reduced_word(omega)),
-                "sigma_word": list(W.reduced_word(sigma)),
-                **_ctx_fields(ctx),
-                "point": k,
-                "residual": rel,
-                "pass": ok,
-            })
-    return records
-
-
-def run_recursions(label, ctx, points, seed, tol):
-    W = group(label)
-    records = []
-    for k in range(points):
-        def tables(point):
-            per_omega = []
-            for omega in range(W.order):
-                word = W.reduced_word(omega)
-                per_omega.append((omega, bs_table(W, word, point).values,
-                                  rmatrix_table(W, word, point).values))
-            return per_omega
-
-        per_omega = _with_point_retries(W.rank, ctx, seed, f"recursions:{k}", tables)
-        for omega, bs_vals, rm_vals in per_omega:
-            for sigma in range(W.order):
-                ok, rel = _compare(ctx, bs_vals[sigma], rm_vals[sigma], tol)
-                records.append({
-                    "check": "recursions",
-                    "type": label,
-                    "omega_word": list(W.reduced_word(omega)),
-                    "sigma_word": list(W.reduced_word(sigma)),
-                    **_ctx_fields(ctx),
-                    "point": k,
-                    "residual": rel,
-                    "pass": ok,
-                })
-    return records
-
-
-def run_normalization(label, ctx, points, seed, tol):
-    """The c-recursions, EE = c.E, and the f-interpretation of c."""
-    W = group(label)
-    Wdual = _dual_group(label)
-    dmap = dual_element_map(W, Wdual)
-    t0 = W.longest
-    records = []
-
-    def record(kind, omega, extra, ok, rel, k):
-        rec = {
-            "check": f"normalization/{kind}",
-            "type": label,
-            "omega_word": list(W.reduced_word(omega)),
-            **_ctx_fields(ctx),
-            "point": k,
-            "residual": rel,
-            "pass": ok,
-        }
-        rec.update(extra)
-        return rec
-
-    for k in range(points):
-        def campaign(point):
-            out = []
-            for omega in range(W.order):
-                for s in range(1, W.rank + 1):
-                    for kind, sides in (
-                        ("c-right", c_recursion_right_sides(W, omega, s, point)),
-                        ("c-left", c_recursion_left_sides(W, omega, s, point)),
-                    ):
-                        ok, rel = _compare(ctx, sides[0], sides[1], tol)
-                        out.append(record(kind, omega, {"simple": s}, ok, rel, k))
-                c_val = normalization_factor(W, omega, point)
-                word = W.reduced_word(omega)
-                ee = bs_table(W, word, point).values
-                e_vals = unnormalized_table(W, word, point).values
-                for sigma in range(W.order):
-                    ok, rel = _compare(ctx, ee[sigma], c_val * e_vals[sigma], tol)
-                    out.append(record(
-                        "scaling", omega,
-                        {"sigma_word": list(W.reduced_word(sigma))}, ok, rel, k,
-                    ))
-                # c(G, omega) as an inverted diagonal class of the dual group
-                target = W.mul(W.inv(omega), t0)
-                dual_point = _f_interpretation_point(W, point)
-                dual_e = unnormalized_table(
-                    Wdual, W.reduced_word(target), dual_point
-                ).values[dmap[target]]
-                ok, rel = _compare(ctx, c_val, dual_e, tol)
-                out.append(record("f-interpretation", omega, {}, ok, rel, k))
-            return out
-
-        records.extend(
-            _with_point_retries(W.rank, ctx, seed, f"normalization:{k}", campaign)
-        )
-    return records
-
-
-def _f_interpretation_point(W, point):
-    """Dual-group point realizing the inversion of dynamical variables:
-    zetabar_s takes the value of nu_s."""
-    rank = W.rank
-    vals = list(point.values)
-    out = vals[rank:2 * rank] + [v ** -1 for v in vals[0:rank]] + [vals[2 * rank]]
-    return EvalPoint(point.ctx, tuple(out))
-
-
-def run_double_dual(label, ctx, points, seed, tol):
-    W = group(label)
-    records = []
-    for k in range(points):
-        def campaign(point):
-            out = []
-            for (omega, sigma), (lhs, rhs) in sorted(
-                double_dual_pairs(W, point).items()
-            ):
-                ok, rel = _compare(ctx, lhs, rhs, tol)
-                out.append({
-                    "check": "double-dual",
-                    "type": label,
-                    "omega_word": list(W.reduced_word(omega)),
-                    "sigma_word": list(W.reduced_word(sigma)),
-                    **_ctx_fields(ctx),
-                    "point": k,
-                    "residual": rel,
-                    "pass": ok,
-                })
-            return out
-
-        records.extend(
-            _with_point_retries(W.rank, ctx, seed, f"double-dual:{k}", campaign)
-        )
-    return records
-
-
-def run_corpus(ctx, points, seed, tol):
-    """Engine vs the shipped tables, the cross-table substitution, and the
-    worked three-term sum."""
-    records = []
-    for fname in corpus_mod.corpus_files():
-        entries = corpus_mod.load_corpus(fname)
-        for n, entry in enumerate(entries):
-            W = group(entry.group_label)
-            chart = corpus_mod.builtin_chart(entry.group_label)
-            for k in range(points):
-                def sides(attempt, entry=entry, W=W, chart=chart, k=k, n=n):
-                    rng = Random(f"{seed}:corpus:{fname}:{n}:{k}:{attempt}")
-                    chart_values, point = chart.sample(ctx, rng)
-                    return corpus_mod.corpus_sides(entry, W, chart, chart_values, point)
-
-                engine, expected = _retry(sides)
-                ok, rel = _compare(ctx, engine, expected, tol)
-                records.append({
-                    "check": "corpus",
-                    "file": fname,
-                    "type": entry.group_label,
-                    "omega_word": list(entry.omega_word),
-                    "sigma_word": list(entry.sigma_word),
-                    **_ctx_fields(ctx),
-                    "point": k,
-                    "residual": rel,
-                    "pass": ok,
-                })
-    sp2_chart = corpus_mod.sp2_chart()
-    for n, (sp2_entry, so5_entry) in enumerate(corpus_mod.cross_substitution_pairs()):
-        for k in range(points):
-            def sides(attempt, sp2_entry=sp2_entry, so5_entry=so5_entry, n=n, k=k):
-                rng = Random(f"{seed}:cross:{n}:{k}:{attempt}")
-                chart_values, _ = sp2_chart.sample(ctx, rng)
-                return corpus_mod.cross_substitution_sides(
-                    sp2_entry, so5_entry, chart_values, ctx
-                )
-
-            lhs, rhs = _retry(sides)
-            ok, rel = _compare(ctx, lhs, rhs, tol)
-            records.append({
-                "check": "corpus/cross-substitution",
-                "type": "C2",
-                "dual_type": "B2",
-                "omega_word": list(sp2_entry.omega_word),
-                "sigma_word": list(sp2_entry.sigma_word),
-                **_ctx_fields(ctx),
-                "point": k,
-                "residual": rel,
-                "pass": ok,
-            })
-    W = group("C2")
-    sigma = W.from_word(corpus_mod.WORKED_SUM_SIGMA)
-    for k in range(points):
-        def values(attempt, k=k):
-            rng = Random(f"{seed}:worked:{k}:{attempt}")
-            chart_values, point = sp2_chart.sample(ctx, rng)
-            summed, factored = corpus_mod.worked_sum_values(chart_values, ctx)
-            engine = bs_table(W, corpus_mod.WORKED_SUM_WORD, point).values[sigma]
-            return summed, factored, engine
-
-        summed, factored, engine = _retry(values)
-        for kind, lhs, rhs in (
-            ("sum-vs-factored", summed, factored),
-            ("engine-vs-factored", engine, factored),
-        ):
-            ok, rel = _compare(ctx, lhs, rhs, tol)
-            records.append({
-                "check": f"corpus/worked-sum/{kind}",
-                "type": "C2",
-                "omega_word": list(corpus_mod.WORKED_SUM_WORD),
-                "sigma_word": list(corpus_mod.WORKED_SUM_SIGMA),
-                **_ctx_fields(ctx),
-                "point": k,
-                "residual": rel,
-                "pass": ok,
-            })
-    return records
-
-
-# ---------------------------------------------------------------------------
-# commands
+        vals = [[v.real, v.imag] for v in point.values]
+    return {**ctx_fields(point.ctx), "values": dict(zip(var_names(point.rank), vals))}
 
 
 def cmd_table(args) -> int:
@@ -366,26 +70,14 @@ def cmd_table(args) -> int:
     if args.chart != "none":
         chart = corpus_mod.builtin_chart(label)
 
-    def compute(k):
-        rng = Random(f"{args.seed}:table:{k}")
+    def compute(rng):
         if chart is not None:
             chart_values, point = chart.sample(ctx, rng)
         else:
             point = sample_point(W.rank, ctx, rng)
         return point, bs_table(W, word, point)
 
-    last = None
-    for k in range(10):
-        try:
-            point, table = compute(k)
-            break
-        except SingularPointError as err:
-            last = err
-    else:
-        print(f"error: no nonsingular point after 10 resamples: {last}",
-              file=sys.stderr)
-        return 1
-
+    point, table = resample(args.seed, "table", compute)
     flags = table.zero_flags()
     entries = [
         {
@@ -424,28 +116,32 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _campaign_settings(args, kind: str):
+    """(context, tolerance) of a campaign command, after checking its flags."""
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
+    if args.tol is not None and not args.tol >= 0:
+        raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
+    ctx = make_context(args.backend, args.qorder, args.q)
+    return ctx, args.tol if args.tol is not None else DEFAULT_TOLS[kind]
+
+
 def cmd_verify(args) -> int:
     label = str(parse_label(args.type))
-    ctx = make_context(args.backend, args.qorder, args.q)
-    tol = args.tol if args.tol is not None else DEFAULT_TOLS[args.kind]
-    runner = {
-        "duality": lambda: run_duality(label, ctx, args.points, args.seed, tol,
-                                       flip_sign=args.flip_sign),
-        "recursions": lambda: run_recursions(label, ctx, args.points, args.seed, tol),
-        "normalization": lambda: run_normalization(label, ctx, args.points,
-                                                   args.seed, tol),
-        "double-dual": lambda: run_double_dual(label, ctx, args.points,
-                                               args.seed, tol),
-    }[args.kind]
-    records = runner()
+    ctx, tol = _campaign_settings(args, args.kind)
+    if args.kind == "duality":
+        records = run_duality(label, ctx, args.points, args.seed, tol,
+                              flip_sign=args.flip_sign)
+    else:
+        runner = {"recursions": run_recursions, "normalization": run_normalization,
+                  "double-dual": run_double_dual}[args.kind]
+        records = runner(label, ctx, args.points, args.seed, tol)
     return _report(records, args.out)
 
 
 def cmd_corpus(args) -> int:
-    ctx = make_context(args.backend, args.qorder, args.q)
-    tol = args.tol if args.tol is not None else DEFAULT_TOLS["corpus"]
-    records = run_corpus(ctx, args.points, args.seed, tol)
-    return _report(records, args.out)
+    ctx, tol = _campaign_settings(args, "corpus")
+    return _report(run_corpus(ctx, args.points, args.seed, tol), args.out)
 
 
 def _report(records, out_path) -> int:
@@ -463,11 +159,14 @@ def _report(records, out_path) -> int:
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as err:
+        raise ValueError(f"cannot write {out_path}: {err.strerror}") from err
 
 
 def build_parser() -> argparse.ArgumentParser:

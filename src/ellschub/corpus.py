@@ -307,12 +307,6 @@ def corpus_sides(entry: CorpusEntry, W: WeylGroup, chart: Chart,
     return engine, eval_factors(entry, chart_values, point.ctx)
 
 
-def corpus_residual(entry: CorpusEntry, W: WeylGroup, chart: Chart,
-                    chart_values: dict, point: EvalPoint):
-    engine, expected = corpus_sides(entry, W, chart, chart_values, point)
-    return engine - expected
-
-
 def cross_substitution_pairs() -> list[tuple[CorpusEntry, CorpusEntry]]:
     """Pair each Sp(2) entry with the SO(5) entry at (tau0 sigma^{-1},
     tau0 omega^{-1}); the tables must match under mu_i <-> zbar_i^{-1},
@@ -348,12 +342,6 @@ def cross_substitution_sides(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
     lhs = eval_factors(so5_entry, so5_values, ctx)
     rhs = eval_factors(sp2_entry, sp2_values, ctx)
     return lhs, rhs
-
-
-def cross_substitution_residual(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
-                                sp2_values: dict, ctx: QContext):
-    lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, sp2_values, ctx)
-    return lhs - rhs
 
 
 WORKED_SUM_PREFIX = "(z1^2|h)(z1/z2|h)"

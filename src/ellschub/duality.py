@@ -105,14 +105,6 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
     return out
 
 
-def duality_residuals(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
-                      flip_sign: bool = False) -> dict:
-    return {
-        pair: lhs - rhs
-        for pair, (lhs, rhs) in duality_pairs(W, Wdual, point, flip_sign).items()
-    }
-
-
 def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
     """The composed substitution #_{G^v} o #_G: index relabeling by s -> s*."""
     rank = W.rank
@@ -141,24 +133,6 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
     }
 
 
-def double_dual_residual(W: WeylGroup, omega: int, sigma: int, point: EvalPoint):
-    """Residual of EE_sigma(X_omega) = EE_{tau0 sigma tau0}(X_{tau0 omega tau0})
-    composed with the index relabeling."""
-    t0 = W.longest
-    conj = lambda w: W.mul(W.mul(t0, w), t0)
-    lhs = bs_table(W, W.reduced_word(omega), point).values[sigma]
-    rhs = bs_table(
-        W, W.reduced_word(conj(omega)), relabel_point(W, point)
-    ).values[conj(sigma)]
-    return lhs - rhs
-
-
-def double_dual_residuals(W: WeylGroup, point: EvalPoint) -> dict:
-    return {
-        pair: lhs - rhs for pair, (lhs, rhs) in double_dual_pairs(W, point).items()
-    }
-
-
 def invert_variables(p: EvalPoint) -> EvalPoint:
     """The inversion of the dynamical-sector variables; an involution."""
     rank = p.rank
@@ -166,6 +140,15 @@ def invert_variables(p: EvalPoint) -> EvalPoint:
     for s in range(rank, 2 * rank):
         vals[s] = vals[s] ** -1
     return EvalPoint(p.ctx, tuple(vals))
+
+
+def f_interpretation_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
+    """Dual-group point realizing the inversion of dynamical variables:
+    zetabar_s takes the value of nu_s."""
+    rank = W.rank
+    vals = list(p.values)
+    out = vals[rank:2 * rank] + [v ** -1 for v in vals[0:rank]] + [vals[2 * rank]]
+    return EvalPoint(p.ctx, tuple(out))
 
 
 def monomial_pull_check(sub: DualitySubstitution, p: EvalPoint, m: Monomial):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .rootsys import COROOT, ROOT, LatticeVector, RootSystem, reflect
+from .rootsys import COROOT, ROOT, LatticeVector, RootSystem, _basis, reflect
 
 EXACT = "exact"
 COMPLEX = "complex"
@@ -438,7 +438,7 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
     old = point.values
     new = list(old)
     for t in range(1, rank + 1):
-        image = reflect(rs, s, LatticeVector(_unit(rank, t), lattice)).coords
+        image = reflect(rs, s, LatticeVector(_basis(rank, t), lattice)).coords
         acc = None
         for u, e in enumerate(image):
             if e == 0:
@@ -447,10 +447,6 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
             acc = term if acc is None else acc * term
         new[offset + t - 1] = acc if acc is not None else old[offset + t - 1] ** 0
     return EvalPoint(point.ctx, tuple(new))
-
-
-def _unit(rank, t):
-    return tuple(1 if u == t - 1 else 0 for u in range(rank))
 
 
 def twist_point(point: EvalPoint, matrix, rs: RootSystem) -> EvalPoint:
@@ -499,17 +495,3 @@ def _random_annulus(rng: Random) -> complex:
     r = rng.uniform(0.5, 2.0)
     phi = rng.uniform(0.0, 2 * cmath.pi)
     return r * cmath.exp(1j * phi)
-
-
-def with_resampling(make_point, compute, attempts: int = 10):
-    """Run compute(point) with fresh points until it avoids singularities."""
-    last = None
-    for _ in range(attempts):
-        point = make_point()
-        try:
-            return point, compute(point)
-        except SingularPointError as err:
-            last = err
-    raise SingularPointError(
-        f"no nonsingular point found after {attempts} resamples: {last}"
-    )

@@ -18,7 +18,6 @@ from ellschub.classes import (
     rmatrix_table,
     unnormalized_table,
 )
-from ellschub.cli import _f_interpretation_point
 from ellschub.corpus import (
     builtin_chart,
     corpus_sides,
@@ -30,7 +29,12 @@ from ellschub.corpus import (
     WORKED_SUM_SIGMA,
     WORKED_SUM_WORD,
 )
-from ellschub.duality import dual_element_map, double_dual_pairs, duality_pairs
+from ellschub.duality import (
+    dual_element_map,
+    double_dual_pairs,
+    duality_pairs,
+    f_interpretation_point,
+)
 from ellschub.elliptic import (
     COMPLEX,
     EXACT,
@@ -244,7 +248,7 @@ def test_criterion_6_normalization():
                 for sigma in range(W.order):
                     assert ee[sigma] == c_val * e_vals[sigma]
                 target = W.mul(W.inv(omega), t0)
-                dual_point = _f_interpretation_point(W, point)
+                dual_point = f_interpretation_point(W, point)
                 dual_diag = unnormalized_table(
                     Wd, W.reduced_word(target), dual_point
                 ).values[dmap[target]]

@@ -253,8 +253,7 @@ def test_normalization_index_set_identity():
 @pytest.mark.parametrize("label", ["B2", "C2"])
 def test_f_interpretation(label, exact_ctx):
     # c(G, omega) equals the inverted diagonal class of the dual group
-    from ellschub.cli import _f_interpretation_point
-    from ellschub.duality import dual_element_map
+    from ellschub.duality import dual_element_map, f_interpretation_point
     from ellschub.rootsys import langlands_dual
     from ellschub.weyl import enumerate_group
 
@@ -263,7 +262,7 @@ def test_f_interpretation(label, exact_ctx):
     dmap = dual_element_map(W, Wd)
     t0 = W.longest
     point = sample_point(2, exact_ctx, Random(f"fint-{label}"))
-    dual_point = _f_interpretation_point(W, point)
+    dual_point = f_interpretation_point(W, point)
     for omega in range(W.order):
         target = W.mul(W.inv(omega), t0)
         diag = unnormalized_table(Wd, W.reduced_word(target), dual_point).values[

@@ -183,3 +183,42 @@ def test_qorder_env_default(capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["entries"][0]["value"]) == 4  # order 3 -> 4 coefficients
+
+
+def test_out_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.jsonl"
+    code = main(["verify", "duality", "--type", "A1", "--qorder", "2",
+                 "--points", "1", "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--type", "A1", "--points", "0"],
+    ["verify", "recursions", "--type", "A1", "--points", "-1"],
+    ["corpus", "--points", "0"],
+    ["verify", "duality", "--type", "A1", "--tol", "-0.5"],
+    ["corpus", "--tol", "nan"],
+])
+def test_bad_campaign_flags(argv, capsys):
+    assert main(argv + ["--qorder", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+
+
+def test_table_out_of_resamples(capsys, monkeypatch):
+    from ellschub import cli
+    from ellschub.elliptic import SingularPointError
+
+    calls = []
+
+    def singular(W, word, point):
+        calls.append(point)
+        raise SingularPointError("forced pole")
+
+    monkeypatch.setattr(cli, "bs_table", singular)
+    assert main(["table", "--type", "A1", "--word", "1", "--qorder", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: no nonsingular point")
+    assert len(calls) == 10
+    assert len({p.values for p in calls}) == 10  # each try draws a new point

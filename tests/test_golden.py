@@ -1,0 +1,39 @@
+"""Golden output: the stdout of fixed-seed exact-backend commands, pinned by
+sha256. Fractions print the same on every platform, so any change in these
+digests is a change in behaviour; regenerate them only when the output is
+meant to change, and say why."""
+
+import hashlib
+
+import pytest
+
+from ellschub.cli import main
+
+GOLDEN = [
+    ("verify duality --type A2 --points 2 --qorder 4", 0,
+     "ba81fbed4162ca7f2f0ca7b33014cb71c8ed94f0196f1d2601fc9e778650a545"),
+    ("verify recursions --type B2 --points 1 --qorder 4", 0,
+     "179efd6071db7e642d9ed8d391574c899dd8f9e6fb43e7e3bd906ffb96154348"),
+    ("verify normalization --type B2 --points 1 --qorder 4", 0,
+     "b5174201f184b3a4717f6f0f86c02b545d8002fe284a17e340e174c6ac9f727b"),
+    ("verify double-dual --type B2 --points 1 --qorder 4", 0,
+     "ca0cac46f0de419975f0f240c88bd7a8eafd0d8af150d38cbd2f0024502edbbd"),
+    ("verify duality --type A1 --flip-sign", 1,
+     "9a3baf6181800e8e68ae8a4f568b39023b4122fb49527963f96b7174e72acf53"),
+    ("corpus --points 1 --qorder 4", 0,
+     "eaf2d2719dc3ac680e32bc77e3e4abb67fdc00923a9730dfc80bfee6cf3ca052"),
+    ("table --type B2 --word 1,2 --qorder 4 --format json", 0,
+     "49a766c8d2aaf3638d4213e1774be7d0590e7795300b05fd2907bacec22188fd"),
+    ("table --type B2 --word 1,2 --qorder 4 --format csv", 0,
+     "3a1799cfadcbcab6523f1b88efca6d932ada49e90959205427928488893c51fc"),
+    ("table --type B2 --word 1,2 --qorder 4 --format pretty", 0,
+     "3742868d7055aa092515c857f325f2b550ac2f5bc7d805dd6bdde5c96b93c68e"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_stdout_digest(command, code, digest, capsys, monkeypatch):
+    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)  # --qorder defaults to 8
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
