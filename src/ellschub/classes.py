@@ -99,19 +99,33 @@ def initial_table(W: WeylGroup, point: EvalPoint) -> ClassTable:
 
 def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint) -> ClassTable:
     """One Bott-Samelson step; table must live at the nu-transform of
-    outer_point by s."""
-    rank = W.rank
-    nu_s = nu_monomial(rank, _basis(rank, s))
-    den = _delta_h(outer_point, nu_s)
+    outer_point by s.
+
+    The coefficients depend on sigma only through the root sigma(alpha_s),
+    so they are computed once per root, in the order the roots first appear
+    over sigma: the same delta arguments in the same order as a per-sigma
+    loop, hence the same values and the same error at a singular point."""
+    ctx = outer_point.ctx
+    nu_val = eval_monomial(outer_point, nu_monomial(W.rank, _basis(W.rank, s)))
+    den = delta(nu_val, outer_point.h, ctx)
+    coeffs = {}
     values = []
-    for sigma in range(W.order):
-        sigma_zeta = zeta_monomial(rank, _column(W.matrices[sigma], s))
-        c_keep = _checked_div(_delta_at(outer_point, sigma_zeta, nu_s), den)
-        c_mix = _checked_div(_delta_h(outer_point, sigma_zeta), den)
-        values.append(
-            c_keep * table.values[sigma] + c_mix * table.values[W.rmult(sigma, s)]
-        )
+    for sigma, old in enumerate(table.values):
+        r = W.root_index[sigma][s - 1]
+        c = coeffs.get(r)
+        if c is None:
+            sigma_zeta = _eval_root(W, outer_point, r)
+            c = coeffs[r] = (
+                _checked_div(delta(sigma_zeta, nu_val, ctx), den),
+                _checked_div(delta(sigma_zeta, outer_point.h, ctx), den),
+            )
+        values.append(c[0] * old + c[1] * table.values[W.rmult_table[sigma][s - 1]])
     return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind)
+
+
+def _eval_root(W: WeylGroup, point: EvalPoint, r: int):
+    """The value of the zeta monomial of the root W.roots[r]."""
+    return eval_monomial(point, zeta_monomial(W.rank, W.roots[r]))
 
 
 def _point_chain(W: WeylGroup, word, point):
@@ -135,12 +149,14 @@ def bs_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
 
 def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     """E table (no normalization); length-decreasing steps divide by
-    delta(nu_s,h) delta(nu_s^{-1},h)."""
+    delta(nu_s,h) delta(nu_s^{-1},h). Coefficients are computed once per
+    root, as in bs_step."""
     word = tuple(word)
     rank = W.rank
+    ctx = point.ctx
     points = _point_chain(W, word, point)
-    values = [point.ctx.zero()] * W.order
-    values[W.identity] = point.ctx.one()
+    values = [ctx.zero()] * W.order
+    values[W.identity] = ctx.one()
     omega = W.identity
     for j, s in enumerate(word):
         outer = points[j + 1]
@@ -148,13 +164,17 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
             down = _delta_h(outer, nu_s) * _delta_h(outer, nu_s.inverse())
+        nu_val = eval_monomial(outer, nu_s)
+        coeffs = {}
         new_values = []
-        for sigma in range(W.order):
-            sigma_zeta = zeta_monomial(rank, _column(W.matrices[sigma], s))
-            lhs = (
-                _delta_at(outer, sigma_zeta, nu_s) * values[sigma]
-                + _delta_h(outer, sigma_zeta) * values[W.rmult(sigma, s)]
-            )
+        for sigma, old in enumerate(values):
+            r = W.root_index[sigma][s - 1]
+            c = coeffs.get(r)
+            if c is None:
+                sigma_zeta = _eval_root(W, outer, r)
+                c = coeffs[r] = (delta(sigma_zeta, nu_val, ctx),
+                                 delta(sigma_zeta, outer.h, ctx))
+            lhs = c[0] * old + c[1] * values[W.rmult_table[sigma][s - 1]]
             new_values.append(lhs if going_up else _checked_div(lhs, down))
         values = new_values
         omega = W.rmult(omega, s)
@@ -178,9 +198,10 @@ def rmatrix_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     recursion; indexing agrees with bs_table on the same word."""
     word = tuple(word)
     memo: dict = {}
+    coeffs: dict = {}
     twists: dict = {W.identity: point}
     values = tuple(
-        _rmatrix_eval(W, word, sigma, W.identity, point, memo, twists)
+        _rmatrix_eval(W, word, sigma, W.identity, point, memo, coeffs, twists)
         for sigma in range(W.order)
     )
     return ClassTable(W, word, point, values)
@@ -188,9 +209,8 @@ def rmatrix_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
 
 def rmatrix_eval(W: WeylGroup, word, sigma: int, point: EvalPoint):
     """Single entry EE_sigma(X_omega) for omega = product of word."""
-    memo: dict = {}
     twists = {W.identity: point}
-    return _rmatrix_eval(W, tuple(word), sigma, W.identity, point, memo, twists)
+    return _rmatrix_eval(W, tuple(word), sigma, W.identity, point, {}, {}, twists)
 
 
 def _twisted(W, twists, point, twist):
@@ -201,7 +221,7 @@ def _twisted(W, twists, point, twist):
     return cached
 
 
-def _rmatrix_eval(W, word, sigma, twist, point, memo, twists):
+def _rmatrix_eval(W, word, sigma, twist, point, memo, coeffs, twists):
     depth = len(word)
     key = (depth, sigma, twist)
     hit = memo.get(key)
@@ -218,19 +238,25 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, twists):
         return out
     # word = (s, rest): omega = s . product(rest), built by left multiplication
     s, rest = word[0], word[1:]
-    rank = W.rank
-    prev = W.from_word(rest)
-    p = _twisted(W, twists, point, twist)
-    gamma = _matvec(W.coroot_matrices[W.inv(prev)], _basis(rank, s))
-    den = _delta_h(p, nu_monomial(rank, gamma).inverse())
-    zeta_s = zeta_monomial(rank, _basis(rank, s))
-    c_keep = _checked_div(_delta_at(p, zeta_s, nu_monomial(rank, gamma)), den)
-    c_mix = _checked_div(_delta_h(p, zeta_s.inverse()), den)
-    keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, twists)
+    # gamma depends only on (product(rest), s), so the coefficients only on
+    # (depth, twist)
+    c = coeffs.get((depth, twist))
+    if c is None:
+        rank = W.rank
+        prev = W.from_word(rest)
+        p = _twisted(W, twists, point, twist)
+        gamma = W.coroots[W.coroot_index[W.inv(prev)][s - 1]]
+        den = _delta_h(p, nu_monomial(rank, gamma).inverse())
+        zeta_s = zeta_monomial(rank, _basis(rank, s))
+        c = coeffs[(depth, twist)] = (
+            _checked_div(_delta_at(p, zeta_s, nu_monomial(rank, gamma)), den),
+            _checked_div(_delta_h(p, zeta_s.inverse()), den),
+        )
+    keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, coeffs, twists)
     mixed = _rmatrix_eval(
-        W, rest, W.lmult(s, sigma), W.rmult(twist, s), point, memo, twists
+        W, rest, W.lmult(s, sigma), W.rmult(twist, s), point, memo, coeffs, twists
     )
-    out = c_keep * keep + c_mix * mixed
+    out = c[0] * keep + c[1] * mixed
     memo[key] = out
     return out
 
@@ -288,7 +314,7 @@ def c_recursion_left_sides(W, omega, s, point):
     rank = W.rank
     lhs = normalization_factor(W, W.lmult(s, omega), point)
     base = normalization_factor(W, omega, point)
-    gamma = _matvec(W.coroot_matrices[W.inv(omega)], _basis(rank, s))
+    gamma = W.coroots[W.coroot_index[W.inv(omega)][s - 1]]
     if W.length(W.lmult(s, omega)) > W.length(omega):
         rhs = _checked_div(base, _delta_h(point, nu_monomial(rank, gamma).inverse()))
     else:
@@ -311,7 +337,3 @@ def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
         if all(c <= 0 for c in _matvec(W.matrices[inv], beta)):
             acc = acc * _delta_h(point, zeta_monomial(rank, beta).inverse())
     return acc
-
-
-def _column(matrix, s):
-    return tuple(row[s - 1] for row in matrix)

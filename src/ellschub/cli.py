@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import corpus as corpus_mod
 from .campaigns import (
@@ -57,7 +58,7 @@ def _point_json(point: EvalPoint):
     return {**ctx_fields(point.ctx), "values": dict(zip(var_names(point.rank), vals))}
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, out) -> int:
     label = str(parse_label(args.type))
     W = group(label)
     ctx = make_context(args.backend, args.qorder, args.q)
@@ -97,13 +98,13 @@ def cmd_table(args) -> int:
         "entries": entries,
     }
     if args.format == "json":
-        out = json.dumps(doc, sort_keys=True, indent=2)
+        text = json.dumps(doc, sort_keys=True, indent=2)
     elif args.format == "csv":
         lines = ["sigma_word,value,zero"]
         for e in entries:
             word_txt = " ".join(map(str, e["sigma_word"])) or "id"
             lines.append(f"{word_txt},{json.dumps(e['value'])},{int(e['zero'])}")
-        out = "\n".join(lines)
+        text = "\n".join(lines)
     else:
         width = max(len(" ".join(map(str, e["sigma_word"])) or "id") for e in entries)
         lines = [f"EE table for {label}, word {list(word)}"]
@@ -111,8 +112,8 @@ def cmd_table(args) -> int:
             word_txt = (" ".join(map(str, e["sigma_word"])) or "id").ljust(width)
             val = "0" if e["zero"] else json.dumps(e["value"])
             lines.append(f"  {word_txt}  {val}")
-        out = "\n".join(lines)
-    _emit(out, args.out)
+        text = "\n".join(lines)
+    print(text, file=out)
     return 0
 
 
@@ -126,7 +127,7 @@ def _campaign_settings(args, kind: str):
     return ctx, args.tol if args.tol is not None else DEFAULT_TOLS[kind]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     label = str(parse_label(args.type))
     ctx, tol = _campaign_settings(args, args.kind)
     if args.kind == "duality":
@@ -136,15 +137,15 @@ def cmd_verify(args) -> int:
         runner = {"recursions": run_recursions, "normalization": run_normalization,
                   "double-dual": run_double_dual}[args.kind]
         records = runner(label, ctx, args.points, args.seed, tol)
-    return _report(records, args.out)
+    return _report(records, out)
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args, out) -> int:
     ctx, tol = _campaign_settings(args, "corpus")
-    return _report(run_corpus(ctx, args.points, args.seed, tol), args.out)
+    return _report(run_corpus(ctx, args.points, args.seed, tol), out)
 
 
-def _report(records, out_path) -> int:
+def _report(records, out) -> int:
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     failures = [rec for rec in records if not rec["pass"]]
     summary = {
@@ -154,19 +155,23 @@ def _report(records, out_path) -> int:
         "pass": not failures,
     }
     lines.append(json.dumps(summary, sort_keys=True))
-    _emit("\n".join(lines), out_path)
+    print("\n".join(lines), file=out)
     return 0 if not failures else 1
 
 
-def _emit(text, out_path):
+@contextmanager
+def _output(out_path):
+    """stdout, or the --out file, opened before any work so that an
+    unwritable path fails at once."""
     if not out_path:
-        print(text)
+        yield sys.stdout
         return
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        fh = open(out_path, "w")
     except OSError as err:
         raise ValueError(f"cannot write {out_path}: {err.strerror}") from err
+    with fh:
+        yield fh
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _output(args.out) as out:
+            return args.func(args, out)
     except (ValueError, SingularPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ from importlib import resources
 from random import Random
 
 from .elliptic import (
-    COMPLEX,
     EXACT,
     EvalPoint,
     Monomial,

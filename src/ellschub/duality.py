@@ -52,8 +52,7 @@ class DualitySubstitution:
 
 
 def substitution(W: WeylGroup, Wdual: WeylGroup) -> DualitySubstitution:
-    star = tuple(W.conjugate_by_longest(s) for s in range(1, W.rank + 1))
-    return DualitySubstitution(W, Wdual, star)
+    return DualitySubstitution(W, Wdual, W.star)
 
 
 def dual_element_map(W: WeylGroup, Wdual: WeylGroup) -> tuple[int, ...]:
@@ -96,10 +95,11 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
         bs_table(Wdual, W.reduced_word(w), point).values for w in range(W.order)
     ]
     sign = duality_sign(W) * (-1 if flip_sign else 1)
+    flip = [W.mul(t0, W.inv(w)) for w in range(W.order)]  # w -> tau0 w^{-1}
     out = {}
     for omega in range(W.order):
         for sigma in range(W.order):
-            lhs = source_tables[W.mul(t0, W.inv(sigma))][W.mul(t0, W.inv(omega))]
+            lhs = source_tables[flip[sigma]][flip[omega]]
             rhs = target_tables[omega][dmap[sigma]]
             out[(omega, sigma)] = (sign * lhs, rhs)
     return out
@@ -108,26 +108,25 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
 def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
     """The composed substitution #_{G^v} o #_G: index relabeling by s -> s*."""
     rank = W.rank
-    star = [W.conjugate_by_longest(s) for s in range(1, rank + 1)]
     vals = list(p.values)
     out = list(vals)
     for s in range(1, rank + 1):
-        out[s - 1] = vals[star[s - 1] - 1]
-        out[rank + s - 1] = vals[rank + star[s - 1] - 1]
+        out[s - 1] = vals[W.star[s - 1] - 1]
+        out[rank + s - 1] = vals[rank + W.star[s - 1] - 1]
     return EvalPoint(p.ctx, tuple(out))
 
 
 def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
     """(EE_sigma(X_omega), relabeled conjugate side) for all pairs."""
     t0 = W.longest
-    conj = lambda w: W.mul(W.mul(t0, w), t0)
+    conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     relabeled = relabel_point(W, point)
     straight = [bs_table(W, W.reduced_word(w), point).values for w in range(W.order)]
     twisted = [
-        bs_table(W, W.reduced_word(conj(w)), relabeled).values for w in range(W.order)
+        bs_table(W, W.reduced_word(conj[w]), relabeled).values for w in range(W.order)
     ]
     return {
-        (omega, sigma): (straight[omega][sigma], twisted[omega][conj(sigma)])
+        (omega, sigma): (straight[omega][sigma], twisted[omega][conj[sigma]])
         for omega in range(W.order)
         for sigma in range(W.order)
     }

@@ -3,6 +3,9 @@
 Elements are stored as integer matrices acting on root-lattice coordinates
 (column j = image of the j-th simple root) together with the companion
 matrices on the coroot lattice, built from the same generator words.
+Everything else the recursions look up per element (reduced words,
+inverses, tau0, s -> s*, and the index of w(alpha_s) among the roots) is a
+table filled once when the group is enumerated.
 """
 
 from __future__ import annotations
@@ -47,12 +50,22 @@ def _generator(cartan, s, lattice) -> Matrix:
 
 @dataclass
 class WeylGroup:
+    """A Weyl group with its multiplication, word and root tables, all
+    computed once by enumerate_group."""
+
     rs: RootSystem
     matrices: tuple[Matrix, ...]
     coroot_matrices: tuple[Matrix, ...]
     lengths: tuple[int, ...]
     rmult_table: tuple[tuple[int, ...], ...]  # [element][s-1] -> element . s_s
-    index: dict = field(repr=False, default_factory=dict)
+    words: tuple[tuple[int, ...], ...]  # greedy right-descent reduced words
+    inverses: tuple[int, ...]
+    t0: int  # the longest element
+    star: tuple[int, ...]  # star[s-1] = t with tau0 s_s tau0 = s_t
+    roots: tuple[tuple[int, ...], ...]  # positive roots, then their negatives
+    root_index: tuple[tuple[int, ...], ...]  # [w][s-1] -> index of w(alpha_s) in roots
+    coroots: tuple[tuple[int, ...], ...]  # positive coroots, then their negatives
+    coroot_index: tuple[tuple[int, ...], ...]  # [w][s-1] -> index of w(alpha_s^v)
     _bruhat_cache: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -69,7 +82,7 @@ class WeylGroup:
 
     @property
     def longest(self) -> int:
-        return max(range(self.order), key=lambda i: self.lengths[i])
+        return self.t0
 
     def length(self, w: int) -> int:
         return self.lengths[w]
@@ -78,32 +91,20 @@ class WeylGroup:
         return self.rmult_table[w][s - 1]
 
     def lmult(self, s: int, w: int) -> int:
-        return self.index[_matmul(self.matrices[self.from_word((s,))], self.matrices[w])]
+        return self.inverses[self.rmult_table[self.inverses[w]][s - 1]]
 
     def mul(self, u: int, w: int) -> int:
-        return self.index[_matmul(self.matrices[u], self.matrices[w])]
+        return _walk(self.rmult_table, u, self.words[w])
 
     def inv(self, w: int) -> int:
-        out = self.identity
-        for s in reversed(self.reduced_word(w)):
-            out = self.rmult(out, s)
-        return out
+        return self.inverses[w]
 
     def from_word(self, word) -> int:
-        out = self.identity
-        for s in word:
-            out = self.rmult(out, s)
-        return out
+        return _walk(self.rmult_table, self.identity, word)
 
     def reduced_word(self, w: int) -> tuple[int, ...]:
         """Greedy descent word; multiplying its generators reproduces w."""
-        letters = []
-        while self.lengths[w] > 0:
-            s = next(t for t in range(1, self.rank + 1)
-                     if self.lengths[self.rmult(w, t)] < self.lengths[w])
-            letters.append(s)
-            w = self.rmult(w, s)
-        return tuple(reversed(letters))
+        return self.words[w]
 
     def act(self, w: int, v: LatticeVector) -> LatticeVector:
         m = self.matrices[w] if v.lattice == ROOT else self.coroot_matrices[w]
@@ -137,18 +138,25 @@ class WeylGroup:
 
     def conjugate_by_longest(self, s: int) -> int:
         """The simple index t with tau0 . s_s . tau0 = s_t."""
-        t0 = self.longest
-        conj = self.mul(self.mul(t0, self.from_word((s,))), t0)
-        for t in range(1, self.rank + 1):
-            if conj == self.from_word((t,)):
-                return t
-        raise RuntimeError(
-            f"tau0 s{s} tau0 is not a simple reflection; group data is corrupt"
-        )
+        return self.star[s - 1]
+
+
+def _walk(rmult_table, w: int, word) -> int:
+    """w . s_(word[0]) . s_(word[1]) ..."""
+    for s in word:
+        w = rmult_table[w][s - 1]
+    return w
+
+
+def _column_index(matrices, vectors):
+    """[w][s-1] -> index in vectors of column s of matrices[w]."""
+    where = {v: i for i, v in enumerate(vectors)}
+    return tuple(tuple(where[col] for col in zip(*m)) for m in matrices)
 
 
 def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylGroup:
-    """BFS from the identity by right multiplication with simple reflections."""
+    """BFS from the identity by right multiplication with simple reflections,
+    then the word, inverse, conjugation and root tables in O(|W| rank)."""
     n = rs.rank
     gens = [_generator(rs.cartan, s, ROOT) for s in range(1, n + 1)]
     cogens = [_generator(rs.cartan, s, COROOT) for s in range(1, n + 1)]
@@ -180,13 +188,44 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
                     nxt.append(i)
                 rmult_rows[w][s - 1] = i
         frontier = nxt
+    rmult = tuple(tuple(row) for row in rmult_rows)
+
+    # BFS lists elements by length, so w . t precedes w for a descent t.
+    words = [()]
+    for w in range(1, len(matrices)):
+        t = next(t for t in range(1, n + 1) if lengths[rmult[w][t - 1]] < lengths[w])
+        words.append(words[rmult[w][t - 1]] + (t,))
+    inverses = tuple(_walk(rmult, 0, reversed(word)) for word in words)
+    t0 = max(range(len(matrices)), key=lambda i: lengths[i])
+    simple = {rmult[0][s - 1]: s for s in range(1, n + 1)}
+    star = []
+    for s in range(1, n + 1):
+        conj = _walk(rmult, rmult[t0][s - 1], words[t0])
+        if conj not in simple:
+            raise RuntimeError(
+                f"tau0 s{s} tau0 is not a simple reflection; group data is corrupt"
+            )
+        star.append(simple[conj])
+
+    def signed(vectors):
+        return vectors + tuple(tuple(-c for c in v) for v in vectors)
+
+    roots = signed(rs.positive_roots)
+    coroots = signed(rs.positive_coroots)
     return WeylGroup(
         rs,
         tuple(matrices),
         tuple(comatrices),
         tuple(lengths),
-        tuple(tuple(row) for row in rmult_rows),
-        index,
+        rmult,
+        tuple(words),
+        inverses,
+        t0,
+        tuple(star),
+        roots,
+        _column_index(matrices, roots),
+        coroots,
+        _column_index(comatrices, coroots),
     )
 
 

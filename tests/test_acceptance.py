@@ -1,13 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line per criterion (run with -s to see them on success)."""
 
-import cmath
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
-
-import pytest
 
 from ellschub.classes import (
     bs_table,

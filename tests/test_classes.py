@@ -4,6 +4,12 @@ from random import Random
 import pytest
 
 from ellschub.classes import (
+    ClassTable,
+    _checked_div,
+    _coroot_product,
+    _delta_at,
+    _delta_h,
+    _point_chain,
     bs_step,
     bs_table,
     c_recursion_left_residual,
@@ -25,11 +31,16 @@ from ellschub.elliptic import (
     NU,
     EvalPoint,
     QContext,
+    SingularPointError,
     delta,
+    nu_monomial,
     sample_point,
     transform_point,
+    twist_point,
+    zeta_monomial,
 )
-from ellschub.weyl import group
+from ellschub.rootsys import _basis
+from ellschub.weyl import _matvec, group
 
 
 def is_zero(v):
@@ -388,3 +399,131 @@ def test_complex_word_independence():
     for sigma in range(W.order):
         scale = max(abs(a[sigma]), abs(b[sigma]))
         assert abs(a[sigma] - b[sigma]) <= 1e-9 * max(scale, 1e-30)
+
+
+# --- the per-root recursion steps against the per-sigma originals -----------
+
+
+def _column(matrix, s):
+    return tuple(row[s - 1] for row in matrix)
+
+
+def reference_bs_step(W, table, s, outer_point):
+    """bs_step as a loop over sigma, both coefficients recomputed per sigma."""
+    rank = W.rank
+    nu_s = nu_monomial(rank, _basis(rank, s))
+    den = _delta_h(outer_point, nu_s)
+    values = []
+    for sigma in range(W.order):
+        sigma_zeta = zeta_monomial(rank, _column(W.matrices[sigma], s))
+        c_keep = _checked_div(_delta_at(outer_point, sigma_zeta, nu_s), den)
+        c_mix = _checked_div(_delta_h(outer_point, sigma_zeta), den)
+        values.append(
+            c_keep * table.values[sigma] + c_mix * table.values[W.rmult(sigma, s)]
+        )
+    return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind)
+
+
+def reference_bs_table(W, word, point):
+    points = _point_chain(W, word, point)
+    table = initial_table(W, points[0])
+    for j, s in enumerate(word):
+        table = reference_bs_step(W, table, s, points[j + 1])
+    return table
+
+
+def reference_unnormalized_table(W, word, point):
+    """unnormalized_table as a loop over sigma."""
+    rank = W.rank
+    points = _point_chain(W, word, point)
+    values = [point.ctx.zero()] * W.order
+    values[W.identity] = point.ctx.one()
+    omega = W.identity
+    for j, s in enumerate(word):
+        outer = points[j + 1]
+        nu_s = nu_monomial(rank, _basis(rank, s))
+        going_up = W.length(W.rmult(omega, s)) > W.length(omega)
+        if not going_up:
+            down = _delta_h(outer, nu_s) * _delta_h(outer, nu_s.inverse())
+        new_values = []
+        for sigma in range(W.order):
+            sigma_zeta = zeta_monomial(rank, _column(W.matrices[sigma], s))
+            lhs = (
+                _delta_at(outer, sigma_zeta, nu_s) * values[sigma]
+                + _delta_h(outer, sigma_zeta) * values[W.rmult(sigma, s)]
+            )
+            new_values.append(lhs if going_up else _checked_div(lhs, down))
+        values = new_values
+        omega = W.rmult(omega, s)
+    return tuple(values)
+
+
+def reference_rmatrix_values(W, word, point):
+    """R-matrix table with both coefficients recomputed at every memo miss."""
+    memo, twists = {}, {}
+
+    def ev(word, sigma, twist):
+        key = (len(word), sigma, twist)
+        if key in memo:
+            return memo[key]
+        if twist not in twists:
+            twists[twist] = twist_point(point, W.matrices[twist], W.rs)
+        p = twists[twist]
+        if not word:
+            out = (_coroot_product(p, W.rs.positive_coroots) if sigma == W.identity
+                   else point.ctx.zero())
+        else:
+            s, rest = word[0], word[1:]
+            rank = W.rank
+            gamma = _matvec(W.coroot_matrices[W.inv(W.from_word(rest))], _basis(rank, s))
+            den = _delta_h(p, nu_monomial(rank, gamma).inverse())
+            zeta_s = zeta_monomial(rank, _basis(rank, s))
+            c_keep = _checked_div(_delta_at(p, zeta_s, nu_monomial(rank, gamma)), den)
+            c_mix = _checked_div(_delta_h(p, zeta_s.inverse()), den)
+            out = (c_keep * ev(rest, sigma, twist)
+                   + c_mix * ev(rest, W.lmult(s, sigma), W.rmult(twist, s)))
+        memo[key] = out
+        return out
+
+    return tuple(ev(tuple(word), sigma, W.identity) for sigma in range(W.order))
+
+
+REFERENCE_CASES = [
+    ("B2", QContext(EXACT, order=4)),
+    ("G2", QContext(EXACT, order=3)),
+    ("B3", QContext(COMPLEX, order=8, q=0.3)),
+]
+
+
+@pytest.mark.parametrize("label,ctx", REFERENCE_CASES,
+                         ids=[f"{c[0]}-{c[1].backend}" for c in REFERENCE_CASES])
+def test_recursions_equal_per_sigma_reference(label, ctx):
+    """Identical values, float for float on the complex backend."""
+    W = group(label)
+    point = sample_point(W.rank, ctx, Random(f"reference:{label}"))
+    for w in range(W.order):
+        word = W.reduced_word(w)
+        assert bs_table(W, word, point).values == reference_bs_table(W, word, point).values
+        assert (unnormalized_table(W, word, point).values
+                == reference_unnormalized_table(W, word, point))
+        assert rmatrix_table(W, word, point).values == reference_rmatrix_values(W, word, point)
+    # words that are not reduced take length-decreasing steps
+    for word in ((1, 1), (1, 2, 2, 1), (2, 1, 2, 2, 1)):
+        assert bs_table(W, word, point).values == reference_bs_table(W, word, point).values
+        assert (unnormalized_table(W, word, point).values
+                == reference_unnormalized_table(W, word, point))
+
+
+def test_singular_point_raises_as_reference():
+    # zeta1 zeta2 = 1: the root alpha1 + alpha2 of B2 is a pole of its deltas
+    ctx = QContext(EXACT, order=3)
+    values = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(7, 3))
+    point = EvalPoint(ctx, values)
+    W = group("B2")
+    for fn, reference in ((bs_table, reference_bs_table),
+                          (unnormalized_table, reference_unnormalized_table)):
+        with pytest.raises(SingularPointError) as err:
+            fn(W, (1, 2, 1), point)
+        with pytest.raises(SingularPointError) as expected:
+            reference(W, (1, 2, 1), point)
+        assert str(err.value) == str(expected.value) == "delta argument is 1 (pole)"

@@ -193,6 +193,27 @@ def test_out_unwritable(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write")
 
 
+@pytest.mark.parametrize("argv,entry", [
+    (["verify", "duality", "--type", "D4", "--backend", "complex", "--points", "1"],
+     "run_duality"),
+    (["verify", "recursions", "--type", "B2"], "run_recursions"),
+    (["corpus"], "run_corpus"),
+    (["table", "--type", "B2", "--word", "1,2"], "resample"),
+])
+def test_out_unwritable_fails_before_work(argv, entry, tmp_path, capsys, monkeypatch):
+    from ellschub import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{entry} ran although --out is unwritable")
+
+    monkeypatch.setattr(cli, entry, never)
+    target = tmp_path / "missing" / "report.jsonl"
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "duality", "--type", "A1", "--points", "0"],
     ["verify", "recursions", "--type", "A1", "--points", "-1"],

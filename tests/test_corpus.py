@@ -22,7 +22,7 @@ from ellschub.corpus import (
     WORKED_SUM_SIGMA,
     WORKED_SUM_WORD,
 )
-from ellschub.elliptic import eval_monomial, sample_point
+from ellschub.elliptic import eval_monomial
 from ellschub.weyl import group
 
 

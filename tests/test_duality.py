@@ -16,7 +16,7 @@ from ellschub.duality import (
     substitution,
     verify_duality,
 )
-from ellschub.elliptic import EXACT, EvalPoint, Monomial, QContext, delta, sample_point
+from ellschub.elliptic import EvalPoint, Monomial, delta, sample_point
 from ellschub.rootsys import langlands_dual
 from ellschub.weyl import enumerate_group, group
 

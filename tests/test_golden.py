@@ -1,7 +1,11 @@
-"""Golden output: the stdout of fixed-seed exact-backend commands, pinned by
-sha256. Fractions print the same on every platform, so any change in these
-digests is a change in behaviour; regenerate them only when the output is
-meant to change, and say why."""
+"""Golden output: the stdout of fixed-seed commands, pinned by sha256.
+
+Fractions print the same on every platform, so any change in an exact-backend
+digest is a change in behaviour. The complex-backend digests also pin the
+order of floating-point operations (a reassociated sum changes the last bits
+of a value and so the printed record), but they depend on the platform's libm
+as well: on another platform they may differ while the exact ones hold.
+Regenerate a digest only when the output is meant to change, and say why."""
 
 import hashlib
 
@@ -28,6 +32,12 @@ GOLDEN = [
      "3a1799cfadcbcab6523f1b88efca6d932ada49e90959205427928488893c51fc"),
     ("table --type B2 --word 1,2 --qorder 4 --format pretty", 0,
      "3742868d7055aa092515c857f325f2b550ac2f5bc7d805dd6bdde5c96b93c68e"),
+    ("verify duality --type B3 --backend complex --points 1", 0,
+     "9a0e0436ebe529b8d86935d80b41507efb71820fea4b9e0b8d843e61d0891a8b"),
+    ("verify recursions --type B2 --backend complex --points 1", 0,
+     "70c5592c31e9b28eacdb2ab74bbd84d8b3ce2e1c8ce902fc57bfa4092c8e037b"),
+    ("verify normalization --type A2 --backend complex --points 1", 0,
+     "9817a0c47d2983462d20169321d6151322a6c087ab74f59241a67fa0c6818ade"),
 ]
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from ellschub.rootsys import COROOT, ROOT, LatticeVector, build_root_system, parse_label, reflect
-from ellschub.weyl import GroupTooLargeError, enumerate_group, group
+from ellschub.weyl import GroupTooLargeError, _identity, _matmul, enumerate_group, group
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "B4": 384,
           "C2": 8, "D4": 192, "G2": 12, "F4": 1152}
@@ -197,3 +197,85 @@ def test_mul_inv_consistency():
         for w in range(W.order):
             word = W.reduced_word(u) + W.reduced_word(w)
             assert W.mul(u, w) == W.from_word(word)
+
+
+# --- tables built by enumerate_group, against the matrix definitions ------
+
+ALL_RANK_AT_MOST_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                      "D3", "D4", "F4", "G2"]
+
+
+def greedy_descent_word(W, w):
+    """The smallest right descent peeled off until the identity."""
+    letters = []
+    while W.lengths[w] > 0:
+        s = next(t for t in range(1, W.rank + 1)
+                 if W.lengths[W.rmult(w, t)] < W.lengths[w])
+        letters.append(s)
+        w = W.rmult(w, s)
+    return tuple(reversed(letters))
+
+
+@pytest.fixture(scope="module", params=ALL_RANK_AT_MOST_4)
+def table_group(request):
+    W = group(request.param)
+    return W, {m: i for i, m in enumerate(W.matrices)}
+
+
+def test_inverse_table(table_group):
+    W, _ = table_group
+    ident = _identity(W.rank)
+    for w in range(W.order):
+        assert _matmul(W.matrices[W.inverses[w]], W.matrices[w]) == ident
+        assert _matmul(W.coroot_matrices[W.inverses[w]], W.coroot_matrices[w]) == ident
+        assert W.inv(w) == W.inverses[w]
+
+
+def test_lmult_and_mul_match_matrix_products(table_group):
+    W, index = table_group
+    gens = [W.matrices[W.rmult(W.identity, s)] for s in range(1, W.rank + 1)]
+    for w in range(W.order):
+        for s in range(1, W.rank + 1):
+            assert W.lmult(s, w) == index[_matmul(gens[s - 1], W.matrices[w])]
+    # every u against a spread of right factors (all pairs would be |W|^2)
+    right = sorted({W.identity, W.longest, *range(1, W.order, max(1, W.order // 12))})
+    for u in range(W.order):
+        for w in right:
+            assert W.mul(u, w) == index[_matmul(W.matrices[u], W.matrices[w])]
+
+
+def test_word_table(table_group):
+    W, _ = table_group
+    gens = [W.matrices[W.rmult(W.identity, s)] for s in range(1, W.rank + 1)]
+    for w in range(W.order):
+        word = W.words[w]
+        product = _identity(W.rank)
+        for s in word:
+            product = _matmul(product, gens[s - 1])
+        assert product == W.matrices[w]
+        assert len(word) == W.lengths[w]
+        assert word == greedy_descent_word(W, w)
+        assert W.reduced_word(w) == word
+
+
+def test_root_index_tables(table_group):
+    W, _ = table_group
+    for w in range(W.order):
+        for s in range(1, W.rank + 1):
+            column = tuple(row[s - 1] for row in W.matrices[w])
+            assert W.roots[W.root_index[w][s - 1]] == column
+            cocolumn = tuple(row[s - 1] for row in W.coroot_matrices[w])
+            assert W.coroots[W.coroot_index[w][s - 1]] == cocolumn
+    positive = len(W.rs.positive_roots)
+    assert len(W.roots) == len(set(W.roots)) == 2 * positive
+    assert len(W.coroots) == len(set(W.coroots)) == 2 * positive
+
+
+def test_longest_and_star_tables(table_group):
+    W, index = table_group
+    top = max(W.lengths)
+    assert [w for w in range(W.order) if W.lengths[w] == top] == [W.longest]
+    t0 = W.matrices[W.longest]
+    for s in range(1, W.rank + 1):
+        conj = _matmul(_matmul(t0, W.matrices[W.rmult(W.identity, s)]), t0)
+        assert index[conj] == W.rmult(W.identity, W.conjugate_by_longest(s))
