@@ -7,6 +7,7 @@ redrawn by ``resample``; every record is built by ``record``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 
 from . import corpus as corpus_mod
@@ -62,9 +63,9 @@ def _compare(ctx: QContext, lhs, rhs, tol: float):
     """(pass, relative residual) under the backend's notion of equality."""
     if ctx.backend == EXACT:
         diff = lhs - rhs
-        if all(c == 0 for c in diff.coeffs):
+        if ctx.is_zero(diff):
             return True, 0.0
-        return False, max(abs(float(c)) for c in diff.coeffs)
+        return False, ctx.magnitude(diff)
     scale = max(abs(lhs), abs(rhs))
     rel = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
     return rel <= tol, rel
@@ -78,7 +79,10 @@ def record(check: str, label: str, ctx: QContext, k: int, lhs, rhs, tol: float,
             "point": k, "residual": rel, "pass": ok}
 
 
+@lru_cache(maxsize=None)
 def _dual_group(label: str) -> WeylGroup:
+    """The Weyl group of the Langlands dual, enumerated once per label from
+    the dual root system (its roots in the order langlands_dual gives)."""
     return enumerate_group(langlands_dual(group(label).rs))
 
 

@@ -181,11 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "Langlands-duality symmetry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    env_qorder = os.environ.get("ELLSCHUB_QORDER", "8")
+    try:
+        qorder = int(env_qorder)
+    except ValueError:
+        raise ValueError(
+            f"ELLSCHUB_QORDER must be an integer, got {env_qorder!r}") from None
 
     def common(p, with_points=True):
         p.add_argument("--backend", choices=[EXACT, COMPLEX], default=EXACT)
-        p.add_argument("--qorder", type=int,
-                       default=int(os.environ.get("ELLSCHUB_QORDER", "8")),
+        p.add_argument("--qorder", type=int, default=qorder,
                        help="truncation order (exact backend)")
         p.add_argument("--q", type=float, default=0.3,
                        help="q value (complex backend), |q| < 1")
@@ -224,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with _output(args.out) as out:
             return args.func(args, out)
     except (ValueError, SingularPointError) as err:

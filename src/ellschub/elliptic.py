@@ -4,8 +4,9 @@ Two backends share one interface:
 
   * complex: ordinary complex floating point, infinite products truncated
     once the tail factors differ from 1 by less than 1e-18;
-  * exact: truncated q-series with Fraction coefficients, all arithmetic
-    exact modulo q^(N+1).
+  * exact: truncated q-series with rational coefficients (integer
+    numerators over one common denominator), all arithmetic exact modulo
+    q^(N+1).
 
 The basic building block is
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 from .rootsys import COROOT, ROOT, LatticeVector, RootSystem, _basis, reflect
@@ -79,76 +81,111 @@ class QContext:
 
     def is_zero(self, value, scale=None) -> bool:
         if self.backend == EXACT:
-            return all(c == 0 for c in value.coeffs)
+            return not any(value.num)
         tol = 1e-10 * (scale if scale else 1.0)
         return abs(value) < tol
 
     def magnitude(self, value) -> float:
         if self.backend == EXACT:
-            return max((abs(float(c)) for c in value.coeffs), default=0.0)
+            return max(abs(n) for n in value.num) / value.den
         return abs(value)
 
 
 class QSeries:
-    """Truncated q-series with exact rational coefficients."""
+    """Truncated q-series with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    The coefficients are stored as integer numerators ``num`` over one
+    positive denominator ``den``, in lowest terms (gcd(den, *num) == 1; the
+    zero series has den == 1), so every rational series has exactly one
+    representation. Each operation does plain integer arithmetic on the
+    numerators and one gcd reduction at the end.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        self.num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.den = den
 
     @classmethod
-    def _raw(cls, coeffs):
+    def _new(cls, num, den):
+        """The series num/den, reduced to lowest terms; den != 0."""
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
         out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", tuple(coeffs))
+        if g == 1:
+            out.num, out.den = tuple(num), den
+        else:
+            out.num, out.den = tuple([n // g for n in num]), den // g
         return out
 
     @classmethod
     def constant(cls, value, order):
-        return cls._raw((Fraction(value),) + (Fraction(0),) * order)
+        value = Fraction(value)
+        return cls._new((value.numerator,) + (0,) * order, value.denominator)
+
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     @property
     def order(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __eq__(self, other):
         if isinstance(other, QSeries):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self == QSeries.constant(other, self.order)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"QSeries({list(self.coeffs)!r})"
 
     def _coerce(self, other):
         if isinstance(other, QSeries):
-            if other.order != self.order:
+            if len(other.num) != len(self.num):
                 raise ValueError("mixed truncation orders")
             return other
         if isinstance(other, (int, Fraction)):
             return QSeries.constant(other, self.order)
         return None
 
+    def _aligned(self, other):
+        """The numerators of self and other over their least common
+        denominator, and that denominator."""
+        da, db = self.den, other.den
+        if da == db:
+            return self.num, other.num, da
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return [x * fa for x in self.num], [y * fb for y in other.num], da * fa
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QSeries._raw(a + b for a, b in zip(self.coeffs, other.coeffs))
+        a, b, den = self._aligned(other)
+        return QSeries._new([x + y for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._raw(-a for a in self.coeffs)
+        return QSeries._new([-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QSeries._raw(a - b for a, b in zip(self.coeffs, other.coeffs))
+        a, b, den = self._aligned(other)
+        return QSeries._new([x - y for x, y in zip(a, b)], den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -157,16 +194,14 @@ class QSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         n = len(a)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, ai in enumerate(a):
             if ai:
                 for j in range(n - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return QSeries._raw(out)
+                    out[i + j] += ai * b[j]
+        return QSeries._new(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -174,19 +209,11 @@ class QSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.coeffs[0] == 0:
+        if not other.num[0]:
             raise SingularPointError("division by q-series with zero constant term")
-        a, b = self.coeffs, other.coeffs
-        n = len(a)
-        out = [Fraction(0)] * n
-        b0 = b[0]
-        for k in range(n):
-            acc = a[k]
-            for j in range(1, k + 1):
-                if b[j] and out[k - j]:
-                    acc -= b[j] * out[k - j]
-            out[k] = acc / b0
-        return QSeries._raw(out)
+        num, den = _int_quotient(self.num, other.num)
+        db = other.den
+        return QSeries._new([x * db for x in num], den * self.den)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -197,16 +224,58 @@ class QSeries:
     def sum_at(self, q):
         """Numeric value of the truncated series at a concrete q."""
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * q + complex(c)
+        den = self.den
+        for n in reversed(self.num):
+            acc = acc * q + complex(n / den)
         return acc
 
 
-def _mul_two_term(coeffs, n, c):
-    """In place: coeffs *= (1 - c q^n), truncated."""
-    for k in range(len(coeffs) - 1, n - 1, -1):
-        if coeffs[k - n]:
-            coeffs[k] -= c * coeffs[k - n]
+def _int_quotient(a, b):
+    """Integer numerators num and a denominator den (possibly negative) with
+    a/b = num/den as truncated series, for integer a and b, b[0] != 0.
+
+    Fraction-free: Q[k] = out[k]*b0^(k+1) obeys the integer recurrence
+    Q[k] = a[k]*b0^k - sum_j b[j]*Q[k-j]*b0^(j-1), and out = num/b0^n with
+    num[k] = Q[k]*b0^(n-1-k)."""
+    n = len(a)
+    b0 = b[0]
+    pows = [1] * n  # b0^k
+    for k in range(1, n):
+        pows[k] = pows[k - 1] * b0
+    c = [bj * p for bj, p in zip(b[1:], pows)]  # c[j-1] = b[j]*b0^(j-1)
+    quo = []
+    for k in range(n):
+        acc = a[k] * pows[k]
+        for j in range(k):
+            if c[j]:
+                acc -= c[j] * quo[k - 1 - j]
+        quo.append(acc)
+    return [x * p for x, p in zip(quo, reversed(pows))], pows[-1] * b0
+
+
+def _theta_product(xs, order):
+    """Integer coefficients P and the int scale c with
+    prod_{n=1..order} prod_{x in xs} (1 - x q^n)(1 - q^n/x) = P/c, truncated,
+    for nonzero rational (int or Fraction) xs.
+
+    With x = u/v each factor is (w - s q^n + w q^(2n))/w for w = uv and
+    s = u^2 + v^2, so P is built in integers and c collects the w."""
+    terms = [(x.numerator * x.denominator, x.numerator**2 + x.denominator**2)
+             for x in xs]
+    coeffs = [1] + [0] * order
+    scale = 1
+    for n in range(1, order + 1):
+        for w, s in terms:
+            for k in range(order, n - 1, -1):
+                acc = w * coeffs[k] - s * coeffs[k - n]
+                if k >= 2 * n:
+                    acc += w * coeffs[k - 2 * n]
+                coeffs[k] = acc
+            if w != 1:
+                for k in range(n):
+                    coeffs[k] *= w
+                scale *= w
+    return coeffs, scale
 
 
 def theta(x, ctx: QContext):
@@ -237,12 +306,8 @@ def theta(x, ctx: QContext):
 def theta_prime_one(ctx: QContext):
     """theta'(1) = prod_{n>=1} (1-q^n)^2."""
     if ctx.backend == EXACT:
-        coeffs = [Fraction(0)] * (ctx.order + 1)
-        coeffs[0] = Fraction(1)
-        for n in range(1, ctx.order + 1):
-            _mul_two_term(coeffs, n, Fraction(1))
-            _mul_two_term(coeffs, n, Fraction(1))
-        return QSeries._raw(coeffs)
+        coeffs, _ = _theta_product((1,), ctx.order)
+        return QSeries._new(coeffs, 1)
     q = ctx.q
     val = 1.0 + 0j
     qn = 1.0 + 0j
@@ -269,28 +334,16 @@ def _delta_checked_args(a, b, exact):
 
 
 def _delta_exact(a: Fraction, b: Fraction, ctx: QContext) -> QSeries:
+    """The rearranged product as one integer series division; the scales of
+    both integer products and the leading term are collected into one
+    Fraction that multiplies the numerator."""
     _delta_checked_args(a, b, exact=True)
-    n_ord = ctx.order
     ab = a * b
-    lead = (ab - 1) / ((a - 1) * (b - 1))
-    num = [Fraction(0)] * (n_ord + 1)
-    num[0] = Fraction(1)
-    den = list(num)
-    inv_ab = 1 / ab
-    inv_a = 1 / a
-    inv_b = 1 / b
-    one = Fraction(1)
-    for n in range(1, n_ord + 1):
-        _mul_two_term(num, n, ab)
-        _mul_two_term(num, n, inv_ab)
-        _mul_two_term(num, n, one)
-        _mul_two_term(num, n, one)
-        _mul_two_term(den, n, a)
-        _mul_two_term(den, n, inv_a)
-        _mul_two_term(den, n, b)
-        _mul_two_term(den, n, inv_b)
-    series = QSeries._raw(num) / QSeries._raw(den)
-    return QSeries._raw(lead * c for c in series.coeffs)
+    top, top_scale = _theta_product((ab, 1), ctx.order)
+    bottom, bottom_scale = _theta_product((a, b), ctx.order)
+    scalar = (ab - 1) / ((a - 1) * (b - 1)) * Fraction(bottom_scale, top_scale)
+    return (QSeries._new([scalar.numerator * c for c in top], scalar.denominator)
+            / QSeries._new(bottom, 1))
 
 
 def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:

@@ -243,3 +243,11 @@ def test_table_out_of_resamples(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: no nonsingular point")
     assert len(calls) == 10
     assert len({p.values for p in calls}) == 10  # each try draws a new point
+
+
+def test_qorder_env_invalid(capsys, monkeypatch):
+    monkeypatch.setenv("ELLSCHUB_QORDER", "x")
+    assert main(["verify", "duality", "--type", "A1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ELLSCHUB_QORDER must be an integer, got 'x'\n"

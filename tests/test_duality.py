@@ -234,3 +234,22 @@ def test_invert_variables_sl2(exact_ctx):
     ctx = exact_ctx
     point = EvalPoint(ctx, (Fraction(2), Fraction(3, 5), Fraction(7)))
     assert invert_variables(point).values[1] == Fraction(5, 3)
+
+
+def test_campaigns_enumerate_the_dual_once(monkeypatch):
+    from ellschub import campaigns
+    from ellschub.elliptic import EXACT, QContext
+
+    enumerated = []
+
+    def counting(rs, *args, **kwargs):
+        enumerated.append(str(rs.label))
+        return enumerate_group(rs, *args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "enumerate_group", counting)
+    campaigns._dual_group.cache_clear()
+    ctx = QContext(EXACT, order=2)
+    first = campaigns.run_duality("B2", ctx, 1, 0, 1e-9)
+    campaigns.run_normalization("B2", ctx, 1, 0, 1e-9)
+    assert campaigns.run_duality("B2", ctx, 1, 0, 1e-9) == first
+    assert enumerated == ["C2"]

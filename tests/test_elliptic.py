@@ -1,5 +1,6 @@
 import cmath
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -335,3 +336,268 @@ def test_sampling_deterministic():
     a = sample_point(2, ctx, Random("seed-x"))
     b = sample_point(2, ctx, Random("seed-x"))
     assert a.values == b.values
+
+
+# --- integer numerators over one denominator, against Fraction references ---
+
+
+class FractionQSeries:
+    """The former QSeries: one Fraction per coefficient, kept as a reference."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    @classmethod
+    def constant(cls, value, order):
+        return cls((Fraction(value),) + (Fraction(0),) * order)
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    def __eq__(self, other):
+        if isinstance(other, FractionQSeries):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == FractionQSeries.constant(other, self.order)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"QSeries({list(self.coeffs)!r})"
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQSeries):
+            return other
+        return FractionQSeries.constant(other, self.order)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionQSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQSeries(-a for a in self.coeffs)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return FractionQSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        a, b = self.coeffs, other.coeffs
+        n = len(a)
+        out = [Fraction(0)] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n - i):
+                    bj = b[j]
+                    if bj:
+                        out[i + j] += ai * bj
+        return FractionQSeries(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other.coeffs[0] == 0:
+            raise SingularPointError("division by q-series with zero constant term")
+        a, b = self.coeffs, other.coeffs
+        n = len(a)
+        out = [Fraction(0)] * n
+        b0 = b[0]
+        for k in range(n):
+            acc = a[k]
+            for j in range(1, k + 1):
+                if b[j] and out[k - j]:
+                    acc -= b[j] * out[k - j]
+            out[k] = acc / b0
+        return FractionQSeries(out)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def sum_at(self, q):
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * q + complex(c)
+        return acc
+
+
+def _mul_two_term(coeffs, n, c):
+    """In place: coeffs *= (1 - c q^n), truncated."""
+    for k in range(len(coeffs) - 1, n - 1, -1):
+        if coeffs[k - n]:
+            coeffs[k] -= c * coeffs[k - n]
+
+
+def fraction_delta(a: Fraction, b: Fraction, order: int) -> FractionQSeries:
+    """The former exact delta: Fraction two-term products, one division."""
+    for x in (a, b):
+        if x == 0:
+            raise ZeroArgumentError("delta argument is 0")
+        if x == 1:
+            raise SingularPointError("delta argument is 1 (pole)")
+    ab = a * b
+    lead = (ab - 1) / ((a - 1) * (b - 1))
+    num = [Fraction(1)] + [Fraction(0)] * order
+    den = list(num)
+    for n in range(1, order + 1):
+        for c in (ab, 1 / ab, Fraction(1), Fraction(1)):
+            _mul_two_term(num, n, c)
+        for c in (a, 1 / a, b, 1 / b):
+            _mul_two_term(den, n, c)
+    series = FractionQSeries(num) / FractionQSeries(den)
+    return FractionQSeries(lead * c for c in series.coeffs)
+
+
+def assert_canonical(s):
+    assert isinstance(s, QSeries)
+    assert s.den > 0 and gcd(s.den, *s.num) == 1
+
+
+def assert_same(got, ref):
+    assert_canonical(got)
+    assert got == QSeries(ref.coeffs)
+    assert got.coeffs == ref.coeffs
+    assert repr(got) == repr(ref)
+
+
+def _random_coeff(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+    if kind == 3:
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20))
+    return Fraction(rng.randint(-99, 99), 2**rng.randint(0, 8))
+
+
+def _random_series(rng, order):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [Fraction(0)] * (order + 1)
+    coeffs = [_random_coeff(rng) for _ in range(order + 1)]
+    if kind == 1:
+        coeffs[0] = Fraction(0)
+    elif kind == 2:  # one shared denominator
+        d = rng.randint(1, 60)
+        coeffs = [Fraction(rng.randint(-60, 60), d) for _ in range(order + 1)]
+    return coeffs
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (SingularPointError, ZeroArgumentError) as err:
+        return (type(err), str(err))
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_qseries_matches_fraction_reference(order):
+    rng = Random(f"qseries-{order}")
+    ctx = QContext(EXACT, order=max(order, 1))
+    for _ in range(40):
+        ca = _random_series(rng, order)
+        cb = _random_series(rng, order)
+        pick = rng.randrange(4)
+        if pick == 1:
+            cb = list(ca)
+        elif pick == 2:
+            cb = [-c for c in ca]
+        a, b = QSeries(ca), QSeries(cb)
+        ra, rb = FractionQSeries(ca), FractionQSeries(cb)
+        assert_same(a, ra)
+        assert_same(b, rb)
+        assert a.order == order
+        assert_same(QSeries(a.coeffs), ra)
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert_same(-a, -ra)
+        assert_same(a * b, ra * rb)
+        quotient = _outcome(lambda: a / b)
+        expected = _outcome(lambda: ra / rb)
+        if isinstance(expected, tuple):
+            assert quotient == expected
+        else:
+            assert_same(quotient, expected)
+        assert_same((a - b) + b, ra)
+        for scalar in (3, -1, 0, Fraction(-7, 12), _random_coeff(rng)):
+            assert_same(a + scalar, ra + scalar)
+            assert_same(scalar - a, scalar - ra)
+            assert_same(scalar * a, scalar * ra)
+            assert_same(a * scalar, ra * scalar)
+            if scalar:
+                assert_same(a / scalar, ra / scalar)
+            got = _outcome(lambda: scalar / a)
+            want = _outcome(lambda: scalar / ra)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert_same(got, want)
+            assert (a == scalar) == (ra == scalar)
+        assert (a == b) == (ra == rb)
+        assert (a == QSeries(cb)) == (ra == FractionQSeries(cb))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert hash(a) == hash(QSeries(ra.coeffs))
+        assert ctx.is_zero(a) == all(c == 0 for c in ra.coeffs)
+        assert ctx.is_zero(a - b) == (ra == rb)
+        assert ctx.magnitude(a) == max(abs(float(c)) for c in ra.coeffs)
+        assert a.sum_at(0.3 + 0.1j) == ra.sum_at(0.3 + 0.1j)
+
+
+def test_qseries_constant_and_zero_forms():
+    for order in (1, 4):
+        zero = QContext(EXACT, order=order).zero()
+        assert zero.num == (0,) * (order + 1) and zero.den == 1
+        assert (QSeries([Fraction(1, 3)] * (order + 1)) * 0).den == 1
+        c = QSeries.constant(Fraction(-6, 4), order)
+        assert c.num == (-3,) + (0,) * order and c.den == 2
+        assert QContext(EXACT, order=order).one() == 1
+
+
+def _random_argument(rng):
+    return Fraction(rng.randint(1, 99) * rng.choice((1, -1)), rng.randint(1, 99))
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_delta_exact_matches_fraction_reference(order):
+    from ellschub.elliptic import _delta_exact
+
+    rng = Random(f"delta-{order}")
+    ctx = QContext(EXACT, order=order)
+    for _ in range(12):
+        a, b = _random_argument(rng), _random_argument(rng)
+        if rng.random() < 0.3:  # eval_monomial-sized arguments
+            a *= _random_argument(rng) ** 3
+        got = _outcome(lambda: _delta_exact(a, b, ctx))
+        want = _outcome(lambda: fraction_delta(a, b, order))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same(got, want)
+    for a, b in ((Fraction(1), Fraction(-3, 7)), (Fraction(5, 2), Fraction(1)),
+                 (Fraction(3, 8), Fraction(8, 3)), (Fraction(-2), Fraction(-1, 2)),
+                 (Fraction(0), Fraction(2)), (Fraction(-1), Fraction(-1))):
+        got = _outcome(lambda: _delta_exact(a, b, ctx))
+        want = _outcome(lambda: fraction_delta(a, b, order))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same(got, want)
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_theta_prime_one_matches_fraction_reference(order):
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        _mul_two_term(coeffs, n, Fraction(1))
+        _mul_two_term(coeffs, n, Fraction(1))
+    assert_same(theta_prime_one(QContext(EXACT, order=order)), FractionQSeries(coeffs))

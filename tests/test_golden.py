@@ -32,6 +32,10 @@ GOLDEN = [
      "3a1799cfadcbcab6523f1b88efca6d932ada49e90959205427928488893c51fc"),
     ("table --type B2 --word 1,2 --qorder 4 --format pretty", 0,
      "3742868d7055aa092515c857f325f2b550ac2f5bc7d805dd6bdde5c96b93c68e"),
+    ("verify duality --type A2 --flip-sign --points 1", 1,
+     "bf992f3b11522663fec8427e89e544f3fc6ee7fce1351d2e15454130e7ed4463"),
+    ("table --type B3 --word 1,2,3,2,1,2,3,2,3 --qorder 10 --format json", 0,
+     "146743db3b6583991e0f030d9c44103934aacefc34d40348972876f1f571e43e"),
     ("verify duality --type B3 --backend complex --points 1", 0,
      "9a0e0436ebe529b8d86935d80b41507efb71820fea4b9e0b8d843e61d0891a8b"),
     ("verify recursions --type B2 --backend complex --points 1", 0,
