@@ -98,16 +98,19 @@ class QSeries:
     positive denominator ``den``, in lowest terms (gcd(den, *num) == 1; the
     zero series has den == 1), so every rational series has exactly one
     representation. Each operation does plain integer arithmetic on the
-    numerators and one gcd reduction at the end.
+    numerators and one gcd reduction at the end. Division multiplies by the
+    divisor's reciprocal, which a series computes on the first division by
+    it and then keeps.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_inv")
 
     def __init__(self, coeffs):
         fracs = [Fraction(c) for c in coeffs]
         den = lcm(*(f.denominator for f in fracs))
         self.num = tuple(f.numerator * (den // f.denominator) for f in fracs)
         self.den = den
+        self._inv = None
 
     @classmethod
     def _new(cls, num, den):
@@ -120,6 +123,7 @@ class QSeries:
             out.num, out.den = tuple(num), den
         else:
             out.num, out.den = tuple([n // g for n in num]), den // g
+        out._inv = None
         return out
 
     @classmethod
@@ -194,14 +198,7 @@ class QSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.num, other.num
-        n = len(a)
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(n - i):
-                    out[i + j] += ai * b[j]
-        return QSeries._new(out, self.den * other.den)
+        return QSeries._new(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -209,11 +206,23 @@ class QSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.num[0]:
-            raise SingularPointError("division by q-series with zero constant term")
-        num, den = _int_quotient(self.num, other.num)
-        db = other.den
-        return QSeries._new([x * db for x in num], den * self.den)
+        inv = other._reciprocal()
+        return QSeries._new(_convolve(self.num, inv.num), self.den * inv.den)
+
+    def _reciprocal(self):
+        """1/self, worked out on the first division by self and then kept.
+        A Bott-Samelson step divides all its coefficients by one delta
+        value, and the recurrence scales by powers of the constant term, so
+        one reciprocal and a product per division cost much less than
+        dividing afresh each time."""
+        inv = self._inv
+        if inv is None:
+            if not self.num[0]:
+                raise SingularPointError("division by q-series with zero constant term")
+            num, den = _int_reciprocal(self.num)
+            db = self.den
+            inv = self._inv = QSeries._new([x * db for x in num], den)
+        return inv
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -230,22 +239,33 @@ class QSeries:
         return acc
 
 
-def _int_quotient(a, b):
+def _convolve(a, b):
+    """The integer coefficients of a*b, truncated to len(a) terms."""
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _int_reciprocal(b):
     """Integer numerators num and a denominator den (possibly negative) with
-    a/b = num/den as truncated series, for integer a and b, b[0] != 0.
+    1/b = num/den as truncated series, for integer b, b[0] != 0.
 
     Fraction-free: Q[k] = out[k]*b0^(k+1) obeys the integer recurrence
-    Q[k] = a[k]*b0^k - sum_j b[j]*Q[k-j]*b0^(j-1), and out = num/b0^n with
-    num[k] = Q[k]*b0^(n-1-k)."""
-    n = len(a)
+    Q[0] = 1, Q[k] = -sum_{j=1..k} b[j]*Q[k-j]*b0^(j-1), and out = num/b0^n
+    with num[k] = Q[k]*b0^(n-1-k)."""
+    n = len(b)
     b0 = b[0]
     pows = [1] * n  # b0^k
     for k in range(1, n):
         pows[k] = pows[k - 1] * b0
     c = [bj * p for bj, p in zip(b[1:], pows)]  # c[j-1] = b[j]*b0^(j-1)
-    quo = []
-    for k in range(n):
-        acc = a[k] * pows[k]
+    quo = [1]
+    for k in range(1, n):
+        acc = 0
         for j in range(k):
             if c[j]:
                 acc -= c[j] * quo[k - 1 - j]

@@ -553,6 +553,29 @@ def test_qseries_matches_fraction_reference(order):
         assert a.sum_at(0.3 + 0.1j) == ra.sum_at(0.3 + 0.1j)
 
 
+@pytest.mark.parametrize("order", (0, 1, 4, 8, 10))
+def test_division_reuses_the_divisor_reciprocal(order):
+    rng = Random(f"reciprocal-{order}")
+    for _ in range(15):
+        cb = _random_series(rng, order)
+        b, rb = QSeries(cb), FractionQSeries(cb)
+        for _ in range(4):  # the first division works out 1/b, the rest reuse it
+            ca = _random_series(rng, order)
+            got = _outcome(lambda: QSeries(ca) / b)
+            want = _outcome(lambda: FractionQSeries(ca) / rb)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert_same(got, want)
+        if rb.coeffs[0]:
+            inv = b._reciprocal()
+            assert b._reciprocal() is inv
+            assert_same(inv, 1 / rb)
+            assert_same(b / b, FractionQSeries.constant(1, order))
+        else:
+            assert b._inv is None
+
+
 def test_qseries_constant_and_zero_forms():
     for order in (1, 4):
         zero = QContext(EXACT, order=order).zero()
