@@ -58,9 +58,6 @@ class ClassTable:
     def omega(self) -> int:
         return self.group.from_word(self.word)
 
-    def value(self, sigma: int):
-        return self.values[sigma]
-
     def zero_flags(self) -> tuple[bool, ...]:
         ctx = self.point.ctx
         scale = max((ctx.magnitude(v) for v in self.values), default=0.0)
@@ -99,28 +96,35 @@ def initial_table(W: WeylGroup, point: EvalPoint) -> ClassTable:
 
 def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint) -> ClassTable:
     """One Bott-Samelson step; table must live at the nu-transform of
-    outer_point by s.
+    outer_point by s. Both coefficients are divided by delta(nu_s, h)
+    before they are combined."""
+    ctx = outer_point.ctx
+    nu_val = eval_monomial(outer_point, nu_monomial(W.rank, _basis(W.rank, s)))
+    den = delta(nu_val, outer_point.h, ctx)
+    values = _step_values(W, table.values, s, outer_point, lambda sigma_zeta: (
+        _checked_div(delta(sigma_zeta, nu_val, ctx), den),
+        _checked_div(delta(sigma_zeta, outer_point.h, ctx), den),
+    ))
+    return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind)
+
+
+def _step_values(W: WeylGroup, values, s: int, point: EvalPoint, coefficients) -> list:
+    """c_keep * values[sigma] + c_mix * values[sigma s] for every sigma, with
+    (c_keep, c_mix) = coefficients(value of sigma(alpha_s) at point).
 
     The coefficients depend on sigma only through the root sigma(alpha_s),
     so they are computed once per root, in the order the roots first appear
     over sigma: the same delta arguments in the same order as a per-sigma
     loop, hence the same values and the same error at a singular point."""
-    ctx = outer_point.ctx
-    nu_val = eval_monomial(outer_point, nu_monomial(W.rank, _basis(W.rank, s)))
-    den = delta(nu_val, outer_point.h, ctx)
     coeffs = {}
-    values = []
-    for sigma, old in enumerate(table.values):
+    out = []
+    for sigma, old in enumerate(values):
         r = W.root_index[sigma][s - 1]
         c = coeffs.get(r)
         if c is None:
-            sigma_zeta = _eval_root(W, outer_point, r)
-            c = coeffs[r] = (
-                _checked_div(delta(sigma_zeta, nu_val, ctx), den),
-                _checked_div(delta(sigma_zeta, outer_point.h, ctx), den),
-            )
-        values.append(c[0] * old + c[1] * table.values[W.rmult_table[sigma][s - 1]])
-    return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind)
+            c = coeffs[r] = coefficients(_eval_root(W, point, r))
+        out.append(c[0] * old + c[1] * values[W.rmult_table[sigma][s - 1]])
+    return out
 
 
 def _eval_root(W: WeylGroup, point: EvalPoint, r: int):
@@ -148,9 +152,8 @@ def bs_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
 
 
 def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
-    """E table (no normalization); length-decreasing steps divide by
-    delta(nu_s,h) delta(nu_s^{-1},h). Coefficients are computed once per
-    root, as in bs_step."""
+    """E table (no normalization); length-decreasing steps divide the
+    combined value by delta(nu_s,h) delta(nu_s^{-1},h)."""
     word = tuple(word)
     rank = W.rank
     ctx = point.ctx
@@ -165,18 +168,10 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
         if not going_up:
             down = _delta_h(outer, nu_s) * _delta_h(outer, nu_s.inverse())
         nu_val = eval_monomial(outer, nu_s)
-        coeffs = {}
-        new_values = []
-        for sigma, old in enumerate(values):
-            r = W.root_index[sigma][s - 1]
-            c = coeffs.get(r)
-            if c is None:
-                sigma_zeta = _eval_root(W, outer, r)
-                c = coeffs[r] = (delta(sigma_zeta, nu_val, ctx),
-                                 delta(sigma_zeta, outer.h, ctx))
-            lhs = c[0] * old + c[1] * values[W.rmult_table[sigma][s - 1]]
-            new_values.append(lhs if going_up else _checked_div(lhs, down))
-        values = new_values
+        values = _step_values(W, values, s, outer, lambda sigma_zeta: (
+            delta(sigma_zeta, nu_val, ctx), delta(sigma_zeta, outer.h, ctx)))
+        if not going_up:
+            values = [_checked_div(v, down) for v in values]
         omega = W.rmult(omega, s)
     return ClassTable(W, word, point, tuple(values), "E")
 

@@ -24,14 +24,13 @@ from importlib import resources
 from random import Random
 
 from .elliptic import (
-    EXACT,
     EvalPoint,
     Monomial,
     QContext,
     delta,
+    monomial_map,
+    sample_values,
     var_names,
-    _random_annulus,
-    _random_fraction,
 )
 from .weyl import WeylGroup, group
 
@@ -49,18 +48,11 @@ class Chart:
         return (len(self.canonical_map) - 1) // 2
 
     def to_point(self, chart_values: dict, ctx: QContext) -> EvalPoint:
-        vals = []
-        for exps in self.canonical_map:
-            acc = Fraction(1) if ctx.backend == EXACT else complex(1)
-            for name, e in zip(self.chart_vars, exps):
-                if e:
-                    acc = acc * chart_values[name] ** e
-            vals.append(acc)
-        return EvalPoint(ctx, tuple(vals))
+        values = tuple(chart_values[name] for name in self.chart_vars)
+        return EvalPoint(ctx, monomial_map(values, self.canonical_map))
 
     def sample(self, ctx: QContext, rng: Random) -> tuple[dict, EvalPoint]:
-        draw = _random_fraction if ctx.backend == EXACT else _random_annulus
-        values = {name: draw(rng) for name in self.chart_vars}
+        values = dict(zip(self.chart_vars, sample_values(len(self.chart_vars), ctx, rng)))
         return values, self.to_point(values, ctx)
 
 
@@ -244,13 +236,17 @@ def parse_entry(line: str) -> CorpusEntry:
     if rest.startswith("- "):
         sign = -1
         rest = rest[2:].strip()
-    factors = [
-        (parse_monomial(m.group(1)), parse_monomial(m.group(2)))
-        for m in _FACTOR_RE.finditer(rest)
-    ]
+    factors = _parse_product(rest)
     if not factors:
         raise ValueError(f"no delta factors parsed from {rest!r}")
-    return CorpusEntry(label, parse_word(omega), parse_word(sigma), sign, tuple(factors))
+    return CorpusEntry(label, parse_word(omega), parse_word(sigma), sign, factors)
+
+
+def _parse_product(text: str) -> tuple[tuple[dict, dict], ...]:
+    return tuple(
+        (parse_monomial(m.group(1)), parse_monomial(m.group(2)))
+        for m in _FACTOR_RE.finditer(text)
+    )
 
 
 def load_corpus(name: str) -> list[CorpusEntry]:
@@ -280,13 +276,18 @@ def eval_chart_monomial(exps: dict, chart_values: dict):
     return acc
 
 
-def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext):
+def _delta_product(factors, chart_values: dict, ctx: QContext):
+    """prod delta(a, b) over the factors (a|b), in their order."""
     acc = ctx.one()
-    for a_exps, b_exps in entry.factors:
+    for a_exps, b_exps in factors:
         a = eval_chart_monomial(a_exps, chart_values)
         b = eval_chart_monomial(b_exps, chart_values)
         acc = acc * delta(a, b, ctx)
-    return acc * entry.sign
+    return acc
+
+
+def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext):
+    return _delta_product(entry.factors, chart_values, ctx) * entry.sign
 
 
 # ---------------------------------------------------------------------------
@@ -354,28 +355,14 @@ WORKED_SUM_WORD = (1, 2, 1, 2)  # a reduced word for tau0
 WORKED_SUM_SIGMA = (1, 2)
 
 
-def _parse_product(text: str) -> tuple[tuple[dict, dict], ...]:
-    return tuple(
-        (parse_monomial(m.group(1)), parse_monomial(m.group(2)))
-        for m in _FACTOR_RE.finditer(text)
-    )
-
-
 def worked_sum_values(chart_values: dict, ctx: QContext):
     """(three-term sum value, factored total value) for EE_{s1s2}(X^v_tau0)
     in the Sp(2) chart."""
-    def product(factors):
-        acc = ctx.one()
-        for a_exps, b_exps in factors:
-            acc = acc * delta(
-                eval_chart_monomial(a_exps, chart_values),
-                eval_chart_monomial(b_exps, chart_values),
-                ctx,
-            )
-        return acc
+    def product(text):
+        return _delta_product(_parse_product(text), chart_values, ctx)
 
-    prefix = product(_parse_product(WORKED_SUM_PREFIX))
+    prefix = product(WORKED_SUM_PREFIX)
     total = ctx.zero()
     for term in WORKED_SUM_TERMS:
-        total = total + product(_parse_product(term))
-    return prefix * total, product(_parse_product(WORKED_SUM_TOTAL))
+        total = total + product(term)
+    return prefix * total, product(WORKED_SUM_TOTAL)

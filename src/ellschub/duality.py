@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import bs_table
-from .elliptic import EvalPoint, Monomial, eval_monomial
+from .elliptic import EvalPoint, Monomial, eval_monomial, monomial_map
 from .weyl import WeylGroup
 
 
@@ -27,32 +27,33 @@ from .weyl import WeylGroup
 class DualitySubstitution:
     source: WeylGroup
     target: WeylGroup
-    star: tuple[int, ...]  # star[s-1] = s*
+    # rows[i]: the exponents of the #-image of source variable i, over the
+    # target variables
+    rows: tuple[tuple[int, ...], ...]
 
     def monomial_image(self, m: Monomial) -> Monomial:
         """#-image of a source-group monomial in target-group variables."""
-        rank = self.source.rank
-        exps = [0] * (2 * rank + 1)
-        for s in range(1, rank + 1):
-            exps[rank + self.star[s - 1] - 1] -= m.exps[s - 1]  # zeta_s -> nubar_{s*}^{-1}
-            exps[s - 1] -= m.exps[rank + s - 1]  # nu_s -> zetabar_s^{-1}
-        exps[2 * rank] = -m.exps[2 * rank]
-        return Monomial(tuple(exps))
+        return Monomial(tuple(sum(e * x for e, x in zip(m.exps, column))
+                              for column in zip(*self.rows)))
 
     def pull_point(self, p: EvalPoint) -> EvalPoint:
         """EvalPoint for the source group from one for the target group."""
-        rank = self.source.rank
-        vals = list(p.values)
-        out = [None] * (2 * rank + 1)
-        for s in range(1, rank + 1):
-            out[s - 1] = vals[rank + self.star[s - 1] - 1] ** -1
-            out[rank + s - 1] = vals[s - 1] ** -1
-        out[2 * rank] = vals[2 * rank] ** -1
-        return EvalPoint(p.ctx, tuple(out))
+        return EvalPoint(p.ctx, monomial_map(p.values, self.rows))
+
+
+def _variable_rows(images) -> tuple:
+    """Exponent rows of the map that sends variable i to variable j to the
+    power e, for (j, e) = images[i]; variables indexed as in var_names."""
+    n = len(images)
+    return tuple(tuple(e if k == j else 0 for k in range(n)) for j, e in images)
 
 
 def substitution(W: WeylGroup, Wdual: WeylGroup) -> DualitySubstitution:
-    return DualitySubstitution(W, Wdual, W.star)
+    r = W.rank
+    return DualitySubstitution(W, Wdual, _variable_rows(
+        [(r + t - 1, -1) for t in W.star]  # zeta_s -> nubar_{s*}^{-1}
+        + [(s, -1) for s in range(r)]  # nu_s -> zetabar_s^{-1}
+        + [(2 * r, -1)]))  # h -> h^{-1}
 
 
 def dual_element_map(W: WeylGroup, Wdual: WeylGroup) -> tuple[int, ...]:
@@ -107,13 +108,10 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
 
 def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
     """The composed substitution #_{G^v} o #_G: index relabeling by s -> s*."""
-    rank = W.rank
-    vals = list(p.values)
-    out = list(vals)
-    for s in range(1, rank + 1):
-        out[s - 1] = vals[W.star[s - 1] - 1]
-        out[rank + s - 1] = vals[rank + W.star[s - 1] - 1]
-    return EvalPoint(p.ctx, tuple(out))
+    r = W.rank
+    rows = _variable_rows([(t - 1, 1) for t in W.star]
+                          + [(r + t - 1, 1) for t in W.star] + [(2 * r, 1)])
+    return EvalPoint(p.ctx, monomial_map(p.values, rows))
 
 
 def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
@@ -134,20 +132,18 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
 
 def invert_variables(p: EvalPoint) -> EvalPoint:
     """The inversion of the dynamical-sector variables; an involution."""
-    rank = p.rank
-    vals = list(p.values)
-    for s in range(rank, 2 * rank):
-        vals[s] = vals[s] ** -1
-    return EvalPoint(p.ctx, tuple(vals))
+    r = p.rank
+    rows = _variable_rows([(i, -1 if r <= i < 2 * r else 1) for i in range(2 * r + 1)])
+    return EvalPoint(p.ctx, monomial_map(p.values, rows))
 
 
 def f_interpretation_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
     """Dual-group point realizing the inversion of dynamical variables:
     zetabar_s takes the value of nu_s."""
-    rank = W.rank
-    vals = list(p.values)
-    out = vals[rank:2 * rank] + [v ** -1 for v in vals[0:rank]] + [vals[2 * rank]]
-    return EvalPoint(p.ctx, tuple(out))
+    r = W.rank
+    rows = _variable_rows([(r + s, 1) for s in range(r)]
+                          + [(s, -1) for s in range(r)] + [(2 * r, 1)])
+    return EvalPoint(p.ctx, monomial_map(p.values, rows))
 
 
 def monomial_pull_check(sub: DualitySubstitution, p: EvalPoint, m: Monomial):

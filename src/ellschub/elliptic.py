@@ -66,7 +66,7 @@ class QContext:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.order < 1:
             raise ValueError("truncation order must be >= 1")
-        if self.backend == COMPLEX and abs(self.q) >= 1:
+        if self.backend == COMPLEX and not abs(self.q) < 1:
             raise ValueError("complex backend needs |q| < 1")
 
     def one(self):
@@ -437,9 +437,6 @@ class Monomial:
     def inverse(self) -> "Monomial":
         return Monomial(tuple(-a for a in self.exps))
 
-    def power(self, k: int) -> "Monomial":
-        return Monomial(tuple(k * a for a in self.exps))
-
 
 def zeta_monomial(rank: int, root_coords) -> Monomial:
     """e^(-beta) for beta = sum c_t alpha_t, i.e. prod zeta_t^(c_t)."""
@@ -468,32 +465,49 @@ class EvalPoint:
     def rank(self):
         return (len(self.values) - 1) // 2
 
-    def value(self, name: str):
-        return self.values[var_names(self.rank).index(name)]
-
     @property
     def h(self):
         return self.values[-1]
 
-    def replace(self, updates: dict) -> "EvalPoint":
-        names = var_names(self.rank)
-        vals = list(self.values)
-        for name, v in updates.items():
-            vals[names.index(name)] = v
-        return EvalPoint(self.ctx, tuple(vals))
+
+def monomial_map(values, rows) -> tuple:
+    """The values at `values` of the monomials with exponent rows `rows`.
+
+    Each is the product of v**e over the row's nonzero exponents, in
+    variable order, starting from the first term; a row of zeros gives
+    values[0]**0, the backend's one. Every change of variables of
+    evaluation points (sector transforms, twists, the duality maps, chart
+    points) is such a table of rows and goes through here.
+
+    >>> monomial_map((Fraction(2), Fraction(3)), ((0, 1), (2, -1), (0, 0)))
+    (Fraction(3, 1), Fraction(4, 3), Fraction(1, 1))
+    """
+    out = ()  # rows are few, and for one row a growing tuple beats a list
+    for row in rows:
+        acc = None
+        for v, e in zip(values, row):
+            if e:
+                acc = v**e if acc is None else acc * v**e
+        out += (values[0] ** 0 if acc is None else acc,)
+    return out
 
 
 def eval_monomial(point: EvalPoint, m: Monomial):
     """Product of assigned values to integer powers; never zero."""
-    acc = None
-    for v, e in zip(point.values, m.exps):
-        if e == 0:
-            continue
-        term = v**e
-        acc = term if acc is None else acc * term
-    if acc is None:
-        return Fraction(1) if point.ctx.backend == EXACT else complex(1)
-    return acc
+    return monomial_map(point.values, (m.exps,))[0]
+
+
+def _sector_map(point: EvalPoint, sector: str, rows) -> EvalPoint:
+    """The point with the values of one sector (zeta or nu) replaced by the
+    monomials `rows` in that sector's old values; h and the other sector
+    are untouched."""
+    if sector not in (ZETA, NU):
+        raise ValueError(f"unknown sector {sector!r}")
+    rank = len(rows)
+    start = 0 if sector == ZETA else rank
+    old = point.values
+    block = monomial_map(old[start:start + rank], rows)
+    return EvalPoint(point.ctx, old[:start] + block + old[start + rank:])
 
 
 def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> EvalPoint:
@@ -503,42 +517,16 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
     h^(s(alpha_t^v)); zeta-sector analogously with s(alpha_t). h and the
     other sector are untouched. Involutive per sector.
     """
-    rank = rs.rank
-    if sector not in (ZETA, NU):
-        raise ValueError(f"unknown sector {sector!r}")
-    offset = 0 if sector == ZETA else rank
     lattice = ROOT if sector == ZETA else COROOT
-    old = point.values
-    new = list(old)
-    for t in range(1, rank + 1):
-        image = reflect(rs, s, LatticeVector(_basis(rank, t), lattice)).coords
-        acc = None
-        for u, e in enumerate(image):
-            if e == 0:
-                continue
-            term = old[offset + u] ** e
-            acc = term if acc is None else acc * term
-        new[offset + t - 1] = acc if acc is not None else old[offset + t - 1] ** 0
-    return EvalPoint(point.ctx, tuple(new))
+    rows = [reflect(rs, s, LatticeVector(_basis(rs.rank, t), lattice)).coords
+            for t in range(1, rs.rank + 1)]
+    return _sector_map(point, sector, rows)
 
 
 def twist_point(point: EvalPoint, matrix, rs: RootSystem) -> EvalPoint:
     """zeta-sector precomposition with a full Weyl matrix (column j = image
     of alpha_j); used by the R-matrix recursion's accumulated twists."""
-    rank = rs.rank
-    old = point.values
-    new = list(old)
-    for t in range(rank):
-        acc = None
-        for u in range(rank):
-            e = matrix[u][t]
-            if e == 0:
-                continue
-            term = old[u] ** e
-            acc = term if acc is None else acc * term
-        if acc is not None:
-            new[t] = acc
-    return EvalPoint(point.ctx, tuple(new))
+    return _sector_map(point, ZETA, tuple(zip(*matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +536,15 @@ def twist_point(point: EvalPoint, matrix, rs: RootSystem) -> EvalPoint:
 def sample_point(rank: int, ctx: QContext, rng: Random) -> EvalPoint:
     """One random nonsingular candidate point; callers resample on
     SingularPointError raised downstream."""
-    nvars = 2 * rank + 1
-    if ctx.backend == EXACT:
-        vals = tuple(_random_fraction(rng) for _ in range(nvars))
-    else:
-        vals = tuple(_random_annulus(rng) for _ in range(nvars))
-    return EvalPoint(ctx, vals)
+    return EvalPoint(ctx, sample_values(2 * rank + 1, ctx, rng))
+
+
+def sample_values(n: int, ctx: QContext, rng: Random) -> tuple:
+    """n random values for the backend of ctx, drawn one after the other:
+    rationals u/v with 0 < |u|, v < 100 and u != v (exact), or complex
+    numbers with modulus in [1/2, 2] (complex)."""
+    draw = _random_fraction if ctx.backend == EXACT else _random_annulus
+    return tuple(draw(rng) for _ in range(n))
 
 
 def _random_fraction(rng: Random) -> Fraction:

@@ -251,3 +251,16 @@ def test_qorder_env_invalid(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ELLSCHUB_QORDER must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--type", "A1", "--points", "1"],
+    ["table", "--type", "A1", "--word", "1"],
+])
+@pytest.mark.parametrize("q", ["nan", "1", "-1.5"])
+def test_complex_q_outside_unit_disc(argv, q, capsys):
+    # NaN compares False with everything, so |q| >= 1 let it through
+    assert main(argv + ["--backend", "complex", "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: complex backend needs |q| < 1\n"

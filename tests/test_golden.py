@@ -42,6 +42,21 @@ GOLDEN = [
      "70c5592c31e9b28eacdb2ab74bbd84d8b3ce2e1c8ce902fc57bfa4092c8e037b"),
     ("verify normalization --type A2 --backend complex --points 1", 0,
      "9817a0c47d2983462d20169321d6151322a6c087ab74f59241a67fa0c6818ade"),
+    # s* is trivial on B2, so this is the first exact digest where the
+    # double-dual relabeling moves variables; the complex ones below pin the
+    # product order of every change of variables and of the point draws.
+    ("verify double-dual --type A2 --points 1 --qorder 4", 0,
+     "59c18769f62db8db65bdd0f437516bdefc203f1225115106f5b97d6a89c150a8"),
+    ("verify double-dual --type A3 --backend complex --points 1", 0,
+     "5b6caed4c00aa9e99a5d9cf71a21c0f25b0611015c90f745881393de1123a61d"),
+    ("verify normalization --type B2 --backend complex --points 1", 0,
+     "43adb497f7e612249c67b62a6243e46ae2de9c8865c795f739127da487edfe8f"),
+    ("corpus --backend complex --points 1", 0,
+     "04818e3fd9daa1b862d961afae1e9d4274b1c94f8915354d7eba2fa4580e1013"),
+    ("table --type A3 --word 1,2,3,1 --backend complex --format json", 0,
+     "5e799b5d90351373de6ce8fe7e754db4ccf0f1ac62cedd80e20d6191d079b548"),
+    ("verify duality --type G2 --backend complex --points 1", 0,
+     "a659ce0f2cef571da1ce24eb98349caf42a6f7502a27e3b58b1ca8877cf9fe63"),
 ]
 
 
