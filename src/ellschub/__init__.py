@@ -33,6 +33,7 @@ from .elliptic import (
 )
 from .classes import (
     ClassTable,
+    StepMemo,
     bs_step,
     bs_table,
     c_recursion_left_residual,

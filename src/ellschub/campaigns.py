@@ -12,6 +12,7 @@ from random import Random
 
 from . import corpus as corpus_mod
 from .classes import (
+    StepMemo,
     bs_table,
     c_recursion_left_sides,
     c_recursion_right_sides,
@@ -86,9 +87,10 @@ def _dual_group(label: str) -> WeylGroup:
     return enumerate_group(langlands_dual(group(label).rs))
 
 
-def _words(W: WeylGroup, omega: int, sigma: int) -> dict:
-    return {"omega_word": list(W.reduced_word(omega)),
-            "sigma_word": list(W.reduced_word(sigma))}
+def _word_lists(W: WeylGroup) -> list:
+    """The reduced word of every element as a list, built once per campaign
+    and shared by its records."""
+    return [list(W.reduced_word(w)) for w in range(W.order)]
 
 
 def _per_point(W: WeylGroup, ctx, points, seed, tag: str, campaign) -> list:
@@ -105,11 +107,12 @@ def run_duality(label, ctx, points, seed, tol, flip_sign=False):
     W = group(label)
     Wdual = _dual_group(label)
     dual_label = str(Wdual.rs.label)
+    words = _word_lists(W)
 
     def campaign(k, point):
         pairs = duality_pairs(W, Wdual, point, flip_sign)
-        return [record("duality", label, ctx, k, lhs, rhs, tol,
-                       dual_type=dual_label, **_words(W, omega, sigma))
+        return [record("duality", label, ctx, k, lhs, rhs, tol, dual_type=dual_label,
+                       omega_word=words[omega], sigma_word=words[sigma])
                 for (omega, sigma), (lhs, rhs) in sorted(pairs.items())]
 
     return _per_point(W, ctx, points, seed, "duality", campaign)
@@ -118,15 +121,18 @@ def run_duality(label, ctx, points, seed, tol, flip_sign=False):
 def run_recursions(label, ctx, points, seed, tol):
     """Bott-Samelson against R-matrix tables, for every omega."""
     W = group(label)
+    words = _word_lists(W)
 
     def campaign(k, point):
+        memo = StepMemo(W, point)
         out = []
         for omega in range(W.order):
             word = W.reduced_word(omega)
-            bs_vals = bs_table(W, word, point).values
+            bs_vals = bs_table(W, word, point, memo).values
             rm_vals = rmatrix_table(W, word, point).values
             out.extend(record("recursions", label, ctx, k, bs_vals[sigma],
-                              rm_vals[sigma], tol, **_words(W, omega, sigma))
+                              rm_vals[sigma], tol, omega_word=words[omega],
+                              sigma_word=words[sigma])
                        for sigma in range(W.order))
         return out
 
@@ -139,8 +145,11 @@ def run_normalization(label, ctx, points, seed, tol):
     Wdual = _dual_group(label)
     dmap = dual_element_map(W, Wdual)
     t0 = W.longest
+    words = _word_lists(W)
 
     def campaign(k, point):
+        dual_point = f_interpretation_point(W, point)
+        memo, dual_memo = StepMemo(W, point), StepMemo(Wdual, dual_point)
         out = []
         for omega in range(W.order):
             sides = []  # (kind, lhs, rhs, extra fields)
@@ -151,19 +160,19 @@ def run_normalization(label, ctx, points, seed, tol):
                               {"simple": s}))
             c_val = normalization_factor(W, omega, point)
             word = W.reduced_word(omega)
-            ee = bs_table(W, word, point).values
-            e_vals = unnormalized_table(W, word, point).values
+            ee = bs_table(W, word, point, memo).values
+            e_vals = unnormalized_table(W, word, point, memo).values
             for sigma in range(W.order):
                 sides.append(("scaling", ee[sigma], c_val * e_vals[sigma],
-                              {"sigma_word": list(W.reduced_word(sigma))}))
+                              {"sigma_word": words[sigma]}))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
             dual_e = unnormalized_table(
-                Wdual, W.reduced_word(target), f_interpretation_point(W, point)
+                Wdual, W.reduced_word(target), dual_point, dual_memo
             ).values[dmap[target]]
             sides.append(("f-interpretation", c_val, dual_e, {}))
             out.extend(record(f"normalization/{kind}", label, ctx, k, lhs, rhs, tol,
-                              omega_word=list(word), **extra)
+                              omega_word=words[omega], **extra)
                        for kind, lhs, rhs, extra in sides)
         return out
 
@@ -172,11 +181,12 @@ def run_normalization(label, ctx, points, seed, tol):
 
 def run_double_dual(label, ctx, points, seed, tol):
     W = group(label)
+    words = _word_lists(W)
 
     def campaign(k, point):
         pairs = double_dual_pairs(W, point)
         return [record("double-dual", label, ctx, k, lhs, rhs, tol,
-                       **_words(W, omega, sigma))
+                       omega_word=words[omega], sigma_word=words[sigma])
                 for (omega, sigma), (lhs, rhs) in sorted(pairs.items())]
 
     return _per_point(W, ctx, points, seed, "double-dual", campaign)

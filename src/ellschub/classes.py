@@ -37,6 +37,7 @@ from .elliptic import (
     SingularPointError,
     delta,
     eval_monomial,
+    monomial_map,
     nu_monomial,
     transform_point,
     twist_point,
@@ -53,6 +54,10 @@ class ClassTable:
     point: EvalPoint
     values: tuple
     kind: str = "EE"  # EE | E | Em
+    # support[sigma] is False where the recursion makes values[sigma] zero
+    # (outside the Bruhat interval below omega, for a reduced word); None
+    # if the table does not track it
+    support: tuple[bool, ...] | None = None
 
     @property
     def omega(self) -> int:
@@ -91,45 +96,107 @@ def initial_table(W: WeylGroup, point: EvalPoint) -> ClassTable:
     """EE table for omega = id: the full delta product at id, 0 elsewhere."""
     values = [point.ctx.zero()] * W.order
     values[W.identity] = _coroot_product(point, W.rs.positive_coroots)
-    return ClassTable(W, (), point, tuple(values))
+    return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
 
 
-def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint) -> ClassTable:
+def _identity_support(W: WeylGroup) -> tuple[bool, ...]:
+    return tuple(sigma == W.identity for sigma in range(W.order))
+
+
+class StepMemo:
+    """The step coefficients that the Bott-Samelson tables of one group at
+    one point share. Every step of such a table lives on the point's chain
+    of nu-transforms, which keeps the zeta values, h and the context, so
+    the coefficients of a step depend only on the value of the root
+    sigma(alpha_s), fixed by its index r in W.roots, and on the value of
+    nu_s. They are kept under (nu_s value, r): `normalized` holds the pairs
+    of bs_step, divided by delta(nu_s, h), and `unnormalized` the undivided
+    pairs of unnormalized_table. Make one with the point, pass it to each
+    table there, and drop it with the point."""
+
+    __slots__ = ("group", "fixed", "roots", "normalized", "unnormalized")
+
+    def __init__(self, W: WeylGroup, point: EvalPoint):
+        self.group = W
+        self.fixed = _fixed_part(W, point)
+        # the value of the zeta monomial of each root
+        self.roots = monomial_map(point.values, [
+            zeta_monomial(W.rank, root).exps for root in W.roots])
+        self.normalized: dict = {}
+        self.unnormalized: dict = {}
+
+    def check(self, W: WeylGroup, point: EvalPoint) -> None:
+        if W is not self.group or _fixed_part(W, point) != self.fixed:
+            raise ValueError("step memo made for another group, zeta sector, h or context")
+
+    def coefficients(self, kept: dict, s: int, nu_val, coefficients) -> list:
+        """[r] -> coefficients(value of root r) for every root r of a step
+        by s with nu_s value nu_val, worked out once and kept in `kept`.
+
+        Missing pairs are computed in the order the roots first appear over
+        sigma, as a per-sigma loop meets them, and a kept pair raised
+        nothing when it was computed; so a singular point raises the same
+        error, also for a root whose entries are all outside the support."""
+        row = kept.get(nu_val)
+        if row is None:
+            row = kept[nu_val] = [None] * len(self.roots)
+        for r in self.group.step_roots[s - 1]:
+            if row[r] is None:
+                row[r] = coefficients(self.roots[r])
+        return row
+
+
+def _fixed_part(W: WeylGroup, point: EvalPoint):
+    """What a nu-transform keeps of the point: context, zeta values and h."""
+    return point.ctx, point.values[:W.rank], point.h
+
+
+def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint,
+            memo: StepMemo | None = None) -> ClassTable:
     """One Bott-Samelson step; table must live at the nu-transform of
     outer_point by s. Both coefficients are divided by delta(nu_s, h)
-    before they are combined."""
-    ctx = outer_point.ctx
+    before they are combined. memo, if given, was made for W at a point of
+    outer_point's chain."""
+    if memo is None:
+        memo = StepMemo(W, outer_point)
+    ctx, h = outer_point.ctx, outer_point.h
     nu_val = eval_monomial(outer_point, nu_monomial(W.rank, _basis(W.rank, s)))
-    den = delta(nu_val, outer_point.h, ctx)
-    values = _step_values(W, table.values, s, outer_point, lambda sigma_zeta: (
+    den = delta(nu_val, h, ctx)
+    coeffs = memo.coefficients(memo.normalized, s, nu_val, lambda sigma_zeta: (
         _checked_div(delta(sigma_zeta, nu_val, ctx), den),
-        _checked_div(delta(sigma_zeta, outer_point.h, ctx), den),
+        _checked_div(delta(sigma_zeta, h, ctx), den),
     ))
-    return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind)
+    support = table.support or (True,) * W.order
+    values, support = _step_values(W, table.values, support, s, coeffs, ctx.zero())
+    return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind,
+                      support)
 
 
-def _step_values(W: WeylGroup, values, s: int, point: EvalPoint, coefficients) -> list:
-    """c_keep * values[sigma] + c_mix * values[sigma s] for every sigma, with
-    (c_keep, c_mix) = coefficients(value of sigma(alpha_s) at point).
+def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
+    """(new values, new support) of a step by s, in which the new value is
+    c_keep * values[sigma] + c_mix * values[sigma s] with (c_keep, c_mix) =
+    coeffs[r] for the root r = sigma(alpha_s).
 
-    The coefficients depend on sigma only through the root sigma(alpha_s),
-    so they are computed once per root, in the order the roots first appear
-    over sigma: the same delta arguments in the same order as a per-sigma
-    loop, hence the same values and the same error at a singular point."""
-    coeffs = {}
-    out = []
-    for sigma, old in enumerate(values):
-        r = W.root_index[sigma][s - 1]
-        c = coeffs.get(r)
-        if c is None:
-            c = coeffs[r] = coefficients(_eval_root(W, point, r))
-        out.append(c[0] * old + c[1] * values[W.rmult_table[sigma][s - 1]])
-    return out
-
-
-def _eval_root(W: WeylGroup, point: EvalPoint, r: int):
-    """The value of the zeta monomial of the root W.roots[r]."""
-    return eval_monomial(point, zeta_monomial(W.rank, W.roots[r]))
+    An entry outside `support` is zero. sigma is in the new support iff
+    sigma or sigma s was in the old one, for any word; only those entries
+    are computed, from their terms inside the old support, and every other
+    entry is `zero`."""
+    i = s - 1
+    rmult, root_index = W.rmult_table, W.root_index
+    out = [zero] * len(values)
+    grown = list(support)
+    for sigma, keep in enumerate(support):
+        other = rmult[sigma][i]
+        if keep:
+            c = coeffs[root_index[sigma][i]]
+            if support[other]:
+                out[sigma] = c[0] * values[sigma] + c[1] * values[other]
+            else:
+                out[sigma] = c[0] * values[sigma]
+        elif support[other]:
+            out[sigma] = coeffs[root_index[sigma][i]][1] * values[other]
+            grown[sigma] = True
+    return out, tuple(grown)
 
 
 def _point_chain(W: WeylGroup, word, point):
@@ -141,25 +208,42 @@ def _point_chain(W: WeylGroup, word, point):
     return points
 
 
-def bs_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
-    """EE table for omega = product of word (need not be reduced)."""
+def _memo_for(W: WeylGroup, point: EvalPoint, memo: StepMemo | None) -> StepMemo:
+    if memo is None:
+        return StepMemo(W, point)
+    memo.check(W, point)
+    return memo
+
+
+def bs_table(W: WeylGroup, word, point: EvalPoint,
+             memo: StepMemo | None = None) -> ClassTable:
+    """EE table for omega = product of word (need not be reduced). memo, if
+    given, was made for W at a point with point's zeta values, h and
+    context; the tables at one point share their step coefficients
+    through it."""
     word = tuple(word)
+    memo = _memo_for(W, point, memo)
     points = _point_chain(W, word, point)
     table = initial_table(W, points[0])
     for j, s in enumerate(word):
-        table = bs_step(W, table, s, points[j + 1])
+        table = bs_step(W, table, s, points[j + 1], memo)
     return table
 
 
-def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
+def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
+                       memo: StepMemo | None = None) -> ClassTable:
     """E table (no normalization); length-decreasing steps divide the
-    combined value by delta(nu_s,h) delta(nu_s^{-1},h)."""
+    combined value by delta(nu_s,h) delta(nu_s^{-1},h). memo as for
+    bs_table."""
     word = tuple(word)
+    memo = _memo_for(W, point, memo)
     rank = W.rank
     ctx = point.ctx
+    zero = ctx.zero()
     points = _point_chain(W, word, point)
-    values = [ctx.zero()] * W.order
+    values = [zero] * W.order
     values[W.identity] = ctx.one()
+    support = _identity_support(W)
     omega = W.identity
     for j, s in enumerate(word):
         outer = points[j + 1]
@@ -168,12 +252,16 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
         if not going_up:
             down = _delta_h(outer, nu_s) * _delta_h(outer, nu_s.inverse())
         nu_val = eval_monomial(outer, nu_s)
-        values = _step_values(W, values, s, outer, lambda sigma_zeta: (
+        coeffs = memo.coefficients(memo.unnormalized, s, nu_val, lambda sigma_zeta: (
             delta(sigma_zeta, nu_val, ctx), delta(sigma_zeta, outer.h, ctx)))
+        values, support = _step_values(W, values, support, s, coeffs, zero)
         if not going_up:
-            values = [_checked_div(v, down) for v in values]
+            # the identity is always in the support, so a singular `down`
+            # still raises
+            values = [_checked_div(v, down) if inside else v
+                      for v, inside in zip(values, support)]
         omega = W.rmult(omega, s)
-    return ClassTable(W, word, point, tuple(values), "E")
+    return ClassTable(W, word, point, tuple(values), "E", support)
 
 
 def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
@@ -181,7 +269,7 @@ def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     table = bs_table(W, word, point)
     full = _coroot_product(point, W.rs.positive_coroots)
     values = tuple(_checked_div(v, full) for v in table.values)
-    return ClassTable(W, table.word, point, values, "Em")
+    return ClassTable(W, table.word, point, values, "Em", table.support)
 
 
 # ---------------------------------------------------------------------------

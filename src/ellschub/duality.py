@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import bs_table
+from .classes import StepMemo, bs_table
 from .elliptic import EvalPoint, Monomial, eval_monomial, monomial_map
 from .weyl import WeylGroup
 
@@ -89,12 +89,11 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
     pulled = sub.pull_point(point)
     dmap = dual_element_map(W, Wdual)
     t0 = W.longest
-    source_tables = [
-        bs_table(W, W.reduced_word(w), pulled).values for w in range(W.order)
-    ]
-    target_tables = [
-        bs_table(Wdual, W.reduced_word(w), point).values for w in range(W.order)
-    ]
+    source_memo, target_memo = StepMemo(W, pulled), StepMemo(Wdual, point)
+    source_tables = [bs_table(W, W.reduced_word(w), pulled, source_memo).values
+                     for w in range(W.order)]
+    target_tables = [bs_table(Wdual, W.reduced_word(w), point, target_memo).values
+                     for w in range(W.order)]
     sign = duality_sign(W) * (-1 if flip_sign else 1)
     flip = [W.mul(t0, W.inv(w)) for w in range(W.order)]  # w -> tau0 w^{-1}
     out = {}
@@ -119,10 +118,11 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
     t0 = W.longest
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     relabeled = relabel_point(W, point)
-    straight = [bs_table(W, W.reduced_word(w), point).values for w in range(W.order)]
-    twisted = [
-        bs_table(W, W.reduced_word(conj[w]), relabeled).values for w in range(W.order)
-    ]
+    straight_memo, twisted_memo = StepMemo(W, point), StepMemo(W, relabeled)
+    straight = [bs_table(W, W.reduced_word(w), point, straight_memo).values
+                for w in range(W.order)]
+    twisted = [bs_table(W, W.reduced_word(conj[w]), relabeled, twisted_memo).values
+               for w in range(W.order)]
     return {
         (omega, sigma): (straight[omega][sigma], twisted[omega][conj[sigma]])
         for omega in range(W.order)

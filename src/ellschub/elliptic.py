@@ -29,12 +29,13 @@ nu_1..nu_r, h); a Monomial is an integer exponent vector over them.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
-from .rootsys import COROOT, ROOT, LatticeVector, RootSystem, _basis, reflect
+from .rootsys import COROOT, ROOT, RootSystem
 
 EXACT = "exact"
 COMPLEX = "complex"
@@ -66,6 +67,8 @@ class QContext:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.order < 1:
             raise ValueError("truncation order must be >= 1")
+        if self.order > sys.maxsize:  # a series holds order + 1 coefficients
+            raise ValueError(f"truncation order must be at most {sys.maxsize}")
         if self.backend == COMPLEX and not abs(self.q) < 1:
             raise ValueError("complex backend needs |q| < 1")
 
@@ -517,9 +520,7 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
     h^(s(alpha_t^v)); zeta-sector analogously with s(alpha_t). h and the
     other sector are untouched. Involutive per sector.
     """
-    lattice = ROOT if sector == ZETA else COROOT
-    rows = [reflect(rs, s, LatticeVector(_basis(rs.rank, t), lattice)).coords
-            for t in range(1, rs.rank + 1)]
+    rows = rs.reflection_rows(s, ROOT if sector == ZETA else COROOT)
     return _sector_map(point, sector, rows)
 
 

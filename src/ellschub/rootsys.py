@@ -14,7 +14,7 @@ the i-th stored coroot is the coroot of the i-th stored root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ROOT = "root"
 COROOT = "coroot"
@@ -121,10 +121,22 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
     positive_coroots: tuple[tuple[int, ...], ...]
+    _reflection_rows: dict = field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
     @property
     def rank(self) -> int:
         return self.label.rank
+
+    def reflection_rows(self, s: int, lattice: str) -> tuple[tuple[int, ...], ...]:
+        """The coordinates of s_s(a_t) (lattice ROOT) or s_s(a_t^v) (COROOT)
+        for t = 1..rank, worked out once per (s, lattice)."""
+        rows = self._reflection_rows.get((s, lattice))
+        if rows is None:
+            rows = self._reflection_rows[s, lattice] = tuple(
+                reflect(self, s, LatticeVector(_basis(self.rank, t), lattice)).coords
+                for t in range(1, self.rank + 1))
+        return rows
 
     def simple_root(self, s: int) -> LatticeVector:
         return LatticeVector(_basis(self.rank, s), ROOT)

@@ -64,6 +64,8 @@ class WeylGroup:
     star: tuple[int, ...]  # star[s-1] = t with tau0 s_s tau0 = s_t
     roots: tuple[tuple[int, ...], ...]  # positive roots, then their negatives
     root_index: tuple[tuple[int, ...], ...]  # [w][s-1] -> index of w(alpha_s) in roots
+    # [s-1] -> the indices root_index[w][s-1], each once, in order of first w
+    step_roots: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]  # positive coroots, then their negatives
     coroot_index: tuple[tuple[int, ...], ...]  # [w][s-1] -> index of w(alpha_s^v)
     _bruhat_cache: dict = field(repr=False, default_factory=dict)
@@ -212,6 +214,9 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
 
     roots = signed(rs.positive_roots)
     coroots = signed(rs.positive_coroots)
+    root_index = _column_index(matrices, roots)
+    step_roots = tuple(tuple(dict.fromkeys(row[s] for row in root_index))
+                       for s in range(n))
     return WeylGroup(
         rs,
         tuple(matrices),
@@ -223,7 +228,8 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
         t0,
         tuple(star),
         roots,
-        _column_index(matrices, roots),
+        root_index,
+        step_roots,
         coroots,
         _column_index(comatrices, coroots),
     )

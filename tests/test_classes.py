@@ -5,6 +5,7 @@ import pytest
 
 from ellschub.classes import (
     ClassTable,
+    StepMemo,
     _checked_div,
     _coroot_product,
     _delta_at,
@@ -527,3 +528,74 @@ def test_singular_point_raises_as_reference():
         with pytest.raises(SingularPointError) as expected:
             reference(W, (1, 2, 1), point)
         assert str(err.value) == str(expected.value) == "delta argument is 1 (pole)"
+
+
+# --- support-sparse steps and the per-point step memo ------------------------
+
+SUPPORT_CASES = [(label, ctx) for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
+                 for ctx in (QContext(EXACT, order=2), QContext(COMPLEX, order=8, q=0.3))]
+
+
+@pytest.mark.parametrize("label,ctx", SUPPORT_CASES,
+                         ids=[f"{c[0]}-{c[1].backend}" for c in SUPPORT_CASES])
+def test_tables_vanish_outside_the_bruhat_interval(label, ctx):
+    """On a reduced word of omega the support is the lower Bruhat interval of
+    omega, and no entry outside it is nonzero, with one memo per point as a
+    campaign shares it."""
+    W = group(label)
+    point = sample_point(W.rank, ctx, Random(f"support:{label}"))
+    memo = StepMemo(W, point)
+    zero = ctx.zero()
+    for omega in range(W.order):
+        word = W.reduced_word(omega)
+        below = [W.bruhat_leq(sigma, omega) for sigma in range(W.order)]
+        for table in (bs_table(W, word, point, memo),
+                      unnormalized_table(W, word, point, memo)):
+            assert list(table.support) == below
+            for sigma, value in enumerate(table.values):
+                if value != zero:
+                    assert below[sigma]
+
+
+def test_shared_memo_gives_the_tables_of_fresh_ones():
+    ctx = QContext(EXACT, order=3)
+    W = group("B2")
+    point = sample_point(W.rank, ctx, Random("shared-memo"))
+    memo = StepMemo(W, point)
+    for word in [W.reduced_word(w) for w in range(W.order)] + [(1, 1), (2, 1, 1, 2)]:
+        assert bs_table(W, word, point, memo).values == bs_table(W, word, point).values
+        assert (unnormalized_table(W, word, point, memo).values
+                == unnormalized_table(W, word, point).values)
+    assert set(memo.normalized) and set(memo.unnormalized)
+
+
+def test_memo_refuses_another_point():
+    ctx = QContext(EXACT, order=2)
+    W = group("A2")
+    point = sample_point(W.rank, ctx, Random("memo-check"))
+    memo = StepMemo(W, point)
+    # a nu-transform keeps zeta and h, so it may share the memo
+    bs_table(W, (1,), transform_point(point, 2, NU, W.rs), memo)
+    other = EvalPoint(ctx, point.values[:-1] + (point.h * 2,))
+    for fn in (bs_table, unnormalized_table):
+        with pytest.raises(ValueError):
+            fn(W, (1,), other, memo)
+        with pytest.raises(ValueError):
+            fn(group("B2"), (1,), point, memo)
+
+
+def test_singular_root_of_skipped_entries_still_raises():
+    # zeta1 zeta2 = 1: the root alpha1 + alpha2 = s2(alpha1) is a pole, and
+    # only sigma = s2 and s2 s1, both outside the support of the step, use it
+    ctx = QContext(EXACT, order=3)
+    values = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(7, 3))
+    point = EvalPoint(ctx, values)
+    W = group("A2")
+    table = initial_table(W, point)
+    for sigma in (W.from_word((2,)), W.from_word((2, 1))):
+        assert not table.support[sigma]
+        assert not table.support[W.rmult(sigma, 1)]
+    for fn in (bs_table, unnormalized_table, reference_bs_table):
+        with pytest.raises(SingularPointError) as err:
+            fn(W, (1,), point)
+        assert str(err.value) == "delta argument is 1 (pole)"

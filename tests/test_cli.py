@@ -264,3 +264,15 @@ def test_complex_q_outside_unit_disc(argv, q, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: complex backend needs |q| < 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--type", "A2"],
+    ["table", "--type", "A2", "--word", "1"],
+])
+def test_qorder_too_large_for_an_index(argv, capsys):
+    # rejected before any series is built, so nothing is allocated
+    assert main(argv + ["--qorder", "100000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: truncation order must be at most ")

@@ -8,6 +8,7 @@ as well: on another platform they may differ while the exact ones hold.
 Regenerate a digest only when the output is meant to change, and say why."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -66,3 +67,17 @@ def test_stdout_digest(command, code, digest, capsys, monkeypatch):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.tier2
+def test_exact_d4_duality(capsys, monkeypatch):
+    """Exact D4 duality at one point: 36864 checks, digest recorded before
+    the recursion steps became support-sparse."""
+    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
+    assert main("verify duality --type D4 --backend exact --qorder 8 --points 1 "
+                "--seed 0".split()) == 0
+    out = capsys.readouterr().out
+    summary = json.loads(out.splitlines()[-1])
+    assert (summary["checks"], summary["failures"]) == (36864, 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "49779fc4223f0eaf56e879aadc76592adbf909b926d33673ff7629edadd34333")
