@@ -26,7 +26,8 @@ from .duality import (
     duality_pairs,
     f_interpretation_point,
 )
-from .elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
+from .elliptic import (COMPLEX, EXACT, QContext, SingularPointError, _delta_caches,
+                       sample_point)
 from .rootsys import langlands_dual
 from .weyl import WeylGroup, enumerate_group, group
 
@@ -42,13 +43,17 @@ ATTEMPTS = 10  # point draws before a campaign gives up
 
 def resample(seed, tag: str, compute):
     """compute(Random(f"{seed}:{tag}:{attempt}")) for attempt = 0, 1, ...
-    until it raises no SingularPointError."""
+    until it raises no SingularPointError. Points of different calls share
+    no delta arguments, so the delta cache is emptied when this ends."""
     last = None
-    for attempt in range(ATTEMPTS):
-        try:
-            return compute(Random(f"{seed}:{tag}:{attempt}"))
-        except SingularPointError as err:
-            last = err
+    try:
+        for attempt in range(ATTEMPTS):
+            try:
+                return compute(Random(f"{seed}:{tag}:{attempt}"))
+            except SingularPointError as err:
+                last = err
+    finally:
+        _delta_caches.clear()
     raise SingularPointError(f"no nonsingular point after {ATTEMPTS} tries: {last}")
 
 

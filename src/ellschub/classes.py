@@ -36,12 +36,9 @@ from .elliptic import (
     EvalPoint,
     SingularPointError,
     delta,
-    eval_monomial,
     monomial_map,
-    nu_monomial,
     transform_point,
     twist_point,
-    zeta_monomial,
 )
 from .rootsys import _basis
 from .weyl import WeylGroup, _matvec
@@ -76,19 +73,30 @@ def _checked_div(num, den):
         raise SingularPointError(str(err)) from err
 
 
-def _delta_at(point, m_a, m_b):
-    return delta(eval_monomial(point, m_a), eval_monomial(point, m_b), point.ctx)
+def _zeta(point, roots) -> tuple:
+    """e^(-beta) = prod zeta_t^(beta_t) at the point for each root row beta."""
+    return monomial_map(point.values[:point.rank], roots)
 
 
-def _delta_h(point, m_a):
-    return delta(eval_monomial(point, m_a), point.h, point.ctx)
+def _nu(point, coroots) -> tuple:
+    """h^gamma = prod nu_t^(gamma_t) at the point for each coroot row gamma."""
+    rank = point.rank
+    return monomial_map(point.values[rank:2 * rank], coroots)
+
+
+def _neg(row) -> tuple:
+    return tuple(-c for c in row)
+
+
+def _delta_h(point, value):
+    return delta(value, point.h, point.ctx)
 
 
 def _coroot_product(point, coroots):
     """prod over the coroots gamma of delta(h^{-gamma}, h), in their order."""
     acc = point.ctx.one()
-    for gamma in coroots:
-        acc = acc * _delta_h(point, nu_monomial(point.rank, gamma).inverse())
+    for value in _nu(point, [_neg(gamma) for gamma in coroots]):
+        acc = acc * _delta_h(point, value)
     return acc
 
 
@@ -119,9 +127,7 @@ class StepMemo:
     def __init__(self, W: WeylGroup, point: EvalPoint):
         self.group = W
         self.fixed = _fixed_part(W, point)
-        # the value of the zeta monomial of each root
-        self.roots = monomial_map(point.values, [
-            zeta_monomial(W.rank, root).exps for root in W.roots])
+        self.roots = _zeta(point, W.roots)
         self.normalized: dict = {}
         self.unnormalized: dict = {}
 
@@ -160,7 +166,7 @@ def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint,
     if memo is None:
         memo = StepMemo(W, outer_point)
     ctx, h = outer_point.ctx, outer_point.h
-    nu_val = eval_monomial(outer_point, nu_monomial(W.rank, _basis(W.rank, s)))
+    (nu_val,) = _nu(outer_point, (_basis(W.rank, s),))
     den = delta(nu_val, h, ctx)
     coeffs = memo.coefficients(memo.normalized, s, nu_val, lambda sigma_zeta: (
         _checked_div(delta(sigma_zeta, nu_val, ctx), den),
@@ -237,7 +243,6 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
     bs_table."""
     word = tuple(word)
     memo = _memo_for(W, point, memo)
-    rank = W.rank
     ctx = point.ctx
     zero = ctx.zero()
     points = _point_chain(W, word, point)
@@ -247,11 +252,11 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
     omega = W.identity
     for j, s in enumerate(word):
         outer = points[j + 1]
-        nu_s = nu_monomial(rank, _basis(rank, s))
+        nu_s = _basis(W.rank, s)
+        nu_val, nu_inv = _nu(outer, (nu_s, _neg(nu_s)))
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
-            down = _delta_h(outer, nu_s) * _delta_h(outer, nu_s.inverse())
-        nu_val = eval_monomial(outer, nu_s)
+            down = _delta_h(outer, nu_val) * _delta_h(outer, nu_inv)
         coeffs = memo.coefficients(memo.unnormalized, s, nu_val, lambda sigma_zeta: (
             delta(sigma_zeta, nu_val, ctx), delta(sigma_zeta, outer.h, ctx)))
         values, support = _step_values(W, values, support, s, coeffs, zero)
@@ -290,12 +295,6 @@ def rmatrix_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     return ClassTable(W, word, point, values)
 
 
-def rmatrix_eval(W: WeylGroup, word, sigma: int, point: EvalPoint):
-    """Single entry EE_sigma(X_omega) for omega = product of word."""
-    twists = {W.identity: point}
-    return _rmatrix_eval(W, tuple(word), sigma, W.identity, point, {}, {}, twists)
-
-
 def _twisted(W, twists, point, twist):
     cached = twists.get(twist)
     if cached is None:
@@ -325,15 +324,16 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, coeffs, twists):
     # (depth, twist)
     c = coeffs.get((depth, twist))
     if c is None:
-        rank = W.rank
         prev = W.from_word(rest)
         p = _twisted(W, twists, point, twist)
         gamma = W.coroots[W.coroot_index[W.inv(prev)][s - 1]]
-        den = _delta_h(p, nu_monomial(rank, gamma).inverse())
-        zeta_s = zeta_monomial(rank, _basis(rank, s))
+        alpha_s = _basis(W.rank, s)
+        gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
+        zeta_s, zeta_inv = _zeta(p, (alpha_s, _neg(alpha_s)))
+        den = _delta_h(p, gamma_inv)
         c = coeffs[(depth, twist)] = (
-            _checked_div(_delta_at(p, zeta_s, nu_monomial(rank, gamma)), den),
-            _checked_div(_delta_h(p, zeta_s.inverse()), den),
+            _checked_div(delta(zeta_s, gamma_val, ctx), den),
+            _checked_div(_delta_h(p, zeta_inv), den),
         )
     keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, coeffs, twists)
     mixed = _rmatrix_eval(
@@ -376,47 +376,36 @@ def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint):
 
 def c_recursion_right_sides(W, omega, s, point):
     """(c(G, omega s), nu-transformed recursion rhs)."""
-    rank = W.rank
     lhs = normalization_factor(W, W.rmult(omega, s), point)
     shifted = normalization_factor(W, omega, transform_point(point, s, NU, W.rs))
-    nu_s = nu_monomial(rank, _basis(rank, s))
+    nu_s = _basis(W.rank, s)
+    nu_val, nu_inv = _nu(point, (nu_s, _neg(nu_s)))
     if W.length(W.rmult(omega, s)) > W.length(omega):
-        rhs = _checked_div(shifted, _delta_h(point, nu_s))
+        rhs = _checked_div(shifted, _delta_h(point, nu_val))
     else:
-        rhs = _delta_h(point, nu_s.inverse()) * shifted
+        rhs = _delta_h(point, nu_inv) * shifted
     return lhs, rhs
-
-
-def c_recursion_right_residual(W, omega, s, point):
-    lhs, rhs = c_recursion_right_sides(W, omega, s, point)
-    return lhs - rhs
 
 
 def c_recursion_left_sides(W, omega, s, point):
     """(c(G, s omega), recursion rhs), left-multiplication form."""
-    rank = W.rank
     lhs = normalization_factor(W, W.lmult(s, omega), point)
     base = normalization_factor(W, omega, point)
     gamma = W.coroots[W.coroot_index[W.inv(omega)][s - 1]]
+    gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
     if W.length(W.lmult(s, omega)) > W.length(omega):
-        rhs = _checked_div(base, _delta_h(point, nu_monomial(rank, gamma).inverse()))
+        rhs = _checked_div(base, _delta_h(point, gamma_inv))
     else:
-        rhs = _delta_h(point, nu_monomial(rank, gamma)) * base
+        rhs = _delta_h(point, gamma_val) * base
     return lhs, rhs
-
-
-def c_recursion_left_residual(W, omega, s, point):
-    lhs, rhs = c_recursion_left_sides(W, omega, s, point)
-    return lhs - rhs
 
 
 def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
     """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
     of delta(e^(alpha_s), h)."""
-    rank = W.rank
     inv = W.inv(sigma)
     acc = point.ctx.one()
-    for beta in W.rs.positive_roots:
-        if all(c <= 0 for c in _matvec(W.matrices[inv], beta)):
-            acc = acc * _delta_h(point, zeta_monomial(rank, beta).inverse())
+    for value in _zeta(point, [_neg(beta) for beta in W.rs.positive_roots
+                               if all(c <= 0 for c in _matvec(W.matrices[inv], beta))]):
+        acc = acc * _delta_h(point, value)
     return acc

@@ -25,7 +25,6 @@ from random import Random
 
 from .elliptic import (
     EvalPoint,
-    Monomial,
     QContext,
     delta,
     monomial_map,
@@ -124,8 +123,8 @@ def builtin_chart(label: str) -> Chart:
     return identity_chart(label, rank)
 
 
-def chart_to_canonical(chart: Chart, chart_exps: dict) -> Monomial:
-    """Solve for the canonical monomial whose chart image has the given
+def chart_to_canonical(chart: Chart, chart_exps: dict) -> tuple[int, ...]:
+    """Solve for the canonical exponent row whose chart image has the given
     exponents; raises if no exact integer solution exists."""
     n_can = len(chart.canonical_map)
     n_chart = len(chart.chart_vars)
@@ -167,7 +166,7 @@ def chart_to_canonical(chart: Chart, chart_exps: dict) -> Monomial:
             raise ValueError("chart monomial is not the image of a canonical monomial")
     if any(s.denominator != 1 for s in sol):
         raise ValueError("canonical preimage requires fractional exponents")
-    return Monomial(tuple(int(s) for s in sol))
+    return tuple(int(s) for s in sol)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import StepMemo, bs_table
-from .elliptic import EvalPoint, Monomial, eval_monomial, monomial_map
+from .elliptic import EvalPoint, monomial_map
 from .weyl import WeylGroup
 
 
@@ -30,11 +30,6 @@ class DualitySubstitution:
     # rows[i]: the exponents of the #-image of source variable i, over the
     # target variables
     rows: tuple[tuple[int, ...], ...]
-
-    def monomial_image(self, m: Monomial) -> Monomial:
-        """#-image of a source-group monomial in target-group variables."""
-        return Monomial(tuple(sum(e * x for e, x in zip(m.exps, column))
-                              for column in zip(*self.rows)))
 
     def pull_point(self, p: EvalPoint) -> EvalPoint:
         """EvalPoint for the source group from one for the target group."""
@@ -65,22 +60,6 @@ def duality_sign(W: WeylGroup) -> int:
     return -1 if W.length(W.longest) % 2 else 1
 
 
-def verify_duality(W: WeylGroup, Wdual: WeylGroup, omega: int, sigma: int,
-                   point: EvalPoint, flip_sign: bool = False):
-    """Residual of the duality for one (omega, sigma) pair; omega, sigma are
-    W-indices, point is for the dual group."""
-    sub = substitution(W, Wdual)
-    pulled = sub.pull_point(point)
-    t0 = W.longest
-    lhs_table = bs_table(W, W.reduced_word(W.mul(t0, W.inv(sigma))), pulled)
-    lhs = lhs_table.values[W.mul(t0, W.inv(omega))]
-    dmap = dual_element_map(W, Wdual)
-    rhs_table = bs_table(Wdual, W.reduced_word(omega), point)
-    rhs = rhs_table.values[dmap[sigma]]
-    sign = duality_sign(W) * (-1 if flip_sign else 1)
-    return sign * lhs - rhs
-
-
 def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
                   flip_sign: bool = False) -> dict:
     """(signed lhs, rhs) for all |W|^2 pairs at one dual-side point,
@@ -101,7 +80,7 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
         for sigma in range(W.order):
             lhs = source_tables[flip[sigma]][flip[omega]]
             rhs = target_tables[omega][dmap[sigma]]
-            out[(omega, sigma)] = (sign * lhs, rhs)
+            out[(omega, sigma)] = (lhs if sign > 0 else -lhs, rhs)
     return out
 
 
@@ -130,13 +109,6 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
     }
 
 
-def invert_variables(p: EvalPoint) -> EvalPoint:
-    """The inversion of the dynamical-sector variables; an involution."""
-    r = p.rank
-    rows = _variable_rows([(i, -1 if r <= i < 2 * r else 1) for i in range(2 * r + 1)])
-    return EvalPoint(p.ctx, monomial_map(p.values, rows))
-
-
 def f_interpretation_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
     """Dual-group point realizing the inversion of dynamical variables:
     zetabar_s takes the value of nu_s."""
@@ -145,8 +117,3 @@ def f_interpretation_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
                           + [(s, -1) for s in range(r)] + [(2 * r, 1)])
     return EvalPoint(p.ctx, monomial_map(p.values, rows))
 
-
-def monomial_pull_check(sub: DualitySubstitution, p: EvalPoint, m: Monomial):
-    """eval(pull_point(p), m) minus eval(p, #-image of m); zero when # is
-    natural for m."""
-    return eval_monomial(sub.pull_point(p), m) - eval_monomial(p, sub.monomial_image(m))

@@ -23,7 +23,7 @@ theta itself is exposed on the complex backend only (principal branch of
 x^(1/2); branch-dependent, used for validation, never by the recursions).
 
 Formal variables for a rank-r group are ordered (zeta_1..zeta_r,
-nu_1..nu_r, h); a Monomial is an integer exponent vector over them.
+nu_1..nu_r, h); a monomial is an exponent row, an int tuple over them.
 """
 
 from __future__ import annotations
@@ -425,39 +425,6 @@ def var_names(rank: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """Integer exponent vector over (zeta_1..zeta_r, nu_1..nu_r, h)."""
-
-    exps: tuple[int, ...]
-
-    @property
-    def rank(self):
-        return (len(self.exps) - 1) // 2
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def inverse(self) -> "Monomial":
-        return Monomial(tuple(-a for a in self.exps))
-
-
-def zeta_monomial(rank: int, root_coords) -> Monomial:
-    """e^(-beta) for beta = sum c_t alpha_t, i.e. prod zeta_t^(c_t)."""
-    c = tuple(root_coords)
-    return Monomial(c + (0,) * rank + (0,))
-
-
-def nu_monomial(rank: int, coroot_coords) -> Monomial:
-    """h^gamma for gamma = sum c_t alpha_t^v, i.e. prod nu_t^(c_t)."""
-    c = tuple(coroot_coords)
-    return Monomial((0,) * rank + c + (0,))
-
-
-def h_monomial(rank: int, k: int = 1) -> Monomial:
-    return Monomial((0,) * (2 * rank) + (k,))
-
-
-@dataclass(frozen=True)
 class EvalPoint:
     """Nonzero scalar value per formal variable, constant in q."""
 
@@ -495,9 +462,10 @@ def monomial_map(values, rows) -> tuple:
     return out
 
 
-def eval_monomial(point: EvalPoint, m: Monomial):
-    """Product of assigned values to integer powers; never zero."""
-    return monomial_map(point.values, (m.exps,))[0]
+def eval_monomial(point: EvalPoint, exps: tuple[int, ...]):
+    """The value at the point of the monomial with exponent row exps, one
+    exponent per variable; never zero."""
+    return monomial_map(point.values, (exps,))[0]
 
 
 def _sector_map(point: EvalPoint, sector: str, rows) -> EvalPoint:

@@ -8,19 +8,20 @@ from ellschub.classes import (
     StepMemo,
     _checked_div,
     _coroot_product,
-    _delta_at,
     _delta_h,
+    _neg,
+    _nu,
     _point_chain,
+    _zeta,
     bs_step,
     bs_table,
-    c_recursion_left_residual,
-    c_recursion_right_residual,
+    c_recursion_left_sides,
+    c_recursion_right_sides,
     diagonal_closed_form,
     em_table,
     initial_table,
     normalization_factor,
     normalization_index_set,
-    rmatrix_eval,
     rmatrix_table,
     tangent_weights,
     unnormalized_table,
@@ -34,11 +35,9 @@ from ellschub.elliptic import (
     QContext,
     SingularPointError,
     delta,
-    nu_monomial,
     sample_point,
     transform_point,
     twist_point,
-    zeta_monomial,
 )
 from ellschub.rootsys import _basis
 from ellschub.weyl import _matvec, group
@@ -200,8 +199,9 @@ def test_rmatrix_single_entry(exact_ctx):
     point = sample_point(2, exact_ctx, Random("rm-entry"))
     word = (1, 2)
     table = bs_table(W, word, point)
+    rmatrix = rmatrix_table(W, word, point)
     for sigma in range(W.order):
-        assert rmatrix_eval(W, word, sigma, point) == table.values[sigma]
+        assert rmatrix.values[sigma] == table.values[sigma]
 
 
 def test_rmatrix_nonreduced_word(exact_ctx):
@@ -233,8 +233,9 @@ def test_c_recursions_b2(exact_ctx):
     point = sample_point(2, exact_ctx, Random("c-rec"))
     for omega in range(W.order):
         for s in (1, 2):
-            assert is_zero(c_recursion_right_residual(W, omega, s, point))
-            assert is_zero(c_recursion_left_residual(W, omega, s, point))
+            for sides in (c_recursion_right_sides, c_recursion_left_sides):
+                lhs, rhs = sides(W, omega, s, point)
+                assert is_zero(lhs - rhs)
 
 
 def test_tangent_sets():
@@ -320,7 +321,7 @@ def test_diagonal_closed_form_b2(exact_ctx):
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_ee_longest_diagonal_product(label, exact_ctx):
     # EE_tau0(X_tau0) = prod over all reflections of delta(e^(alpha_s), h)
-    from ellschub.elliptic import eval_monomial, zeta_monomial
+    from ellschub.elliptic import eval_monomial
 
     W = group(label)
     point = sample_point(W.rank, exact_ctx, Random(f"eetop-{label}"))
@@ -328,11 +329,8 @@ def test_ee_longest_diagonal_product(label, exact_ctx):
     table = bs_table(W, W.reduced_word(t0), point)
     acc = exact_ctx.one()
     for beta in W.rs.positive_roots:
-        acc = acc * delta(
-            eval_monomial(point, zeta_monomial(W.rank, beta).inverse()),
-            point.h,
-            exact_ctx,
-        )
+        exps = tuple(-c for c in beta) + (0,) * (W.rank + 1)  # e^(beta) in zeta
+        acc = acc * delta(eval_monomial(point, exps), point.h, exact_ctx)
     assert table.values[t0] == acc
 
 
@@ -411,13 +409,12 @@ def _column(matrix, s):
 
 def reference_bs_step(W, table, s, outer_point):
     """bs_step as a loop over sigma, both coefficients recomputed per sigma."""
-    rank = W.rank
-    nu_s = nu_monomial(rank, _basis(rank, s))
+    (nu_s,) = _nu(outer_point, (_basis(W.rank, s),))
     den = _delta_h(outer_point, nu_s)
     values = []
     for sigma in range(W.order):
-        sigma_zeta = zeta_monomial(rank, _column(W.matrices[sigma], s))
-        c_keep = _checked_div(_delta_at(outer_point, sigma_zeta, nu_s), den)
+        (sigma_zeta,) = _zeta(outer_point, (_column(W.matrices[sigma], s),))
+        c_keep = _checked_div(delta(sigma_zeta, nu_s, outer_point.ctx), den)
         c_mix = _checked_div(_delta_h(outer_point, sigma_zeta), den)
         values.append(
             c_keep * table.values[sigma] + c_mix * table.values[W.rmult(sigma, s)]
@@ -442,15 +439,15 @@ def reference_unnormalized_table(W, word, point):
     omega = W.identity
     for j, s in enumerate(word):
         outer = points[j + 1]
-        nu_s = nu_monomial(rank, _basis(rank, s))
+        nu_s, nu_inv = _nu(outer, (_basis(rank, s), _neg(_basis(rank, s))))
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
-            down = _delta_h(outer, nu_s) * _delta_h(outer, nu_s.inverse())
+            down = _delta_h(outer, nu_s) * _delta_h(outer, nu_inv)
         new_values = []
         for sigma in range(W.order):
-            sigma_zeta = zeta_monomial(rank, _column(W.matrices[sigma], s))
+            (sigma_zeta,) = _zeta(outer, (_column(W.matrices[sigma], s),))
             lhs = (
-                _delta_at(outer, sigma_zeta, nu_s) * values[sigma]
+                delta(sigma_zeta, nu_s, outer.ctx) * values[sigma]
                 + _delta_h(outer, sigma_zeta) * values[W.rmult(sigma, s)]
             )
             new_values.append(lhs if going_up else _checked_div(lhs, down))
@@ -477,10 +474,11 @@ def reference_rmatrix_values(W, word, point):
             s, rest = word[0], word[1:]
             rank = W.rank
             gamma = _matvec(W.coroot_matrices[W.inv(W.from_word(rest))], _basis(rank, s))
-            den = _delta_h(p, nu_monomial(rank, gamma).inverse())
-            zeta_s = zeta_monomial(rank, _basis(rank, s))
-            c_keep = _checked_div(_delta_at(p, zeta_s, nu_monomial(rank, gamma)), den)
-            c_mix = _checked_div(_delta_h(p, zeta_s.inverse()), den)
+            gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
+            zeta_s, zeta_inv = _zeta(p, (_basis(rank, s), _neg(_basis(rank, s))))
+            den = _delta_h(p, gamma_inv)
+            c_keep = _checked_div(delta(zeta_s, gamma_val, p.ctx), den)
+            c_mix = _checked_div(_delta_h(p, zeta_inv), den)
             out = (c_keep * ev(rest, sigma, twist)
                    + c_mix * ev(rest, W.lmult(s, sigma), W.rmult(twist, s)))
         memo[key] = out

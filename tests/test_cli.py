@@ -245,6 +245,26 @@ def test_table_out_of_resamples(capsys, monkeypatch):
     assert len({p.values for p in calls}) == 10  # each try draws a new point
 
 
+def test_campaigns_leave_the_delta_cache_empty(capsys, monkeypatch):
+    # points of different campaigns (and of one campaign) share no delta
+    # arguments, so the cache is emptied after every point
+    from ellschub import cli
+    from ellschub.elliptic import SingularPointError, _delta_caches, delta
+
+    assert main(["verify", "duality", "--type", "A2", "--qorder", "4"]) == 0
+    assert main(["verify", "recursions", "--type", "B2", "--backend", "complex"]) == 0
+    assert _delta_caches == {}
+
+    def singular(W, word, point):
+        delta(point.values[0], point.h, point.ctx)
+        raise SingularPointError("forced pole")
+
+    monkeypatch.setattr(cli, "bs_table", singular)
+    assert main(["table", "--type", "A1", "--word", "1", "--qorder", "2"]) == 2
+    assert _delta_caches == {}
+    capsys.readouterr()
+
+
 def test_qorder_env_invalid(capsys, monkeypatch):
     monkeypatch.setenv("ELLSCHUB_QORDER", "x")
     assert main(["verify", "duality", "--type", "A1"]) == 2

@@ -58,6 +58,24 @@ GOLDEN = [
      "5e799b5d90351373de6ce8fe7e754db4ccf0f1ac62cedd80e20d6191d079b548"),
     ("verify duality --type G2 --backend complex --points 1", 0,
      "a659ce0f2cef571da1ce24eb98349caf42a6f7502a27e3b58b1ca8877cf9fe63"),
+    # The R-matrix and c-recursion paths on G2 (coroot exponents up to 3)
+    # and at rank 3.
+    ("verify recursions --type G2 --points 1 --qorder 4", 0,
+     "bcb5a5c09f25eac0cda269b41b91c33302d062347700558db21141eea28bf5c8"),
+    ("verify normalization --type G2 --points 1 --qorder 4", 0,
+     "b3031993ac19af36528c7ebecafc43c4c5944990bf272ee69c95b958a60a7780"),
+    ("verify normalization --type G2 --backend complex --points 1", 0,
+     "6b143a0e56c4bd1000d0a5adbbbbb756ee5b104270261c4a8e881053118be37f"),
+    ("verify normalization --type B3 --backend complex --points 1", 0,
+     "4abb36cdc98117586b9acb9e80ce3a8737739132baa57b088d3edf4019771e83"),
+    # Three of the four benchmark campaigns (perfbench/run.py) at seed 0;
+    # the fourth, D4 complex duality, is test_benchmark_d4_complex_duality.
+    ("verify duality --type A3 --backend exact --qorder 8 --points 3 --seed 0", 0,
+     "d2802ab54c17f2c3add0e7ee267678aa14ab022258b66dfa64b0ab825902e962"),
+    ("verify recursions --type B3 --backend complex --points 1 --seed 0", 0,
+     "9038412ddf0662d8176b0deee3d6bf633874440fc3d1c34f1ff65f60fd5d056e"),
+    ("corpus --backend exact --qorder 8 --points 3 --seed 0", 0,
+     "d0887615211732255fca6bda65af5006cab01a4322a8e1f3814f8c481f269891"),
 ]
 
 
@@ -81,3 +99,15 @@ def test_exact_d4_duality(capsys, monkeypatch):
     assert (summary["checks"], summary["failures"]) == (36864, 0)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "49779fc4223f0eaf56e879aadc76592adbf909b926d33673ff7629edadd34333")
+
+
+@pytest.mark.tier2
+def test_benchmark_d4_complex_duality(capsys, monkeypatch):
+    """The D4 complex duality benchmark campaign at seed 0: 8 MB of stdout,
+    exit 1 for the complex backend's false failures."""
+    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
+    assert main("verify duality --type D4 --backend complex --points 1 "
+                "--seed 0".split()) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ae882e5e0c037ab818ce0a2374194aed70109200836c59e55329face49613e24")
