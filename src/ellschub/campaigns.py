@@ -26,8 +26,7 @@ from .duality import (
     duality_pairs,
     f_interpretation_point,
 )
-from .elliptic import (COMPLEX, EXACT, QContext, SingularPointError, _delta_caches,
-                       sample_point)
+from .elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
 from .rootsys import langlands_dual
 from .weyl import WeylGroup, enumerate_group, group
 
@@ -43,17 +42,14 @@ ATTEMPTS = 10  # point draws before a campaign gives up
 
 def resample(seed, tag: str, compute):
     """compute(Random(f"{seed}:{tag}:{attempt}")) for attempt = 0, 1, ...
-    until it raises no SingularPointError. Points of different calls share
-    no delta arguments, so the delta cache is emptied when this ends."""
+    until it raises no SingularPointError. compute owns its point, and the
+    StepMemo that keeps the point's delta values goes with it."""
     last = None
-    try:
-        for attempt in range(ATTEMPTS):
-            try:
-                return compute(Random(f"{seed}:{tag}:{attempt}"))
-            except SingularPointError as err:
-                last = err
-    finally:
-        _delta_caches.clear()
+    for attempt in range(ATTEMPTS):
+        try:
+            return compute(Random(f"{seed}:{tag}:{attempt}"))
+        except SingularPointError as err:
+            last = err
     raise SingularPointError(f"no nonsingular point after {ATTEMPTS} tries: {last}")
 
 
@@ -134,7 +130,7 @@ def run_recursions(label, ctx, points, seed, tol):
         for omega in range(W.order):
             word = W.reduced_word(omega)
             bs_vals = bs_table(W, word, point, memo).values
-            rm_vals = rmatrix_table(W, word, point).values
+            rm_vals = rmatrix_table(W, word, point, memo).values
             out.extend(record("recursions", label, ctx, k, bs_vals[sigma],
                               rm_vals[sigma], tol, omega_word=words[omega],
                               sigma_word=words[sigma])
@@ -154,16 +150,17 @@ def run_normalization(label, ctx, points, seed, tol):
 
     def campaign(k, point):
         dual_point = f_interpretation_point(W, point)
-        memo, dual_memo = StepMemo(W, point), StepMemo(Wdual, dual_point)
+        memo = StepMemo(W, point)
+        dual_memo = StepMemo(Wdual, dual_point, memo.deltas)
         out = []
         for omega in range(W.order):
             sides = []  # (kind, lhs, rhs, extra fields)
             for s in range(1, W.rank + 1):
-                sides.append(("c-right", *c_recursion_right_sides(W, omega, s, point),
+                sides.append(("c-right", *c_recursion_right_sides(W, omega, s, point, memo),
                               {"simple": s}))
-                sides.append(("c-left", *c_recursion_left_sides(W, omega, s, point),
+                sides.append(("c-left", *c_recursion_left_sides(W, omega, s, point, memo),
                               {"simple": s}))
-            c_val = normalization_factor(W, omega, point)
+            c_val = normalization_factor(W, omega, point, memo)
             word = W.reduced_word(omega)
             ee = bs_table(W, word, point, memo).values
             e_vals = unnormalized_table(W, word, point, memo).values
@@ -236,8 +233,9 @@ def run_corpus(ctx, points, seed, tol):
 
     def values(rng):
         chart_values, point = sp2_chart.sample(ctx, rng)
-        summed, factored = corpus_mod.worked_sum_values(chart_values, ctx)
-        engine = bs_table(W, corpus_mod.WORKED_SUM_WORD, point).values[sigma]
+        memo = StepMemo(W, point)
+        summed, factored = corpus_mod.worked_sum_values(chart_values, ctx, memo)
+        engine = bs_table(W, corpus_mod.WORKED_SUM_WORD, point, memo).values[sigma]
         return summed, factored, engine
 
     for k in range(points):

@@ -88,22 +88,19 @@ def _neg(row) -> tuple:
     return tuple(-c for c in row)
 
 
-def _delta_h(point, value):
-    return delta(value, point.h, point.ctx)
-
-
-def _coroot_product(point, coroots):
-    """prod over the coroots gamma of delta(h^{-gamma}, h), in their order."""
+def _delta_h_product(memo, point, values):
+    """prod over the values x of delta(x, h) at the point, in their order."""
     acc = point.ctx.one()
-    for value in _nu(point, [_neg(gamma) for gamma in coroots]):
-        acc = acc * _delta_h(point, value)
+    for x in values:
+        acc = acc * memo.delta(x, point.h)
     return acc
 
 
-def initial_table(W: WeylGroup, point: EvalPoint) -> ClassTable:
+def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo) -> ClassTable:
     """EE table for omega = id: the full delta product at id, 0 elsewhere."""
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = _coroot_product(point, W.rs.positive_coroots)
+    values[W.identity] = _delta_h_product(
+        memo, point, _nu(point, map(_neg, W.rs.positive_coroots)))
     return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
 
 
@@ -112,24 +109,36 @@ def _identity_support(W: WeylGroup) -> tuple[bool, ...]:
 
 
 class StepMemo:
-    """The step coefficients that the Bott-Samelson tables of one group at
-    one point share. Every step of such a table lives on the point's chain
-    of nu-transforms, which keeps the zeta values, h and the context, so
-    the coefficients of a step depend only on the value of the root
+    """What the classes of one group at one point share, and the only keeper
+    of delta values: make one with the point, pass it to every table and
+    normalization factor there, and drop it with the point. `deltas` holds
+    delta(a, b) under (a, b), read through `delta`; it depends only on the
+    context, so a memo of another point of that context may share it.
+
+    Every step of a Bott-Samelson table lives on the point's chain of
+    nu-transforms, which keeps the zeta values, h and the context, so the
+    coefficients of a step depend only on the value of the root
     sigma(alpha_s), fixed by its index r in W.roots, and on the value of
     nu_s. They are kept under (nu_s value, r): `normalized` holds the pairs
     of bs_step, divided by delta(nu_s, h), and `unnormalized` the undivided
-    pairs of unnormalized_table. Make one with the point, pass it to each
-    table there, and drop it with the point."""
+    pairs of unnormalized_table."""
 
-    __slots__ = ("group", "fixed", "roots", "normalized", "unnormalized")
+    __slots__ = ("group", "fixed", "roots", "normalized", "unnormalized", "deltas")
 
-    def __init__(self, W: WeylGroup, point: EvalPoint):
+    def __init__(self, W: WeylGroup, point: EvalPoint, deltas: dict | None = None):
         self.group = W
         self.fixed = _fixed_part(W, point)
         self.roots = _zeta(point, W.roots)
         self.normalized: dict = {}
         self.unnormalized: dict = {}
+        self.deltas = {} if deltas is None else deltas
+
+    def delta(self, a, b):
+        """delta(a, b) in the memo's context, computed once per memo."""
+        out = self.deltas.get((a, b))
+        if out is None:
+            out = self.deltas[a, b] = delta(a, b, self.fixed[0])
+        return out
 
     def check(self, W: WeylGroup, point: EvalPoint) -> None:
         if W is not self.group or _fixed_part(W, point) != self.fixed:
@@ -158,19 +167,17 @@ def _fixed_part(W: WeylGroup, point: EvalPoint):
 
 
 def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint,
-            memo: StepMemo | None = None) -> ClassTable:
+            memo: StepMemo) -> ClassTable:
     """One Bott-Samelson step; table must live at the nu-transform of
     outer_point by s. Both coefficients are divided by delta(nu_s, h)
-    before they are combined. memo, if given, was made for W at a point of
+    before they are combined. memo was made for W at a point of
     outer_point's chain."""
-    if memo is None:
-        memo = StepMemo(W, outer_point)
     ctx, h = outer_point.ctx, outer_point.h
     (nu_val,) = _nu(outer_point, (_basis(W.rank, s),))
-    den = delta(nu_val, h, ctx)
+    den = memo.delta(nu_val, h)
     coeffs = memo.coefficients(memo.normalized, s, nu_val, lambda sigma_zeta: (
-        _checked_div(delta(sigma_zeta, nu_val, ctx), den),
-        _checked_div(delta(sigma_zeta, h, ctx), den),
+        _checked_div(memo.delta(sigma_zeta, nu_val), den),
+        _checked_div(memo.delta(sigma_zeta, h), den),
     ))
     support = table.support or (True,) * W.order
     values, support = _step_values(W, table.values, support, s, coeffs, ctx.zero())
@@ -230,7 +237,7 @@ def bs_table(W: WeylGroup, word, point: EvalPoint,
     word = tuple(word)
     memo = _memo_for(W, point, memo)
     points = _point_chain(W, word, point)
-    table = initial_table(W, points[0])
+    table = initial_table(W, points[0], memo)
     for j, s in enumerate(word):
         table = bs_step(W, table, s, points[j + 1], memo)
     return table
@@ -256,9 +263,9 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
         nu_val, nu_inv = _nu(outer, (nu_s, _neg(nu_s)))
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
-            down = _delta_h(outer, nu_val) * _delta_h(outer, nu_inv)
+            down = memo.delta(nu_val, outer.h) * memo.delta(nu_inv, outer.h)
         coeffs = memo.coefficients(memo.unnormalized, s, nu_val, lambda sigma_zeta: (
-            delta(sigma_zeta, nu_val, ctx), delta(sigma_zeta, outer.h, ctx)))
+            memo.delta(sigma_zeta, nu_val), memo.delta(sigma_zeta, outer.h)))
         values, support = _step_values(W, values, support, s, coeffs, zero)
         if not going_up:
             # the identity is always in the support, so a singular `down`
@@ -271,8 +278,9 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
 
 def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     """Em normalization: EE divided by the full delta product over Pi."""
-    table = bs_table(W, word, point)
-    full = _coroot_product(point, W.rs.positive_coroots)
+    memo = StepMemo(W, point)
+    table = bs_table(W, word, point, memo)
+    full = _delta_h_product(memo, point, _nu(point, map(_neg, W.rs.positive_coroots)))
     values = tuple(_checked_div(v, full) for v in table.values)
     return ClassTable(W, table.word, point, values, "Em", table.support)
 
@@ -281,67 +289,60 @@ def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
 # R-matrix recursion
 
 
-def rmatrix_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
+def rmatrix_table(W: WeylGroup, word, point: EvalPoint, memo: StepMemo) -> ClassTable:
     """EE table for omega = product of word via the memoized R-matrix
-    recursion; indexing agrees with bs_table on the same word."""
+    recursion; indexing agrees with bs_table on the same word. memo as for
+    bs_table; the recursion reads its delta values through it."""
     word = tuple(word)
-    memo: dict = {}
+    memo.check(W, point)
+    zero = point.ctx.zero()
+    kept: dict = {}
     coeffs: dict = {}
     twists: dict = {W.identity: point}
-    values = tuple(
-        _rmatrix_eval(W, word, sigma, W.identity, point, memo, coeffs, twists)
-        for sigma in range(W.order)
-    )
-    return ClassTable(W, word, point, values)
 
+    def twisted(twist):
+        p = twists.get(twist)
+        if p is None:
+            p = twists[twist] = twist_point(point, W.matrices[twist])
+        return p
 
-def _twisted(W, twists, point, twist):
-    cached = twists.get(twist)
-    if cached is None:
-        cached = twist_point(point, W.matrices[twist], W.rs)
-        twists[twist] = cached
-    return cached
-
-
-def _rmatrix_eval(W, word, sigma, twist, point, memo, coeffs, twists):
-    depth = len(word)
-    key = (depth, sigma, twist)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    ctx = point.ctx
-    if depth == 0:
-        if sigma == W.identity:
-            out = _coroot_product(_twisted(W, twists, point, twist),
-                                  W.rs.positive_coroots)
-        else:
-            out = ctx.zero()
-        memo[key] = out
+    def ev(word, sigma, twist):
+        depth = len(word)
+        key = (depth, sigma, twist)
+        hit = kept.get(key)
+        if hit is not None:
+            return hit
+        if depth == 0:
+            if sigma == W.identity:
+                p = twisted(twist)
+                out = _delta_h_product(memo, p, _nu(p, map(_neg, W.rs.positive_coroots)))
+            else:
+                out = zero
+            kept[key] = out
+            return out
+        # word = (s, rest): omega = s . product(rest), by left multiplication
+        s, rest = word[0], word[1:]
+        # gamma depends only on (product(rest), s), so the coefficients only
+        # on (depth, twist)
+        c = coeffs.get((depth, twist))
+        if c is None:
+            p = twisted(twist)
+            gamma = W.coroots[W.coroot_index[W.inv(W.from_word(rest))][s - 1]]
+            alpha_s = _basis(W.rank, s)
+            gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
+            zeta_s, zeta_inv = _zeta(p, (alpha_s, _neg(alpha_s)))
+            den = memo.delta(gamma_inv, p.h)
+            c = coeffs[(depth, twist)] = (
+                _checked_div(memo.delta(zeta_s, gamma_val), den),
+                _checked_div(memo.delta(zeta_inv, p.h), den),
+            )
+        out = kept[key] = (c[0] * ev(rest, sigma, twist)
+                           + c[1] * ev(rest, W.lmult(s, sigma), W.rmult(twist, s)))
         return out
-    # word = (s, rest): omega = s . product(rest), built by left multiplication
-    s, rest = word[0], word[1:]
-    # gamma depends only on (product(rest), s), so the coefficients only on
-    # (depth, twist)
-    c = coeffs.get((depth, twist))
-    if c is None:
-        prev = W.from_word(rest)
-        p = _twisted(W, twists, point, twist)
-        gamma = W.coroots[W.coroot_index[W.inv(prev)][s - 1]]
-        alpha_s = _basis(W.rank, s)
-        gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
-        zeta_s, zeta_inv = _zeta(p, (alpha_s, _neg(alpha_s)))
-        den = _delta_h(p, gamma_inv)
-        c = coeffs[(depth, twist)] = (
-            _checked_div(delta(zeta_s, gamma_val, ctx), den),
-            _checked_div(_delta_h(p, zeta_inv), den),
-        )
-    keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, coeffs, twists)
-    mixed = _rmatrix_eval(
-        W, rest, W.lmult(s, sigma), W.rmult(twist, s), point, memo, coeffs, twists
-    )
-    out = c[0] * keep + c[1] * mixed
-    memo[key] = out
-    return out
+
+    values = tuple(ev(word, sigma, W.identity) for sigma in range(W.order))
+    del ev  # ev holds itself, and its tables with it, until a gc pass
+    return ClassTable(W, word, point, values)
 
 
 # ---------------------------------------------------------------------------
@@ -369,34 +370,35 @@ def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
     return frozenset(out)
 
 
-def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint):
-    """c(G, omega) at the point."""
-    return _coroot_product(point, sorted(normalization_index_set(W, omega)))
+def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint, memo: StepMemo):
+    """c(G, omega) at the point, with the delta values of memo."""
+    return _delta_h_product(
+        memo, point, _nu(point, map(_neg, sorted(normalization_index_set(W, omega)))))
 
 
-def c_recursion_right_sides(W, omega, s, point):
+def c_recursion_right_sides(W, omega, s, point, memo: StepMemo):
     """(c(G, omega s), nu-transformed recursion rhs)."""
-    lhs = normalization_factor(W, W.rmult(omega, s), point)
-    shifted = normalization_factor(W, omega, transform_point(point, s, NU, W.rs))
+    lhs = normalization_factor(W, W.rmult(omega, s), point, memo)
+    shifted = normalization_factor(W, omega, transform_point(point, s, NU, W.rs), memo)
     nu_s = _basis(W.rank, s)
     nu_val, nu_inv = _nu(point, (nu_s, _neg(nu_s)))
     if W.length(W.rmult(omega, s)) > W.length(omega):
-        rhs = _checked_div(shifted, _delta_h(point, nu_val))
+        rhs = _checked_div(shifted, memo.delta(nu_val, point.h))
     else:
-        rhs = _delta_h(point, nu_inv) * shifted
+        rhs = memo.delta(nu_inv, point.h) * shifted
     return lhs, rhs
 
 
-def c_recursion_left_sides(W, omega, s, point):
+def c_recursion_left_sides(W, omega, s, point, memo: StepMemo):
     """(c(G, s omega), recursion rhs), left-multiplication form."""
-    lhs = normalization_factor(W, W.lmult(s, omega), point)
-    base = normalization_factor(W, omega, point)
+    lhs = normalization_factor(W, W.lmult(s, omega), point, memo)
+    base = normalization_factor(W, omega, point, memo)
     gamma = W.coroots[W.coroot_index[W.inv(omega)][s - 1]]
     gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
     if W.length(W.lmult(s, omega)) > W.length(omega):
-        rhs = _checked_div(base, _delta_h(point, gamma_inv))
+        rhs = _checked_div(base, memo.delta(gamma_inv, point.h))
     else:
-        rhs = _delta_h(point, gamma_val) * base
+        rhs = memo.delta(gamma_val, point.h) * base
     return lhs, rhs
 
 
@@ -404,8 +406,6 @@ def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
     """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
     of delta(e^(alpha_s), h)."""
     inv = W.inv(sigma)
-    acc = point.ctx.one()
-    for value in _zeta(point, [_neg(beta) for beta in W.rs.positive_roots
-                               if all(c <= 0 for c in _matvec(W.matrices[inv], beta))]):
-        acc = acc * _delta_h(point, value)
-    return acc
+    return _delta_h_product(StepMemo(W, point), point, _zeta(point, [
+        _neg(beta) for beta in W.rs.positive_roots
+        if all(c <= 0 for c in _matvec(W.matrices[inv], beta))]))

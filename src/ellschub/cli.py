@@ -35,7 +35,7 @@ from .elliptic import (
     var_names,
 )
 from .rootsys import parse_label
-from .weyl import group
+from .weyl import GroupTooLargeError, group
 
 
 def make_context(backend: str, qorder: int, q: float) -> QContext:
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         with _output(args.out) as out:
             return args.func(args, out)
-    except (ValueError, SingularPointError) as err:
+    except (ValueError, SingularPointError, GroupTooLargeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

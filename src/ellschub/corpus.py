@@ -275,18 +275,19 @@ def eval_chart_monomial(exps: dict, chart_values: dict):
     return acc
 
 
-def _delta_product(factors, chart_values: dict, ctx: QContext):
-    """prod delta(a, b) over the factors (a|b), in their order."""
+def _delta_product(factors, chart_values: dict, ctx: QContext, memo=None):
+    """prod delta(a, b) over the factors (a|b), in their order; through the
+    delta values of memo, a StepMemo of ctx, if given."""
     acc = ctx.one()
     for a_exps, b_exps in factors:
         a = eval_chart_monomial(a_exps, chart_values)
         b = eval_chart_monomial(b_exps, chart_values)
-        acc = acc * delta(a, b, ctx)
+        acc = acc * (delta(a, b, ctx) if memo is None else memo.delta(a, b))
     return acc
 
 
-def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext):
-    return _delta_product(entry.factors, chart_values, ctx) * entry.sign
+def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext, memo=None):
+    return _delta_product(entry.factors, chart_values, ctx, memo) * entry.sign
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +297,15 @@ def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext):
 def corpus_sides(entry: CorpusEntry, W: WeylGroup, chart: Chart,
                  chart_values: dict, point: EvalPoint):
     """(engine value, factored expected value) at one point."""
-    from .classes import bs_table
+    from .classes import StepMemo, bs_table
 
-    table = bs_table(W, entry.omega_word, point)
+    memo = StepMemo(W, point)
+    table = bs_table(W, entry.omega_word, point, memo)
     sigma = W.from_word(entry.sigma_word)
     engine = table.values[sigma]
     if entry.expects_zero:
         return engine, point.ctx.zero()
-    return engine, eval_factors(entry, chart_values, point.ctx)
+    return engine, eval_factors(entry, chart_values, point.ctx, memo)
 
 
 def cross_substitution_pairs() -> list[tuple[CorpusEntry, CorpusEntry]]:
@@ -354,11 +356,11 @@ WORKED_SUM_WORD = (1, 2, 1, 2)  # a reduced word for tau0
 WORKED_SUM_SIGMA = (1, 2)
 
 
-def worked_sum_values(chart_values: dict, ctx: QContext):
+def worked_sum_values(chart_values: dict, ctx: QContext, memo):
     """(three-term sum value, factored total value) for EE_{s1s2}(X^v_tau0)
-    in the Sp(2) chart."""
+    in the Sp(2) chart, with the delta values of memo, a StepMemo of ctx."""
     def product(text):
-        return _delta_product(_parse_product(text), chart_values, ctx)
+        return _delta_product(_parse_product(text), chart_values, ctx, memo)
 
     prefix = product(WORKED_SUM_PREFIX)
     total = ctx.zero()

@@ -25,8 +25,6 @@ from .weyl import WeylGroup
 
 @dataclass(frozen=True)
 class DualitySubstitution:
-    source: WeylGroup
-    target: WeylGroup
     # rows[i]: the exponents of the #-image of source variable i, over the
     # target variables
     rows: tuple[tuple[int, ...], ...]
@@ -43,9 +41,10 @@ def _variable_rows(images) -> tuple:
     return tuple(tuple(e if k == j else 0 for k in range(n)) for j, e in images)
 
 
-def substitution(W: WeylGroup, Wdual: WeylGroup) -> DualitySubstitution:
+def substitution(W: WeylGroup) -> DualitySubstitution:
+    """The # map of W to the variables of its Langlands dual."""
     r = W.rank
-    return DualitySubstitution(W, Wdual, _variable_rows(
+    return DualitySubstitution(_variable_rows(
         [(r + t - 1, -1) for t in W.star]  # zeta_s -> nubar_{s*}^{-1}
         + [(s, -1) for s in range(r)]  # nu_s -> zetabar_s^{-1}
         + [(2 * r, -1)]))  # h -> h^{-1}
@@ -64,7 +63,7 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
                   flip_sign: bool = False) -> dict:
     """(signed lhs, rhs) for all |W|^2 pairs at one dual-side point,
     computed from 2|W| tables."""
-    sub = substitution(W, Wdual)
+    sub = substitution(W)
     pulled = sub.pull_point(point)
     dmap = dual_element_map(W, Wdual)
     t0 = W.longest
@@ -97,7 +96,8 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
     t0 = W.longest
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     relabeled = relabel_point(W, point)
-    straight_memo, twisted_memo = StepMemo(W, point), StepMemo(W, relabeled)
+    straight_memo = StepMemo(W, point)
+    twisted_memo = StepMemo(W, relabeled, straight_memo.deltas)
     straight = [bs_table(W, W.reduced_word(w), point, straight_memo).values
                 for w in range(W.order)]
     twisted = [bs_table(W, W.reduced_word(conj[w]), relabeled, twisted_memo).values

@@ -391,25 +391,15 @@ def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:
 
 
 def delta(a, b, ctx: QContext):
-    """delta(a, b) for scalar arguments; memoized per context values.
+    """delta(a, b) for scalar arguments, computed afresh on every call; the
+    values of one point are kept by the point's classes.StepMemo.
 
     >>> delta(Fraction(2), Fraction(3), QContext(EXACT, order=2)).coeffs[:2]
     (Fraction(5, 2), Fraction(-35, 6))
     """
-    cache = _delta_caches.setdefault(ctx, {})
-    key = (a, b)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if ctx.backend == EXACT:
-        out = _delta_exact(Fraction(a), Fraction(b), ctx)
-    else:
-        out = _delta_complex(complex(a), complex(b), ctx)
-    cache[key] = out
-    return out
-
-
-_delta_caches: dict = {}
+        return _delta_exact(Fraction(a), Fraction(b), ctx)
+    return _delta_complex(complex(a), complex(b), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +482,7 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
     return _sector_map(point, sector, rows)
 
 
-def twist_point(point: EvalPoint, matrix, rs: RootSystem) -> EvalPoint:
+def twist_point(point: EvalPoint, matrix) -> EvalPoint:
     """zeta-sector precomposition with a full Weyl matrix (column j = image
     of alpha_j); used by the R-matrix recursion's accumulated twists."""
     return _sector_map(point, ZETA, tuple(zip(*matrix)))

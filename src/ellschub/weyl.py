@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 from .rootsys import COROOT, ROOT, LatticeVector, RootSystem, _reflect_coords
 
@@ -156,9 +157,22 @@ def _column_index(matrices, vectors):
     return tuple(tuple(where[col] for col in zip(*m)) for m in matrices)
 
 
+def _group_order(rs: RootSystem) -> int:
+    """|W| = prod (m_i + 1) over the exponents m_i of W, where #{i : m_i >= k}
+    is the number of positive roots of height k (Kostant; Humphreys,
+    Reflection Groups and Coxeter Groups, 3.20)."""
+    heights = [sum(beta) for beta in rs.positive_roots]
+    return prod((k + 1) ** (heights.count(k) - heights.count(k + 1)) for k in set(heights))
+
+
 def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylGroup:
     """BFS from the identity by right multiplication with simple reflections,
-    then the word, inverse, conjugation and root tables in O(|W| rank)."""
+    then the word, inverse, conjugation and root tables in O(|W| rank). A
+    group above max_order is refused before any element is built."""
+    order = _group_order(rs)
+    if order > max_order:
+        raise GroupTooLargeError(
+            f"Weyl group of {rs.label} has order {order}, above the order cap {max_order}")
     n = rs.rank
     gens = [_generator(rs.cartan, s, ROOT) for s in range(1, n + 1)]
     cogens = [_generator(rs.cartan, s, COROOT) for s in range(1, n + 1)]
@@ -177,10 +191,6 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
                 m = _matmul(matrices[w], gens[s - 1])
                 i = index.get(m)
                 if i is None:
-                    if len(matrices) >= max_order:
-                        raise GroupTooLargeError(
-                            f"Weyl group of {rs.label} exceeds the order cap {max_order}"
-                        )
                     i = len(matrices)
                     index[m] = i
                     matrices.append(m)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from random import Random
 
 from ellschub.classes import (
+    StepMemo,
     bs_table,
     c_recursion_left_sides,
     c_recursion_right_sides,
@@ -121,8 +122,9 @@ def test_criterion_2_so5_sp2_corpus():
         W = group("C2")
         sigma = W.from_word(WORKED_SUM_SIGMA)
         cv, point = sp2_chart().sample(EXACT8, Random("acc:worked"))
-        summed, factored = worked_sum_values(cv, EXACT8)
-        engine = bs_table(W, WORKED_SUM_WORD, point).values[sigma]
+        memo = StepMemo(W, point)
+        summed, factored = worked_sum_values(cv, EXACT8, memo)
+        engine = bs_table(W, WORKED_SUM_WORD, point, memo).values[sigma]
         assert summed == factored == engine
         # the closing substitution check across the two tables
         for n, (sp2_entry, so5_entry) in enumerate(cross_substitution_pairs()):
@@ -167,17 +169,19 @@ def test_criterion_4_recursion_consistency():
             W = group(label)
             for k in range(2):
                 point = seeded_exact_point(W.rank, f"rec:{label}:{k}")
+                memo = StepMemo(W, point)
                 for omega in range(W.order):
                     word = W.reduced_word(omega)
-                    assert bs_table(W, word, point).values == rmatrix_table(
-                        W, word, point
+                    assert bs_table(W, word, point, memo).values == rmatrix_table(
+                        W, word, point, memo
                     ).values
         W = group("A3")
         point = sample_point(3, COMPLEX_CTX, Random("acc:rec:A3"))
+        memo = StepMemo(W, point)
         for omega in range(W.order):
             word = W.reduced_word(omega)
-            bs = bs_table(W, word, point).values
-            rm = rmatrix_table(W, word, point).values
+            bs = bs_table(W, word, point, memo).values
+            rm = rmatrix_table(W, word, point, memo).values
             for sigma in range(W.order):
                 scale = max(abs(bs[sigma]), abs(rm[sigma]))
                 assert abs(bs[sigma] - rm[sigma]) <= 1e-8 * max(scale, 1e-30)
@@ -220,7 +224,8 @@ def test_criterion_5_word_independence():
         base = bs_table(W, (1, 2), point)
         extended = bs_table(W, (1, 2, 2, 2), point)
         assert extended.values == base.values
-        assert initial_table(W, point).values == bs_table(W, (2, 2), point).values
+        assert (initial_table(W, point, StepMemo(W, point)).values
+                == bs_table(W, (2, 2), point).values)
 
 
 # --- 6. normalization suite -------------------------------------------------------
@@ -234,13 +239,14 @@ def test_criterion_6_normalization():
         t0 = W.longest
         for k in range(2):
             point = seeded_exact_point(2, f"norm:{k}")
+            memo = StepMemo(W, point)
             for omega in range(W.order):
                 for s in (1, 2):
                     for sides in (c_recursion_right_sides, c_recursion_left_sides):
-                        lhs, rhs = sides(W, omega, s, point)
+                        lhs, rhs = sides(W, omega, s, point, memo)
                         assert is_zero(lhs - rhs)
                 word = W.reduced_word(omega)
-                c_val = normalization_factor(W, omega, point)
+                c_val = normalization_factor(W, omega, point, memo)
                 ee = bs_table(W, word, point).values
                 e_vals = unnormalized_table(W, word, point).values
                 for sigma in range(W.order):

@@ -1,4 +1,6 @@
+import gc
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -7,8 +9,6 @@ from ellschub.classes import (
     ClassTable,
     StepMemo,
     _checked_div,
-    _coroot_product,
-    _delta_h,
     _neg,
     _nu,
     _point_chain,
@@ -59,7 +59,7 @@ def test_initial_table_sl2(exact_ctx):
     # EE_id(X_id) = delta(mu1/mu2, h); EE_tau(X_id) = 0
     W = group("A1")
     cv, point = chart_point("A1", exact_ctx, "sl2-init")
-    table = initial_table(W, point)
+    table = initial_table(W, point, StepMemo(W, point))
     expected = delta(cv["mu1"] / cv["mu2"], cv["h"], exact_ctx)
     assert table.values[W.identity] == expected
     assert is_zero(table.values[W.from_word((1,))])
@@ -69,7 +69,7 @@ def test_initial_table_so5(exact_ctx):
     # the four-factor product (mu1^2|h)(mu1/mu2|h)(mu1 mu2|h)(mu2^2|h)
     W = group("B2")
     cv, point = chart_point("B2", exact_ctx, "so5-init")
-    table = initial_table(W, point)
+    table = initial_table(W, point, StepMemo(W, point))
     h = cv["h"]
     mu1, mu2 = cv["mu1"], cv["mu2"]
     expected = (
@@ -92,7 +92,8 @@ def test_bs_step_sl2_word_matches_example(exact_ctx):
     W = group("A1")
     cv, point = chart_point("A1", exact_ctx, "sl2-word")
     inner = transform_point(point, 1, NU, W.rs)
-    table = bs_step(W, initial_table(W, inner), 1, point)
+    memo = StepMemo(W, point)
+    table = bs_step(W, initial_table(W, inner, memo), 1, point, memo)
     tau = W.from_word((1,))
     assert table.values[W.identity] == delta(
         cv["z2"] / cv["z1"], cv["mu2"] / cv["mu1"], exact_ctx
@@ -104,8 +105,10 @@ def test_bs_step_requires_transformed_input(exact_ctx):
     # the chain bookkeeping is what bs_table provides
     W = group("A1")
     _, point = chart_point("A1", exact_ctx, "sl2-chain")
+    inner = transform_point(point, 1, NU, W.rs)
+    memo = StepMemo(W, point)
     assert bs_table(W, (1,), point).values == bs_step(
-        W, initial_table(W, transform_point(point, 1, NU, W.rs)), 1, point
+        W, initial_table(W, inner, memo), 1, point, memo
     ).values
 
 
@@ -113,7 +116,7 @@ def test_bs_round_trip_single_letter(exact_ctx):
     for label in ("A1", "B2"):
         W = group(label)
         point = sample_point(W.rank, exact_ctx, Random(f"round-{label}"))
-        base = initial_table(W, point)
+        base = initial_table(W, point, StepMemo(W, point))
         for s in range(1, W.rank + 1):
             again = bs_table(W, (s, s), point)
             assert again.values == base.values
@@ -169,13 +172,14 @@ def test_table_word_and_omega(exact_ctx):
 def test_rmatrix_empty_word_is_initial(exact_ctx):
     W = group("B2")
     point = sample_point(2, exact_ctx, Random("rm-init"))
-    assert rmatrix_table(W, (), point).values == initial_table(W, point).values
+    memo = StepMemo(W, point)
+    assert rmatrix_table(W, (), point, memo).values == initial_table(W, point, memo).values
 
 
 def test_rmatrix_sl2_example(exact_ctx):
     W = group("A1")
     cv, point = chart_point("A1", exact_ctx, "rm-sl2")
-    table = rmatrix_table(W, (1,), point)
+    table = rmatrix_table(W, (1,), point, StepMemo(W, point))
     assert table.values[W.identity] == delta(
         cv["z2"] / cv["z1"], cv["mu2"] / cv["mu1"], exact_ctx
     )
@@ -189,9 +193,11 @@ def test_rmatrix_agrees_with_bs(label, exact_ctx):
     W = group(label)
     for k in range(5):
         point = sample_point(W.rank, exact_ctx, Random(f"rm-{label}-{k}"))
+        memo = StepMemo(W, point)
         for omega in range(W.order):
             word = W.reduced_word(omega)
-            assert rmatrix_table(W, word, point).values == bs_table(W, word, point).values
+            assert (rmatrix_table(W, word, point, memo).values
+                    == bs_table(W, word, point, memo).values)
 
 
 def test_rmatrix_single_entry(exact_ctx):
@@ -199,15 +205,31 @@ def test_rmatrix_single_entry(exact_ctx):
     point = sample_point(2, exact_ctx, Random("rm-entry"))
     word = (1, 2)
     table = bs_table(W, word, point)
-    rmatrix = rmatrix_table(W, word, point)
+    rmatrix = rmatrix_table(W, word, point, StepMemo(W, point))
     for sigma in range(W.order):
         assert rmatrix.values[sigma] == table.values[sigma]
+
+
+def test_rmatrix_table_leaves_no_cycle(exact_ctx):
+    # its tables go when it returns, not at the next collection; a campaign
+    # makes one per omega
+    W = group("B2")
+    point = sample_point(2, exact_ctx, Random("rm-cycle"))
+    memo = StepMemo(W, point)
+    gc.collect()
+    gc.disable()
+    try:
+        rmatrix_table(W, W.reduced_word(W.longest), point, memo)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rmatrix_nonreduced_word(exact_ctx):
     W = group("B2")
     point = sample_point(2, exact_ctx, Random("rm-nonred"))
-    assert rmatrix_table(W, (1, 1), point).values == initial_table(W, point).values
+    memo = StepMemo(W, point)
+    assert rmatrix_table(W, (1, 1), point, memo).values == initial_table(W, point, memo).values
 
 
 # --- normalization -----------------------------------------------------------
@@ -217,13 +239,13 @@ def test_c_at_longest_is_one(exact_ctx):
     for label in ("A1", "A2", "B2"):
         W = group(label)
         point = sample_point(W.rank, exact_ctx, Random(f"c1-{label}"))
-        assert normalization_factor(W, W.longest, point) == exact_ctx.one()
+        assert normalization_factor(W, W.longest, point, StepMemo(W, point)) == exact_ctx.one()
 
 
 def test_c_at_identity_sl2(exact_ctx):
     W = group("A1")
     cv, point = chart_point("A1", exact_ctx, "c-sl2")
-    assert normalization_factor(W, W.identity, point) == delta(
+    assert normalization_factor(W, W.identity, point, StepMemo(W, point)) == delta(
         cv["mu1"] / cv["mu2"], cv["h"], exact_ctx
     )
 
@@ -231,10 +253,11 @@ def test_c_at_identity_sl2(exact_ctx):
 def test_c_recursions_b2(exact_ctx):
     W = group("B2")
     point = sample_point(2, exact_ctx, Random("c-rec"))
+    memo = StepMemo(W, point)
     for omega in range(W.order):
         for s in (1, 2):
             for sides in (c_recursion_right_sides, c_recursion_left_sides):
-                lhs, rhs = sides(W, omega, s, point)
+                lhs, rhs = sides(W, omega, s, point, memo)
                 assert is_zero(lhs - rhs)
 
 
@@ -276,12 +299,13 @@ def test_f_interpretation(label, exact_ctx):
     t0 = W.longest
     point = sample_point(2, exact_ctx, Random(f"fint-{label}"))
     dual_point = f_interpretation_point(W, point)
+    memo = StepMemo(W, point)
     for omega in range(W.order):
         target = W.mul(W.inv(omega), t0)
         diag = unnormalized_table(Wd, W.reduced_word(target), dual_point).values[
             dmap[target]
         ]
-        assert diag == normalization_factor(W, omega, point)
+        assert diag == normalization_factor(W, omega, point, memo)
 
 
 # --- unnormalized and Em -----------------------------------------------------
@@ -301,11 +325,12 @@ def test_scaling_identity(label, exact_ctx):
     W = group(label)
     for k in range(3):
         point = sample_point(W.rank, exact_ctx, Random(f"scale-{label}-{k}"))
+        memo = StepMemo(W, point)
         for omega in range(W.order):
             word = W.reduced_word(omega)
             ee = bs_table(W, word, point).values
             e = unnormalized_table(W, word, point).values
-            c = normalization_factor(W, omega, point)
+            c = normalization_factor(W, omega, point, memo)
             for sigma in range(W.order):
                 assert ee[sigma] == c * e[sigma]
 
@@ -340,7 +365,7 @@ def test_em_table(exact_ctx):
     assert em_table(W, (), point).values[W.identity] == exact_ctx.one()
     ee = bs_table(W, (1, 2), point).values
     em = em_table(W, (1, 2), point).values
-    full = initial_table(W, point).values[W.identity]
+    full = initial_table(W, point, StepMemo(W, point)).values[W.identity]
     for sigma in range(W.order):
         assert em[sigma] * full == ee[sigma]
     # the EE/Em ratio is sigma-independent per omega
@@ -380,10 +405,11 @@ def test_complex_agrees_with_exact_structure():
     ctx = QContext(COMPLEX, order=8, q=0.25)
     W = group("A2")
     point = sample_point(2, ctx, Random("cplx-rm"))
+    memo = StepMemo(W, point)
     for omega in range(W.order):
         word = W.reduced_word(omega)
-        bs = bs_table(W, word, point).values
-        rm = rmatrix_table(W, word, point).values
+        bs = bs_table(W, word, point, memo).values
+        rm = rmatrix_table(W, word, point, memo).values
         for sigma in range(W.order):
             scale = max(abs(bs[sigma]), abs(rm[sigma]))
             assert abs(bs[sigma] - rm[sigma]) <= 1e-9 * max(scale, 1e-30)
@@ -407,15 +433,22 @@ def _column(matrix, s):
     return tuple(row[s - 1] for row in matrix)
 
 
+@lru_cache(maxsize=1 << 16)
+def reference_delta(a, b, ctx):
+    """delta, each value computed once: the loops below ask for every delta
+    of every sigma."""
+    return delta(a, b, ctx)
+
+
 def reference_bs_step(W, table, s, outer_point):
     """bs_step as a loop over sigma, both coefficients recomputed per sigma."""
     (nu_s,) = _nu(outer_point, (_basis(W.rank, s),))
-    den = _delta_h(outer_point, nu_s)
+    den = reference_delta(nu_s, outer_point.h, outer_point.ctx)
     values = []
     for sigma in range(W.order):
         (sigma_zeta,) = _zeta(outer_point, (_column(W.matrices[sigma], s),))
-        c_keep = _checked_div(delta(sigma_zeta, nu_s, outer_point.ctx), den)
-        c_mix = _checked_div(_delta_h(outer_point, sigma_zeta), den)
+        c_keep = _checked_div(reference_delta(sigma_zeta, nu_s, outer_point.ctx), den)
+        c_mix = _checked_div(reference_delta(sigma_zeta, outer_point.h, outer_point.ctx), den)
         values.append(
             c_keep * table.values[sigma] + c_mix * table.values[W.rmult(sigma, s)]
         )
@@ -424,7 +457,7 @@ def reference_bs_step(W, table, s, outer_point):
 
 def reference_bs_table(W, word, point):
     points = _point_chain(W, word, point)
-    table = initial_table(W, points[0])
+    table = initial_table(W, points[0], StepMemo(W, points[0]))
     for j, s in enumerate(word):
         table = reference_bs_step(W, table, s, points[j + 1])
     return table
@@ -442,13 +475,14 @@ def reference_unnormalized_table(W, word, point):
         nu_s, nu_inv = _nu(outer, (_basis(rank, s), _neg(_basis(rank, s))))
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
-            down = _delta_h(outer, nu_s) * _delta_h(outer, nu_inv)
+            down = (reference_delta(nu_s, outer.h, outer.ctx)
+                    * reference_delta(nu_inv, outer.h, outer.ctx))
         new_values = []
         for sigma in range(W.order):
             (sigma_zeta,) = _zeta(outer, (_column(W.matrices[sigma], s),))
             lhs = (
-                delta(sigma_zeta, nu_s, outer.ctx) * values[sigma]
-                + _delta_h(outer, sigma_zeta) * values[W.rmult(sigma, s)]
+                reference_delta(sigma_zeta, nu_s, outer.ctx) * values[sigma]
+                + reference_delta(sigma_zeta, outer.h, outer.ctx) * values[W.rmult(sigma, s)]
             )
             new_values.append(lhs if going_up else _checked_div(lhs, down))
         values = new_values
@@ -465,20 +499,24 @@ def reference_rmatrix_values(W, word, point):
         if key in memo:
             return memo[key]
         if twist not in twists:
-            twists[twist] = twist_point(point, W.matrices[twist], W.rs)
+            twists[twist] = twist_point(point, W.matrices[twist])
         p = twists[twist]
         if not word:
-            out = (_coroot_product(p, W.rs.positive_coroots) if sigma == W.identity
-                   else point.ctx.zero())
+            out = point.ctx.zero()
+            if sigma == W.identity:
+                out = point.ctx.one()
+                for gamma in W.rs.positive_coroots:
+                    (value,) = _nu(p, (_neg(gamma),))
+                    out = out * reference_delta(value, p.h, p.ctx)
         else:
             s, rest = word[0], word[1:]
             rank = W.rank
             gamma = _matvec(W.coroot_matrices[W.inv(W.from_word(rest))], _basis(rank, s))
             gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
             zeta_s, zeta_inv = _zeta(p, (_basis(rank, s), _neg(_basis(rank, s))))
-            den = _delta_h(p, gamma_inv)
-            c_keep = _checked_div(delta(zeta_s, gamma_val, p.ctx), den)
-            c_mix = _checked_div(_delta_h(p, zeta_inv), den)
+            den = reference_delta(gamma_inv, p.h, p.ctx)
+            c_keep = _checked_div(reference_delta(zeta_s, gamma_val, p.ctx), den)
+            c_mix = _checked_div(reference_delta(zeta_inv, p.h, p.ctx), den)
             out = (c_keep * ev(rest, sigma, twist)
                    + c_mix * ev(rest, W.lmult(s, sigma), W.rmult(twist, s)))
         memo[key] = out
@@ -505,7 +543,8 @@ def test_recursions_equal_per_sigma_reference(label, ctx):
         assert bs_table(W, word, point).values == reference_bs_table(W, word, point).values
         assert (unnormalized_table(W, word, point).values
                 == reference_unnormalized_table(W, word, point))
-        assert rmatrix_table(W, word, point).values == reference_rmatrix_values(W, word, point)
+        assert (rmatrix_table(W, word, point, StepMemo(W, point)).values
+                == reference_rmatrix_values(W, word, point))
     # words that are not reduced take length-decreasing steps
     for word in ((1, 1), (1, 2, 2, 1), (2, 1, 2, 2, 1)):
         assert bs_table(W, word, point).values == reference_bs_table(W, word, point).values
@@ -575,7 +614,7 @@ def test_memo_refuses_another_point():
     # a nu-transform keeps zeta and h, so it may share the memo
     bs_table(W, (1,), transform_point(point, 2, NU, W.rs), memo)
     other = EvalPoint(ctx, point.values[:-1] + (point.h * 2,))
-    for fn in (bs_table, unnormalized_table):
+    for fn in (bs_table, unnormalized_table, rmatrix_table):
         with pytest.raises(ValueError):
             fn(W, (1,), other, memo)
         with pytest.raises(ValueError):
@@ -589,7 +628,7 @@ def test_singular_root_of_skipped_entries_still_raises():
     values = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(7, 3))
     point = EvalPoint(ctx, values)
     W = group("A2")
-    table = initial_table(W, point)
+    table = initial_table(W, point, StepMemo(W, point))
     for sigma in (W.from_word((2,)), W.from_word((2, 1))):
         assert not table.support[sigma]
         assert not table.support[W.rmult(sigma, 1)]

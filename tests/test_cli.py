@@ -1,8 +1,11 @@
 import json
+from random import Random
 
 import pytest
 
+from ellschub.classes import StepMemo, bs_table
 from ellschub.cli import main
+from ellschub.elliptic import EXACT, QContext, sample_point
 from ellschub.weyl import group
 
 
@@ -245,24 +248,66 @@ def test_table_out_of_resamples(capsys, monkeypatch):
     assert len({p.values for p in calls}) == 10  # each try draws a new point
 
 
-def test_campaigns_leave_the_delta_cache_empty(capsys, monkeypatch):
-    # points of different campaigns (and of one campaign) share no delta
-    # arguments, so the cache is emptied after every point
-    from ellschub import cli
-    from ellschub.elliptic import SingularPointError, _delta_caches, delta
+@pytest.fixture
+def computed_deltas(monkeypatch):
+    """A one-item list that counts the delta values computed from here on."""
+    from ellschub import elliptic
 
-    assert main(["verify", "duality", "--type", "A2", "--qorder", "4"]) == 0
-    assert main(["verify", "recursions", "--type", "B2", "--backend", "complex"]) == 0
-    assert _delta_caches == {}
+    count = [0]
+    for name in ("_delta_exact", "_delta_complex"):
+        def counted(*args, compute=getattr(elliptic, name)):
+            count[0] += 1
+            return compute(*args)
 
-    def singular(W, word, point):
-        delta(point.values[0], point.h, point.ctx)
-        raise SingularPointError("forced pole")
+        monkeypatch.setattr(elliptic, name, counted)
+    return count
 
-    monkeypatch.setattr(cli, "bs_table", singular)
-    assert main(["table", "--type", "A1", "--word", "1", "--qorder", "2"]) == 2
-    assert _delta_caches == {}
+
+def test_two_tables_share_deltas_only_through_a_memo(computed_deltas):
+    # delta keeps nothing: the StepMemo of a point is the only keeper
+    W = group("B2")
+    point = sample_point(W.rank, QContext(EXACT, order=3), Random("delta-owner"))
+    word = W.reduced_word(W.longest)
+    bs_table(W, word, point)
+    once = computed_deltas[0]
+    assert once > 0
+    bs_table(W, word, point)
+    assert computed_deltas[0] == 2 * once
+    memo = StepMemo(W, point)
+    bs_table(W, word, point, memo)
+    bs_table(W, word, point, memo)
+    assert computed_deltas[0] == 3 * once
+
+
+@pytest.mark.parametrize("argv,computed", [
+    (["verify", "recursions", "--type", "B2", "--backend", "complex", "--points", "1"], 71),
+    (["verify", "double-dual", "--type", "A2", "--qorder", "4", "--points", "1"], 30),
+    (["verify", "normalization", "--type", "B2", "--qorder", "4", "--points", "1"], 48),
+    (["verify", "duality", "--type", "A2", "--qorder", "4", "--points", "2"], 120),
+])
+def test_campaigns_compute_each_delta_of_a_point_once(argv, computed, computed_deltas,
+                                                      capsys):
+    # the counts of the module-level cache that per-point memos replaced:
+    # the tables of one point, and the two sides of a double-dual or
+    # normalization check, share one memo's delta values
+    assert main(argv + ["--seed", "0"]) == 0
     capsys.readouterr()
+    assert computed_deltas[0] == computed
+
+
+def test_group_above_the_order_cap_exits_2(capsys, monkeypatch):
+    from ellschub import weyl
+
+    def too_large(label):
+        raise weyl.GroupTooLargeError(
+            f"Weyl group of {label} has order 696729600, above the order cap 1000000")
+
+    monkeypatch.setattr(weyl, "_cached_group", too_large)
+    assert main(["verify", "duality", "--type", "E8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Weyl group of E8 has order 696729600, above the "
+                            "order cap 1000000\n")
 
 
 def test_qorder_env_invalid(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from ellschub.classes import bs_table
+from ellschub.classes import StepMemo, bs_table
 from ellschub.corpus import (
     builtin_chart,
     chart_to_canonical,
@@ -155,7 +155,8 @@ def test_worked_sum(exact_ctx):
     W = group("C2")
     sigma = W.from_word(WORKED_SUM_SIGMA)
     cv, point = sp2_chart().sample(exact_ctx, Random("worked"))
-    summed, factored = worked_sum_values(cv, exact_ctx)
+    memo = StepMemo(W, point)
+    summed, factored = worked_sum_values(cv, exact_ctx, memo)
     assert summed == factored
-    engine = bs_table(W, WORKED_SUM_WORD, point).values[sigma]
+    engine = bs_table(W, WORKED_SUM_WORD, point, memo).values[sigma]
     assert engine == factored

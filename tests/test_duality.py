@@ -30,7 +30,7 @@ def dual_group(label):
 
 def test_substitution_monomial_images():
     W = group("A2")
-    sub = substitution(W, dual_group("A2"))
+    sub = substitution(W)
     # rows[i] is the image of variable i; s* swaps 1 and 2 in A2
     assert sub.rows[0] == (0, 0, 0, -1, 0)  # zeta1 -> nubar2^-1
     assert sub.rows[2] == (-1, 0, 0, 0, 0)  # nu1 -> zetabar1^-1
@@ -41,7 +41,7 @@ def test_pull_point_sl2_chart_form(exact_ctx):
     # z1 := mu2, z2 := mu1, mu1 := z1^{-1}, mu2 := z2^{-1}, h := h^{-1}
     chart = builtin_chart("A1")
     W = group("A1")
-    sub = substitution(W, dual_group("A1"))
+    sub = substitution(W)
     cv, point = chart.sample(exact_ctx, Random("pull-sl2"))
     pulled = sub.pull_point(point)
     # zeta1 of the pulled point = (z2/z1) at z1 := mu2, z2 := mu1
@@ -54,7 +54,7 @@ def test_pull_point_sl2_chart_form(exact_ctx):
 def test_pull_point_b2_direct(exact_ctx):
     # s* = s in B2, so zeta_s <- 1/nubar_s directly
     W = group("B2")
-    sub = substitution(W, dual_group("B2"))
+    sub = substitution(W)
     point = sample_point(2, exact_ctx, Random("pull-b2"))
     pulled = sub.pull_point(point)
     assert pulled.values[0] == 1 / point.values[2]
@@ -67,8 +67,8 @@ def test_pull_point_b2_direct(exact_ctx):
 def test_pull_point_h_round_trip(exact_ctx):
     W = group("B2")
     Wd = dual_group("B2")
-    sub = substitution(W, Wd)
-    sub_back = substitution(Wd, W)
+    sub = substitution(W)
+    sub_back = substitution(Wd)
     point = sample_point(2, exact_ctx, Random("pull-h"))
     twice = sub_back.pull_point(sub.pull_point(point))
     assert twice.values[-1] == point.values[-1]
@@ -80,7 +80,7 @@ def test_pull_point_naturality(exact_ctx, rng):
     # m against the transposed rows)
     for label in ("A2", "B2"):
         W = group(label)
-        sub = substitution(W, dual_group(label))
+        sub = substitution(W)
         point = sample_point(2, exact_ctx, Random(f"natural-{label}"))
         columns = tuple(zip(*sub.rows))
         for _ in range(25):
@@ -94,8 +94,8 @@ def test_double_substitution_is_relabeling(exact_ctx):
     for label in ("A2", "B2"):
         W = group(label)
         Wd = dual_group(label)
-        sub = substitution(W, Wd)
-        sub_back = substitution(Wd, W)
+        sub = substitution(W)
+        sub_back = substitution(Wd)
         point = sample_point(W.rank, exact_ctx, Random(f"dd-{label}"))
         composed = sub_back.pull_point(sub.pull_point(point))
         assert composed.values == relabel_point(W, point).values
@@ -119,7 +119,7 @@ def test_sl2_duality_identities(exact_ctx):
     Wd = dual_group("A1")
     chart = builtin_chart("A1")
     cv, point = chart.sample(exact_ctx, Random("sl2-dual"))
-    sub = substitution(W, Wd)
+    sub = substitution(W)
     pulled = sub.pull_point(point)
     tau = W.from_word((1,))
     h = cv["h"]

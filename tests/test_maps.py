@@ -174,10 +174,10 @@ def test_maps_equal_former_loops(label, ctx):
             assert (transform_point(point, s, sector, W.rs).values
                     == reference_transform_point(point, s, sector, W.rs).values)
     for matrix in W.matrices:
-        assert (twist_point(point, matrix, W.rs).values
+        assert (twist_point(point, matrix).values
                 == reference_twist_point(point, matrix, W.rs).values)
 
-    sub = substitution(W, Wdual)
+    sub = substitution(W)
     assert sub.pull_point(point).values == reference_pull_point(W.star, point).values
     assert relabel_point(W, point).values == reference_relabel_point(W, point).values
     assert (f_interpretation_point(W, point).values

@@ -3,15 +3,25 @@ from itertools import combinations
 import pytest
 
 from ellschub.rootsys import COROOT, ROOT, LatticeVector, build_root_system, parse_label, reflect
-from ellschub.weyl import GroupTooLargeError, _identity, _matmul, enumerate_group, group
+from ellschub.weyl import (
+    GroupTooLargeError,
+    _group_order,
+    _identity,
+    _matmul,
+    enumerate_group,
+    group,
+)
 
+# every type of rank at most 4
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "B4": 384,
-          "C2": 8, "D4": 192, "G2": 12, "F4": 1152}
+          "C2": 8, "C3": 48, "C4": 384, "D3": 24, "D4": 192, "G2": 12, "F4": 1152}
 
 
 @pytest.mark.parametrize("label,order", sorted(ORDERS.items()))
 def test_group_orders(label, order):
-    assert group(label).order == order
+    W = group(label)
+    assert W.order == order
+    assert _group_order(W.rs) == order
 
 
 def test_a1_elements():
@@ -181,11 +191,20 @@ def test_conjugate_by_longest_is_involution(label):
         assert star[star[s - 1] - 1] == s
 
 
-def test_order_cap():
-    rs = build_root_system(parse_label("B2"))
+def test_order_cap(monkeypatch):
+    from ellschub import weyl
+
+    rs = build_root_system(parse_label("D4"))
+    assert enumerate_group(rs, max_order=192).order == 192
+
+    def no_element(a, b):
+        raise AssertionError("an element was built")
+
+    # a group above the cap is refused before the search builds anything
+    monkeypatch.setattr(weyl, "_matmul", no_element)
     with pytest.raises(GroupTooLargeError) as err:
-        enumerate_group(rs, max_order=4)
-    assert "4" in str(err.value)
+        enumerate_group(rs, max_order=191)
+    assert str(err.value) == "Weyl group of D4 has order 192, above the order cap 191"
 
 
 def test_mul_inv_consistency():
