@@ -151,7 +151,7 @@ def run_normalization(label, ctx, points, seed, tol):
     def campaign(k, point):
         dual_point = f_interpretation_point(W, point)
         memo = StepMemo(W, point)
-        dual_memo = StepMemo(Wdual, dual_point, memo.deltas)
+        dual_memo = StepMemo(Wdual, dual_point, memo)
         out = []
         for omega in range(W.order):
             sides = []  # (kind, lhs, rhs, extra fields)
@@ -215,11 +215,12 @@ def run_corpus(ctx, points, seed, tol):
                     sigma_word=list(entry.sigma_word),
                 ))
     sp2_chart = corpus_mod.sp2_chart()
+    W = group("C2")
     for n, (sp2_entry, so5_entry) in enumerate(corpus_mod.cross_substitution_pairs()):
         def cross_sides(rng):
-            chart_values, _ = sp2_chart.sample(ctx, rng)
+            chart_values, point = sp2_chart.sample(ctx, rng)
             return corpus_mod.cross_substitution_sides(
-                sp2_entry, so5_entry, chart_values, ctx)
+                sp2_entry, so5_entry, chart_values, ctx, StepMemo(W, point))
 
         for k in range(points):
             lhs, rhs = resample(seed, f"cross:{n}:{k}", cross_sides)
@@ -228,7 +229,6 @@ def run_corpus(ctx, points, seed, tol):
                 dual_type="B2", omega_word=list(sp2_entry.omega_word),
                 sigma_word=list(sp2_entry.sigma_word),
             ))
-    W = group("C2")
     sigma = W.from_word(corpus_mod.WORKED_SUM_SIGMA)
 
     def values(rng):

@@ -112,8 +112,8 @@ class StepMemo:
     """What the classes of one group at one point share, and the only keeper
     of delta values: make one with the point, pass it to every table and
     normalization factor there, and drop it with the point. `deltas` holds
-    delta(a, b) under (a, b), read through `delta`; it depends only on the
-    context, so a memo of another point of that context may share it.
+    delta(a, b) under (a, b), read through `delta`; a memo made with
+    `deltas_of`, a memo of the same context, shares that dict.
 
     Every step of a Bott-Samelson table lives on the point's chain of
     nu-transforms, which keeps the zeta values, h and the context, so the
@@ -125,16 +125,18 @@ class StepMemo:
 
     __slots__ = ("group", "fixed", "roots", "normalized", "unnormalized", "deltas")
 
-    def __init__(self, W: WeylGroup, point: EvalPoint, deltas: dict | None = None):
+    def __init__(self, W: WeylGroup, point: EvalPoint, deltas_of: StepMemo | None = None):
         self.group = W
         self.fixed = _fixed_part(W, point)
         self.roots = _zeta(point, W.roots)
         self.normalized: dict = {}
         self.unnormalized: dict = {}
-        self.deltas = {} if deltas is None else deltas
+        if deltas_of is not None and deltas_of.fixed[0] != point.ctx:
+            raise ValueError("delta values shared across contexts")
+        self.deltas: dict = {} if deltas_of is None else deltas_of.deltas
 
     def delta(self, a, b):
-        """delta(a, b) in the memo's context, computed once per memo."""
+        """delta(a, b) in the memo's context, computed once per `deltas`."""
         out = self.deltas.get((a, b))
         if out is None:
             out = self.deltas[a, b] = delta(a, b, self.fixed[0])
@@ -295,54 +297,53 @@ def rmatrix_table(W: WeylGroup, word, point: EvalPoint, memo: StepMemo) -> Class
     bs_table; the recursion reads its delta values through it."""
     word = tuple(word)
     memo.check(W, point)
-    zero = point.ctx.zero()
-    kept: dict = {}
-    coeffs: dict = {}
-    twists: dict = {W.identity: point}
-
-    def twisted(twist):
-        p = twists.get(twist)
-        if p is None:
-            p = twists[twist] = twist_point(point, W.matrices[twist])
-        return p
-
-    def ev(word, sigma, twist):
-        depth = len(word)
-        key = (depth, sigma, twist)
-        hit = kept.get(key)
-        if hit is not None:
-            return hit
-        if depth == 0:
-            if sigma == W.identity:
-                p = twisted(twist)
-                out = _delta_h_product(memo, p, _nu(p, map(_neg, W.rs.positive_coroots)))
-            else:
-                out = zero
-            kept[key] = out
-            return out
-        # word = (s, rest): omega = s . product(rest), by left multiplication
-        s, rest = word[0], word[1:]
-        # gamma depends only on (product(rest), s), so the coefficients only
-        # on (depth, twist)
-        c = coeffs.get((depth, twist))
-        if c is None:
-            p = twisted(twist)
-            gamma = W.coroots[W.coroot_index[W.inv(W.from_word(rest))][s - 1]]
-            alpha_s = _basis(W.rank, s)
-            gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
-            zeta_s, zeta_inv = _zeta(p, (alpha_s, _neg(alpha_s)))
-            den = memo.delta(gamma_inv, p.h)
-            c = coeffs[(depth, twist)] = (
-                _checked_div(memo.delta(zeta_s, gamma_val), den),
-                _checked_div(memo.delta(zeta_inv, p.h), den),
-            )
-        out = kept[key] = (c[0] * ev(rest, sigma, twist)
-                           + c[1] * ev(rest, W.lmult(s, sigma), W.rmult(twist, s)))
-        return out
-
-    values = tuple(ev(word, sigma, W.identity) for sigma in range(W.order))
-    del ev  # ev holds itself, and its tables with it, until a gc pass
+    kept, coeffs, twists = {}, {}, {W.identity: point}
+    values = tuple(_rmatrix_eval(W, word, sigma, W.identity, point, memo, kept,
+                                 coeffs, twists) for sigma in range(W.order))
     return ClassTable(W, word, point, values)
+
+
+def _twisted(W, twists, point, twist):
+    cached = twists.get(twist)
+    if cached is None:
+        cached = twists[twist] = twist_point(point, W.matrices[twist])
+    return cached
+
+
+def _rmatrix_eval(W, word, sigma, twist, point, memo, kept, coeffs, twists):
+    depth = len(word)
+    key = (depth, sigma, twist)
+    hit = kept.get(key)
+    if hit is not None:
+        return hit
+    if depth == 0:
+        out = point.ctx.zero()
+        if sigma == W.identity:
+            p = _twisted(W, twists, point, twist)
+            out = _delta_h_product(memo, p, _nu(p, map(_neg, W.rs.positive_coroots)))
+        kept[key] = out
+        return out
+    # word = (s, rest): omega = s . product(rest), built by left multiplication
+    s, rest = word[0], word[1:]
+    # gamma depends only on (product(rest), s), so the coefficients only on
+    # (depth, twist)
+    c = coeffs.get((depth, twist))
+    if c is None:
+        p = _twisted(W, twists, point, twist)
+        gamma = W.coroots[W.coroot_index[W.inv(W.from_word(rest))][s - 1]]
+        alpha_s = _basis(W.rank, s)
+        gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
+        zeta_s, zeta_inv = _zeta(p, (alpha_s, _neg(alpha_s)))
+        den = memo.delta(gamma_inv, p.h)
+        c = coeffs[(depth, twist)] = (
+            _checked_div(memo.delta(zeta_s, gamma_val), den),
+            _checked_div(memo.delta(zeta_inv, p.h), den),
+        )
+    keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, kept, coeffs, twists)
+    mixed = _rmatrix_eval(W, rest, W.lmult(s, sigma), W.rmult(twist, s),
+                          point, memo, kept, coeffs, twists)
+    out = kept[key] = c[0] * keep + c[1] * mixed
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from random import Random
 from .elliptic import (
     EvalPoint,
     QContext,
-    delta,
     monomial_map,
     sample_values,
     var_names,
@@ -275,18 +274,18 @@ def eval_chart_monomial(exps: dict, chart_values: dict):
     return acc
 
 
-def _delta_product(factors, chart_values: dict, ctx: QContext, memo=None):
-    """prod delta(a, b) over the factors (a|b), in their order; through the
-    delta values of memo, a StepMemo of ctx, if given."""
+def _delta_product(factors, chart_values: dict, ctx: QContext, memo):
+    """prod delta(a, b) over the factors (a|b), in their order, with the
+    delta values of memo, a StepMemo of ctx."""
     acc = ctx.one()
     for a_exps, b_exps in factors:
         a = eval_chart_monomial(a_exps, chart_values)
         b = eval_chart_monomial(b_exps, chart_values)
-        acc = acc * (delta(a, b, ctx) if memo is None else memo.delta(a, b))
+        acc = acc * memo.delta(a, b)
     return acc
 
 
-def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext, memo=None):
+def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext, memo):
     return _delta_product(entry.factors, chart_values, ctx, memo) * entry.sign
 
 
@@ -326,9 +325,9 @@ def cross_substitution_pairs() -> list[tuple[CorpusEntry, CorpusEntry]]:
 
 
 def cross_substitution_sides(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
-                             sp2_values: dict, ctx: QContext):
-    """((-1)^(l(tau0)) times the substituted SO(5) value, the Sp(2) value);
-    l(tau0) = 4 here so the sign is +1."""
+                             sp2_values: dict, ctx: QContext, memo):
+    """((-1)^(l(tau0)) times the substituted SO(5) value, the Sp(2) value) with
+    the delta values of memo, a StepMemo of ctx; l(tau0) = 4, so the sign is +1."""
     so5_values = {
         "z1": sp2_values["mu1"] ** -1,
         "z2": sp2_values["mu2"] ** -1,
@@ -340,8 +339,8 @@ def cross_substitution_sides(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
         if sp2_entry.expects_zero != so5_entry.expects_zero:
             raise AssertionError("vanishing patterns disagree across the dual tables")
         return ctx.zero(), ctx.zero()
-    lhs = eval_factors(so5_entry, so5_values, ctx)
-    rhs = eval_factors(sp2_entry, sp2_values, ctx)
+    lhs = eval_factors(so5_entry, so5_values, ctx, memo)
+    rhs = eval_factors(sp2_entry, sp2_values, ctx, memo)
     return lhs, rhs
 
 

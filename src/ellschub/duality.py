@@ -97,7 +97,7 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     relabeled = relabel_point(W, point)
     straight_memo = StepMemo(W, point)
-    twisted_memo = StepMemo(W, relabeled, straight_memo.deltas)
+    twisted_memo = StepMemo(W, relabeled, straight_memo)
     straight = [bs_table(W, W.reduced_word(w), point, straight_memo).values
                 for w in range(W.order)]
     twisted = [bs_table(W, W.reduced_word(conj[w]), relabeled, twisted_memo).values

@@ -128,8 +128,9 @@ def test_criterion_2_so5_sp2_corpus():
         assert summed == factored == engine
         # the closing substitution check across the two tables
         for n, (sp2_entry, so5_entry) in enumerate(cross_substitution_pairs()):
-            cv, _ = sp2_chart().sample(EXACT8, Random(f"acc:cross:{n}"))
-            lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv, EXACT8)
+            cv, point = sp2_chart().sample(EXACT8, Random(f"acc:cross:{n}"))
+            lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv, EXACT8,
+                                                StepMemo(W, point))
             assert lhs == rhs
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"SO(5)/Sp(2) corpus took {elapsed:.2f}s"

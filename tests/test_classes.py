@@ -1,4 +1,3 @@
-import gc
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -208,21 +207,6 @@ def test_rmatrix_single_entry(exact_ctx):
     rmatrix = rmatrix_table(W, word, point, StepMemo(W, point))
     for sigma in range(W.order):
         assert rmatrix.values[sigma] == table.values[sigma]
-
-
-def test_rmatrix_table_leaves_no_cycle(exact_ctx):
-    # its tables go when it returns, not at the next collection; a campaign
-    # makes one per omega
-    W = group("B2")
-    point = sample_point(2, exact_ctx, Random("rm-cycle"))
-    memo = StepMemo(W, point)
-    gc.collect()
-    gc.disable()
-    try:
-        rmatrix_table(W, W.reduced_word(W.longest), point, memo)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_rmatrix_nonreduced_word(exact_ctx):
@@ -619,6 +603,17 @@ def test_memo_refuses_another_point():
             fn(W, (1,), other, memo)
         with pytest.raises(ValueError):
             fn(group("B2"), (1,), point, memo)
+
+
+def test_memo_shares_deltas_only_within_a_context():
+    W = group("A2")
+    point = sample_point(W.rank, QContext(EXACT, order=2), Random("memo-share"))
+    memo = StepMemo(W, point)
+    assert StepMemo(W, transform_point(point, 1, NU, W.rs), memo).deltas is memo.deltas
+    # the keys leave the context out, so another q-order must not read them
+    other = EvalPoint(QContext(EXACT, order=3), point.values)
+    with pytest.raises(ValueError):
+        StepMemo(W, other, memo)
 
 
 def test_singular_root_of_skipped_entries_still_raises():

@@ -68,12 +68,13 @@ def test_table_sl2_matches_corpus_products(capsys):
     ctx = QContext(EXACT, order=6)
     chart = builtin_chart("A1")
     # rebuild the chart sample the CLI used (seed string fixed by the CLI)
-    cv, _ = chart.sample(ctx, Random("5:table:0"))
+    cv, point = chart.sample(ctx, Random("5:table:0"))
+    memo = StepMemo(group("A1"), point)
     by_sigma = {tuple(e["sigma_word"]): e["value"] for e in doc["entries"]}
     for entry in load_corpus("sl2.txt"):
         if entry.omega_word != (1,):
             continue
-        expected = eval_factors(entry, cv, ctx)
+        expected = eval_factors(entry, cv, ctx, memo)
         got = by_sigma[entry.sigma_word]
         assert got == [f"{c.numerator}/{c.denominator}" for c in expected.coeffs]
 

@@ -146,8 +146,9 @@ def test_cross_substitution(exact_ctx):
     pairs = cross_substitution_pairs()
     assert len(pairs) == 16
     for n, (sp2_entry, so5_entry) in enumerate(pairs):
-        cv, _ = sp2_chart().sample(exact_ctx, Random(f"cross-{n}"))
-        lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv, exact_ctx)
+        cv, point = sp2_chart().sample(exact_ctx, Random(f"cross-{n}"))
+        lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv, exact_ctx,
+                                            StepMemo(group("C2"), point))
         assert lhs == rhs
 
 
