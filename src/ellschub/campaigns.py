@@ -205,7 +205,7 @@ def run_corpus(ctx, points, seed, tol):
 
             def sides(rng):
                 chart_values, point = chart.sample(ctx, rng)
-                return corpus_mod.corpus_sides(entry, W, chart, chart_values, point)
+                return corpus_mod.corpus_sides(entry, W, chart_values, point)
 
             for k in range(points):
                 engine, expected = resample(seed, f"corpus:{fname}:{n}:{k}", sides)

@@ -38,7 +38,6 @@ from .elliptic import (
     delta,
     monomial_map,
     transform_point,
-    twist_point,
 )
 from .rootsys import _basis
 from .weyl import WeylGroup, _matvec
@@ -297,31 +296,22 @@ def rmatrix_table(W: WeylGroup, word, point: EvalPoint, memo: StepMemo) -> Class
     bs_table; the recursion reads its delta values through it."""
     word = tuple(word)
     memo.check(W, point)
-    kept, coeffs, twists = {}, {}, {W.identity: point}
-    values = tuple(_rmatrix_eval(W, word, sigma, W.identity, point, memo, kept,
-                                 coeffs, twists) for sigma in range(W.order))
+    # a twist moves only the zeta values, which the depth-0 values never read
+    start = initial_table(W, point, memo).values
+    kept, coeffs = {}, {}
+    values = tuple(_rmatrix_eval(W, word, sigma, W.identity, point, memo, start, kept,
+                                 coeffs) for sigma in range(W.order))
     return ClassTable(W, word, point, values)
 
 
-def _twisted(W, twists, point, twist):
-    cached = twists.get(twist)
-    if cached is None:
-        cached = twists[twist] = twist_point(point, W.matrices[twist])
-    return cached
-
-
-def _rmatrix_eval(W, word, sigma, twist, point, memo, kept, coeffs, twists):
+def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
     depth = len(word)
     key = (depth, sigma, twist)
     hit = kept.get(key)
     if hit is not None:
         return hit
     if depth == 0:
-        out = point.ctx.zero()
-        if sigma == W.identity:
-            p = _twisted(W, twists, point, twist)
-            out = _delta_h_product(memo, p, _nu(p, map(_neg, W.rs.positive_coroots)))
-        kept[key] = out
+        out = kept[key] = start[sigma]
         return out
     # word = (s, rest): omega = s . product(rest), built by left multiplication
     s, rest = word[0], word[1:]
@@ -329,19 +319,20 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, kept, coeffs, twists):
     # (depth, twist)
     c = coeffs.get((depth, twist))
     if c is None:
-        p = _twisted(W, twists, point, twist)
+        # zeta_s at the twisted point is the value of twist(alpha_s) at the
+        # point, raised to +-1 as monomial_map raises a basis row; nu and h
+        # are the point's own
+        zeta_s = memo.roots[W.root_index[twist][s - 1]]
         gamma = W.coroots[W.coroot_index[W.inv(W.from_word(rest))][s - 1]]
-        alpha_s = _basis(W.rank, s)
-        gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
-        zeta_s, zeta_inv = _zeta(p, (alpha_s, _neg(alpha_s)))
-        den = memo.delta(gamma_inv, p.h)
+        gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
+        den = memo.delta(gamma_inv, point.h)
         c = coeffs[(depth, twist)] = (
-            _checked_div(memo.delta(zeta_s, gamma_val), den),
-            _checked_div(memo.delta(zeta_inv, p.h), den),
+            _checked_div(memo.delta(zeta_s**1, gamma_val), den),
+            _checked_div(memo.delta(zeta_s**-1, point.h), den),
         )
-    keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, kept, coeffs, twists)
+    keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, start, kept, coeffs)
     mixed = _rmatrix_eval(W, rest, W.lmult(s, sigma), W.rmult(twist, s),
-                          point, memo, kept, coeffs, twists)
+                          point, memo, start, kept, coeffs)
     out = kept[key] = c[0] * keep + c[1] * mixed
     return out
 

@@ -11,8 +11,11 @@ delta(a, b), and a, b are monomials in the chart variables, e.g.
 "mu1^2", "z2/z1", "1/(z1*z2)", "h". A bare "0" marks an entry that must
 vanish identically.
 
-Charts map chart-variable assignments to canonical (zeta, nu, h) points;
-the chart-to-canonical direction always has integer exponents.
+Chart values are tuples in chart-variable order. A chart's canonical
+(zeta, nu, h) variables and every corpus monomial are exponent rows over
+its chart variables, read by one parser and evaluated by
+elliptic.monomial_map; the chart-to-canonical direction always has integer
+exponents.
 """
 
 from __future__ import annotations
@@ -41,74 +44,45 @@ class Chart:
     # per canonical variable, exponents over chart_vars
     canonical_map: tuple[tuple[int, ...], ...]
 
-    @property
-    def rank(self):
-        return (len(self.canonical_map) - 1) // 2
+    def to_point(self, chart_values: tuple, ctx: QContext) -> EvalPoint:
+        return EvalPoint(ctx, monomial_map(chart_values, self.canonical_map))
 
-    def to_point(self, chart_values: dict, ctx: QContext) -> EvalPoint:
-        values = tuple(chart_values[name] for name in self.chart_vars)
-        return EvalPoint(ctx, monomial_map(values, self.canonical_map))
-
-    def sample(self, ctx: QContext, rng: Random) -> tuple[dict, EvalPoint]:
-        values = dict(zip(self.chart_vars, sample_values(len(self.chart_vars), ctx, rng)))
+    def sample(self, ctx: QContext, rng: Random) -> tuple[tuple, EvalPoint]:
+        values = sample_values(len(self.chart_vars), ctx, rng)
         return values, self.to_point(values, ctx)
 
 
-def _chart_rows(chart_vars, rows):
-    idx = {name: i for i, name in enumerate(chart_vars)}
-    out = []
-    for row in rows:
-        exps = [0] * len(chart_vars)
-        for name, e in row.items():
-            exps[idx[name]] = e
-        out.append(tuple(exps))
-    return tuple(out)
+def _chart(name: str, label: str, chart_vars, monomials) -> Chart:
+    """The chart whose canonical variables are the given monomials."""
+    return Chart(name, label, chart_vars,
+                 tuple(parse_monomial(m, chart_vars) for m in monomials))
 
 
 def sl_chart(n: int) -> Chart:
     """Type A_(n-1) chart: zeta_s = z_(s+1)/z_s, nu_s = mu_(s+1)/mu_s."""
-    chart_vars = tuple(
-        [f"z{i}" for i in range(1, n + 1)] + [f"mu{i}" for i in range(1, n + 1)] + ["h"]
-    )
-    rows = []
-    for s in range(1, n):
-        rows.append({f"z{s}": -1, f"z{s + 1}": 1})
-    for s in range(1, n):
-        rows.append({f"mu{s}": -1, f"mu{s + 1}": 1})
-    rows.append({"h": 1})
-    return Chart(f"sl{n}", f"A{n - 1}", chart_vars, _chart_rows(chart_vars, rows))
+    z = [f"z{i}" for i in range(1, n + 1)]
+    mu = [f"mu{i}" for i in range(1, n + 1)]
+    ratios = [f"{v[s]}/{v[s - 1]}" for v in (z, mu) for s in range(1, n)]
+    return _chart(f"sl{n}", f"A{n - 1}", tuple(z + mu + ["h"]), ratios + ["h"])
+
+
+# the chart variables of both rank-2 charts, in chart-value order
+_RANK2_VARS = ("z1", "z2", "mu1", "mu2", "h")
 
 
 def so5_chart() -> Chart:
     """B2 chart: zeta1 = z2/z1, zeta2 = 1/z2, nu1 = mu2/mu1, nu2 = 1/mu2^2."""
-    chart_vars = ("z1", "z2", "mu1", "mu2", "h")
-    rows = [
-        {"z1": -1, "z2": 1},
-        {"z2": -1},
-        {"mu1": -1, "mu2": 1},
-        {"mu2": -2},
-        {"h": 1},
-    ]
-    return Chart("so5", "B2", chart_vars, _chart_rows(chart_vars, rows))
+    return _chart("so5", "B2", _RANK2_VARS, ("z2/z1", "1/z2", "mu2/mu1", "1/mu2^2", "h"))
 
 
 def sp2_chart() -> Chart:
     """C2 chart: zeta1 = z2/z1, zeta2 = 1/z2^2, nu1 = mu2/mu1, nu2 = 1/mu2."""
-    chart_vars = ("z1", "z2", "mu1", "mu2", "h")
-    rows = [
-        {"z1": -1, "z2": 1},
-        {"z2": -2},
-        {"mu1": -1, "mu2": 1},
-        {"mu2": -1},
-        {"h": 1},
-    ]
-    return Chart("sp2", "C2", chart_vars, _chart_rows(chart_vars, rows))
+    return _chart("sp2", "C2", _RANK2_VARS, ("z2/z1", "1/z2^2", "mu2/mu1", "1/mu2", "h"))
 
 
 def identity_chart(label: str, rank: int) -> Chart:
     names = var_names(rank)
-    rows = [{name: 1} for name in names]
-    return Chart("canonical", label, names, _chart_rows(names, rows))
+    return _chart("canonical", label, names, names)
 
 
 def builtin_chart(label: str) -> Chart:
@@ -122,12 +96,13 @@ def builtin_chart(label: str) -> Chart:
     return identity_chart(label, rank)
 
 
-def chart_to_canonical(chart: Chart, chart_exps: dict) -> tuple[int, ...]:
-    """Solve for the canonical exponent row whose chart image has the given
-    exponents; raises if no exact integer solution exists."""
+def chart_to_canonical(chart: Chart, row: tuple[int, ...]) -> tuple[int, ...]:
+    """Solve for the canonical exponent row whose chart image is the exponent
+    row `row` over the chart variables; raises if no exact integer solution
+    exists."""
     n_can = len(chart.canonical_map)
     n_chart = len(chart.chart_vars)
-    target = [Fraction(chart_exps.get(name, 0)) for name in chart.chart_vars]
+    target = [Fraction(e) for e in row]
     # columns = chart images of the canonical variables
     cols = [[Fraction(chart.canonical_map[j][i]) for j in range(n_can)]
             for i in range(n_chart)]
@@ -161,7 +136,7 @@ def chart_to_canonical(chart: Chart, chart_exps: dict) -> tuple[int, ...]:
         acc = sum(
             sol[j] * chart.canonical_map[j][i] for j in range(n_can)
         )
-        if acc != chart_exps.get(chart.chart_vars[i], 0):
+        if acc != row[i]:
             raise ValueError("chart monomial is not the image of a canonical monomial")
     if any(s.denominator != 1 for s in sol):
         raise ValueError("canonical preimage requires fractional exponents")
@@ -175,17 +150,14 @@ _FACTOR_RE = re.compile(r"\(([^()|]+(?:\([^()]*\))?[^()|]*)\|([^()|]+(?:\([^()]*
 _POW_RE = re.compile(r"([A-Za-z]+\d*)(?:\^(-?\d+))?")
 
 
-def parse_monomial(text: str) -> dict:
-    """Exponent dict of a chart monomial like '1/(z1*z2)' or 'mu1^2'."""
+def parse_monomial(text: str, chart_vars) -> tuple[int, ...]:
+    """Exponent row over chart_vars of a chart monomial like '1/(z1*z2)' or
+    'mu1^2'; raises ValueError for an unknown variable or an empty monomial."""
     text = text.strip().replace(" ", "")
-    if "/" in text:
-        num_text, den_text = text.split("/", 1)
-    else:
-        num_text, den_text = text, ""
-    out: dict = {}
+    num_text, _, den_text = text.partition("/")
+    row = [0] * len(chart_vars)
 
     def absorb(part, sign):
-        part = part.strip()
         if part in ("", "1"):
             return
         if part.startswith("(") and part.endswith(")"):
@@ -194,12 +166,15 @@ def parse_monomial(text: str) -> dict:
             m = _POW_RE.fullmatch(piece)
             if not m:
                 raise ValueError(f"cannot parse monomial piece {piece!r} in {text!r}")
-            name, exp = m.group(1), int(m.group(2) or 1)
-            out[name] = out.get(name, 0) + sign * exp
+            if m.group(1) not in chart_vars:
+                raise ValueError(f"unknown chart variable {m.group(1)!r} in {text!r}")
+            row[chart_vars.index(m.group(1))] += sign * int(m.group(2) or 1)
 
     absorb(num_text, 1)
     absorb(den_text, -1)
-    return {k: v for k, v in out.items() if v}
+    if not any(row):
+        raise ValueError(f"empty monomial {text!r}")
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -208,7 +183,9 @@ class CorpusEntry:
     omega_word: tuple[int, ...]
     sigma_word: tuple[int, ...]
     sign: int
-    factors: tuple[tuple[dict, dict], ...]  # empty with sign 0 means expected zero
+    # (a|b) as exponent rows over the chart variables of builtin_chart(label);
+    # empty with sign 0 means expected zero
+    factors: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     @property
     def expects_zero(self):
@@ -234,15 +211,15 @@ def parse_entry(line: str) -> CorpusEntry:
     if rest.startswith("- "):
         sign = -1
         rest = rest[2:].strip()
-    factors = _parse_product(rest)
+    factors = _parse_product(rest, builtin_chart(label).chart_vars)
     if not factors:
         raise ValueError(f"no delta factors parsed from {rest!r}")
     return CorpusEntry(label, parse_word(omega), parse_word(sigma), sign, factors)
 
 
-def _parse_product(text: str) -> tuple[tuple[dict, dict], ...]:
+def _parse_product(text: str, chart_vars) -> tuple:
     return tuple(
-        (parse_monomial(m.group(1)), parse_monomial(m.group(2)))
+        (parse_monomial(m.group(1), chart_vars), parse_monomial(m.group(2), chart_vars))
         for m in _FACTOR_RE.finditer(text)
     )
 
@@ -262,39 +239,26 @@ def corpus_files() -> tuple[str, ...]:
     return ("sl2.txt", "so5.txt", "sp2.txt")
 
 
-def eval_chart_monomial(exps: dict, chart_values: dict):
-    acc = None
-    for name, e in sorted(exps.items()):
-        if name not in chart_values:
-            raise KeyError(f"chart value for {name!r} missing")
-        term = chart_values[name] ** e
-        acc = term if acc is None else acc * term
-    if acc is None:
-        raise ValueError("empty monomial in a delta factor")
-    return acc
-
-
-def _delta_product(factors, chart_values: dict, ctx: QContext, memo):
-    """prod delta(a, b) over the factors (a|b), in their order, with the
-    delta values of memo, a StepMemo of ctx."""
+def _delta_product(factors, chart_values: tuple, ctx: QContext, memo):
+    """prod delta(a, b) over the factors (a|b), in their order, at the chart
+    values, with the delta values of memo, a StepMemo of ctx."""
     acc = ctx.one()
-    for a_exps, b_exps in factors:
-        a = eval_chart_monomial(a_exps, chart_values)
-        b = eval_chart_monomial(b_exps, chart_values)
-        acc = acc * memo.delta(a, b)
+    for pair in factors:
+        acc = acc * memo.delta(*monomial_map(chart_values, pair))
     return acc
 
 
-def eval_factors(entry: CorpusEntry, chart_values: dict, ctx: QContext, memo):
-    return _delta_product(entry.factors, chart_values, ctx, memo) * entry.sign
+def eval_factors(entry: CorpusEntry, chart_values: tuple, ctx: QContext, memo):
+    value = _delta_product(entry.factors, chart_values, ctx, memo)
+    return -value if entry.sign < 0 else value
 
 
 # ---------------------------------------------------------------------------
 # checks driven by the corpus
 
 
-def corpus_sides(entry: CorpusEntry, W: WeylGroup, chart: Chart,
-                 chart_values: dict, point: EvalPoint):
+def corpus_sides(entry: CorpusEntry, W: WeylGroup, chart_values: tuple,
+                 point: EvalPoint):
     """(engine value, factored expected value) at one point."""
     from .classes import StepMemo, bs_table
 
@@ -324,22 +288,21 @@ def cross_substitution_pairs() -> list[tuple[CorpusEntry, CorpusEntry]]:
     return out
 
 
+# the SO(5) chart values in terms of the Sp(2) ones: z_i := 1/mu_i,
+# mu_i := 1/z_i, h := 1/h
+_CROSS_ROWS = tuple(parse_monomial(m, _RANK2_VARS)
+                    for m in ("1/mu1", "1/mu2", "1/z1", "1/z2", "1/h"))
+
+
 def cross_substitution_sides(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
-                             sp2_values: dict, ctx: QContext, memo):
+                             sp2_values: tuple, ctx: QContext, memo):
     """((-1)^(l(tau0)) times the substituted SO(5) value, the Sp(2) value) with
     the delta values of memo, a StepMemo of ctx; l(tau0) = 4, so the sign is +1."""
-    so5_values = {
-        "z1": sp2_values["mu1"] ** -1,
-        "z2": sp2_values["mu2"] ** -1,
-        "mu1": sp2_values["z1"] ** -1,
-        "mu2": sp2_values["z2"] ** -1,
-        "h": sp2_values["h"] ** -1,
-    }
     if sp2_entry.expects_zero or so5_entry.expects_zero:
         if sp2_entry.expects_zero != so5_entry.expects_zero:
             raise AssertionError("vanishing patterns disagree across the dual tables")
         return ctx.zero(), ctx.zero()
-    lhs = eval_factors(so5_entry, so5_values, ctx, memo)
+    lhs = eval_factors(so5_entry, monomial_map(sp2_values, _CROSS_ROWS), ctx, memo)
     rhs = eval_factors(sp2_entry, sp2_values, ctx, memo)
     return lhs, rhs
 
@@ -355,14 +318,13 @@ WORKED_SUM_WORD = (1, 2, 1, 2)  # a reduced word for tau0
 WORKED_SUM_SIGMA = (1, 2)
 
 
-def worked_sum_values(chart_values: dict, ctx: QContext, memo):
+_WORKED_SUM = tuple(_parse_product(text, _RANK2_VARS) for text in (
+    WORKED_SUM_PREFIX, *WORKED_SUM_TERMS, WORKED_SUM_TOTAL))
+
+
+def worked_sum_values(chart_values: tuple, ctx: QContext, memo):
     """(three-term sum value, factored total value) for EE_{s1s2}(X^v_tau0)
     in the Sp(2) chart, with the delta values of memo, a StepMemo of ctx."""
-    def product(text):
-        return _delta_product(_parse_product(text), chart_values, ctx, memo)
-
-    prefix = product(WORKED_SUM_PREFIX)
-    total = ctx.zero()
-    for term in WORKED_SUM_TERMS:
-        total = total + product(term)
-    return prefix * total, product(WORKED_SUM_TOTAL)
+    prefix, *terms, factored = (
+        _delta_product(factors, chart_values, ctx, memo) for factors in _WORKED_SUM)
+    return prefix * sum(terms, ctx.zero()), factored

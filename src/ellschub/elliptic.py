@@ -437,7 +437,8 @@ def monomial_map(values, rows) -> tuple:
     variable order, starting from the first term; a row of zeros gives
     values[0]**0, the backend's one. Every change of variables of
     evaluation points (sector transforms, twists, the duality maps, chart
-    points) is such a table of rows and goes through here.
+    points) and every corpus monomial is such a table of rows and goes
+    through here.
 
     >>> monomial_map((Fraction(2), Fraction(3)), ((0, 1), (2, -1), (0, 0)))
     (Fraction(3, 1), Fraction(4, 3), Fraction(1, 1))
@@ -484,7 +485,9 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
 
 def twist_point(point: EvalPoint, matrix) -> EvalPoint:
     """zeta-sector precomposition with a full Weyl matrix (column j = image
-    of alpha_j); used by the R-matrix recursion's accumulated twists."""
+    of alpha_j). The R-matrix recursion reads the twisted value of zeta_s
+    from StepMemo.roots instead; its test reference twists through here,
+    and the benchmark's tracer wraps this name."""
     return _sector_map(point, ZETA, tuple(zip(*matrix)))
 
 

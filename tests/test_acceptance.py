@@ -88,12 +88,12 @@ def test_criterion_1_sl2_corpus():
         assert len(entries) == 4
         for n, entry in enumerate(entries):
             cv, point = chart.sample(EXACT8, Random(f"acc:sl2:{n}"))
-            engine, expected = corpus_sides(entry, W, chart, cv, point)
+            engine, expected = corpus_sides(entry, W, cv, point)
             assert engine == expected  # coefficient-exact through q^8
         for k in range(10):
             for n, entry in enumerate(entries):
                 cv, point = chart.sample(COMPLEX_CTX, Random(f"acc:sl2c:{n}:{k}"))
-                engine, expected = corpus_sides(entry, W, chart, cv, point)
+                engine, expected = corpus_sides(entry, W, cv, point)
                 scale = max(abs(engine), abs(expected))
                 assert abs(engine - expected) <= 1e-9 * max(scale, 1e-30)
         elapsed = time.monotonic() - start
@@ -113,7 +113,7 @@ def test_criterion_2_so5_sp2_corpus():
             chart = builtin_chart(entries[0].group_label)
             for n, entry in enumerate(entries):
                 cv, point = chart.sample(EXACT8, Random(f"acc:{name}:{n}"))
-                engine, expected = corpus_sides(entry, W, chart, cv, point)
+                engine, expected = corpus_sides(entry, W, cv, point)
                 if entry.expects_zero:
                     assert is_zero(engine)  # tabulated 0 is exactly 0
                 else:

@@ -57,9 +57,9 @@ def chart_point(label, ctx, seed):
 def test_initial_table_sl2(exact_ctx):
     # EE_id(X_id) = delta(mu1/mu2, h); EE_tau(X_id) = 0
     W = group("A1")
-    cv, point = chart_point("A1", exact_ctx, "sl2-init")
+    (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "sl2-init")
     table = initial_table(W, point, StepMemo(W, point))
-    expected = delta(cv["mu1"] / cv["mu2"], cv["h"], exact_ctx)
+    expected = delta(mu1 / mu2, h, exact_ctx)
     assert table.values[W.identity] == expected
     assert is_zero(table.values[W.from_word((1,))])
 
@@ -67,10 +67,8 @@ def test_initial_table_sl2(exact_ctx):
 def test_initial_table_so5(exact_ctx):
     # the four-factor product (mu1^2|h)(mu1/mu2|h)(mu1 mu2|h)(mu2^2|h)
     W = group("B2")
-    cv, point = chart_point("B2", exact_ctx, "so5-init")
+    (z1, z2, mu1, mu2, h), point = chart_point("B2", exact_ctx, "so5-init")
     table = initial_table(W, point, StepMemo(W, point))
-    h = cv["h"]
-    mu1, mu2 = cv["mu1"], cv["mu2"]
     expected = (
         delta(mu1**2, h, exact_ctx)
         * delta(mu1 / mu2, h, exact_ctx)
@@ -89,15 +87,13 @@ def test_initial_table_so5(exact_ctx):
 def test_bs_step_sl2_word_matches_example(exact_ctx):
     # EE_id(X_tau) = delta(z2/z1, mu2/mu1); EE_tau(X_tau) = delta(z1/z2, h)
     W = group("A1")
-    cv, point = chart_point("A1", exact_ctx, "sl2-word")
+    (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "sl2-word")
     inner = transform_point(point, 1, NU, W.rs)
     memo = StepMemo(W, point)
     table = bs_step(W, initial_table(W, inner, memo), 1, point, memo)
     tau = W.from_word((1,))
-    assert table.values[W.identity] == delta(
-        cv["z2"] / cv["z1"], cv["mu2"] / cv["mu1"], exact_ctx
-    )
-    assert table.values[tau] == delta(cv["z1"] / cv["z2"], cv["h"], exact_ctx)
+    assert table.values[W.identity] == delta(z2 / z1, mu2 / mu1, exact_ctx)
+    assert table.values[tau] == delta(z1 / z2, h, exact_ctx)
 
 
 def test_bs_step_requires_transformed_input(exact_ctx):
@@ -123,15 +119,14 @@ def test_bs_round_trip_single_letter(exact_ctx):
 
 def test_bs_so5_diagonal_entry(exact_ctx):
     W = group("B2")
-    cv, point = chart_point("B2", exact_ctx, "so5-diag")
-    h = cv["h"]
+    (z1, z2, mu1, mu2, h), point = chart_point("B2", exact_ctx, "so5-diag")
     table = bs_table(W, (1,), point)
     s1 = W.from_word((1,))
     expected = (
-        delta(cv["mu1"] ** 2, h, exact_ctx)
-        * delta(cv["mu1"] * cv["mu2"], h, exact_ctx)
-        * delta(cv["mu2"] ** 2, h, exact_ctx)
-        * delta(cv["z1"] / cv["z2"], h, exact_ctx)
+        delta(mu1**2, h, exact_ctx)
+        * delta(mu1 * mu2, h, exact_ctx)
+        * delta(mu2**2, h, exact_ctx)
+        * delta(z1 / z2, h, exact_ctx)
     )
     assert table.values[s1] == expected
 
@@ -177,14 +172,10 @@ def test_rmatrix_empty_word_is_initial(exact_ctx):
 
 def test_rmatrix_sl2_example(exact_ctx):
     W = group("A1")
-    cv, point = chart_point("A1", exact_ctx, "rm-sl2")
+    (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "rm-sl2")
     table = rmatrix_table(W, (1,), point, StepMemo(W, point))
-    assert table.values[W.identity] == delta(
-        cv["z2"] / cv["z1"], cv["mu2"] / cv["mu1"], exact_ctx
-    )
-    assert table.values[W.from_word((1,))] == delta(
-        cv["z1"] / cv["z2"], cv["h"], exact_ctx
-    )
+    assert table.values[W.identity] == delta(z2 / z1, mu2 / mu1, exact_ctx)
+    assert table.values[W.from_word((1,))] == delta(z1 / z2, h, exact_ctx)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
@@ -228,10 +219,9 @@ def test_c_at_longest_is_one(exact_ctx):
 
 def test_c_at_identity_sl2(exact_ctx):
     W = group("A1")
-    cv, point = chart_point("A1", exact_ctx, "c-sl2")
-    assert normalization_factor(W, W.identity, point, StepMemo(W, point)) == delta(
-        cv["mu1"] / cv["mu2"], cv["h"], exact_ctx
-    )
+    (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "c-sl2")
+    assert (normalization_factor(W, W.identity, point, StepMemo(W, point))
+            == delta(mu1 / mu2, h, exact_ctx))
 
 
 def test_c_recursions_b2(exact_ctx):
@@ -363,11 +353,9 @@ def test_em_table(exact_ctx):
 
 def test_em_sl2_entry(exact_ctx):
     W = group("A1")
-    cv, point = chart_point("A1", exact_ctx, "em-sl2")
+    (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "em-sl2")
     em = em_table(W, (1,), point)
-    expected = delta(cv["z2"] / cv["z1"], cv["mu2"] / cv["mu1"], exact_ctx) / delta(
-        cv["mu1"] / cv["mu2"], cv["h"], exact_ctx
-    )
+    expected = delta(z2 / z1, mu2 / mu1, exact_ctx) / delta(mu1 / mu2, h, exact_ctx)
     assert em.values[W.identity] == expected
 
 

@@ -11,7 +11,6 @@ from ellschub.corpus import (
     corpus_sides,
     cross_substitution_pairs,
     cross_substitution_sides,
-    eval_chart_monomial,
     load_corpus,
     parse_entry,
     parse_monomial,
@@ -22,7 +21,7 @@ from ellschub.corpus import (
     WORKED_SUM_SIGMA,
     WORKED_SUM_WORD,
 )
-from ellschub.elliptic import eval_monomial
+from ellschub.elliptic import eval_monomial, monomial_map
 from ellschub.weyl import group
 
 
@@ -33,15 +32,30 @@ def is_zero(v):
 # --- parsing -----------------------------------------------------------------
 
 
+RANK2_VARS = ("z1", "z2", "mu1", "mu2", "h")
+
+
 def test_parse_monomial_forms():
-    assert parse_monomial("mu1^2") == {"mu1": 2}
-    assert parse_monomial("z2/z1") == {"z2": 1, "z1": -1}
-    assert parse_monomial("1/z2^2") == {"z2": -2}
-    assert parse_monomial("1/(z1*z2)") == {"z1": -1, "z2": -1}
-    assert parse_monomial("mu1*mu2") == {"mu1": 1, "mu2": 1}
-    assert parse_monomial("h") == {"h": 1}
+    assert parse_monomial("mu1^2", RANK2_VARS) == (0, 0, 2, 0, 0)
+    assert parse_monomial("z2/z1", RANK2_VARS) == (-1, 1, 0, 0, 0)
+    assert parse_monomial("1/z2^2", RANK2_VARS) == (0, -2, 0, 0, 0)
+    assert parse_monomial("1/(z1*z2)", RANK2_VARS) == (-1, -1, 0, 0, 0)
+    assert parse_monomial("mu1*mu2", RANK2_VARS) == (0, 0, 1, 1, 0)
+    assert parse_monomial("h", RANK2_VARS) == (0, 0, 0, 0, 1)
     with pytest.raises(ValueError):
-        parse_monomial("mu1+mu2")
+        parse_monomial("mu1+mu2", RANK2_VARS)
+
+
+@pytest.mark.parametrize("line", [
+    "A1 - - (q1|h)",  # no chart variable q1
+    "A1 - - (1|h)",  # empty monomial
+    "A1 - - (z1/z1|h)",  # exponents cancel to the empty monomial
+    "B2 - - (z3|h)",  # z3 is not a variable of the SO(5) chart
+    "G2 - - (z1|h)",  # the G2 chart has the canonical variables only
+])
+def test_parse_entry_rejects_bad_monomials(line):
+    with pytest.raises(ValueError):
+        parse_entry(line)
 
 
 def test_parse_entry_forms():
@@ -50,7 +64,10 @@ def test_parse_entry_forms():
     assert entry.omega_word == (1, 2)
     assert entry.sigma_word == ()
     assert entry.sign == 1
-    assert len(entry.factors) == 2
+    assert entry.factors == (
+        ((0, 0, 2, 0, 0), (0, 0, 0, 0, 1)),
+        ((-1, 1, 0, 0, 0), (0, 0, -1, -1, 0)),
+    )
     zero = parse_entry("A1 - 1 0")
     assert zero.expects_zero
     signed = parse_entry("A1 1 1 - (z1/z2|h)")
@@ -81,8 +98,7 @@ def test_corpus_zero_pattern_matches_bruhat():
 
 
 def test_chart_dictionaries(exact_ctx):
-    cv = {"z1": Fraction(2), "z2": Fraction(3), "mu1": Fraction(5),
-          "mu2": Fraction(7), "h": Fraction(11)}
+    cv = (Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(11))
     so5 = so5_chart().to_point(cv, exact_ctx)
     assert so5.values == (
         Fraction(3, 2), Fraction(1, 3), Fraction(7, 5), Fraction(1, 49), Fraction(11)
@@ -91,12 +107,9 @@ def test_chart_dictionaries(exact_ctx):
     assert sp2.values == (
         Fraction(3, 2), Fraction(1, 9), Fraction(7, 5), Fraction(1, 7), Fraction(11)
     )
-    sl3 = sl_chart(3).to_point(
-        {"z1": Fraction(2), "z2": Fraction(3), "z3": Fraction(5),
-         "mu1": Fraction(7), "mu2": Fraction(11), "mu3": Fraction(13),
-         "h": Fraction(17)},
-        exact_ctx,
-    )
+    sl3 = sl_chart(3)
+    assert sl3.chart_vars == ("z1", "z2", "z3", "mu1", "mu2", "mu3", "h")
+    sl3 = sl3.to_point(tuple(Fraction(p) for p in (2, 3, 5, 7, 11, 13, 17)), exact_ctx)
     assert sl3.values == (
         Fraction(3, 2), Fraction(5, 3), Fraction(11, 7), Fraction(13, 11), Fraction(17)
     )
@@ -120,13 +133,13 @@ def test_chart_naturality(exact_ctx):
             for a_exps, b_exps in entry.factors:
                 for exps in (a_exps, b_exps):
                     m = chart_to_canonical(chart, exps)
-                    assert eval_monomial(point, m) == eval_chart_monomial(exps, cv)
+                    assert eval_monomial(point, m) == monomial_map(cv, (exps,))[0]
 
 
 def test_chart_to_canonical_rejects_non_images():
     chart = so5_chart()
     with pytest.raises(ValueError):
-        chart_to_canonical(chart, {"mu2": 1})  # mu2 alone needs nu2^(-1/2)
+        chart_to_canonical(chart, (0, 0, 0, 1, 0))  # mu2 alone needs nu2^(-1/2)
 
 
 # --- corpus vs engine -----------------------------------------------------------
@@ -138,7 +151,7 @@ def test_corpus_entries_match_engine(name, exact_ctx):
         W = group(entry.group_label)
         chart = builtin_chart(entry.group_label)
         cv, point = chart.sample(exact_ctx, Random(f"corpus-{name}-{n}"))
-        engine, expected = corpus_sides(entry, W, chart, cv, point)
+        engine, expected = corpus_sides(entry, W, cv, point)
         assert engine == expected
 
 

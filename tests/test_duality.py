@@ -42,13 +42,13 @@ def test_pull_point_sl2_chart_form(exact_ctx):
     chart = builtin_chart("A1")
     W = group("A1")
     sub = substitution(W)
-    cv, point = chart.sample(exact_ctx, Random("pull-sl2"))
+    (z1, z2, mu1, mu2, h), point = chart.sample(exact_ctx, Random("pull-sl2"))
     pulled = sub.pull_point(point)
     # zeta1 of the pulled point = (z2/z1) at z1 := mu2, z2 := mu1
-    assert pulled.values[0] == cv["mu1"] / cv["mu2"]
+    assert pulled.values[0] == mu1 / mu2
     # nu1 of the pulled point = (mu2/mu1) at mu_i := z_i^{-1}
-    assert pulled.values[1] == cv["z1"] / cv["z2"]
-    assert pulled.values[2] == 1 / cv["h"]
+    assert pulled.values[1] == z1 / z2
+    assert pulled.values[2] == 1 / h
 
 
 def test_pull_point_b2_direct(exact_ctx):
@@ -118,21 +118,20 @@ def test_sl2_duality_identities(exact_ctx):
     W = group("A1")
     Wd = dual_group("A1")
     chart = builtin_chart("A1")
-    cv, point = chart.sample(exact_ctx, Random("sl2-dual"))
+    (z1, z2, mu1, mu2, h), point = chart.sample(exact_ctx, Random("sl2-dual"))
     sub = substitution(W)
     pulled = sub.pull_point(point)
     tau = W.from_word((1,))
-    h = cv["h"]
 
     # -EE_tau(X_tau)|_# = EE_id(X_id)
     lhs = -bs_table(W, (1,), pulled).values[tau]
-    assert lhs == delta(cv["mu1"] / cv["mu2"], h, exact_ctx)
+    assert lhs == delta(mu1 / mu2, h, exact_ctx)
     # -EE_id(X_tau)|_# = EE_id(X_tau)
     lhs = -bs_table(W, (1,), pulled).values[W.identity]
-    assert lhs == delta(cv["z2"] / cv["z1"], cv["mu2"] / cv["mu1"], exact_ctx)
+    assert lhs == delta(z2 / z1, mu2 / mu1, exact_ctx)
     # -EE_id(X_id)|_# = EE_tau(X_tau)
     lhs = -bs_table(W, (), pulled).values[W.identity]
-    assert lhs == delta(cv["z1"] / cv["z2"], h, exact_ctx)
+    assert lhs == delta(z1 / z2, h, exact_ctx)
     # off-support pair: both sides vanish
     assert is_zero(bs_table(W, (), pulled).values[tau])
     assert is_zero(bs_table(Wd, (), point).values[dual_element_map(W, Wd)[tau]])

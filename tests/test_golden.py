@@ -111,3 +111,16 @@ def test_benchmark_d4_complex_duality(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ae882e5e0c037ab818ce0a2374194aed70109200836c59e55329face49613e24")
+
+
+@pytest.mark.tier2
+def test_d4_complex_recursions(capsys, monkeypatch):
+    """The R-matrix and Bott-Samelson recursions at rank 4: 36864 checks, the
+    digest recorded before the R-matrix recursion read its twisted zeta values
+    from the point's StepMemo."""
+    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
+    assert main("verify recursions --type D4 --backend complex --points 1 "
+                "--seed 0".split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ff2edd2f63be13d00806f255427ab26d871d90d3424ad47f4e8f3bdc22115181")
