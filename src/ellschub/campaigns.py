@@ -7,7 +7,6 @@ redrawn by ``resample``; every record is built by ``record``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from random import Random
 
 from . import corpus as corpus_mod
@@ -20,15 +19,9 @@ from .classes import (
     rmatrix_table,
     unnormalized_table,
 )
-from .duality import (
-    double_dual_pairs,
-    dual_element_map,
-    duality_pairs,
-    f_interpretation_point,
-)
+from .duality import double_dual_pairs, duality_pairs, f_interpretation_point
 from .elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
-from .rootsys import langlands_dual
-from .weyl import WeylGroup, enumerate_group, group
+from .weyl import WeylGroup, dual_group, group
 
 DEFAULT_TOLS = {
     "duality": 1e-9,
@@ -81,13 +74,6 @@ def record(check: str, label: str, ctx: QContext, k: int, lhs, rhs, tol: float,
             "point": k, "residual": rel, "pass": ok}
 
 
-@lru_cache(maxsize=None)
-def _dual_group(label: str) -> WeylGroup:
-    """The Weyl group of the Langlands dual, enumerated once per label from
-    the dual root system (its roots in the order langlands_dual gives)."""
-    return enumerate_group(langlands_dual(group(label).rs))
-
-
 def _word_lists(W: WeylGroup) -> list:
     """The reduced word of every element as a list, built once per campaign
     and shared by its records."""
@@ -106,7 +92,7 @@ def _per_point(W: WeylGroup, ctx, points, seed, tag: str, campaign) -> list:
 
 def run_duality(label, ctx, points, seed, tol, flip_sign=False):
     W = group(label)
-    Wdual = _dual_group(label)
+    Wdual = dual_group(W)
     dual_label = str(Wdual.rs.label)
     words = _word_lists(W)
 
@@ -143,8 +129,7 @@ def run_recursions(label, ctx, points, seed, tol):
 def run_normalization(label, ctx, points, seed, tol):
     """The c-recursions, EE = c.E, and the f-interpretation of c."""
     W = group(label)
-    Wdual = _dual_group(label)
-    dmap = dual_element_map(W, Wdual)
+    Wdual = dual_group(W)
     t0 = W.longest
     words = _word_lists(W)
 
@@ -171,7 +156,7 @@ def run_normalization(label, ctx, points, seed, tol):
             target = W.mul(W.inv(omega), t0)
             dual_e = unnormalized_table(
                 Wdual, W.reduced_word(target), dual_point, dual_memo
-            ).values[dmap[target]]
+            ).values[target]
             sides.append(("f-interpretation", c_val, dual_e, {}))
             out.extend(record(f"normalization/{kind}", label, ctx, k, lhs, rhs, tol,
                               omega_word=words[omega], **extra)

@@ -30,6 +30,8 @@ are related by EE = c(G, omega) . E with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .elliptic import (
     NU,
@@ -87,19 +89,11 @@ def _neg(row) -> tuple:
     return tuple(-c for c in row)
 
 
-def _delta_h_product(memo, point, values):
-    """prod over the values x of delta(x, h) at the point, in their order."""
-    acc = point.ctx.one()
-    for x in values:
-        acc = acc * memo.delta(x, point.h)
-    return acc
-
-
 def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo) -> ClassTable:
     """EE table for omega = id: the full delta product at id, 0 elsewhere."""
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = _delta_h_product(
-        memo, point, _nu(point, map(_neg, W.rs.positive_coroots)))
+    values[W.identity] = memo.delta_product(
+        (x, point.h) for x in _nu(point, map(_neg, W.rs.positive_coroots)))
     return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
 
 
@@ -140,6 +134,12 @@ class StepMemo:
         if out is None:
             out = self.deltas[a, b] = delta(a, b, self.fixed[0])
         return out
+
+    def delta_product(self, pairs):
+        """prod delta(a, b) over the pairs (a, b), in their order, starting
+        from the first factor; the empty product is the context's one."""
+        factors = [self.delta(a, b) for a, b in pairs]
+        return reduce(mul, factors) if factors else self.fixed[0].one()
 
     def check(self, W: WeylGroup, point: EvalPoint) -> None:
         if W is not self.group or _fixed_part(W, point) != self.fixed:
@@ -281,7 +281,8 @@ def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     """Em normalization: EE divided by the full delta product over Pi."""
     memo = StepMemo(W, point)
     table = bs_table(W, word, point, memo)
-    full = _delta_h_product(memo, point, _nu(point, map(_neg, W.rs.positive_coroots)))
+    full = memo.delta_product(
+        (x, point.h) for x in _nu(point, map(_neg, W.rs.positive_coroots)))
     values = tuple(_checked_div(v, full) for v in table.values)
     return ClassTable(W, table.word, point, values, "Em", table.support)
 
@@ -323,7 +324,7 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
         # point, raised to +-1 as monomial_map raises a basis row; nu and h
         # are the point's own
         zeta_s = memo.roots[W.root_index[twist][s - 1]]
-        gamma = W.coroots[W.coroot_index[W.inv(W.from_word(rest))][s - 1]]
+        gamma = W.coroots[W.root_index[W.inv(W.from_word(rest))][s - 1]]
         gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
         den = memo.delta(gamma_inv, point.h)
         c = coeffs[(depth, twist)] = (
@@ -364,8 +365,8 @@ def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
 
 def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint, memo: StepMemo):
     """c(G, omega) at the point, with the delta values of memo."""
-    return _delta_h_product(
-        memo, point, _nu(point, map(_neg, sorted(normalization_index_set(W, omega)))))
+    return memo.delta_product((x, point.h) for x in _nu(
+        point, map(_neg, sorted(normalization_index_set(W, omega)))))
 
 
 def c_recursion_right_sides(W, omega, s, point, memo: StepMemo):
@@ -385,7 +386,7 @@ def c_recursion_left_sides(W, omega, s, point, memo: StepMemo):
     """(c(G, s omega), recursion rhs), left-multiplication form."""
     lhs = normalization_factor(W, W.lmult(s, omega), point, memo)
     base = normalization_factor(W, omega, point, memo)
-    gamma = W.coroots[W.coroot_index[W.inv(omega)][s - 1]]
+    gamma = W.coroots[W.root_index[W.inv(omega)][s - 1]]
     gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
     if W.length(W.lmult(s, omega)) > W.length(omega):
         rhs = _checked_div(base, memo.delta(gamma_inv, point.h))
@@ -398,6 +399,6 @@ def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
     """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
     of delta(e^(alpha_s), h)."""
     inv = W.inv(sigma)
-    return _delta_h_product(StepMemo(W, point), point, _zeta(point, [
+    return StepMemo(W, point).delta_product((x, point.h) for x in _zeta(point, [
         _neg(beta) for beta in W.rs.positive_roots
         if all(c <= 0 for c in _matvec(W.matrices[inv], beta))]))

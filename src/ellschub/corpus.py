@@ -239,17 +239,10 @@ def corpus_files() -> tuple[str, ...]:
     return ("sl2.txt", "so5.txt", "sp2.txt")
 
 
-def _delta_product(factors, chart_values: tuple, ctx: QContext, memo):
-    """prod delta(a, b) over the factors (a|b), in their order, at the chart
-    values, with the delta values of memo, a StepMemo of ctx."""
-    acc = ctx.one()
-    for pair in factors:
-        acc = acc * memo.delta(*monomial_map(chart_values, pair))
-    return acc
-
-
-def eval_factors(entry: CorpusEntry, chart_values: tuple, ctx: QContext, memo):
-    value = _delta_product(entry.factors, chart_values, ctx, memo)
+def eval_factors(entry: CorpusEntry, chart_values: tuple, memo):
+    """The entry's signed product of delta(a, b) over its factors (a|b) at the
+    chart values, with the delta values of memo, a StepMemo."""
+    value = memo.delta_product(monomial_map(chart_values, pair) for pair in entry.factors)
     return -value if entry.sign < 0 else value
 
 
@@ -268,7 +261,7 @@ def corpus_sides(entry: CorpusEntry, W: WeylGroup, chart_values: tuple,
     engine = table.values[sigma]
     if entry.expects_zero:
         return engine, point.ctx.zero()
-    return engine, eval_factors(entry, chart_values, point.ctx, memo)
+    return engine, eval_factors(entry, chart_values, memo)
 
 
 def cross_substitution_pairs() -> list[tuple[CorpusEntry, CorpusEntry]]:
@@ -302,8 +295,8 @@ def cross_substitution_sides(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
         if sp2_entry.expects_zero != so5_entry.expects_zero:
             raise AssertionError("vanishing patterns disagree across the dual tables")
         return ctx.zero(), ctx.zero()
-    lhs = eval_factors(so5_entry, monomial_map(sp2_values, _CROSS_ROWS), ctx, memo)
-    rhs = eval_factors(sp2_entry, sp2_values, ctx, memo)
+    lhs = eval_factors(so5_entry, monomial_map(sp2_values, _CROSS_ROWS), memo)
+    rhs = eval_factors(sp2_entry, sp2_values, memo)
     return lhs, rhs
 
 
@@ -326,5 +319,6 @@ def worked_sum_values(chart_values: tuple, ctx: QContext, memo):
     """(three-term sum value, factored total value) for EE_{s1s2}(X^v_tau0)
     in the Sp(2) chart, with the delta values of memo, a StepMemo of ctx."""
     prefix, *terms, factored = (
-        _delta_product(factors, chart_values, ctx, memo) for factors in _WORKED_SUM)
+        memo.delta_product(monomial_map(chart_values, pair) for pair in factors)
+        for factors in _WORKED_SUM)
     return prefix * sum(terms, ctx.zero()), factored

@@ -1,7 +1,8 @@
 """The # substitution and the duality of local elliptic classes.
 
-For the dual pair (G, G^v) with shared simple indices, # sends G-variables
-to monomials in G^v-variables:
+G and G^v share simple indices and, through weyl.dual_group, element
+indices: an element of W and of W^v with the same index has the same
+reduced words. # sends G-variables to monomials in G^v-variables:
 
     zeta_s -> nubar_{s*}^{-1},    nu_s -> zetabar_s^{-1},    h -> h^{-1},
 
@@ -50,11 +51,6 @@ def substitution(W: WeylGroup) -> DualitySubstitution:
         + [(2 * r, -1)]))  # h -> h^{-1}
 
 
-def dual_element_map(W: WeylGroup, Wdual: WeylGroup) -> tuple[int, ...]:
-    """Index map W -> W^v through shared reduced words."""
-    return tuple(Wdual.from_word(W.reduced_word(w)) for w in range(W.order))
-
-
 def duality_sign(W: WeylGroup) -> int:
     return -1 if W.length(W.longest) % 2 else 1
 
@@ -62,10 +58,9 @@ def duality_sign(W: WeylGroup) -> int:
 def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
                   flip_sign: bool = False) -> dict:
     """(signed lhs, rhs) for all |W|^2 pairs at one dual-side point,
-    computed from 2|W| tables."""
+    computed from 2|W| tables; Wdual is dual_group(W)."""
     sub = substitution(W)
     pulled = sub.pull_point(point)
-    dmap = dual_element_map(W, Wdual)
     t0 = W.longest
     source_memo, target_memo = StepMemo(W, pulled), StepMemo(Wdual, point)
     source_tables = [bs_table(W, W.reduced_word(w), pulled, source_memo).values
@@ -78,7 +73,7 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
     for omega in range(W.order):
         for sigma in range(W.order):
             lhs = source_tables[flip[sigma]][flip[omega]]
-            rhs = target_tables[omega][dmap[sigma]]
+            rhs = target_tables[omega][sigma]
             out[(omega, sigma)] = (lhs if sign > 0 else -lhs, rhs)
     return out
 

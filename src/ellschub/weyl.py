@@ -6,6 +6,11 @@ matrices on the coroot lattice, built from the same generator words.
 Everything else the recursions look up per element (reduced words,
 inverses, tau0, s -> s*, and the index of w(alpha_s) among the roots) is a
 table filled once when the group is enumerated.
+
+G and its Langlands dual G^v have one Weyl group: W^v acts on its roots as
+W acts on coroots. dual_group therefore builds W^v from W's tables, with
+the two matrix tables swapped, every element table shared and every
+element keeping its index; only the root tables are rebuilt.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
-from .rootsys import COROOT, ROOT, LatticeVector, RootSystem, _reflect_coords
+from .rootsys import (COROOT, ROOT, LatticeVector, RootSystem, _reflect_coords,
+                      langlands_dual)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -52,11 +58,12 @@ def _generator(cartan, s, lattice) -> Matrix:
 @dataclass
 class WeylGroup:
     """A Weyl group with its multiplication, word and root tables, all
-    computed once by enumerate_group."""
+    computed once by enumerate_group. The element tables, from lengths to
+    star, are shared with the dual group that dual_group derives."""
 
     rs: RootSystem
-    matrices: tuple[Matrix, ...]
-    coroot_matrices: tuple[Matrix, ...]
+    matrices: tuple[Matrix, ...]  # the dual's coroot_matrices
+    coroot_matrices: tuple[Matrix, ...]  # the dual's matrices
     lengths: tuple[int, ...]
     rmult_table: tuple[tuple[int, ...], ...]  # [element][s-1] -> element . s_s
     words: tuple[tuple[int, ...], ...]  # greedy right-descent reduced words
@@ -64,11 +71,12 @@ class WeylGroup:
     t0: int  # the longest element
     star: tuple[int, ...]  # star[s-1] = t with tau0 s_s tau0 = s_t
     roots: tuple[tuple[int, ...], ...]  # positive roots, then their negatives
-    root_index: tuple[tuple[int, ...], ...]  # [w][s-1] -> index of w(alpha_s) in roots
+    # [w][s-1] -> index of w(alpha_s) in roots, and of w(alpha_s^v) in coroots
+    root_index: tuple[tuple[int, ...], ...]
     # [s-1] -> the indices root_index[w][s-1], each once, in order of first w
     step_roots: tuple[tuple[int, ...], ...]
-    coroots: tuple[tuple[int, ...], ...]  # positive coroots, then their negatives
-    coroot_index: tuple[tuple[int, ...], ...]  # [w][s-1] -> index of w(alpha_s^v)
+    # coroots[i] is the coroot of roots[i]
+    coroots: tuple[tuple[int, ...], ...]
     _bruhat_cache: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -218,31 +226,33 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
                 f"tau0 s{s} tau0 is not a simple reflection; group data is corrupt"
             )
         star.append(simple[conj])
+    return WeylGroup(rs, tuple(matrices), tuple(comatrices), tuple(lengths), rmult,
+                     tuple(words), inverses, t0, tuple(star),
+                     *_root_tables(rs, matrices))
 
+
+def dual_group(W: WeylGroup) -> WeylGroup:
+    """The Weyl group of langlands_dual(W.rs), derived from W's tables with
+    no search: its matrices are W's coroot matrices and the other way
+    round, every element keeps its index, length, words and inverse, tau0
+    and s -> s* are W's, and the root tables follow the dual's root order."""
+    rs = langlands_dual(W.rs)
+    return WeylGroup(rs, W.coroot_matrices, W.matrices, W.lengths, W.rmult_table,
+                     W.words, W.inverses, W.t0, W.star,
+                     *_root_tables(rs, W.coroot_matrices))
+
+
+def _root_tables(rs: RootSystem, matrices) -> tuple:
+    """(roots, root_index, step_roots, coroots) of rs for the elements whose
+    root-lattice matrices are given, in the root order of rs."""
     def signed(vectors):
         return vectors + tuple(tuple(-c for c in v) for v in vectors)
 
     roots = signed(rs.positive_roots)
-    coroots = signed(rs.positive_coroots)
     root_index = _column_index(matrices, roots)
     step_roots = tuple(tuple(dict.fromkeys(row[s] for row in root_index))
-                       for s in range(n))
-    return WeylGroup(
-        rs,
-        tuple(matrices),
-        tuple(comatrices),
-        tuple(lengths),
-        rmult,
-        tuple(words),
-        inverses,
-        t0,
-        tuple(star),
-        roots,
-        root_index,
-        step_roots,
-        coroots,
-        _column_index(comatrices, coroots),
-    )
+                       for s in range(rs.rank))
+    return roots, root_index, step_roots, signed(rs.positive_coroots)
 
 
 @lru_cache(maxsize=None)

@@ -74,7 +74,7 @@ def test_table_sl2_matches_corpus_products(capsys):
     for entry in load_corpus("sl2.txt"):
         if entry.omega_word != (1,):
             continue
-        expected = eval_factors(entry, cv, ctx, memo)
+        expected = eval_factors(entry, cv, memo)
         got = by_sigma[entry.sigma_word]
         assert got == [f"{c.numerator}/{c.denominator}" for c in expected.coeffs]
 

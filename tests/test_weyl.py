@@ -1,13 +1,16 @@
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
 
-from ellschub.rootsys import COROOT, ROOT, LatticeVector, build_root_system, parse_label, reflect
+from ellschub.rootsys import (COROOT, ROOT, LatticeVector, build_root_system, langlands_dual,
+                              parse_label, reflect)
 from ellschub.weyl import (
     GroupTooLargeError,
     _group_order,
     _identity,
     _matmul,
+    dual_group,
     enumerate_group,
     group,
 )
@@ -283,8 +286,9 @@ def test_root_index_tables(table_group):
         for s in range(1, W.rank + 1):
             column = tuple(row[s - 1] for row in W.matrices[w])
             assert W.roots[W.root_index[w][s - 1]] == column
+            # w(alpha_s^v) is the coroot of w(alpha_s), which has its index
             cocolumn = tuple(row[s - 1] for row in W.coroot_matrices[w])
-            assert W.coroots[W.coroot_index[w][s - 1]] == cocolumn
+            assert W.coroots[W.root_index[w][s - 1]] == cocolumn
     positive = len(W.rs.positive_roots)
     assert len(W.roots) == len(set(W.roots)) == 2 * positive
     assert len(W.coroots) == len(set(W.coroots)) == 2 * positive
@@ -298,3 +302,33 @@ def test_longest_and_star_tables(table_group):
     for s in range(1, W.rank + 1):
         conj = _matmul(_matmul(t0, W.matrices[W.rmult(W.identity, s)]), t0)
         assert index[conj] == W.rmult(W.identity, W.conjugate_by_longest(s))
+
+
+# --- the dual group, derived from W's tables -----------------------------
+
+
+def tables(W):
+    return {f.name: getattr(W, f.name) for f in fields(W) if f.name != "_bruhat_cache"}
+
+
+@pytest.mark.parametrize("label", ALL_RANK_AT_MOST_4)
+def test_dual_group_equals_enumerated_dual(label):
+    W = group(label)
+    Wd = dual_group(W)
+    # the enumerated dual is the reference
+    assert tables(Wd) == tables(enumerate_group(langlands_dual(W.rs)))
+    assert Wd._bruhat_cache is not W._bruhat_cache
+    for w in range(W.order):
+        assert Wd.from_word(W.reduced_word(w)) == w
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D3", "D4"])
+def test_simply_laced_dual_is_the_group(label):
+    W = group(label)
+    assert tables(dual_group(W)) == tables(W)
+
+
+@pytest.mark.tier2
+def test_e6_dual_is_the_group():
+    W = group("E6")
+    assert tables(dual_group(W)) == tables(W)
