@@ -42,7 +42,7 @@ from .elliptic import (
     transform_point,
 )
 from .rootsys import _basis
-from .weyl import WeylGroup, _matvec
+from .weyl import WeylGroup
 
 
 @dataclass(frozen=True)
@@ -342,25 +342,25 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
 # normalization
 
 
+def _image(vectors, row, v):
+    """w(v) for v in simple coordinates, given row = W.root_index[w] and
+    vectors = W.roots (W.coroots for a coroot v): column s of w's matrix is
+    vectors[row[s-1]]."""
+    return tuple(sum(c * vectors[i][k] for c, i in zip(v, row)) for k in range(len(v)))
+
+
 def tangent_weights(W: WeylGroup, omega: int) -> frozenset:
     """T(G, omega) = Phi_+ intersect omega(Phi_-), as root coordinates."""
-    inv = W.inv(omega)
-    out = set()
-    for beta in W.rs.positive_roots:
-        image = _matvec(W.matrices[inv], beta)
-        if all(c <= 0 for c in image):
-            out.add(beta)
-    return frozenset(out)
+    row = W.root_index[W.inv(omega)]
+    return frozenset(beta for beta in W.rs.positive_roots
+                     if all(c <= 0 for c in _image(W.roots, row, beta)))
 
 
 def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
     """F(G, omega) = Phi^v_+ intersect omega^{-1}(Phi^v_+), coroot coords."""
-    out = set()
-    for gamma in W.rs.positive_coroots:
-        image = _matvec(W.coroot_matrices[omega], gamma)
-        if all(c >= 0 for c in image):
-            out.add(gamma)
-    return frozenset(out)
+    row = W.root_index[omega]
+    return frozenset(gamma for gamma in W.rs.positive_coroots
+                     if all(c >= 0 for c in _image(W.coroots, row, gamma)))
 
 
 def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint, memo: StepMemo):
@@ -398,7 +398,5 @@ def c_recursion_left_sides(W, omega, s, point, memo: StepMemo):
 def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
     """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
     of delta(e^(alpha_s), h)."""
-    inv = W.inv(sigma)
-    return StepMemo(W, point).delta_product((x, point.h) for x in _zeta(point, [
-        _neg(beta) for beta in W.rs.positive_roots
-        if all(c <= 0 for c in _matvec(W.matrices[inv], beta))]))
+    return StepMemo(W, point).delta_product((x, point.h) for x in _zeta(
+        point, map(_neg, sorted(tangent_weights(W, sigma)))))

@@ -233,14 +233,6 @@ class QSeries:
             return NotImplemented
         return other / self
 
-    def sum_at(self, q):
-        """Numeric value of the truncated series at a concrete q."""
-        acc = 0j
-        den = self.den
-        for n in reversed(self.num):
-            acc = acc * q + complex(n / den)
-        return acc
-
 
 def _convolve(a, b):
     """The integer coefficients of a*b, truncated to len(a) terms."""

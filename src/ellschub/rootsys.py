@@ -1,4 +1,4 @@
-"""Root systems of simple Cartan types, built from Cartan matrices.
+"""Root systems of simple Cartan types, built from their Cartan matrix.
 
 All vectors live in simple-root (resp. simple-coroot) integer coordinates.
 With simple roots a_1..a_r and Cartan matrix A, A[i][j] = <a_j, a_i^v>, the
@@ -137,12 +137,6 @@ class RootSystem:
                 reflect(self, s, LatticeVector(_basis(self.rank, t), lattice)).coords
                 for t in range(1, self.rank + 1))
         return rows
-
-    def simple_root(self, s: int) -> LatticeVector:
-        return LatticeVector(_basis(self.rank, s), ROOT)
-
-    def simple_coroot(self, s: int) -> LatticeVector:
-        return LatticeVector(_basis(self.rank, s), COROOT)
 
 
 def _basis(rank, s):

@@ -1,28 +1,26 @@
-"""Weyl groups: exhaustive enumeration, lengths, words, Bruhat order.
+"""Weyl groups: exhaustive enumeration, lengths, words, root tables.
 
-Elements are stored as integer matrices acting on root-lattice coordinates
-(column j = image of the j-th simple root) together with the companion
-matrices on the coroot lattice, built from the same generator words.
-Everything else the recursions look up per element (reduced words,
-inverses, tau0, s -> s*, and the index of w(alpha_s) among the roots) is a
-table filled once when the group is enumerated.
+An element is known by what it does to the roots: root_index[w] lists the
+indices of w(alpha_1), ..., w(alpha_n) among the roots, which fixes w
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4). Column s of w's
+matrix on the root lattice is roots[root_index[w][s-1]], and on the coroot
+lattice coroots[root_index[w][s-1]]; no matrix is stored. Everything else
+the recursions look up per element (reduced words, inverses, tau0,
+s -> s*) is a table filled once when the group is enumerated.
 
 G and its Langlands dual G^v have one Weyl group: W^v acts on its roots as
 W acts on coroots. dual_group therefore builds W^v from W's tables, with
-the two matrix tables swapped, every element table shared and every
-element keeping its index; only the root tables are rebuilt.
+every element table shared and every element keeping its index; only the
+root tables are renumbered into the dual's root order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .rootsys import (COROOT, ROOT, LatticeVector, RootSystem, _reflect_coords,
-                      langlands_dual)
-
-Matrix = tuple[tuple[int, ...], ...]
+from .rootsys import ROOT, RootSystem, _basis, _reflect_coords, langlands_dual
 
 DEFAULT_ORDER_CAP = 10**6
 
@@ -31,39 +29,13 @@ class GroupTooLargeError(RuntimeError):
     pass
 
 
-def _identity(n) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _matvec(m: Matrix, v):
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
-def _generator(cartan, s, lattice) -> Matrix:
-    n = len(cartan)
-    cols = [_reflect_coords(cartan, s, tuple(1 if t == j else 0 for t in range(n)), lattice)
-            for j in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-@dataclass
+@dataclass(frozen=True)
 class WeylGroup:
     """A Weyl group with its multiplication, word and root tables, all
     computed once by enumerate_group. The element tables, from lengths to
     star, are shared with the dual group that dual_group derives."""
 
     rs: RootSystem
-    matrices: tuple[Matrix, ...]  # the dual's coroot_matrices
-    coroot_matrices: tuple[Matrix, ...]  # the dual's matrices
     lengths: tuple[int, ...]
     rmult_table: tuple[tuple[int, ...], ...]  # [element][s-1] -> element . s_s
     words: tuple[tuple[int, ...], ...]  # greedy right-descent reduced words
@@ -77,11 +49,10 @@ class WeylGroup:
     step_roots: tuple[tuple[int, ...], ...]
     # coroots[i] is the coroot of roots[i]
     coroots: tuple[tuple[int, ...], ...]
-    _bruhat_cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def order(self) -> int:
-        return len(self.matrices)
+        return len(self.lengths)
 
     @property
     def rank(self) -> int:
@@ -117,52 +88,12 @@ class WeylGroup:
         """Greedy descent word; multiplying its generators reproduces w."""
         return self.words[w]
 
-    def act(self, w: int, v: LatticeVector) -> LatticeVector:
-        m = self.matrices[w] if v.lattice == ROOT else self.coroot_matrices[w]
-        return LatticeVector(_matvec(m, v.coords), v.lattice)
-
-    def descents_right(self, w: int) -> list[int]:
-        return [s for s in range(1, self.rank + 1)
-                if self.lengths[self.rmult(w, s)] < self.lengths[w]]
-
-    def bruhat_leq(self, u: int, w: int) -> bool:
-        """Bruhat order by the standard descent recursion."""
-        if u == self.identity:
-            return True
-        if self.lengths[u] > self.lengths[w]:
-            return False
-        if u == w:
-            return True
-        key = (u, w)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
-        s = self.descents_right(w)[0]
-        ws = self.rmult(w, s)
-        us = self.rmult(u, s)
-        if self.lengths[us] < self.lengths[u]:
-            out = self.bruhat_leq(us, ws)
-        else:
-            out = self.bruhat_leq(u, ws)
-        self._bruhat_cache[key] = out
-        return out
-
-    def conjugate_by_longest(self, s: int) -> int:
-        """The simple index t with tau0 . s_s . tau0 = s_t."""
-        return self.star[s - 1]
-
 
 def _walk(rmult_table, w: int, word) -> int:
     """w . s_(word[0]) . s_(word[1]) ..."""
     for s in word:
         w = rmult_table[w][s - 1]
     return w
-
-
-def _column_index(matrices, vectors):
-    """[w][s-1] -> index in vectors of column s of matrices[w]."""
-    where = {v: i for i, v in enumerate(vectors)}
-    return tuple(tuple(where[col] for col in zip(*m)) for m in matrices)
 
 
 def _group_order(rs: RootSystem) -> int:
@@ -175,34 +106,37 @@ def _group_order(rs: RootSystem) -> int:
 
 def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylGroup:
     """BFS from the identity by right multiplication with simple reflections,
-    then the word, inverse, conjugation and root tables in O(|W| rank). A
-    group above max_order is refused before any element is built."""
+    then the word, inverse, conjugation and root tables in O(|W| rank). The
+    search keys w by the root indices of w^-1(alpha_1), ..., w^-1(alpha_n);
+    as (w s)^-1 = s w^-1, a step is n lookups in the table of simple
+    reflections on roots, and root_index[w] is the key of w^-1. A group
+    above max_order is refused before any element is built."""
     order = _group_order(rs)
     if order > max_order:
         raise GroupTooLargeError(
             f"Weyl group of {rs.label} has order {order}, above the order cap {max_order}")
     n = rs.rank
-    gens = [_generator(rs.cartan, s, ROOT) for s in range(1, n + 1)]
-    cogens = [_generator(rs.cartan, s, COROOT) for s in range(1, n + 1)]
+    roots = _signed(rs.positive_roots)
+    where = {beta: i for i, beta in enumerate(roots)}
+    # [s-1][i] -> index of s_s(roots[i])
+    reflected = [[where[_reflect_coords(rs.cartan, s, beta, ROOT)] for beta in roots]
+                 for s in range(1, n + 1)]
 
-    ident = _identity(n)
-    matrices = [ident]
-    comatrices = [_identity(n)]
+    keys = [tuple(where[_basis(n, s)] for s in range(1, n + 1))]
     lengths = [0]
-    index = {ident: 0}
+    index = {keys[0]: 0}
     rmult_rows: list[list[int]] = [[-1] * n]
     frontier = [0]
     while frontier:
         nxt = []
         for w in frontier:
             for s in range(1, n + 1):
-                m = _matmul(matrices[w], gens[s - 1])
-                i = index.get(m)
+                key = tuple(map(reflected[s - 1].__getitem__, keys[w]))
+                i = index.get(key)
                 if i is None:
-                    i = len(matrices)
-                    index[m] = i
-                    matrices.append(m)
-                    comatrices.append(_matmul(comatrices[w], cogens[s - 1]))
+                    i = len(keys)
+                    index[key] = i
+                    keys.append(key)
                     lengths.append(lengths[w] + 1)
                     rmult_rows.append([-1] * n)
                     nxt.append(i)
@@ -212,11 +146,11 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
 
     # BFS lists elements by length, so w . t precedes w for a descent t.
     words = [()]
-    for w in range(1, len(matrices)):
+    for w in range(1, len(keys)):
         t = next(t for t in range(1, n + 1) if lengths[rmult[w][t - 1]] < lengths[w])
         words.append(words[rmult[w][t - 1]] + (t,))
     inverses = tuple(_walk(rmult, 0, reversed(word)) for word in words)
-    t0 = max(range(len(matrices)), key=lambda i: lengths[i])
+    t0 = max(range(len(keys)), key=lambda i: lengths[i])
     simple = {rmult[0][s - 1]: s for s in range(1, n + 1)}
     star = []
     for s in range(1, n + 1):
@@ -226,33 +160,35 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
                 f"tau0 s{s} tau0 is not a simple reflection; group data is corrupt"
             )
         star.append(simple[conj])
-    return WeylGroup(rs, tuple(matrices), tuple(comatrices), tuple(lengths), rmult,
-                     tuple(words), inverses, t0, tuple(star),
-                     *_root_tables(rs, matrices))
+    return WeylGroup(rs, tuple(lengths), rmult, tuple(words), inverses, t0, tuple(star),
+                     *_root_tables(rs, tuple(keys[v] for v in inverses)))
 
 
 def dual_group(W: WeylGroup) -> WeylGroup:
     """The Weyl group of langlands_dual(W.rs), derived from W's tables with
-    no search: its matrices are W's coroot matrices and the other way
-    round, every element keeps its index, length, words and inverse, tau0
-    and s -> s* are W's, and the root tables follow the dual's root order."""
+    no search: every element keeps its index, length, words and inverse,
+    tau0 and s -> s* are W's, and W's root_index is renumbered from W's
+    coroots, which are the dual's roots, into the dual's root order."""
     rs = langlands_dual(W.rs)
-    return WeylGroup(rs, W.coroot_matrices, W.matrices, W.lengths, W.rmult_table,
-                     W.words, W.inverses, W.t0, W.star,
-                     *_root_tables(rs, W.coroot_matrices))
+    where = {gamma: i for i, gamma in enumerate(_signed(rs.positive_roots))}
+    renumber = [where[gamma] for gamma in W.coroots]
+    root_index = tuple(tuple(renumber[i] for i in row) for row in W.root_index)
+    return WeylGroup(rs, W.lengths, W.rmult_table, W.words, W.inverses, W.t0, W.star,
+                     *_root_tables(rs, root_index))
 
 
-def _root_tables(rs: RootSystem, matrices) -> tuple:
-    """(roots, root_index, step_roots, coroots) of rs for the elements whose
-    root-lattice matrices are given, in the root order of rs."""
-    def signed(vectors):
-        return vectors + tuple(tuple(-c for c in v) for v in vectors)
+def _signed(vectors):
+    """The vectors, then their negatives."""
+    return vectors + tuple(tuple(-c for c in v) for v in vectors)
 
-    roots = signed(rs.positive_roots)
-    root_index = _column_index(matrices, roots)
+
+def _root_tables(rs: RootSystem, root_index) -> tuple:
+    """(roots, root_index, step_roots, coroots) of rs, for a root_index in
+    the root order of rs."""
     step_roots = tuple(tuple(dict.fromkeys(row[s] for row in root_index))
                        for s in range(rs.rank))
-    return roots, root_index, step_roots, signed(rs.positive_coroots)
+    return (_signed(rs.positive_roots), root_index, step_roots,
+            _signed(rs.positive_coroots))
 
 
 @lru_cache(maxsize=None)

@@ -43,6 +43,7 @@ from ellschub.elliptic import (
     theta_prime_one,
 )
 from ellschub.weyl import dual_group, group
+from weyl_reference import bruhat_leq, descents_right
 
 EXACT8 = QContext(EXACT, order=8)
 COMPLEX_CTX = QContext(COMPLEX, order=8, q=0.3)
@@ -185,7 +186,7 @@ def test_criterion_4_recursion_consistency():
 def random_reduced_word(W, w, rng):
     letters = []
     while W.length(w) > 0:
-        s = rng.choice(W.descents_right(w))
+        s = rng.choice(descents_right(W, w))
         letters.append(s)
         w = W.rmult(w, s)
     return tuple(reversed(letters))
@@ -294,7 +295,7 @@ def test_criterion_7_delta_unit_suite():
 def test_criterion_8_double_dual():
     with criterion(8, "double-dual constraint"):
         A2 = group("A2")
-        assert [A2.conjugate_by_longest(s) for s in (1, 2)] == [2, 1]
+        assert A2.star == (2, 1)
         point = seeded_exact_point(2, "dd:A2")
         pairs = double_dual_pairs(A2, point)
         assert len(pairs) == 36
@@ -302,7 +303,7 @@ def test_criterion_8_double_dual():
             assert lhs == rhs, (omega, sigma)
         # trivial in B2: tau0 is central, the relabeling is the identity
         B2 = group("B2")
-        assert [B2.conjugate_by_longest(s) for s in (1, 2)] == [1, 2]
+        assert B2.star == (1, 2)
         from ellschub.duality import relabel_point
 
         point = seeded_exact_point(2, "dd:B2")
@@ -323,7 +324,7 @@ def test_criterion_9_vanishing_pattern():
                 table = bs_table(W, W.reduced_word(omega), point)
                 for sigma in range(W.order):
                     assert is_zero(table.values[sigma]) == (
-                        not W.bruhat_leq(sigma, omega)
+                        not bruhat_leq(W, sigma, omega)
                     ), (label, omega, sigma)
         # the tabulated zeros of both tables sit exactly off the Bruhat order
         for name in ("so5.txt", "sp2.txt"):
@@ -332,4 +333,4 @@ def test_criterion_9_vanishing_pattern():
             for entry in entries:
                 omega = W.from_word(entry.omega_word)
                 sigma = W.from_word(entry.sigma_word)
-                assert entry.expects_zero == (not W.bruhat_leq(sigma, omega))
+                assert entry.expects_zero == (not bruhat_leq(W, sigma, omega))

@@ -210,21 +210,21 @@ def test_double_dual_identity_entry(exact_ctx):
 
 def test_campaigns_enumerate_no_dual(monkeypatch):
     # the dual group is derived from W's tables, so once W is built no
-    # campaign multiplies a single group matrix
+    # campaign enumerates a group
     from ellschub import campaigns, weyl
     from ellschub.elliptic import EXACT, QContext
 
-    products = []
-    matmul = weyl._matmul
+    searched = []
+    enumerate_group = weyl.enumerate_group
 
-    def counting(a, b):
-        products.append(a)
-        return matmul(a, b)
+    def counting(rs, *args):
+        searched.append(rs.label)
+        return enumerate_group(rs, *args)
 
     group("B2")
-    monkeypatch.setattr(weyl, "_matmul", counting)
+    monkeypatch.setattr(weyl, "enumerate_group", counting)
     ctx = QContext(EXACT, order=2)
     first = campaigns.run_duality("B2", ctx, 1, 0, 1e-9)
     campaigns.run_normalization("B2", ctx, 1, 0, 1e-9)
     assert campaigns.run_duality("B2", ctx, 1, 0, 1e-9) == first
-    assert products == []
+    assert searched == []

@@ -24,6 +24,7 @@ from ellschub.elliptic import (
 )
 from ellschub.rootsys import build_root_system, parse_label
 from ellschub.weyl import group
+from weyl_reference import act
 
 
 # --- exact series arithmetic ------------------------------------------------
@@ -281,12 +282,12 @@ def test_transform_commutes_with_eval(exact_ctx, rng):
         g = W.from_word((s,))
         for beta in rs.positive_roots:
             m = beta + (0, 0, 0)
-            pulled = W.act(g, rs_vec(beta)).coords + (0, 0, 0)
+            pulled = act(W, g, rs_vec(beta)).coords + (0, 0, 0)
             assert eval_monomial(transform_point(point, s, ZETA, rs), m) == \
                 eval_monomial(point, pulled)
         for gamma in rs.positive_coroots:
             m = (0, 0) + gamma + (0,)
-            pulled = (0, 0) + W.act(g, rs_covec(gamma)).coords + (0,)
+            pulled = (0, 0) + act(W, g, rs_covec(gamma)).coords + (0,)
             assert eval_monomial(transform_point(point, s, NU, rs), m) == \
                 eval_monomial(point, pulled)
 
@@ -477,6 +478,15 @@ def _random_series(rng, order):
     return coeffs
 
 
+def sum_at(series: QSeries, q):
+    """The value of a truncated series at a concrete q, read from its
+    integer numerators and common denominator."""
+    acc = 0j
+    for n in reversed(series.num):
+        acc = acc * q + complex(n / series.den)
+    return acc
+
+
 def _outcome(compute):
     try:
         return compute()
@@ -535,7 +545,7 @@ def test_qseries_matches_fraction_reference(order):
         assert ctx.is_zero(a) == all(c == 0 for c in ra.coeffs)
         assert ctx.is_zero(a - b) == (ra == rb)
         assert ctx.magnitude(a) == max(abs(float(c)) for c in ra.coeffs)
-        assert a.sum_at(0.3 + 0.1j) == ra.sum_at(0.3 + 0.1j)
+        assert sum_at(a, 0.3 + 0.1j) == ra.sum_at(0.3 + 0.1j)
 
 
 @pytest.mark.parametrize("order", (0, 1, 4, 8, 10))

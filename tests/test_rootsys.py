@@ -11,6 +11,7 @@ from ellschub.rootsys import (
     parse_label,
     reflect,
 )
+from weyl_reference import simple_coroot, simple_root
 
 ALL_SMALL = [
     "A1", "A2", "A3", "A4",
@@ -126,18 +127,18 @@ def test_reflect_involution_and_negation(label):
                 w = reflect(rs, s, v)
                 assert w.lattice == lattice
                 assert reflect(rs, s, w) == v
-        assert reflect(rs, s, rs.simple_root(s)).coords == tuple(
-            -c for c in rs.simple_root(s).coords
+        assert reflect(rs, s, simple_root(rs, s)).coords == tuple(
+            -c for c in simple_root(rs, s).coords
         )
-        assert reflect(rs, s, rs.simple_coroot(s)).coords == tuple(
-            -c for c in rs.simple_coroot(s).coords
+        assert reflect(rs, s, simple_coroot(rs, s)).coords == tuple(
+            -c for c in simple_coroot(rs, s).coords
         )
 
 
 def test_reflect_bad_index():
     rs = _system("A2")
     with pytest.raises(IndexError):
-        reflect(rs, 3, rs.simple_root(1))
+        reflect(rs, 3, simple_root(rs, 1))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -175,6 +176,6 @@ def test_pairing_against_cartan():
     # <alpha_j, alpha_i^v> = cartan[i][j]
     for i in range(1, 3):
         for j in range(1, 3):
-            assert pairing(rs, rs.simple_root(j), rs.simple_coroot(i)) == rs.cartan[i - 1][j - 1]
+            assert pairing(rs, simple_root(rs, j), simple_coroot(rs, i)) == rs.cartan[i - 1][j - 1]
     with pytest.raises(ValueError):
-        pairing(rs, rs.simple_coroot(1), rs.simple_coroot(1))
+        pairing(rs, simple_coroot(rs, 1), simple_coroot(rs, 1))
