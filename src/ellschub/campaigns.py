@@ -1,8 +1,11 @@
-"""Verification campaigns: one JSON-ready record per checked identity.
+"""Verification campaigns: each runner yields one JSON-ready record per
+checked identity.
 
 Every campaign draws its points from seeded generators, so identical
-arguments give identical records. A point that hits a singularity is
-redrawn by ``resample``; every record is built by ``record``.
+arguments give identical records. A runner computes the values of one point
+at a time and builds that point's records from them only as they are read.
+A point that hits a singularity is redrawn by ``resample`` before any of
+its records is built; every record is built by ``record``.
 """
 
 from __future__ import annotations
@@ -55,23 +58,28 @@ def ctx_fields(ctx: QContext) -> dict:
 
 
 def _compare(ctx: QContext, lhs, rhs, tol: float):
-    """(pass, relative residual) under the backend's notion of equality."""
+    """(pass, residual) under the backend's notion of equality. Exact: the
+    sides agree iff lhs - rhs is the zero series, and the residual is the
+    absolute max |coefficient| of lhs - rhs; tol is not read. Complex: the
+    residual is |lhs - rhs| relative to the larger of |lhs| and |rhs|, and
+    the check passes if it is at most tol."""
     if ctx.backend == EXACT:
         diff = lhs - rhs
         if ctx.is_zero(diff):
             return True, 0.0
         return False, ctx.magnitude(diff)
     scale = max(abs(lhs), abs(rhs))
-    rel = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
-    return rel <= tol, rel
+    residual = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+    return residual <= tol, residual
 
 
 def record(check: str, label: str, ctx: QContext, k: int, lhs, rhs, tol: float,
            **fields) -> dict:
-    """The record of one check: lhs against rhs at the k-th point."""
-    ok, rel = _compare(ctx, lhs, rhs, tol)
+    """The record of one check: lhs against rhs at the k-th point, with the
+    pass flag and residual of _compare."""
+    ok, residual = _compare(ctx, lhs, rhs, tol)
     return {"check": check, "type": label, **fields, **ctx_fields(ctx),
-            "point": k, "residual": rel, "pass": ok}
+            "point": k, "residual": residual, "pass": ok}
 
 
 def _word_lists(W: WeylGroup) -> list:
@@ -80,29 +88,37 @@ def _word_lists(W: WeylGroup) -> list:
     return [list(W.reduced_word(w)) for w in range(W.order)]
 
 
-def _per_point(W: WeylGroup, ctx, points, seed, tag: str, campaign) -> list:
-    """The records campaign(k, point) for k < points, each at a point for W
-    that is redrawn while the campaign hits a singularity."""
-    records = []
+def _per_point(W: WeylGroup, ctx, points, seed, tag: str, values):
+    """(k, values(point)) for k < points, one point at a time. The point for
+    W is redrawn while values hits a singularity, so a point's values are
+    complete before any record is built from them."""
     for k in range(points):
-        records.extend(resample(seed, f"{tag}:{k}", lambda rng: campaign(
-            k, sample_point(W.rank, ctx, rng))))
-    return records
+        yield k, resample(seed, f"{tag}:{k}", lambda rng: values(
+            sample_point(W.rank, ctx, rng)))
+
+
+def _pair_records(check, label, ctx, points, seed, tol, W, pairs, **fields):
+    """The record of every (omega, sigma) entry of the dict pairs(point),
+    point by point, in the dict's order."""
+    words = _word_lists(W)
+    for k, point_pairs in _per_point(W, ctx, points, seed, check, pairs):
+        for (omega, sigma), (lhs, rhs) in point_pairs.items():
+            yield record(check, label, ctx, k, lhs, rhs, tol, **fields,
+                         omega_word=words[omega], sigma_word=words[sigma])
 
 
 def run_duality(label, ctx, points, seed, tol, flip_sign=False):
     W = group(label)
     Wdual = dual_group(W)
-    dual_label = str(Wdual.rs.label)
-    words = _word_lists(W)
+    return _pair_records("duality", label, ctx, points, seed, tol, W,
+                         lambda point: duality_pairs(W, Wdual, point, flip_sign),
+                         dual_type=str(Wdual.rs.label))
 
-    def campaign(k, point):
-        pairs = duality_pairs(W, Wdual, point, flip_sign)
-        return [record("duality", label, ctx, k, lhs, rhs, tol, dual_type=dual_label,
-                       omega_word=words[omega], sigma_word=words[sigma])
-                for (omega, sigma), (lhs, rhs) in sorted(pairs.items())]
 
-    return _per_point(W, ctx, points, seed, "duality", campaign)
+def run_double_dual(label, ctx, points, seed, tol):
+    W = group(label)
+    return _pair_records("double-dual", label, ctx, points, seed, tol, W,
+                         lambda point: double_dual_pairs(W, point))
 
 
 def run_recursions(label, ctx, points, seed, tol):
@@ -110,20 +126,17 @@ def run_recursions(label, ctx, points, seed, tol):
     W = group(label)
     words = _word_lists(W)
 
-    def campaign(k, point):
+    def rows(point):
         memo = StepMemo(W, point)
-        out = []
-        for omega in range(W.order):
-            word = W.reduced_word(omega)
-            bs_vals = bs_table(W, word, point, memo).values
-            rm_vals = rmatrix_table(W, word, point, memo).values
-            out.extend(record("recursions", label, ctx, k, bs_vals[sigma],
-                              rm_vals[sigma], tol, omega_word=words[omega],
-                              sigma_word=words[sigma])
-                       for sigma in range(W.order))
-        return out
+        return [(bs_table(W, word, point, memo).values,
+                 rmatrix_table(W, word, point, memo).values)
+                for word in map(W.reduced_word, range(W.order))]
 
-    return _per_point(W, ctx, points, seed, "recursions", campaign)
+    for k, point_rows in _per_point(W, ctx, points, seed, "recursions", rows):
+        for omega, (bs_vals, rm_vals) in enumerate(point_rows):
+            for sigma in range(W.order):
+                yield record("recursions", label, ctx, k, bs_vals[sigma], rm_vals[sigma],
+                             tol, omega_word=words[omega], sigma_word=words[sigma])
 
 
 def run_normalization(label, ctx, points, seed, tol):
@@ -132,57 +145,43 @@ def run_normalization(label, ctx, points, seed, tol):
     Wdual = dual_group(W)
     t0 = W.longest
     words = _word_lists(W)
+    simple_fields = [{"simple": s} for s in range(1, W.rank + 1)]
+    sigma_fields = [{"sigma_word": word} for word in words]
 
-    def campaign(k, point):
+    def sides(point):
+        """(kind, omega, lhs, rhs, extra fields) of every check at the point."""
         dual_point = f_interpretation_point(W, point)
         memo = StepMemo(W, point)
         dual_memo = StepMemo(Wdual, dual_point, memo)
         out = []
         for omega in range(W.order):
-            sides = []  # (kind, lhs, rhs, extra fields)
-            for s in range(1, W.rank + 1):
-                sides.append(("c-right", *c_recursion_right_sides(W, omega, s, point, memo),
-                              {"simple": s}))
-                sides.append(("c-left", *c_recursion_left_sides(W, omega, s, point, memo),
-                              {"simple": s}))
+            for s, fields in enumerate(simple_fields, 1):
+                out.append(("c-right", omega,
+                            *c_recursion_right_sides(W, omega, s, point, memo), fields))
+                out.append(("c-left", omega,
+                            *c_recursion_left_sides(W, omega, s, point, memo), fields))
             c_val = normalization_factor(W, omega, point, memo)
             word = W.reduced_word(omega)
             ee = bs_table(W, word, point, memo).values
             e_vals = unnormalized_table(W, word, point, memo).values
-            for sigma in range(W.order):
-                sides.append(("scaling", ee[sigma], c_val * e_vals[sigma],
-                              {"sigma_word": words[sigma]}))
+            out.extend(("scaling", omega, ee[sigma], c_val * e_vals[sigma],
+                        sigma_fields[sigma]) for sigma in range(W.order))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
-            dual_e = unnormalized_table(
-                Wdual, W.reduced_word(target), dual_point, dual_memo
-            ).values[target]
-            sides.append(("f-interpretation", c_val, dual_e, {}))
-            out.extend(record(f"normalization/{kind}", label, ctx, k, lhs, rhs, tol,
-                              omega_word=words[omega], **extra)
-                       for kind, lhs, rhs, extra in sides)
+            dual_e = unnormalized_table(Wdual, W.reduced_word(target), dual_point,
+                                        dual_memo).values[target]
+            out.append(("f-interpretation", omega, c_val, dual_e, {}))
         return out
 
-    return _per_point(W, ctx, points, seed, "normalization", campaign)
-
-
-def run_double_dual(label, ctx, points, seed, tol):
-    W = group(label)
-    words = _word_lists(W)
-
-    def campaign(k, point):
-        pairs = double_dual_pairs(W, point)
-        return [record("double-dual", label, ctx, k, lhs, rhs, tol,
-                       omega_word=words[omega], sigma_word=words[sigma])
-                for (omega, sigma), (lhs, rhs) in sorted(pairs.items())]
-
-    return _per_point(W, ctx, points, seed, "double-dual", campaign)
+    for k, point_sides in _per_point(W, ctx, points, seed, "normalization", sides):
+        for kind, omega, lhs, rhs, fields in point_sides:
+            yield record(f"normalization/{kind}", label, ctx, k, lhs, rhs, tol,
+                         omega_word=words[omega], **fields)
 
 
 def run_corpus(ctx, points, seed, tol):
     """Engine vs the shipped tables, the cross-table substitution, and the
     worked three-term sum."""
-    records = []
     for fname in corpus_mod.corpus_files():
         for n, entry in enumerate(corpus_mod.load_corpus(fname)):
             W = group(entry.group_label)
@@ -194,11 +193,9 @@ def run_corpus(ctx, points, seed, tol):
 
             for k in range(points):
                 engine, expected = resample(seed, f"corpus:{fname}:{n}:{k}", sides)
-                records.append(record(
-                    "corpus", entry.group_label, ctx, k, engine, expected, tol,
-                    file=fname, omega_word=list(entry.omega_word),
-                    sigma_word=list(entry.sigma_word),
-                ))
+                yield record("corpus", entry.group_label, ctx, k, engine, expected, tol,
+                             file=fname, omega_word=list(entry.omega_word),
+                             sigma_word=list(entry.sigma_word))
     sp2_chart = corpus_mod.sp2_chart()
     W = group("C2")
     for n, (sp2_entry, so5_entry) in enumerate(corpus_mod.cross_substitution_pairs()):
@@ -209,11 +206,9 @@ def run_corpus(ctx, points, seed, tol):
 
         for k in range(points):
             lhs, rhs = resample(seed, f"cross:{n}:{k}", cross_sides)
-            records.append(record(
-                "corpus/cross-substitution", "C2", ctx, k, lhs, rhs, tol,
-                dual_type="B2", omega_word=list(sp2_entry.omega_word),
-                sigma_word=list(sp2_entry.sigma_word),
-            ))
+            yield record("corpus/cross-substitution", "C2", ctx, k, lhs, rhs, tol,
+                         dual_type="B2", omega_word=list(sp2_entry.omega_word),
+                         sigma_word=list(sp2_entry.sigma_word))
     sigma = W.from_word(corpus_mod.WORKED_SUM_SIGMA)
 
     def values(rng):
@@ -229,9 +224,6 @@ def run_corpus(ctx, points, seed, tol):
             ("sum-vs-factored", summed, factored),
             ("engine-vs-factored", engine, factored),
         ):
-            records.append(record(
-                f"corpus/worked-sum/{kind}", "C2", ctx, k, lhs, rhs, tol,
-                omega_word=list(corpus_mod.WORKED_SUM_WORD),
-                sigma_word=list(corpus_mod.WORKED_SUM_SIGMA),
-            ))
-    return records
+            yield record(f"corpus/worked-sum/{kind}", "C2", ctx, k, lhs, rhs, tol,
+                         omega_word=list(corpus_mod.WORKED_SUM_WORD),
+                         sigma_word=list(corpus_mod.WORKED_SUM_SIGMA))

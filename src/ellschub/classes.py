@@ -92,13 +92,18 @@ def _neg(row) -> tuple:
 def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo) -> ClassTable:
     """EE table for omega = id: the full delta product at id, 0 elsewhere."""
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = memo.delta_product(
-        (x, point.h) for x in _nu(point, map(_neg, W.rs.positive_coroots)))
+    values[W.identity] = _h_product(memo, point, _nu(
+        point, map(_neg, W.rs.positive_coroots)))
     return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
 
 
 def _identity_support(W: WeylGroup) -> tuple[bool, ...]:
-    return tuple(sigma == W.identity for sigma in range(W.order))
+    return (True,) + (False,) * (W.order - 1)  # W.identity is 0
+
+
+def _h_product(memo: StepMemo, point: EvalPoint, values):
+    """prod delta(x, h) over the values x, in their order, from memo."""
+    return memo.delta_product((x, point.h) for x in values)
 
 
 class StepMemo:
@@ -281,8 +286,7 @@ def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     """Em normalization: EE divided by the full delta product over Pi."""
     memo = StepMemo(W, point)
     table = bs_table(W, word, point, memo)
-    full = memo.delta_product(
-        (x, point.h) for x in _nu(point, map(_neg, W.rs.positive_coroots)))
+    full = _h_product(memo, point, _nu(point, map(_neg, W.rs.positive_coroots)))
     values = tuple(_checked_div(v, full) for v in table.values)
     return ClassTable(W, table.word, point, values, "Em", table.support)
 
@@ -365,7 +369,7 @@ def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
 
 def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint, memo: StepMemo):
     """c(G, omega) at the point, with the delta values of memo."""
-    return memo.delta_product((x, point.h) for x in _nu(
+    return _h_product(memo, point, _nu(
         point, map(_neg, sorted(normalization_index_set(W, omega)))))
 
 
@@ -398,5 +402,5 @@ def c_recursion_left_sides(W, omega, s, point, memo: StepMemo):
 def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
     """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
     of delta(e^(alpha_s), h)."""
-    return StepMemo(W, point).delta_product((x, point.h) for x in _zeta(
+    return _h_product(StepMemo(W, point), point, _zeta(
         point, map(_neg, sorted(tangent_weights(W, sigma)))))

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 from . import corpus as corpus_mod
 from .campaigns import (
@@ -130,14 +131,10 @@ def _campaign_settings(args, kind: str):
 def cmd_verify(args, out) -> int:
     label = str(parse_label(args.type))
     ctx, tol = _campaign_settings(args, args.kind)
-    if args.kind == "duality":
-        records = run_duality(label, ctx, args.points, args.seed, tol,
-                              flip_sign=args.flip_sign)
-    else:
-        runner = {"recursions": run_recursions, "normalization": run_normalization,
-                  "double-dual": run_double_dual}[args.kind]
-        records = runner(label, ctx, args.points, args.seed, tol)
-    return _report(records, out)
+    runner = {"duality": partial(run_duality, flip_sign=args.flip_sign),
+              "recursions": run_recursions, "normalization": run_normalization,
+              "double-dual": run_double_dual}[args.kind]
+    return _report(runner(label, ctx, args.points, args.seed, tol), out)
 
 
 def cmd_corpus(args, out) -> int:
@@ -146,14 +143,14 @@ def cmd_corpus(args, out) -> int:
 
 
 def _report(records, out) -> int:
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    failures = [rec for rec in records if not rec["pass"]]
-    summary = {
-        "summary": True,
-        "checks": len(records),
-        "failures": len(failures),
-        "pass": not failures,
-    }
+    """Dump and count each record as it is read; print once the last is in,
+    so a campaign that raises leaves its output empty."""
+    lines, failures = [], 0
+    for rec in records:
+        lines.append(json.dumps(rec, sort_keys=True))
+        failures += not rec["pass"]
+    summary = {"summary": True, "checks": len(lines), "failures": failures,
+               "pass": not failures}
     lines.append(json.dumps(summary, sort_keys=True))
     print("\n".join(lines), file=out)
     return 0 if not failures else 1
@@ -235,6 +232,9 @@ def main(argv=None) -> int:
             return args.func(args, out)
     except (ValueError, SingularPointError, GroupTooLargeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory (too large a --qorder or group)", file=sys.stderr)
         return 2
 
 

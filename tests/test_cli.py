@@ -1,4 +1,5 @@
 import json
+import sys
 from random import Random
 
 import pytest
@@ -250,6 +251,36 @@ def test_table_out_of_resamples(capsys, monkeypatch):
     assert len({p.values for p in calls}) == 10  # each try draws a new point
 
 
+def test_campaign_out_of_resamples_at_a_later_point_prints_nothing(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the first point's records are built, but none is written before the
+    # second point runs out of draws
+    from ellschub import campaigns
+    from ellschub.elliptic import SingularPointError
+
+    calls = []
+
+    def singular_after_one(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise SingularPointError("forced pole")
+        return duality_pairs(*args)
+
+    duality_pairs = campaigns.duality_pairs
+    monkeypatch.setattr(campaigns, "duality_pairs", singular_after_one)
+    target = tmp_path / "report.jsonl"
+    argv = ["verify", "duality", "--type", "A1", "--qorder", "2", "--points", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no nonsingular point")
+    assert len(calls) == 1 + campaigns.ATTEMPTS
+    calls.clear()
+    assert main(argv + ["--out", str(target)]) == 2
+    assert len(calls) == 1 + campaigns.ATTEMPTS
+    assert target.read_text() == ""
+
+
 @pytest.fixture
 def computed_deltas(monkeypatch):
     """A one-item list that counts the delta values computed from here on."""
@@ -343,3 +374,16 @@ def test_qorder_too_large_for_an_index(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: truncation order must be at most ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--type", "A1", "--points", "1"],
+    ["table", "--type", "A1", "--word", "1"],
+])
+def test_qorder_too_large_to_hold(argv, capsys):
+    # sys.maxsize passes the index check, and a series of that length fails
+    # at once, before anything is allocated
+    assert main(argv + ["--qorder", str(sys.maxsize)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory (too large a --qorder or group)\n"

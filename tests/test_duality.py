@@ -224,7 +224,28 @@ def test_campaigns_enumerate_no_dual(monkeypatch):
     group("B2")
     monkeypatch.setattr(weyl, "enumerate_group", counting)
     ctx = QContext(EXACT, order=2)
-    first = campaigns.run_duality("B2", ctx, 1, 0, 1e-9)
-    campaigns.run_normalization("B2", ctx, 1, 0, 1e-9)
-    assert campaigns.run_duality("B2", ctx, 1, 0, 1e-9) == first
+    first = list(campaigns.run_duality("B2", ctx, 1, 0, 1e-9))
+    list(campaigns.run_normalization("B2", ctx, 1, 0, 1e-9))
+    assert list(campaigns.run_duality("B2", ctx, 1, 0, 1e-9)) == first
     assert searched == []
+
+
+def test_campaign_yields_a_point_before_the_next_is_computed(monkeypatch):
+    # a runner builds records from one point's values as they are read, so
+    # the first record needs the first point only
+    from ellschub import campaigns
+    from ellschub.elliptic import EXACT, QContext
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return duality_pairs(*args)
+
+    monkeypatch.setattr(campaigns, "duality_pairs", counting)
+    records = campaigns.run_duality("A1", QContext(EXACT, order=2), 2, 0, 1e-9)
+    first = next(records)
+    assert len(calls) == 1
+    assert (first["point"], first["omega_word"], first["sigma_word"]) == (0, [], [])
+    assert len(list(records)) == 2 * 4 - 1
+    assert len(calls) == 2
