@@ -3,9 +3,11 @@ checked identity.
 
 Every campaign draws its points from seeded generators, so identical
 arguments give identical records. A runner computes the values of one point
-at a time and builds that point's records from them only as they are read.
-A point that hits a singularity is redrawn by ``resample`` before any of
-its records is built; every record is built by ``record``.
+at a time (``_per_point``) and builds that point's records from them only as
+they are read. A point that hits a singularity is redrawn by ``resample``
+before any of its records is built. The |W|^2-pair campaigns give a point's
+values as two grids indexed [omega][sigma], which ``_pair_records`` reads;
+every record is built by ``record``.
 """
 
 from __future__ import annotations
@@ -83,28 +85,27 @@ def record(check: str, label: str, ctx: QContext, k: int, lhs, rhs, tol: float,
 
 
 def _word_lists(W: WeylGroup) -> list:
-    """The reduced word of every element as a list, built once per campaign
-    and shared by its records."""
+    """The reduced word of every element as a list, shared by all records."""
     return [list(W.reduced_word(w)) for w in range(W.order)]
 
 
-def _per_point(W: WeylGroup, ctx, points, seed, tag: str, values):
-    """(k, values(point)) for k < points, one point at a time. The point for
-    W is redrawn while values hits a singularity, so a point's values are
-    complete before any record is built from them."""
+def _per_point(points, seed, tag: str, compute):
+    """(k, compute(rng)) for k < points, one point at a time; compute draws its
+    own point, redrawn by resample while compute hits a singularity."""
     for k in range(points):
-        yield k, resample(seed, f"{tag}:{k}", lambda rng: values(
-            sample_point(W.rank, ctx, rng)))
+        yield k, resample(seed, f"{tag}:{k}", compute)
 
 
-def _pair_records(check, label, ctx, points, seed, tol, W, pairs, **fields):
-    """The record of every (omega, sigma) entry of the dict pairs(point),
-    point by point, in the dict's order."""
+def _pair_records(check, label, ctx, points, seed, tol, W, grids, **fields):
+    """The records of lhs_rows[omega][sigma] against rhs_rows[omega][sigma],
+    (lhs_rows, rhs_rows) = grids(point), point by point and omega-major."""
     words = _word_lists(W)
-    for k, point_pairs in _per_point(W, ctx, points, seed, check, pairs):
-        for (omega, sigma), (lhs, rhs) in point_pairs.items():
-            yield record(check, label, ctx, k, lhs, rhs, tol, **fields,
-                         omega_word=words[omega], sigma_word=words[sigma])
+    for k, (lhs_rows, rhs_rows) in _per_point(
+            points, seed, check, lambda rng: grids(sample_point(W.rank, ctx, rng))):
+        for omega_word, lhs_row, rhs_row in zip(words, lhs_rows, rhs_rows):
+            for sigma_word, lhs, rhs in zip(words, lhs_row, rhs_row):
+                yield record(check, label, ctx, k, lhs, rhs, tol, **fields,
+                             omega_word=omega_word, sigma_word=sigma_word)
 
 
 def run_duality(label, ctx, points, seed, tol, flip_sign=False):
@@ -124,19 +125,15 @@ def run_double_dual(label, ctx, points, seed, tol):
 def run_recursions(label, ctx, points, seed, tol):
     """Bott-Samelson against R-matrix tables, for every omega."""
     W = group(label)
-    words = _word_lists(W)
 
     def rows(point):
+        """(bs_rows, rm_rows), the two tables of each word made in turn."""
         memo = StepMemo(W, point)
-        return [(bs_table(W, word, point, memo).values,
-                 rmatrix_table(W, word, point, memo).values)
-                for word in map(W.reduced_word, range(W.order))]
+        return tuple(zip(*[(bs_table(W, word, point, memo).values,
+                            rmatrix_table(W, word, point, memo).values)
+                           for word in map(W.reduced_word, range(W.order))]))
 
-    for k, point_rows in _per_point(W, ctx, points, seed, "recursions", rows):
-        for omega, (bs_vals, rm_vals) in enumerate(point_rows):
-            for sigma in range(W.order):
-                yield record("recursions", label, ctx, k, bs_vals[sigma], rm_vals[sigma],
-                             tol, omega_word=words[omega], sigma_word=words[sigma])
+    return _pair_records("recursions", label, ctx, points, seed, tol, W, rows)
 
 
 def run_normalization(label, ctx, points, seed, tol):
@@ -148,8 +145,9 @@ def run_normalization(label, ctx, points, seed, tol):
     simple_fields = [{"simple": s} for s in range(1, W.rank + 1)]
     sigma_fields = [{"sigma_word": word} for word in words]
 
-    def sides(point):
-        """(kind, omega, lhs, rhs, extra fields) of every check at the point."""
+    def sides(rng):
+        """(kind, omega, lhs, rhs, extra fields) of every check at a point."""
+        point = sample_point(W.rank, ctx, rng)
         dual_point = f_interpretation_point(W, point)
         memo = StepMemo(W, point)
         dual_memo = StepMemo(Wdual, dual_point, memo)
@@ -173,7 +171,7 @@ def run_normalization(label, ctx, points, seed, tol):
             out.append(("f-interpretation", omega, c_val, dual_e, {}))
         return out
 
-    for k, point_sides in _per_point(W, ctx, points, seed, "normalization", sides):
+    for k, point_sides in _per_point(points, seed, "normalization", sides):
         for kind, omega, lhs, rhs, fields in point_sides:
             yield record(f"normalization/{kind}", label, ctx, k, lhs, rhs, tol,
                          omega_word=words[omega], **fields)
@@ -191,8 +189,8 @@ def run_corpus(ctx, points, seed, tol):
                 chart_values, point = chart.sample(ctx, rng)
                 return corpus_mod.corpus_sides(entry, W, chart_values, point)
 
-            for k in range(points):
-                engine, expected = resample(seed, f"corpus:{fname}:{n}:{k}", sides)
+            for k, (engine, expected) in _per_point(points, seed, f"corpus:{fname}:{n}",
+                                                    sides):
                 yield record("corpus", entry.group_label, ctx, k, engine, expected, tol,
                              file=fname, omega_word=list(entry.omega_word),
                              sigma_word=list(entry.sigma_word))
@@ -204,8 +202,7 @@ def run_corpus(ctx, points, seed, tol):
             return corpus_mod.cross_substitution_sides(
                 sp2_entry, so5_entry, chart_values, ctx, StepMemo(W, point))
 
-        for k in range(points):
-            lhs, rhs = resample(seed, f"cross:{n}:{k}", cross_sides)
+        for k, (lhs, rhs) in _per_point(points, seed, f"cross:{n}", cross_sides):
             yield record("corpus/cross-substitution", "C2", ctx, k, lhs, rhs, tol,
                          dual_type="B2", omega_word=list(sp2_entry.omega_word),
                          sigma_word=list(sp2_entry.sigma_word))
@@ -218,12 +215,9 @@ def run_corpus(ctx, points, seed, tol):
         engine = bs_table(W, corpus_mod.WORKED_SUM_WORD, point, memo).values[sigma]
         return summed, factored, engine
 
-    for k in range(points):
-        summed, factored, engine = resample(seed, f"worked:{k}", values)
-        for kind, lhs, rhs in (
-            ("sum-vs-factored", summed, factored),
-            ("engine-vs-factored", engine, factored),
-        ):
+    for k, (summed, factored, engine) in _per_point(points, seed, "worked", values):
+        for kind, lhs, rhs in (("sum-vs-factored", summed, factored),
+                               ("engine-vs-factored", engine, factored)):
             yield record(f"corpus/worked-sum/{kind}", "C2", ctx, k, lhs, rhs, tol,
                          omega_word=list(corpus_mod.WORKED_SUM_WORD),
                          sigma_word=list(corpus_mod.WORKED_SUM_SIGMA))

@@ -38,6 +38,8 @@ from .elliptic import (
 from .rootsys import parse_label
 from .weyl import GroupTooLargeError, group
 
+REPORT_CHUNK = 1024  # report lines per write, so the report is never one string
+
 
 def make_context(backend: str, qorder: int, q: float) -> QContext:
     if backend == EXACT:
@@ -143,8 +145,8 @@ def cmd_corpus(args, out) -> int:
 
 
 def _report(records, out) -> int:
-    """Dump and count each record as it is read; print once the last is in,
-    so a campaign that raises leaves its output empty."""
+    """Dump and count each record as it is read; write once the last is in,
+    REPORT_CHUNK lines a write, so a campaign that raises writes nothing."""
     lines, failures = [], 0
     for rec in records:
         lines.append(json.dumps(rec, sort_keys=True))
@@ -152,7 +154,8 @@ def _report(records, out) -> int:
     summary = {"summary": True, "checks": len(lines), "failures": failures,
                "pass": not failures}
     lines.append(json.dumps(summary, sort_keys=True))
-    print("\n".join(lines), file=out)
+    for start in range(0, len(lines), REPORT_CHUNK):
+        out.write("\n".join(lines[start:start + REPORT_CHUNK]) + "\n")
     return 0 if not failures else 1
 
 
@@ -162,6 +165,7 @@ def _output(out_path):
     unwritable path fails at once."""
     if not out_path:
         yield sys.stdout
+        sys.stdout.flush()  # so that a closed reader fails inside main
         return
     try:
         fh = open(out_path, "w")
@@ -230,6 +234,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         with _output(args.out) as out:
             return args.func(args, out)
+    except BrokenPipeError:
+        # the reader has gone; with stdout on devnull the exit flush succeeds
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: cannot write output: broken pipe", file=sys.stderr)
+        return 2
     except (ValueError, SingularPointError, GroupTooLargeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -56,26 +56,24 @@ def duality_sign(W: WeylGroup) -> int:
 
 
 def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
-                  flip_sign: bool = False) -> dict:
-    """(signed lhs, rhs) for all |W|^2 pairs at one dual-side point,
-    computed from 2|W| tables; Wdual is dual_group(W)."""
+                  flip_sign: bool = False) -> tuple:
+    """(lhs_rows, rhs_rows) at one dual-side point, computed from 2|W|
+    tables; Wdual is dual_group(W). The pair (omega, sigma) has the signed
+    lhs lhs_rows[omega][sigma] and the rhs rhs_rows[omega][sigma]."""
     sub = substitution(W)
     pulled = sub.pull_point(point)
     t0 = W.longest
     source_memo, target_memo = StepMemo(W, pulled), StepMemo(Wdual, point)
     source_tables = [bs_table(W, W.reduced_word(w), pulled, source_memo).values
                      for w in range(W.order)]
-    target_tables = [bs_table(Wdual, W.reduced_word(w), point, target_memo).values
-                     for w in range(W.order)]
+    rhs_rows = [bs_table(Wdual, W.reduced_word(w), point, target_memo).values
+                for w in range(W.order)]
     sign = duality_sign(W) * (-1 if flip_sign else 1)
     flip = [W.mul(t0, W.inv(w)) for w in range(W.order)]  # w -> tau0 w^{-1}
-    out = {}
-    for omega in range(W.order):
-        for sigma in range(W.order):
-            lhs = source_tables[flip[sigma]][flip[omega]]
-            rhs = target_tables[omega][sigma]
-            out[(omega, sigma)] = (lhs if sign > 0 else -lhs, rhs)
-    return out
+    columns = [source_tables[f] for f in flip]  # sigma -> table of tau0 sigma^{-1}
+    lhs_rows = [tuple(col[f_omega] if sign > 0 else -col[f_omega] for col in columns)
+                for f_omega in flip]
+    return lhs_rows, rhs_rows
 
 
 def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
@@ -86,8 +84,9 @@ def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
     return EvalPoint(p.ctx, monomial_map(p.values, rows))
 
 
-def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
-    """(EE_sigma(X_omega), relabeled conjugate side) for all pairs."""
+def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> tuple:
+    """(straight, twisted_rows): EE_sigma(X_omega) is straight[omega][sigma],
+    and twisted_rows[omega][sigma] is its relabeled conjugate side."""
     t0 = W.longest
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     relabeled = relabel_point(W, point)
@@ -97,11 +96,7 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> dict:
                 for w in range(W.order)]
     twisted = [bs_table(W, W.reduced_word(conj[w]), relabeled, twisted_memo).values
                for w in range(W.order)]
-    return {
-        (omega, sigma): (straight[omega][sigma], twisted[omega][conj[sigma]])
-        for omega in range(W.order)
-        for sigma in range(W.order)
-    }
+    return straight, [tuple(row[c] for c in conj) for row in twisted]
 
 
 def f_interpretation_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from random import Random
 
@@ -6,7 +8,7 @@ import pytest
 
 from ellschub.classes import StepMemo, bs_table
 from ellschub.cli import main
-from ellschub.elliptic import EXACT, QContext, sample_point
+from ellschub.elliptic import EXACT, QContext, SingularPointError, sample_point
 from ellschub.weyl import group
 from weyl_reference import bruhat_leq
 
@@ -197,6 +199,59 @@ def test_out_unwritable(tmp_path, capsys):
                  "--points", "1", "--out", str(target)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+class RecordingOut:
+    """An output stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_report_writes_in_bounded_chunks():
+    from ellschub import cli
+
+    records = [{"n": n, "pass": n % 3 != 0} for n in range(2 * cli.REPORT_CHUNK + 5)]
+    out = RecordingOut()
+    assert cli._report(iter(records), out) == 1
+    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    summary = {"summary": True, "checks": len(records),
+               "failures": sum(not rec["pass"] for rec in records), "pass": False}
+    lines.append(json.dumps(summary, sort_keys=True))
+    assert "".join(out.writes) == "\n".join(lines) + "\n"
+    assert len(out.writes) > 1
+    assert all(text.count("\n") <= cli.REPORT_CHUNK for text in out.writes)
+
+    def raising():
+        yield from records
+        raise SingularPointError("forced pole")
+
+    out = RecordingOut()
+    with pytest.raises(SingularPointError):
+        cli._report(raising(), out)
+    assert out.writes == []
+
+
+def test_closed_reader_exits_2():
+    # stdout is a pipe whose reader has already gone
+    import ellschub
+
+    src = os.path.dirname(os.path.dirname(ellschub.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellschub.cli", "verify", "duality", "--type", "A1",
+             "--points", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write output: broken pipe\n"
 
 
 @pytest.mark.parametrize("argv,entry", [
