@@ -10,15 +10,21 @@ Two backends share one interface:
 
 The basic building block is
 
-    delta(a, b) = theta(ab) theta'(1) / (theta(a) theta(b))
+    delta(a, b) = theta(ab) theta'(1) / (theta(a) theta(b)),
 
-computed via the branch-free rearrangement
+in which the half-integer powers of theta cancel. The exact backend takes
+it from the Jacobi triple product as the quotient of sparse series
+
+    -E(q)^3 Theta(ab) / (Theta(a) Theta(b)),  Theta(x) = sum_k (-1)^k q^(k(k-1)/2) x^k,
+
+with E(q) = prod_{n>=1} (1-q^n); only O(sqrt(N)) powers below q^(N+1) are
+nonzero. The complex backend keeps the branch-free product rearrangement
 
     (ab-1)/((a-1)(b-1)) *
     prod_{n>=1} (1-q^n ab)(1-q^n/(ab))(1-q^n)^2
               / ((1-q^n a)(1-q^n/a)(1-q^n b)(1-q^n/b)),
 
-in which the half-integer powers of theta cancel at the exponent level.
+since its printed digits depend on the order of its float operations.
 theta itself is exposed on the complex backend only (principal branch of
 x^(1/2); branch-dependent, used for validation, never by the recursions).
 
@@ -32,7 +38,8 @@ import cmath
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd, isqrt, lcm
 from random import Random
 
 from .rootsys import COROOT, ROOT, RootSystem
@@ -268,29 +275,29 @@ def _int_reciprocal(b):
     return [x * p for x, p in zip(quo, reversed(pows))], pows[-1] * b0
 
 
-def _theta_product(xs, order):
-    """Integer coefficients P and the int scale c with
-    prod_{n=1..order} prod_{x in xs} (1 - x q^n)(1 - q^n/x) = P/c, truncated,
-    for nonzero rational (int or Fraction) xs.
+@cache
+def _jacobi_row(order):
+    """The exponents k(k-1)/2 <= order, k = 1, 2, ..., and the coefficients
+    of E(q)^3 = sum_{k>=1} (-1)^(k-1) (2k-1) q^(k(k-1)/2) (Jacobi), where
+    E(q) = prod_{n>=1} (1-q^n); worked out once per order."""
+    cube = [1] + [0] * order
+    tri = [k * (k - 1) // 2 for k in range(1, (1 + isqrt(8 * order + 1)) // 2 + 1)]
+    for k, t in enumerate(tri, 1):
+        cube[t] = (-1) ** (k - 1) * (2 * k - 1)
+    return tuple(tri), tuple(cube)
 
-    With x = u/v each factor is (w - s q^n + w q^(2n))/w for w = uv and
-    s = u^2 + v^2, so P is built in integers and c collects the w."""
-    terms = [(x.numerator * x.denominator, x.numerator**2 + x.denominator**2)
-             for x in xs]
-    coeffs = [1] + [0] * order
-    scale = 1
-    for n in range(1, order + 1):
-        for w, s in terms:
-            for k in range(order, n - 1, -1):
-                acc = w * coeffs[k] - s * coeffs[k - n]
-                if k >= 2 * n:
-                    acc += w * coeffs[k - 2 * n]
-                coeffs[k] = acc
-            if w != 1:
-                for k in range(n):
-                    coeffs[k] *= w
-                scale *= w
-    return coeffs, scale
+
+def _jacobi_theta(x, tri, size):
+    """Integer coefficients T and the int scale c with Theta(x) = T/c to
+    `size` terms, for rational x = u/v != 0 (Theta as in the module text):
+    its terms k and 1-k share q^(k(k-1)/2), and c = u^(K-1) v^K with
+    K = len(tri) clears the denominators of x^(1-K)..x^K."""
+    u, v = x.numerator, x.denominator
+    top = len(tri)
+    coeffs = [0] * size
+    for k, t in enumerate(tri, 1):
+        coeffs[t] = (-1) ** k * (u * v) ** (top - k) * (u ** (2 * k - 1) - v ** (2 * k - 1))
+    return coeffs, u ** (top - 1) * v**top
 
 
 def theta(x, ctx: QContext):
@@ -319,10 +326,14 @@ def theta(x, ctx: QContext):
 
 
 def theta_prime_one(ctx: QContext):
-    """theta'(1) = prod_{n>=1} (1-q^n)^2."""
+    """theta'(1) = prod_{n>=1} (1-q^n)^2 = E(q)^2; on the exact backend E(q)
+    is Euler's pentagonal series sum_m (-1)^m q^(m(3m-1)/2)."""
     if ctx.backend == EXACT:
-        coeffs, _ = _theta_product((1,), ctx.order)
-        return QSeries._new(coeffs, 1)
+        euler = [1] + [0] * ctx.order
+        for m in range(-isqrt(ctx.order), isqrt(ctx.order) + 1):
+            if m * (3 * m - 1) // 2 <= ctx.order:
+                euler[m * (3 * m - 1) // 2] = -1 if m & 1 else 1
+        return QSeries._new(_convolve(euler, euler), 1)
     q = ctx.q
     val = 1.0 + 0j
     qn = 1.0 + 0j
@@ -349,16 +360,18 @@ def _delta_checked_args(a, b, exact):
 
 
 def _delta_exact(a: Fraction, b: Fraction, ctx: QContext) -> QSeries:
-    """The rearranged product as one integer series division; the scales of
-    both integer products and the leading term are collected into one
-    Fraction that multiplies the numerator."""
+    """delta(a, b) = -E(q)^3 Theta(ab) / (Theta(a) Theta(b)) from the Jacobi
+    triple product: sparse integer series, one integer reciprocal, and one
+    reduction with the scales of the three Theta folded in."""
     _delta_checked_args(a, b, exact=True)
-    ab = a * b
-    top, top_scale = _theta_product((ab, 1), ctx.order)
-    bottom, bottom_scale = _theta_product((a, b), ctx.order)
-    scalar = (ab - 1) / ((a - 1) * (b - 1)) * Fraction(bottom_scale, top_scale)
-    return (QSeries._new([scalar.numerator * c for c in top], scalar.denominator)
-            / QSeries._new(bottom, 1))
+    tri, cube = _jacobi_row(ctx.order)
+    top, c_ab = _jacobi_theta(a * b, tri, len(cube))
+    left, c_a = _jacobi_theta(a, tri, len(cube))
+    right, c_b = _jacobi_theta(b, tri, len(cube))
+    inv, inv_den = _int_reciprocal(_convolve(left, right))
+    scale = -c_a * c_b
+    top = _convolve([scale * c for c in cube], top)
+    return QSeries._new(_convolve(top, inv), c_ab * inv_den)
 
 
 def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:

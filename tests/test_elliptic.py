@@ -24,6 +24,7 @@ from ellschub.elliptic import (
 )
 from ellschub.rootsys import build_root_system, parse_label
 from ellschub.weyl import group
+from elliptic_reference import product_delta, product_theta_prime_one
 from weyl_reference import act
 
 
@@ -619,3 +620,68 @@ def test_theta_prime_one_matches_fraction_reference(order):
         _mul_two_term(coeffs, n, Fraction(1))
         _mul_two_term(coeffs, n, Fraction(1))
     assert_same(theta_prime_one(QContext(EXACT, order=order)), FractionQSeries(coeffs))
+
+
+# --- the triple-product delta against the product rearrangement -------------
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+def test_delta_exact_matches_product_reference(order):
+    rng = Random(f"triple-product-{order}")
+    ctx = QContext(EXACT, order=order)
+    pairs = [(_random_argument(rng), _random_argument(rng)) for _ in range(16)]
+    pairs += [(_random_argument(rng) ** 3, _random_argument(rng)) for _ in range(4)]
+    pairs += [
+        (Fraction(3, 8), Fraction(8, 3)),  # ab = 1: the zero series
+        (Fraction(-1), _random_argument(rng)), (Fraction(-1), Fraction(-1)),
+        (Fraction(99), Fraction(1, 98)), (Fraction(-7, 3), Fraction(-3, 7)),
+        (Fraction(-99, 97), Fraction(-98)), (Fraction(1, 99), Fraction(-99, 2)),
+        (Fraction(1), Fraction(5)), (Fraction(0), Fraction(5)),
+    ]
+    for a, b in pairs:
+        got = _outcome(lambda: delta(a, b, ctx))
+        want = _outcome(lambda: product_delta(a, b, order))
+        if isinstance(want, tuple):  # the same error and message
+            assert got == want
+        else:
+            assert (got.num, got.den) == (want.num, want.den)
+    assert delta(Fraction(3, 8), Fraction(8, 3), ctx) == 0
+    want = product_theta_prime_one(order)
+    got = theta_prime_one(ctx)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("order", (5, 6, 10, 15))
+def test_delta_exact_truncation_is_consistent(order):
+    # 6, 10 and 15 are k(k-1)/2: the last term of Theta and of E^3 sits at q^order
+    rng = Random(f"truncation-{order}")
+    low, high = QContext(EXACT, order=order), QContext(EXACT, order=order + 5)
+    for _ in range(12):
+        a, b = _random_argument(rng), _random_argument(rng)
+        if 1 in (a, b):
+            continue
+        assert delta(a, b, low).coeffs == delta(a, b, high).coeffs[:order + 1]
+    assert theta_prime_one(low).coeffs == theta_prime_one(high).coeffs[:order + 1]
+
+
+@pytest.mark.parametrize("order", (1, 8))
+def test_delta_exact_raises_before_series_work(order, monkeypatch):
+    from ellschub import elliptic
+
+    def no_series(*args):
+        raise AssertionError("series work on an argument that must be refused")
+
+    for name in ("_jacobi_row", "_jacobi_theta", "_convolve", "_int_reciprocal"):
+        monkeypatch.setattr(elliptic, name, no_series)
+    ctx = QContext(EXACT, order=order)
+    for a, b, err, message in (
+        (0, 3, ZeroArgumentError, "delta argument is 0"),
+        (Fraction(2, 3), Fraction(0), ZeroArgumentError, "delta argument is 0"),
+        (0, 1, ZeroArgumentError, "delta argument is 0"),
+        (1, Fraction(-2, 5), SingularPointError, "delta argument is 1 (pole)"),
+        (Fraction(7), Fraction(3, 3), SingularPointError, "delta argument is 1 (pole)"),
+        (1, 0, SingularPointError, "delta argument is 1 (pole)"),
+    ):
+        with pytest.raises(err) as info:
+            delta(a, b, ctx)
+        assert str(info.value) == message

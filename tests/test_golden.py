@@ -37,6 +37,10 @@ GOLDEN = [
      "bf992f3b11522663fec8427e89e544f3fc6ee7fce1351d2e15454130e7ed4463"),
     ("table --type B3 --word 1,2,3,2,1,2,3,2,3 --qorder 10 --format json", 0,
      "146743db3b6583991e0f030d9c44103934aacefc34d40348972876f1f571e43e"),
+    # The one digest above --qorder 10: every delta here has 25 terms, so it
+    # reads the exact delta's high powers of q.
+    ("table --type B2 --word 1,2,1,2 --backend exact --qorder 24 --seed 1 --format csv", 0,
+     "2e8d5a25c69623ea13043193b04c6238cdde13ecd75d56511b0cd4e71bd8990a"),
     ("verify duality --type B3 --backend complex --points 1", 0,
      "9a0e0436ebe529b8d86935d80b41507efb71820fea4b9e0b8d843e61d0891a8b"),
     ("verify recursions --type B2 --backend complex --points 1", 0,
