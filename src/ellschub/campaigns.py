@@ -1,17 +1,19 @@
-"""Verification campaigns: each runner yields one JSON-ready record per
-checked identity.
+"""Verification campaigns: each runner yields one (pass, line) pair per
+checked identity, line being the check's record as one JSON text.
 
 Every campaign draws its points from seeded generators, so identical
 arguments give identical records. A runner computes the values of one point
 at a time (``_per_point``) and builds that point's records from them only as
 they are read. A point that hits a singularity is redrawn by ``resample``
 before any of its records is built. The |W|^2-pair campaigns give a point's
-values as two grids indexed [omega][sigma], which ``_pair_records`` reads;
-every record is built by ``record``.
+values as two grids indexed [omega][sigma], which ``_pair_records`` reads.
+Every record is built by a line builder from ``record``, which encodes the
+fields that all records of one kind of check share once per campaign.
 """
 
 from __future__ import annotations
 
+import json
 from random import Random
 
 from . import corpus as corpus_mod
@@ -75,18 +77,48 @@ def _compare(ctx: QContext, lhs, rhs, tol: float):
     return residual <= tol, residual
 
 
-def record(check: str, label: str, ctx: QContext, k: int, lhs, rhs, tol: float,
-           **fields) -> dict:
-    """The record of one check: lhs against rhs at the k-th point, with the
-    pass flag and residual of _compare."""
-    ok, residual = _compare(ctx, lhs, rhs, tol)
-    return {"check": check, "type": label, **fields, **ctx_fields(ctx),
-            "point": k, "residual": residual, "pass": ok}
+_SLOT = "\0"  # json.dumps escapes NUL, so it never occurs in its output
+_INF = float("inf")
 
 
-def _word_lists(W: WeylGroup) -> list:
-    """The reduced word of every element as a list, shared by all records."""
-    return [list(W.reduced_word(w)) for w in range(W.order)]
+def _float_json(x: float) -> str:
+    """x as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
+    if -_INF < x < _INF:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def record(check: str, label: str, ctx: QContext, tol: float, extra: str | None = None,
+           **fields):
+    """The line builder of one kind of check. line(k, lhs, rhs, omega_text,
+    extra_text="") compares lhs with rhs at the k-th point (_compare) and
+    returns (pass, text): text is json.dumps(rec, sort_keys=True) of the
+    record that holds check, type, fields and ctx_fields(ctx), the JSON texts
+    omega_text as omega_word and, if extra names a field, extra_text as that
+    field ("sigma_word" or "simple"; it must sort after "residual"), and the
+    point, the residual and the pass flag. The shared fields are encoded here,
+    once; a line is joined from them and the varying fields at its exact size."""
+    fixed = {"check": check, "type": label, **fields, **ctx_fields(ctx)}
+    slots = ("omega_word", "pass", "point", "residual") + ((extra,) if extra else ())
+    items = [f"{json.dumps(key)}: {json.dumps(fixed[key]) if key in fixed else _SLOT}"
+             for key in sorted([*fixed, *slots])]
+    parts = ("{" + ", ".join(items) + "}").split(_SLOT)
+    if extra is None:
+        parts.append("")
+    head, after_omega, after_pass, after_point, after_residual, end = parts
+
+    def line(k: int, lhs, rhs, omega_text: str, extra_text: str = ""):
+        ok, residual = _compare(ctx, lhs, rhs, tol)
+        return ok, (f"{head}{omega_text}{after_omega}{'true' if ok else 'false'}"
+                    f"{after_pass}{k}{after_point}{_float_json(residual)}"
+                    f"{after_residual}{extra_text}{end}")
+
+    return line
+
+
+def _word_texts(W: WeylGroup) -> list:
+    """The reduced word of every element as JSON text, shared by all records."""
+    return [json.dumps(W.reduced_word(w)) for w in range(W.order)]
 
 
 def _per_point(points, seed, tag: str, compute):
@@ -99,13 +131,13 @@ def _per_point(points, seed, tag: str, compute):
 def _pair_records(check, label, ctx, points, seed, tol, W, grids, **fields):
     """The records of lhs_rows[omega][sigma] against rhs_rows[omega][sigma],
     (lhs_rows, rhs_rows) = grids(point), point by point and omega-major."""
-    words = _word_lists(W)
+    line = record(check, label, ctx, tol, "sigma_word", **fields)
+    words = _word_texts(W)
     for k, (lhs_rows, rhs_rows) in _per_point(
             points, seed, check, lambda rng: grids(sample_point(W.rank, ctx, rng))):
-        for omega_word, lhs_row, rhs_row in zip(words, lhs_rows, rhs_rows):
-            for sigma_word, lhs, rhs in zip(words, lhs_row, rhs_row):
-                yield record(check, label, ctx, k, lhs, rhs, tol, **fields,
-                             omega_word=omega_word, sigma_word=sigma_word)
+        for omega_text, lhs_row, rhs_row in zip(words, lhs_rows, rhs_rows):
+            for sigma_text, lhs, rhs in zip(words, lhs_row, rhs_row):
+                yield line(k, lhs, rhs, omega_text, sigma_text)
 
 
 def run_duality(label, ctx, points, seed, tol, flip_sign=False):
@@ -141,40 +173,43 @@ def run_normalization(label, ctx, points, seed, tol):
     W = group(label)
     Wdual = dual_group(W)
     t0 = W.longest
-    words = _word_lists(W)
-    simple_fields = [{"simple": s} for s in range(1, W.rank + 1)]
-    sigma_fields = [{"sigma_word": word} for word in words]
+    words = _word_texts(W)
+    simples = [json.dumps(s) for s in range(1, W.rank + 1)]
+    c_right, c_left = (record(f"normalization/{kind}", label, ctx, tol, "simple")
+                       for kind in ("c-right", "c-left"))
+    scaling = record("normalization/scaling", label, ctx, tol, "sigma_word")
+    f_interpretation = record("normalization/f-interpretation", label, ctx, tol)
 
     def sides(rng):
-        """(kind, omega, lhs, rhs, extra fields) of every check at a point."""
+        """(line builder, omega, lhs, rhs, extra text) of every check at a
+        point."""
         point = sample_point(W.rank, ctx, rng)
         dual_point = f_interpretation_point(W, point)
         memo = StepMemo(W, point)
         dual_memo = StepMemo(Wdual, dual_point, memo)
         out = []
         for omega in range(W.order):
-            for s, fields in enumerate(simple_fields, 1):
-                out.append(("c-right", omega,
-                            *c_recursion_right_sides(W, omega, s, point, memo), fields))
-                out.append(("c-left", omega,
-                            *c_recursion_left_sides(W, omega, s, point, memo), fields))
+            for s, simple in enumerate(simples, 1):
+                out.append((c_right, omega,
+                            *c_recursion_right_sides(W, omega, s, point, memo), simple))
+                out.append((c_left, omega,
+                            *c_recursion_left_sides(W, omega, s, point, memo), simple))
             c_val = normalization_factor(W, omega, point, memo)
             word = W.reduced_word(omega)
             ee = bs_table(W, word, point, memo).values
             e_vals = unnormalized_table(W, word, point, memo).values
-            out.extend(("scaling", omega, ee[sigma], c_val * e_vals[sigma],
-                        sigma_fields[sigma]) for sigma in range(W.order))
+            out.extend((scaling, omega, ee[sigma], c_val * e_vals[sigma], words[sigma])
+                       for sigma in range(W.order))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
             dual_e = unnormalized_table(Wdual, W.reduced_word(target), dual_point,
                                         dual_memo).values[target]
-            out.append(("f-interpretation", omega, c_val, dual_e, {}))
+            out.append((f_interpretation, omega, c_val, dual_e, ""))
         return out
 
     for k, point_sides in _per_point(points, seed, "normalization", sides):
-        for kind, omega, lhs, rhs, fields in point_sides:
-            yield record(f"normalization/{kind}", label, ctx, k, lhs, rhs, tol,
-                         omega_word=words[omega], **fields)
+        for line, omega, lhs, rhs, extra_text in point_sides:
+            yield line(k, lhs, rhs, words[omega], extra_text)
 
 
 def run_corpus(ctx, points, seed, tol):
@@ -184,6 +219,8 @@ def run_corpus(ctx, points, seed, tol):
         for n, entry in enumerate(corpus_mod.load_corpus(fname)):
             W = group(entry.group_label)
             chart = corpus_mod.builtin_chart(entry.group_label)
+            line = record("corpus", entry.group_label, ctx, tol, "sigma_word", file=fname)
+            omega_text, sigma_text = map(json.dumps, (entry.omega_word, entry.sigma_word))
 
             def sides(rng):
                 chart_values, point = chart.sample(ctx, rng)
@@ -191,22 +228,28 @@ def run_corpus(ctx, points, seed, tol):
 
             for k, (engine, expected) in _per_point(points, seed, f"corpus:{fname}:{n}",
                                                     sides):
-                yield record("corpus", entry.group_label, ctx, k, engine, expected, tol,
-                             file=fname, omega_word=list(entry.omega_word),
-                             sigma_word=list(entry.sigma_word))
+                yield line(k, engine, expected, omega_text, sigma_text)
     sp2_chart = corpus_mod.sp2_chart()
     W = group("C2")
+    cross = record("corpus/cross-substitution", "C2", ctx, tol, "sigma_word",
+                   dual_type="B2")
     for n, (sp2_entry, so5_entry) in enumerate(corpus_mod.cross_substitution_pairs()):
+        omega_text, sigma_text = map(json.dumps, (sp2_entry.omega_word,
+                                                  sp2_entry.sigma_word))
+
         def cross_sides(rng):
             chart_values, point = sp2_chart.sample(ctx, rng)
             return corpus_mod.cross_substitution_sides(
                 sp2_entry, so5_entry, chart_values, ctx, StepMemo(W, point))
 
         for k, (lhs, rhs) in _per_point(points, seed, f"cross:{n}", cross_sides):
-            yield record("corpus/cross-substitution", "C2", ctx, k, lhs, rhs, tol,
-                         dual_type="B2", omega_word=list(sp2_entry.omega_word),
-                         sigma_word=list(sp2_entry.sigma_word))
+            yield cross(k, lhs, rhs, omega_text, sigma_text)
     sigma = W.from_word(corpus_mod.WORKED_SUM_SIGMA)
+    omega_text, sigma_text = map(json.dumps, (corpus_mod.WORKED_SUM_WORD,
+                                              corpus_mod.WORKED_SUM_SIGMA))
+    sum_vs_factored, engine_vs_factored = (
+        record(f"corpus/worked-sum/{kind}", "C2", ctx, tol, "sigma_word")
+        for kind in ("sum-vs-factored", "engine-vs-factored"))
 
     def values(rng):
         chart_values, point = sp2_chart.sample(ctx, rng)
@@ -216,8 +259,5 @@ def run_corpus(ctx, points, seed, tol):
         return summed, factored, engine
 
     for k, (summed, factored, engine) in _per_point(points, seed, "worked", values):
-        for kind, lhs, rhs in (("sum-vs-factored", summed, factored),
-                               ("engine-vs-factored", engine, factored)):
-            yield record(f"corpus/worked-sum/{kind}", "C2", ctx, k, lhs, rhs, tol,
-                         omega_word=list(corpus_mod.WORKED_SUM_WORD),
-                         sigma_word=list(corpus_mod.WORKED_SUM_SIGMA))
+        yield sum_vs_factored(k, summed, factored, omega_text, sigma_text)
+        yield engine_vs_factored(k, engine, factored, omega_text, sigma_text)

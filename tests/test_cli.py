@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from random import Random
 
 import pytest
 
 from ellschub.classes import StepMemo, bs_table
 from ellschub.cli import main
-from ellschub.elliptic import EXACT, QContext, SingularPointError, sample_point
+from ellschub.elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
 from ellschub.weyl import group
 from weyl_reference import bruhat_leq
 
@@ -214,12 +215,14 @@ class RecordingOut:
 def test_report_writes_in_bounded_chunks():
     from ellschub import cli
 
-    records = [{"n": n, "pass": n % 3 != 0} for n in range(2 * cli.REPORT_CHUNK + 5)]
+    records = [(n % 3 != 0, json.dumps({"n": n, "pass": n % 3 != 0}, sort_keys=True))
+               for n in range(2 * cli.REPORT_CHUNK + 5)]
     out = RecordingOut()
     assert cli._report(iter(records), out) == 1
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    lines = [line for _, line in records]
     summary = {"summary": True, "checks": len(records),
-               "failures": sum(not rec["pass"] for rec in records), "pass": False}
+               "failures": sum(not json.loads(line)["pass"] for line in lines),
+               "pass": False}
     lines.append(json.dumps(summary, sort_keys=True))
     assert "".join(out.writes) == "\n".join(lines) + "\n"
     assert len(out.writes) > 1
@@ -233,6 +236,36 @@ def test_report_writes_in_bounded_chunks():
     with pytest.raises(SingularPointError):
         cli._report(raising(), out)
     assert out.writes == []
+
+
+@pytest.mark.parametrize("extra", ["sigma_word", "simple", None])
+def test_record_line_is_the_sorted_json_dump(extra, monkeypatch):
+    # the line builder against json.dumps of the record dict: residuals that
+    # json spells unlike repr, strings it must quote and escape, q parts -0.0
+    from ellschub import campaigns
+
+    # lhs and rhs carry the verdict and the residual straight through
+    monkeypatch.setattr(campaigns, "_compare", lambda ctx, ok, residual, tol: (ok, residual))
+    strange = 'a"b\\c%s{0}}\u00e9'
+    words = [(), (1, 2, 3, 4, 2, 3, 1) * 12]
+    values = {"sigma_word": words, "simple": [1, 4], None: [None]}[extra]
+    for ctx in (QContext(EXACT, order=3), QContext(COMPLEX, q=complex(-0.0, -0.25)),
+                QContext(COMPLEX, q=complex(-0.5, -0.0))):
+        line = campaigns.record(f"check/{strange}", strange, ctx, 1e-9, extra,
+                                file=strange, dual_type="\u03a9")
+        for k, ok, residual, omega_word, value in product(
+                [0, 12345], [True, False],
+                [0.0, 5e-324, 1e300, -1.5, float("nan"), float("inf"), float("-inf")],
+                words, values):
+            rec = {"check": f"check/{strange}", "type": strange, "file": strange,
+                   "dual_type": "\u03a9", **campaigns.ctx_fields(ctx),
+                   "omega_word": list(omega_word), "point": k, "residual": residual,
+                   "pass": ok}
+            if extra is not None:
+                rec[extra] = value
+            extra_text = json.dumps(value) if extra is not None else ""
+            assert line(k, ok, residual, json.dumps(omega_word), extra_text) == (
+                ok, json.dumps(rec, sort_keys=True))
 
 
 def test_closed_reader_exits_2():

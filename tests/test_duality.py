@@ -1,3 +1,4 @@
+import json
 from itertools import product
 from random import Random
 
@@ -255,8 +256,10 @@ def test_campaign_yields_a_point_before_the_next_is_computed(monkeypatch):
 
     monkeypatch.setattr(campaigns, "duality_pairs", counting)
     records = campaigns.run_duality("A1", QContext(EXACT, order=2), 2, 0, 1e-9)
-    first = next(records)
+    ok, line = next(records)
     assert len(calls) == 1
+    first = json.loads(line)
     assert (first["point"], first["omega_word"], first["sigma_word"]) == (0, [], [])
+    assert ok is first["pass"]
     assert len(list(records)) == 2 * 4 - 1
     assert len(calls) == 2
