@@ -89,11 +89,15 @@ def _neg(row) -> tuple:
     return tuple(-c for c in row)
 
 
-def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo) -> ClassTable:
-    """EE table for omega = id: the full delta product at id, 0 elsewhere."""
+def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo,
+                  u: int = 0) -> ClassTable:
+    """EE table for omega = id: the full delta product at id, 0 elsewhere.
+    Each positive coroot gamma is read as u(gamma), as the first step of a
+    word with product u^-1 needs (the default 0 is W.identity)."""
+    row = W.root_index[u]
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = _h_product(memo, point, _nu(
-        point, map(_neg, W.rs.positive_coroots)))
+    values[W.identity] = _h_product(memo, point, _nu(point, (
+        _neg(_image(W.coroots, row, gamma)) for gamma in W.rs.positive_coroots)))
     return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
 
 
@@ -113,23 +117,23 @@ class StepMemo:
     delta(a, b) under (a, b), read through `delta`; a memo made with
     `deltas_of`, a memo of the same context, shares that dict.
 
-    Every step of a Bott-Samelson table lives on the point's chain of
-    nu-transforms, which keeps the zeta values, h and the context, so the
-    coefficients of a step depend only on the value of the root
-    sigma(alpha_s), fixed by its index r in W.roots, and on the value of
-    nu_s. They are kept under (nu_s value, r): `normalized` holds the pairs
-    of bs_step, divided by delta(nu_s, h), and `unnormalized` the undivided
-    pairs of unnormalized_table."""
+    `roots` and `coroots` hold the point's values of e^(-beta) and h^gamma
+    for W.roots and W.coroots. A Bott-Samelson step reads nu_s as coroot g
+    and sigma(alpha_s) as root r, so its coefficient pairs are kept in rows
+    [g][r]: `normalized` those of bs_step, divided by delta(nu_s, h), and
+    `unnormalized` the undivided ones of unnormalized_table."""
 
-    __slots__ = ("group", "fixed", "roots", "normalized", "unnormalized", "deltas")
+    __slots__ = ("group", "point", "roots", "coroots", "normalized", "unnormalized",
+                 "deltas")
 
     def __init__(self, W: WeylGroup, point: EvalPoint, deltas_of: StepMemo | None = None):
         self.group = W
-        self.fixed = _fixed_part(W, point)
+        self.point = point
         self.roots = _zeta(point, W.roots)
-        self.normalized: dict = {}
-        self.unnormalized: dict = {}
-        if deltas_of is not None and deltas_of.fixed[0] != point.ctx:
+        self.coroots = _nu(point, W.coroots)
+        self.normalized: list = [None] * len(W.coroots)
+        self.unnormalized: list = [None] * len(W.coroots)
+        if deltas_of is not None and deltas_of.point.ctx != point.ctx:
             raise ValueError("delta values shared across contexts")
         self.deltas: dict = {} if deltas_of is None else deltas_of.deltas
 
@@ -137,58 +141,64 @@ class StepMemo:
         """delta(a, b) in the memo's context, computed once per `deltas`."""
         out = self.deltas.get((a, b))
         if out is None:
-            out = self.deltas[a, b] = delta(a, b, self.fixed[0])
+            out = self.deltas[a, b] = delta(a, b, self.point.ctx)
         return out
 
     def delta_product(self, pairs):
         """prod delta(a, b) over the pairs (a, b), in their order, starting
         from the first factor; the empty product is the context's one."""
         factors = [self.delta(a, b) for a, b in pairs]
-        return reduce(mul, factors) if factors else self.fixed[0].one()
+        return reduce(mul, factors) if factors else self.point.ctx.one()
 
     def check(self, W: WeylGroup, point: EvalPoint) -> None:
-        if W is not self.group or _fixed_part(W, point) != self.fixed:
-            raise ValueError("step memo made for another group, zeta sector, h or context")
+        if W is not self.group or point != self.point:
+            raise ValueError("step memo made for another group or point")
 
-    def coefficients(self, kept: dict, s: int, nu_val, coefficients) -> list:
+    def coefficients(self, kept: list, s: int, g: int, coefficients) -> list:
         """[r] -> coefficients(value of root r) for every root r of a step
-        by s with nu_s value nu_val, worked out once and kept in `kept`.
+        by s that reads nu_s as coroot g, worked out once and kept in
+        kept[g].
 
         Missing pairs are computed in the order the roots first appear over
         sigma, as a per-sigma loop meets them, and a kept pair raised
         nothing when it was computed; so a singular point raises the same
         error, also for a root whose entries are all outside the support."""
-        row = kept.get(nu_val)
+        row = kept[g]
         if row is None:
-            row = kept[nu_val] = [None] * len(self.roots)
+            row = kept[g] = [None] * len(self.roots)
         for r in self.group.step_roots[s - 1]:
             if row[r] is None:
                 row[r] = coefficients(self.roots[r])
         return row
 
 
-def _fixed_part(W: WeylGroup, point: EvalPoint):
-    """What a nu-transform keeps of the point: context, zeta values and h."""
-    return point.ctx, point.values[:W.rank], point.h
+def _step_coroots(W: WeylGroup, word) -> tuple:
+    """(u, gammas): u = product(word)^-1, and gammas[j] the index in
+    W.coroots of u_j(alpha_s^v), s = word[j] and u_j = product(word[j+1:])^-1.
+    Step j makes the table of word[:j+1] at the point nu-transformed by
+    word[j+1:], where nu_s is the value of that coroot at the point itself."""
+    u, gammas = W.identity, []
+    for s in reversed(word):
+        gammas.append(W.root_index[u][s - 1])
+        u = W.rmult(u, s)
+    return u, gammas[::-1]
 
 
-def bs_step(W: WeylGroup, table: ClassTable, s: int, outer_point: EvalPoint,
+def bs_step(W: WeylGroup, table: ClassTable, s: int, g: int,
             memo: StepMemo) -> ClassTable:
-    """One Bott-Samelson step; table must live at the nu-transform of
-    outer_point by s. Both coefficients are divided by delta(nu_s, h)
-    before they are combined. memo was made for W at a point of
-    outer_point's chain."""
-    ctx, h = outer_point.ctx, outer_point.h
-    (nu_val,) = _nu(outer_point, (_basis(W.rank, s),))
-    den = memo.delta(nu_val, h)
-    coeffs = memo.coefficients(memo.normalized, s, nu_val, lambda sigma_zeta: (
+    """One Bott-Samelson step by s that reads nu_s as the value of coroot g
+    (an index into W.coroots) at memo's point; bs_table gives each step its
+    g. Both coefficients are divided by delta(nu_s, h) before they are
+    combined. The new table is kept with memo's point."""
+    point, nu_val = memo.point, memo.coroots[g]
+    den = memo.delta(nu_val, point.h)
+    coeffs = memo.coefficients(memo.normalized, s, g, lambda sigma_zeta: (
         _checked_div(memo.delta(sigma_zeta, nu_val), den),
-        _checked_div(memo.delta(sigma_zeta, h), den),
+        _checked_div(memo.delta(sigma_zeta, point.h), den),
     ))
     support = table.support or (True,) * W.order
-    values, support = _step_values(W, table.values, support, s, coeffs, ctx.zero())
-    return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind,
-                      support)
+    values, support = _step_values(W, table.values, support, s, coeffs, point.ctx.zero())
+    return ClassTable(W, table.word + (s,), point, tuple(values), table.kind, support)
 
 
 def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
@@ -218,15 +228,6 @@ def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
     return out, tuple(grown)
 
 
-def _point_chain(W: WeylGroup, word, point):
-    """points[j] is where the table for word[:j] lives."""
-    points = [point]
-    for s in reversed(word):
-        points.append(transform_point(points[-1], s, NU, W.rs))
-    points.reverse()
-    return points
-
-
 def _memo_for(W: WeylGroup, point: EvalPoint, memo: StepMemo | None) -> StepMemo:
     if memo is None:
         return StepMemo(W, point)
@@ -237,15 +238,14 @@ def _memo_for(W: WeylGroup, point: EvalPoint, memo: StepMemo | None) -> StepMemo
 def bs_table(W: WeylGroup, word, point: EvalPoint,
              memo: StepMemo | None = None) -> ClassTable:
     """EE table for omega = product of word (need not be reduced). memo, if
-    given, was made for W at a point with point's zeta values, h and
-    context; the tables at one point share their step coefficients
-    through it."""
+    given, was made for W at point; the tables at one point share their
+    step coefficients through it."""
     word = tuple(word)
     memo = _memo_for(W, point, memo)
-    points = _point_chain(W, word, point)
-    table = initial_table(W, points[0], memo)
-    for j, s in enumerate(word):
-        table = bs_step(W, table, s, points[j + 1], memo)
+    u, gammas = _step_coroots(W, word)
+    table = initial_table(W, point, memo, u)
+    for s, g in zip(word, gammas):
+        table = bs_step(W, table, s, g, memo)
     return table
 
 
@@ -256,22 +256,21 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
     bs_table."""
     word = tuple(word)
     memo = _memo_for(W, point, memo)
-    ctx = point.ctx
-    zero = ctx.zero()
-    points = _point_chain(W, word, point)
+    ctx, h, zero = point.ctx, point.h, point.ctx.zero()
     values = [zero] * W.order
     values[W.identity] = ctx.one()
     support = _identity_support(W)
     omega = W.identity
-    for j, s in enumerate(word):
-        outer = points[j + 1]
-        nu_s = _basis(W.rank, s)
-        nu_val, nu_inv = _nu(outer, (nu_s, _neg(nu_s)))
+    # W.coroots lists the positive coroots, then their negatives, so the
+    # negative of coroot g is coroot g - half, counted from the end if g < half
+    half = len(W.coroots) // 2
+    for s, g in zip(word, _step_coroots(W, word)[1]):
+        nu_val, nu_inv = memo.coroots[g], memo.coroots[g - half]
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
-            down = memo.delta(nu_val, outer.h) * memo.delta(nu_inv, outer.h)
-        coeffs = memo.coefficients(memo.unnormalized, s, nu_val, lambda sigma_zeta: (
-            memo.delta(sigma_zeta, nu_val), memo.delta(sigma_zeta, outer.h)))
+            down = memo.delta(nu_val, h) * memo.delta(nu_inv, h)
+        coeffs = memo.coefficients(memo.unnormalized, s, g, lambda sigma_zeta: (
+            memo.delta(sigma_zeta, nu_val), memo.delta(sigma_zeta, h)))
         values, support = _step_values(W, values, support, s, coeffs, zero)
         if not going_up:
             # the identity is always in the support, so a singular `down`

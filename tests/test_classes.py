@@ -1,16 +1,16 @@
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from random import Random
 
 import pytest
 
+from ellschub import classes
 from ellschub.classes import (
-    ClassTable,
     StepMemo,
     _checked_div,
     _neg,
     _nu,
-    _point_chain,
     _zeta,
     bs_step,
     bs_table,
@@ -110,23 +110,31 @@ def test_bs_step_sl2_word_matches_example(exact_ctx):
     # EE_id(X_tau) = delta(z2/z1, mu2/mu1); EE_tau(X_tau) = delta(z1/z2, h)
     W = group("A1")
     (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "sl2-word")
-    inner = transform_point(point, 1, NU, W.rs)
-    memo = StepMemo(W, point)
-    table = bs_step(W, initial_table(W, inner, memo), 1, point, memo)
     tau = W.from_word((1,))
+    memo = StepMemo(W, point)
+    # the initial product reads tau(gamma) for tau = (s1)^-1, and the one
+    # step reads nu_1 as the coroot alpha_1^v itself
+    table = bs_step(W, initial_table(W, point, memo, tau), 1,
+                    W.root_index[W.identity][0], memo)
     assert table.values[W.identity] == delta(z2 / z1, mu2 / mu1, exact_ctx)
     assert table.values[tau] == delta(z1 / z2, h, exact_ctx)
 
 
 def test_bs_step_requires_transformed_input(exact_ctx):
-    # the chain bookkeeping is what bs_table provides
-    W = group("A1")
-    _, point = chart_point("A1", exact_ctx, "sl2-chain")
-    inner = transform_point(point, 1, NU, W.rs)
+    # the initial product read at u = product(word)^-1 and the coroot index
+    # of each step are what bs_table provides
+    W = group("A2")
+    point = sample_point(W.rank, exact_ctx, Random("a2-chain"))
     memo = StepMemo(W, point)
-    assert bs_table(W, (1,), point).values == bs_step(
-        W, initial_table(W, inner, memo), 1, point, memo
-    ).values
+    u = W.from_word((2, 1))  # (s1 s2)^-1
+    table = initial_table(W, point, memo, u)
+    # step 1 reads s2(alpha_1^v), step 2 alpha_2^v
+    for s, g in ((1, W.root_index[W.from_word((2,))][0]), (2, W.root_index[W.identity][1])):
+        table = bs_step(W, table, s, g, memo)
+    assert bs_table(W, (1, 2), point).values == table.values
+    assert table.values != bs_step(W, bs_step(W, initial_table(W, point, memo), 1,
+                                              W.root_index[W.identity][0], memo),
+                                   2, W.root_index[W.identity][1], memo).values
 
 
 def test_bs_round_trip_single_letter(exact_ctx):
@@ -427,49 +435,85 @@ def reference_delta(a, b, ctx):
     return delta(a, b, ctx)
 
 
-def reference_bs_step(W, table, s, outer_point):
-    """bs_step as a loop over sigma, both coefficients recomputed per sigma."""
-    (nu_s,) = _nu(outer_point, (_basis(W.rank, s),))
-    den = reference_delta(nu_s, outer_point.h, outer_point.ctx)
-    values = []
+def reference_point_chain(W, word, point, kept=None):
+    """points[j] is where the table for word[:j] lives: the point
+    nu-transformed by the letters word[j:], the last one first. kept, if
+    given, is a dict that keeps the point of each suffix for the next word."""
+    kept = {} if kept is None else kept
+    points = [point]
+    for j in range(len(word) - 1, -1, -1):
+        p = kept.get(word[j:])
+        if p is None:
+            p = kept[word[j:]] = transform_point(points[-1], word[j], NU, W.rs)
+        points.append(p)
+    points.reverse()
+    return points
+
+
+def chain_values(W, word, point):
+    """(the x of the initial product of delta(x, h), [(nu_s, nu_s^-1) of
+    each step]), read off the point chain."""
+    points = reference_point_chain(W, word, point)
+    start = _nu(points[0], map(_neg, W.rs.positive_coroots))
+    return start, [_nu(p, (_basis(W.rank, s), _neg(_basis(W.rank, s))))
+                   for s, p in zip(word, points[1:])]
+
+
+def indexed_values(W, word, point):
+    """chain_values read at the point itself: step j reads nu_s as
+    h^(u(alpha_s^v)) for u = product(word[j+1:])^-1, and the initial product
+    reads h^(-u(gamma)) for u = product(word)^-1."""
+    def image(letters, v):
+        return _matvec(coroot_matrices(W)[W.inv(W.from_word(letters))], v)
+
+    start = _nu(point, (_neg(image(word, gamma)) for gamma in W.rs.positive_coroots))
+    steps = []
+    for j, s in enumerate(word):
+        gamma = image(word[j + 1:], _basis(W.rank, s))
+        steps.append(_nu(point, (gamma, _neg(gamma))))
+    return start, steps
+
+
+def reference_bs_step(W, values, s, nu_s, point):
+    """bs_step as a loop over sigma, both coefficients recomputed per sigma;
+    the zeta values and h are the point's at every step."""
+    den = reference_delta(nu_s, point.h, point.ctx)
+    out = []
     for sigma in range(W.order):
-        (sigma_zeta,) = _zeta(outer_point, (_column(matrices(W)[sigma], s),))
-        c_keep = _checked_div(reference_delta(sigma_zeta, nu_s, outer_point.ctx), den)
-        c_mix = _checked_div(reference_delta(sigma_zeta, outer_point.h, outer_point.ctx), den)
-        values.append(
-            c_keep * table.values[sigma] + c_mix * table.values[W.rmult(sigma, s)]
-        )
-    return ClassTable(W, table.word + (s,), outer_point, tuple(values), table.kind)
+        (sigma_zeta,) = _zeta(point, (_column(matrices(W)[sigma], s),))
+        c_keep = _checked_div(reference_delta(sigma_zeta, nu_s, point.ctx), den)
+        c_mix = _checked_div(reference_delta(sigma_zeta, point.h, point.ctx), den)
+        out.append(c_keep * values[sigma] + c_mix * values[W.rmult(sigma, s)])
+    return out
 
 
-def reference_bs_table(W, word, point):
-    points = _point_chain(W, word, point)
-    table = initial_table(W, points[0], StepMemo(W, points[0]))
-    for j, s in enumerate(word):
-        table = reference_bs_step(W, table, s, points[j + 1])
-    return table
-
-
-def reference_unnormalized_table(W, word, point):
-    """unnormalized_table as a loop over sigma."""
-    rank = W.rank
-    points = _point_chain(W, word, point)
+def reference_bs_table(W, word, point, read=chain_values):
+    """bs_table with the values of `read`."""
+    start, steps = read(W, word, point)
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = point.ctx.one()
+    values[W.identity] = reduce(mul, [reference_delta(x, point.h, point.ctx)
+                                      for x in start])
+    for s, (nu_s, _) in zip(word, steps):
+        values = reference_bs_step(W, values, s, nu_s, point)
+    return tuple(values)
+
+
+def reference_unnormalized_table(W, word, point, read=chain_values):
+    """unnormalized_table as a loop over sigma, with the values of `read`."""
+    ctx, h = point.ctx, point.h
+    values = [ctx.zero()] * W.order
+    values[W.identity] = ctx.one()
     omega = W.identity
-    for j, s in enumerate(word):
-        outer = points[j + 1]
-        nu_s, nu_inv = _nu(outer, (_basis(rank, s), _neg(_basis(rank, s))))
+    for s, (nu_s, nu_inv) in zip(word, read(W, word, point)[1]):
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
-            down = (reference_delta(nu_s, outer.h, outer.ctx)
-                    * reference_delta(nu_inv, outer.h, outer.ctx))
+            down = reference_delta(nu_s, h, ctx) * reference_delta(nu_inv, h, ctx)
         new_values = []
         for sigma in range(W.order):
-            (sigma_zeta,) = _zeta(outer, (_column(matrices(W)[sigma], s),))
+            (sigma_zeta,) = _zeta(point, (_column(matrices(W)[sigma], s),))
             lhs = (
-                reference_delta(sigma_zeta, nu_s, outer.ctx) * values[sigma]
-                + reference_delta(sigma_zeta, outer.h, outer.ctx) * values[W.rmult(sigma, s)]
+                reference_delta(sigma_zeta, nu_s, ctx) * values[sigma]
+                + reference_delta(sigma_zeta, h, ctx) * values[W.rmult(sigma, s)]
             )
             new_values.append(lhs if going_up else _checked_div(lhs, down))
         values = new_values
@@ -512,31 +556,80 @@ def reference_rmatrix_values(W, word, point):
     return tuple(ev(tuple(word), sigma, W.identity) for sigma in range(W.order))
 
 
+# The exact cases read nu_s off the point chain, the complex one at the
+# table's own point by coroot index, as bs_table does: the two differ in the
+# last bits of a float.
 REFERENCE_CASES = [
-    ("B2", QContext(EXACT, order=4)),
-    ("G2", QContext(EXACT, order=3)),
-    ("B3", QContext(COMPLEX, order=8, q=0.3)),
+    ("B2", QContext(EXACT, order=4), chain_values),
+    ("G2", QContext(EXACT, order=3), chain_values),
+    ("B3", QContext(COMPLEX, order=8, q=0.3), indexed_values),
 ]
 
 
-@pytest.mark.parametrize("label,ctx", REFERENCE_CASES,
+@pytest.mark.parametrize("label,ctx,read", REFERENCE_CASES,
                          ids=[f"{c[0]}-{c[1].backend}" for c in REFERENCE_CASES])
-def test_recursions_equal_per_sigma_reference(label, ctx):
+def test_recursions_equal_per_sigma_reference(label, ctx, read):
     """Identical values, float for float on the complex backend."""
     W = group(label)
     point = sample_point(W.rank, ctx, Random(f"reference:{label}"))
     for w in range(W.order):
         word = W.reduced_word(w)
-        assert bs_table(W, word, point).values == reference_bs_table(W, word, point).values
+        assert bs_table(W, word, point).values == reference_bs_table(W, word, point, read)
         assert (unnormalized_table(W, word, point).values
-                == reference_unnormalized_table(W, word, point))
+                == reference_unnormalized_table(W, word, point, read))
         assert (rmatrix_table(W, word, point, StepMemo(W, point)).values
                 == reference_rmatrix_values(W, word, point))
     # words that are not reduced take length-decreasing steps
     for word in ((1, 1), (1, 2, 2, 1), (2, 1, 2, 2, 1)):
-        assert bs_table(W, word, point).values == reference_bs_table(W, word, point).values
+        assert bs_table(W, word, point).values == reference_bs_table(W, word, point, read)
         assert (unnormalized_table(W, word, point).values
-                == reference_unnormalized_table(W, word, point))
+                == reference_unnormalized_table(W, word, point, read))
+
+
+def reduced_words(W):
+    """Every reduced word of every element of W, each once."""
+    stack = [((), W.identity)]
+    while stack:
+        word, w = stack.pop()
+        yield word
+        for s in range(1, W.rank + 1):
+            if W.length(W.lmult(s, w)) > W.length(w):
+                stack.append(((s,) + word, W.lmult(s, w)))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4"])
+def test_steps_read_nu_s_where_the_point_chain_did(label, monkeypatch):
+    """For every reduced word, each step reads as nu_s the coroot whose value
+    at the table's own point is nu_s at the step's point of the chain, and
+    the initial product is the one at the chain's first point."""
+    W = group(label)
+    point = sample_point(W.rank, QContext(EXACT, order=1), Random(f"coroot-steps:{label}"))
+    memo = StepMemo(W, point)
+    steps, tables = [], {}
+
+    def initial(W, point, memo, u=W.identity):
+        """initial_table, computed once per u: it reads the word only through u."""
+        if u not in tables:
+            tables[u] = initial_table(W, point, memo, u)
+        return tables[u]
+
+    # every step returns its table, so bs_table returns the initial one
+    monkeypatch.setattr(classes, "initial_table", initial)
+    monkeypatch.setattr(classes, "bs_step",
+                        lambda W, table, s, g, memo: steps.append((s, g)) or table)
+    chain, products = {}, {}
+    for word in reduced_words(W):
+        steps.clear()
+        start = bs_table(W, word, point, memo).values[W.identity]
+        points = reference_point_chain(W, word, point, chain)
+        assert [s for s, _ in steps] == list(word)
+        for (s, g), outer in zip(steps, points[1:]):
+            assert memo.coroots[g] == outer.values[W.rank + s - 1]
+        # the words of one element meet one first point
+        if points[0] not in products:
+            products[points[0]] = memo.delta_product(
+                (x, point.h) for x in _nu(points[0], map(_neg, W.rs.positive_coroots)))
+        assert start == products[points[0]]
 
 
 def test_singular_point_raises_as_reference():
@@ -590,7 +683,9 @@ def test_shared_memo_gives_the_tables_of_fresh_ones():
         assert bs_table(W, word, point, memo).values == bs_table(W, word, point).values
         assert (unnormalized_table(W, word, point, memo).values
                 == unnormalized_table(W, word, point).values)
-    assert set(memo.normalized) and set(memo.unnormalized)
+    # the rows are kept by coroot index, one row per coroot a step read
+    for kept in (memo.normalized, memo.unnormalized):
+        assert any(kept) and len(kept) == len(W.coroots)
 
 
 def test_memo_refuses_another_point():
@@ -598,12 +693,15 @@ def test_memo_refuses_another_point():
     W = group("A2")
     point = sample_point(W.rank, ctx, Random("memo-check"))
     memo = StepMemo(W, point)
-    # a nu-transform keeps zeta and h, so it may share the memo
-    bs_table(W, (1,), transform_point(point, 2, NU, W.rs), memo)
+    bs_table(W, (1,), EvalPoint(ctx, tuple(point.values)), memo)  # an equal point
+    # a memo keeps the coroot values of its own point, so a nu-transform,
+    # which keeps zeta and h, is another point too
+    nu_moved = transform_point(point, 2, NU, W.rs)
     other = EvalPoint(ctx, point.values[:-1] + (point.h * 2,))
     for fn in (bs_table, unnormalized_table, rmatrix_table):
-        with pytest.raises(ValueError):
-            fn(W, (1,), other, memo)
+        for moved in (nu_moved, other):
+            with pytest.raises(ValueError):
+                fn(W, (1,), moved, memo)
         with pytest.raises(ValueError):
             fn(group("B2"), (1,), point, memo)
 

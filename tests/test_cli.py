@@ -401,7 +401,9 @@ def test_two_tables_share_deltas_only_through_a_memo(computed_deltas):
 
 
 @pytest.mark.parametrize("argv,computed", [
-    (["verify", "recursions", "--type", "B2", "--backend", "complex", "--points", "1"], 71),
+    # 32 on the exact backend: the R-matrix step reads zeta_s**-1, a float
+    # that is not the value of the negated root the Bott-Samelson steps read
+    (["verify", "recursions", "--type", "B2", "--backend", "complex", "--points", "1"], 37),
     (["verify", "double-dual", "--type", "A2", "--qorder", "4", "--points", "1"], 30),
     (["verify", "normalization", "--type", "B2", "--qorder", "4", "--points", "1"], 48),
     (["verify", "duality", "--type", "A2", "--qorder", "4", "--points", "2"], 120),
@@ -414,6 +416,20 @@ def test_campaigns_compute_each_delta_of_a_point_once(argv, computed, computed_d
     assert main(argv + ["--seed", "0"]) == 0
     capsys.readouterr()
     assert computed_deltas[0] == computed
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_complex_duality_computes_the_deltas_of_exact(label, computed_deltas, capsys):
+    # every step reads nu_s as a coroot value at the table's own point, so
+    # the memo meets one float per coroot and misses no cached delta
+    counts = []
+    for backend in ("exact", "complex"):
+        computed_deltas[0] = 0
+        assert main(["verify", "duality", "--type", label, "--backend", backend,
+                     "--points", "1", "--seed", "0"]) == 0
+        counts.append(computed_deltas[0])
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0
 
 
 def test_group_above_the_order_cap_exits_2(capsys, monkeypatch):
