@@ -33,15 +33,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .elliptic import (
-    NU,
-    EvalPoint,
-    SingularPointError,
-    delta,
-    monomial_map,
-    transform_point,
-)
-from .rootsys import _basis
+from .elliptic import EvalPoint, SingularPointError, delta, monomial_map
 from .weyl import WeylGroup
 
 
@@ -74,19 +66,10 @@ def _checked_div(num, den):
         raise SingularPointError(str(err)) from err
 
 
-def _zeta(point, roots) -> tuple:
-    """e^(-beta) = prod zeta_t^(beta_t) at the point for each root row beta."""
-    return monomial_map(point.values[:point.rank], roots)
-
-
-def _nu(point, coroots) -> tuple:
-    """h^gamma = prod nu_t^(gamma_t) at the point for each coroot row gamma."""
-    rank = point.rank
-    return monomial_map(point.values[rank:2 * rank], coroots)
-
-
-def _neg(row) -> tuple:
-    return tuple(-c for c in row)
+def _negated(W: WeylGroup, i: int) -> int:
+    """The index of -roots[i], and of -coroots[i]: the positive ones come first."""
+    half = len(W.roots) // 2
+    return i + half if i < half else i - half
 
 
 def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo,
@@ -94,10 +77,9 @@ def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo,
     """EE table for omega = id: the full delta product at id, 0 elsewhere.
     Each positive coroot gamma is read as u(gamma), as the first step of a
     word with product u^-1 needs (the default 0 is W.identity)."""
-    row = W.root_index[u]
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = _h_product(memo, point, _nu(point, (
-        _neg(_image(W.coroots, row, gamma)) for gamma in W.rs.positive_coroots)))
+    values[W.identity] = _h_product(memo, point, (  # u(-gamma) for the -gamma
+        memo.coroots[W.act(u, i)] for i in range(len(W.coroots) // 2, len(W.coroots))))
     return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
 
 
@@ -117,9 +99,10 @@ class StepMemo:
     delta(a, b) under (a, b), read through `delta`; a memo made with
     `deltas_of`, a memo of the same context, shares that dict.
 
-    `roots` and `coroots` hold the point's values of e^(-beta) and h^gamma
-    for W.roots and W.coroots. A Bott-Samelson step reads nu_s as coroot g
-    and sigma(alpha_s) as root r, so its coefficient pairs are kept in rows
+    `roots` and `coroots` hold the point's values of e^(-beta) =
+    prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
+    W.roots and W.coroots. A Bott-Samelson step reads nu_s as coroot g and
+    sigma(alpha_s) as root r, so its coefficient pairs are kept in rows
     [g][r]: `normalized` those of bs_step, divided by delta(nu_s, h), and
     `unnormalized` the undivided ones of unnormalized_table."""
 
@@ -129,8 +112,9 @@ class StepMemo:
     def __init__(self, W: WeylGroup, point: EvalPoint, deltas_of: StepMemo | None = None):
         self.group = W
         self.point = point
-        self.roots = _zeta(point, W.roots)
-        self.coroots = _nu(point, W.coroots)
+        rank = point.rank
+        self.roots = monomial_map(point.values[:rank], W.roots)
+        self.coroots = monomial_map(point.values[rank:2 * rank], W.coroots)
         self.normalized: list = [None] * len(W.coroots)
         self.unnormalized: list = [None] * len(W.coroots)
         if deltas_of is not None and deltas_of.point.ctx != point.ctx:
@@ -261,11 +245,8 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
     values[W.identity] = ctx.one()
     support = _identity_support(W)
     omega = W.identity
-    # W.coroots lists the positive coroots, then their negatives, so the
-    # negative of coroot g is coroot g - half, counted from the end if g < half
-    half = len(W.coroots) // 2
     for s, g in zip(word, _step_coroots(W, word)[1]):
-        nu_val, nu_inv = memo.coroots[g], memo.coroots[g - half]
+        nu_val, nu_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
             down = memo.delta(nu_val, h) * memo.delta(nu_inv, h)
@@ -285,7 +266,7 @@ def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
     """Em normalization: EE divided by the full delta product over Pi."""
     memo = StepMemo(W, point)
     table = bs_table(W, word, point, memo)
-    full = _h_product(memo, point, _nu(point, map(_neg, W.rs.positive_coroots)))
+    full = initial_table(W, point, memo).values[W.identity]
     values = tuple(_checked_div(v, full) for v in table.values)
     return ClassTable(W, table.word, point, values, "Em", table.support)
 
@@ -323,16 +304,14 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
     # (depth, twist)
     c = coeffs.get((depth, twist))
     if c is None:
-        # zeta_s at the twisted point is the value of twist(alpha_s) at the
-        # point, raised to +-1 as monomial_map raises a basis row; nu and h
-        # are the point's own
-        zeta_s = memo.roots[W.root_index[twist][s - 1]]
-        gamma = W.coroots[W.root_index[W.inv(W.from_word(rest))][s - 1]]
-        gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
-        den = memo.delta(gamma_inv, point.h)
+        # zeta_s^(+-1) at the twisted point is the value at the point of the
+        # root +-twist(alpha_s); nu and h are the point's own
+        r = W.root_index[twist][s - 1]
+        g = W.root_index[W.inv(W.from_word(rest))][s - 1]
+        den = memo.delta(memo.coroots[_negated(W, g)], point.h)
         c = coeffs[(depth, twist)] = (
-            _checked_div(memo.delta(zeta_s**1, gamma_val), den),
-            _checked_div(memo.delta(zeta_s**-1, point.h), den),
+            _checked_div(memo.delta(memo.roots[r], memo.coroots[g]), den),
+            _checked_div(memo.delta(memo.roots[_negated(W, r)], point.h), den),
         )
     keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, start, kept, coeffs)
     mixed = _rmatrix_eval(W, rest, W.lmult(s, sigma), W.rmult(twist, s),
@@ -345,39 +324,39 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
 # normalization
 
 
-def _image(vectors, row, v):
-    """w(v) for v in simple coordinates, given row = W.root_index[w] and
-    vectors = W.roots (W.coroots for a coroot v): column s of w's matrix is
-    vectors[row[s-1]]."""
-    return tuple(sum(c * vectors[i][k] for c, i in zip(v, row)) for k in range(len(v)))
+def _positive(W: WeylGroup, w: int, kept: bool, vectors) -> list:
+    """The indices i of the positive roots (and coroots: w(coroots[i]) is
+    the coroot of w(roots[i])) that w keeps positive (kept) or makes
+    negative (not kept), in the coordinate order of vectors[i]."""
+    half = len(W.roots) // 2
+    return sorted((i for i in range(half) if (W.act(w, i) < half) == kept),
+                  key=vectors.__getitem__)
 
 
 def tangent_weights(W: WeylGroup, omega: int) -> frozenset:
     """T(G, omega) = Phi_+ intersect omega(Phi_-), as root coordinates."""
-    row = W.root_index[W.inv(omega)]
-    return frozenset(beta for beta in W.rs.positive_roots
-                     if all(c <= 0 for c in _image(W.roots, row, beta)))
+    return frozenset(W.roots[i] for i in _positive(W, W.inv(omega), False, W.roots))
 
 
 def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
     """F(G, omega) = Phi^v_+ intersect omega^{-1}(Phi^v_+), coroot coords."""
-    row = W.root_index[omega]
-    return frozenset(gamma for gamma in W.rs.positive_coroots
-                     if all(c >= 0 for c in _image(W.coroots, row, gamma)))
+    return frozenset(W.coroots[i] for i in _positive(W, omega, True, W.coroots))
 
 
 def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint, memo: StepMemo):
     """c(G, omega) at the point, with the delta values of memo."""
-    return _h_product(memo, point, _nu(
-        point, map(_neg, sorted(normalization_index_set(W, omega)))))
+    return _h_product(memo, point, (memo.coroots[_negated(W, i)]
+                                    for i in _positive(W, omega, True, W.coroots)))
 
 
 def c_recursion_right_sides(W, omega, s, point, memo: StepMemo):
-    """(c(G, omega s), nu-transformed recursion rhs)."""
+    """(c(G, omega s), nu-transformed recursion rhs); the shifted factor
+    reads h^(-gamma) at the point nu-transformed by s as h^(s(-gamma))."""
     lhs = normalization_factor(W, W.rmult(omega, s), point, memo)
-    shifted = normalization_factor(W, omega, transform_point(point, s, NU, W.rs), memo)
-    nu_s = _basis(W.rank, s)
-    nu_val, nu_inv = _nu(point, (nu_s, _neg(nu_s)))
+    shifted = _h_product(memo, point, (memo.coroots[W.reflected[s - 1][_negated(W, i)]]
+                                       for i in _positive(W, omega, True, W.coroots)))
+    g = W.root_index[W.identity][s - 1]  # alpha_s^v
+    nu_val, nu_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
     if W.length(W.rmult(omega, s)) > W.length(omega):
         rhs = _checked_div(shifted, memo.delta(nu_val, point.h))
     else:
@@ -389,8 +368,8 @@ def c_recursion_left_sides(W, omega, s, point, memo: StepMemo):
     """(c(G, s omega), recursion rhs), left-multiplication form."""
     lhs = normalization_factor(W, W.lmult(s, omega), point, memo)
     base = normalization_factor(W, omega, point, memo)
-    gamma = W.coroots[W.root_index[W.inv(omega)][s - 1]]
-    gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
+    g = W.root_index[W.inv(omega)][s - 1]
+    gamma_val, gamma_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
     if W.length(W.lmult(s, omega)) > W.length(omega):
         rhs = _checked_div(base, memo.delta(gamma_inv, point.h))
     else:
@@ -401,5 +380,6 @@ def c_recursion_left_sides(W, omega, s, point, memo: StepMemo):
 def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
     """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
     of delta(e^(alpha_s), h)."""
-    return _h_product(StepMemo(W, point), point, _zeta(
-        point, map(_neg, sorted(tangent_weights(W, sigma)))))
+    memo = StepMemo(W, point)
+    return _h_product(memo, point, (memo.roots[_negated(W, i)]
+                                    for i in _positive(W, W.inv(sigma), False, W.roots)))

@@ -490,9 +490,8 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
 
 def twist_point(point: EvalPoint, matrix) -> EvalPoint:
     """zeta-sector precomposition with a full Weyl matrix (column j = image
-    of alpha_j). No recursion moves its point: the R-matrix and Bott-Samelson
-    steps read zeta_s and nu_s from StepMemo.roots and StepMemo.coroots. The
-    R-matrix test reference twists through here; the tracer wraps this name."""
+    of alpha_j), for the test references and the tracer: the library reads
+    every root and coroot value by index from a StepMemo and moves no point."""
     return _sector_map(point, ZETA, tuple(zip(*matrix)))
 
 

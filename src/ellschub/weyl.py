@@ -2,11 +2,12 @@
 
 An element is known by what it does to the roots: root_index[w] lists the
 indices of w(alpha_1), ..., w(alpha_n) among the roots, which fixes w
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4). Column s of w's
-matrix on the root lattice is roots[root_index[w][s-1]], and on the coroot
-lattice coroots[root_index[w][s-1]]; no matrix is stored. Everything else
-the recursions look up per element (reduced words, inverses, tau0,
-s -> s*) is a table filled once when the group is enumerated.
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4). No matrix is
+stored: w acts on root indices, through the table `reflected` of the
+simple reflections, by act(w, i), the index of w(roots[i]) in roots and of
+w(coroots[i]) in coroots. Everything else the recursions look up per
+element (reduced words, inverses, tau0, s -> s*) is a table filled once
+when the group is enumerated.
 
 G and its Langlands dual G^v have one Weyl group: W^v acts on its roots as
 W acts on coroots. dual_group therefore builds W^v from W's tables, with
@@ -49,6 +50,8 @@ class WeylGroup:
     step_roots: tuple[tuple[int, ...], ...]
     # coroots[i] is the coroot of roots[i]
     coroots: tuple[tuple[int, ...], ...]
+    # [s-1][i] -> index of s_s(roots[i]) in roots, and of s_s(coroots[i]) in coroots
+    reflected: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -88,6 +91,19 @@ class WeylGroup:
         """Greedy descent word; multiplying its generators reproduces w."""
         return self.words[w]
 
+    def act(self, w: int, i: int) -> int:
+        """The index of w(roots[i]) in roots, and of w(coroots[i]) in
+        coroots; the last letter of w's word acts first. tau0 sends the
+        four positive roots of B2, listed first, to negative ones:
+
+        >>> B2 = group("B2")
+        >>> [B2.act(B2.longest, i) for i in range(4)]
+        [4, 5, 6, 7]
+        """
+        for s in reversed(self.words[w]):
+            i = self.reflected[s - 1][i]
+        return i
+
 
 def _walk(rmult_table, w: int, word) -> int:
     """w . s_(word[0]) . s_(word[1]) ..."""
@@ -116,13 +132,8 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
         raise GroupTooLargeError(
             f"Weyl group of {rs.label} has order {order}, above the order cap {max_order}")
     n = rs.rank
-    roots = _signed(rs.positive_roots)
-    where = {beta: i for i, beta in enumerate(roots)}
-    # [s-1][i] -> index of s_s(roots[i])
-    reflected = [[where[_reflect_coords(rs.cartan, s, beta, ROOT)] for beta in roots]
-                 for s in range(1, n + 1)]
-
-    keys = [tuple(where[_basis(n, s)] for s in range(1, n + 1))]
+    reflected = _reflected(rs)
+    keys = [tuple(rs.positive_roots.index(_basis(n, s)) for s in range(1, n + 1))]
     lengths = [0]
     index = {keys[0]: 0}
     rmult_rows: list[list[int]] = [[-1] * n]
@@ -161,7 +172,7 @@ def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylG
             )
         star.append(simple[conj])
     return WeylGroup(rs, tuple(lengths), rmult, tuple(words), inverses, t0, tuple(star),
-                     *_root_tables(rs, tuple(keys[v] for v in inverses)))
+                     *_root_tables(rs, tuple(keys[v] for v in inverses), reflected))
 
 
 def dual_group(W: WeylGroup) -> WeylGroup:
@@ -174,7 +185,7 @@ def dual_group(W: WeylGroup) -> WeylGroup:
     renumber = [where[gamma] for gamma in W.coroots]
     root_index = tuple(tuple(renumber[i] for i in row) for row in W.root_index)
     return WeylGroup(rs, W.lengths, W.rmult_table, W.words, W.inverses, W.t0, W.star,
-                     *_root_tables(rs, root_index))
+                     *_root_tables(rs, root_index, _reflected(rs)))
 
 
 def _signed(vectors):
@@ -182,13 +193,22 @@ def _signed(vectors):
     return vectors + tuple(tuple(-c for c in v) for v in vectors)
 
 
-def _root_tables(rs: RootSystem, root_index) -> tuple:
-    """(roots, root_index, step_roots, coroots) of rs, for a root_index in
-    the root order of rs."""
+def _reflected(rs: RootSystem) -> tuple:
+    """[s-1][i] -> index of s_s(roots[i]) in the roots of rs, the positive
+    ones then their negatives."""
+    roots = _signed(rs.positive_roots)
+    where = {beta: i for i, beta in enumerate(roots)}
+    return tuple(tuple(where[_reflect_coords(rs.cartan, s, beta, ROOT)] for beta in roots)
+                 for s in range(1, rs.rank + 1))
+
+
+def _root_tables(rs: RootSystem, root_index, reflected) -> tuple:
+    """(roots, root_index, step_roots, coroots, reflected) of rs, for a
+    root_index in the root order of rs and reflected = _reflected(rs)."""
     step_roots = tuple(tuple(dict.fromkeys(row[s] for row in root_index))
                        for s in range(rs.rank))
     return (_signed(rs.positive_roots), root_index, step_roots,
-            _signed(rs.positive_coroots))
+            _signed(rs.positive_coroots), reflected)
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,6 @@ from ellschub import classes
 from ellschub.classes import (
     StepMemo,
     _checked_div,
-    _neg,
-    _nu,
-    _zeta,
     bs_step,
     bs_table,
     c_recursion_left_sides,
@@ -34,6 +31,7 @@ from ellschub.elliptic import (
     QContext,
     SingularPointError,
     delta,
+    monomial_map,
     sample_point,
     transform_point,
     twist_point,
@@ -45,6 +43,26 @@ from weyl_reference import _matvec, bruhat_leq, coroot_matrices, matrices
 
 def is_zero(v):
     return all(c == 0 for c in v.coeffs)
+
+
+# The coordinate path of the references below: a root or coroot is a row of
+# simple coordinates, its image under w a matrix product, and its value at a
+# point a monomial in one block of variables.
+
+
+def _zeta(point, roots) -> tuple:
+    """e^(-beta) = prod zeta_t^(beta_t) at the point for each root row beta."""
+    return monomial_map(point.values[:point.rank], roots)
+
+
+def _nu(point, coroots) -> tuple:
+    """h^gamma = prod nu_t^(gamma_t) at the point for each coroot row gamma."""
+    rank = point.rank
+    return monomial_map(point.values[rank:2 * rank], coroots)
+
+
+def _neg(row) -> tuple:
+    return tuple(-c for c in row)
 
 
 def chart_point(label, ctx, seed):
@@ -435,6 +453,12 @@ def reference_delta(a, b, ctx):
     return delta(a, b, ctx)
 
 
+def reference_h_product(point, values):
+    """prod delta(x, h) over the values x, from the first factor."""
+    factors = [reference_delta(x, point.h, point.ctx) for x in values]
+    return reduce(mul, factors) if factors else point.ctx.one()
+
+
 def reference_point_chain(W, word, point, kept=None):
     """points[j] is where the table for word[:j] lives: the point
     nu-transformed by the letters word[j:], the last one first. kept, if
@@ -491,8 +515,7 @@ def reference_bs_table(W, word, point, read=chain_values):
     """bs_table with the values of `read`."""
     start, steps = read(W, word, point)
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = reduce(mul, [reference_delta(x, point.h, point.ctx)
-                                      for x in start])
+    values[W.identity] = reference_h_product(point, start)
     for s, (nu_s, _) in zip(word, steps):
         values = reference_bs_step(W, values, s, nu_s, point)
     return tuple(values)
@@ -521,8 +544,11 @@ def reference_unnormalized_table(W, word, point, read=chain_values):
     return tuple(values)
 
 
-def reference_rmatrix_values(W, word, point):
-    """R-matrix table with both coefficients recomputed at every memo miss."""
+def reference_rmatrix_values(W, word, point, negated_root=False):
+    """R-matrix table with both coefficients recomputed at every memo miss.
+    zeta_s^-1 is read at the twisted point, or, if negated_root, as the
+    value at the point itself of the root -twist(alpha_s), as indexed_values
+    reads nu_s^-1."""
     memo, twists = {}, {}
 
     def ev(word, sigma, twist):
@@ -545,6 +571,8 @@ def reference_rmatrix_values(W, word, point):
             gamma = _matvec(coroot_matrices(W)[W.inv(W.from_word(rest))], _basis(rank, s))
             gamma_val, gamma_inv = _nu(p, (gamma, _neg(gamma)))
             zeta_s, zeta_inv = _zeta(p, (_basis(rank, s), _neg(_basis(rank, s))))
+            if negated_root:
+                (zeta_inv,) = _zeta(point, (_neg(_column(matrices(W)[twist], s)),))
             den = reference_delta(gamma_inv, p.h, p.ctx)
             c_keep = _checked_div(reference_delta(zeta_s, gamma_val, p.ctx), den)
             c_mix = _checked_div(reference_delta(zeta_inv, p.h, p.ctx), den)
@@ -556,9 +584,9 @@ def reference_rmatrix_values(W, word, point):
     return tuple(ev(tuple(word), sigma, W.identity) for sigma in range(W.order))
 
 
-# The exact cases read nu_s off the point chain, the complex one at the
-# table's own point by coroot index, as bs_table does: the two differ in the
-# last bits of a float.
+# The exact cases read nu_s off the point chain and zeta_s^-1 at the twisted
+# point, the complex one both at the table's own point by index, as the
+# library does: the two differ in the last bits of a float.
 REFERENCE_CASES = [
     ("B2", QContext(EXACT, order=4), chain_values),
     ("G2", QContext(EXACT, order=3), chain_values),
@@ -578,7 +606,7 @@ def test_recursions_equal_per_sigma_reference(label, ctx, read):
         assert (unnormalized_table(W, word, point).values
                 == reference_unnormalized_table(W, word, point, read))
         assert (rmatrix_table(W, word, point, StepMemo(W, point)).values
-                == reference_rmatrix_values(W, word, point))
+                == reference_rmatrix_values(W, word, point, read is indexed_values))
     # words that are not reduced take length-decreasing steps
     for word in ((1, 1), (1, 2, 2, 1), (2, 1, 2, 2, 1)):
         assert bs_table(W, word, point).values == reference_bs_table(W, word, point, read)
@@ -645,6 +673,91 @@ def test_singular_point_raises_as_reference():
         with pytest.raises(SingularPointError) as expected:
             reference(W, (1, 2, 1), point)
         assert str(err.value) == str(expected.value) == "delta argument is 1 (pole)"
+
+
+# --- root and coroot values read by index against the coordinate path -------
+
+
+def reference_initial_product(W, point, u):
+    """The initial product: delta(h^(-u(gamma)), h) over the positive
+    coroots gamma, u(gamma) by u's coroot matrix."""
+    return reference_h_product(point, _nu(point, (
+        _neg(_matvec(coroot_matrices(W)[u], gamma)) for gamma in W.rs.positive_coroots)))
+
+
+def reference_normalization_factor(W, omega, point):
+    """c(G, omega): delta(h^(-gamma), h) over F(G, omega), the positive
+    coroots gamma with omega(gamma) positive, in coordinate order."""
+    kept = sorted(gamma for gamma in W.rs.positive_coroots
+                  if all(c >= 0 for c in _matvec(coroot_matrices(W)[omega], gamma)))
+    return reference_h_product(point, _nu(point, map(_neg, kept)))
+
+
+def reference_c_right_sides(W, omega, s, point):
+    """c_recursion_right_sides with the shifted factor c(G, omega) at the
+    point nu-transformed by s."""
+    ctx, h = point.ctx, point.h
+    lhs = reference_normalization_factor(W, W.rmult(omega, s), point)
+    shifted = reference_normalization_factor(W, omega, transform_point(point, s, NU, W.rs))
+    nu_val, nu_inv = _nu(point, (_basis(W.rank, s), _neg(_basis(W.rank, s))))
+    if W.length(W.rmult(omega, s)) > W.length(omega):
+        return lhs, _checked_div(shifted, reference_delta(nu_val, h, ctx))
+    return lhs, reference_delta(nu_inv, h, ctx) * shifted
+
+
+def reference_c_left_sides(W, omega, s, point):
+    """c_recursion_left_sides with gamma = omega^-1(alpha_s^v) by its matrix."""
+    ctx, h = point.ctx, point.h
+    lhs = reference_normalization_factor(W, W.lmult(s, omega), point)
+    base = reference_normalization_factor(W, omega, point)
+    gamma = _matvec(coroot_matrices(W)[W.inv(omega)], _basis(W.rank, s))
+    gamma_val, gamma_inv = _nu(point, (gamma, _neg(gamma)))
+    if W.length(W.lmult(s, omega)) > W.length(omega):
+        return lhs, _checked_div(base, reference_delta(gamma_inv, h, ctx))
+    return lhs, reference_delta(gamma_val, h, ctx) * base
+
+
+def reference_diagonal_closed_form(W, sigma, point):
+    """delta(e^(beta), h) over T(G, sigma), the positive roots beta with
+    sigma^-1(beta) negative, in coordinate order."""
+    inverted = sorted(beta for beta in W.rs.positive_roots
+                      if all(c <= 0 for c in _matvec(matrices(W)[W.inv(sigma)], beta)))
+    return reference_h_product(point, _zeta(point, map(_neg, inverted)))
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_index_reads_equal_the_coordinate_path(label):
+    """Float for float on the complex backend, for every omega (and u)."""
+    W = group(label)
+    point = sample_point(W.rank, QContext(COMPLEX, order=8, q=0.3),
+                         Random(f"coordinates:{label}"))
+    memo = StepMemo(W, point)
+    full = reference_initial_product(W, point, W.identity)
+    for w in range(W.order):
+        assert (initial_table(W, point, memo, w).values[W.identity]
+                == reference_initial_product(W, point, w))
+        assert normalization_factor(W, w, point, memo) == reference_normalization_factor(
+            W, w, point)
+        assert diagonal_closed_form(W, w, point) == reference_diagonal_closed_form(W, w, point)
+        word = W.reduced_word(w)
+        assert em_table(W, word, point).values == tuple(
+            _checked_div(v, full) for v in bs_table(W, word, point).values)
+        for s in range(1, W.rank + 1):
+            assert (c_recursion_left_sides(W, w, s, point, memo)
+                    == reference_c_left_sides(W, w, s, point))
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_shifted_factor_equals_the_transformed_point(label):
+    """At exact points, c_recursion_right_sides reads the coroots s(-gamma) at
+    the point where the coordinate path transformed the point by s."""
+    W = group(label)
+    point = sample_point(W.rank, QContext(EXACT, order=2), Random(f"shifted:{label}"))
+    memo = StepMemo(W, point)
+    for omega in range(W.order):
+        for s in range(1, W.rank + 1):
+            assert (c_recursion_right_sides(W, omega, s, point, memo)
+                    == reference_c_right_sides(W, omega, s, point))
 
 
 # --- support-sparse steps and the per-point step memo ------------------------

@@ -401,9 +401,9 @@ def test_two_tables_share_deltas_only_through_a_memo(computed_deltas):
 
 
 @pytest.mark.parametrize("argv,computed", [
-    # 32 on the exact backend: the R-matrix step reads zeta_s**-1, a float
-    # that is not the value of the negated root the Bott-Samelson steps read
-    (["verify", "recursions", "--type", "B2", "--backend", "complex", "--points", "1"], 37),
+    # 32 on the exact backend too: the R-matrix step reads zeta_s^-1 as the
+    # value of the negated root, the float the Bott-Samelson steps read
+    (["verify", "recursions", "--type", "B2", "--backend", "complex", "--points", "1"], 32),
     (["verify", "double-dual", "--type", "A2", "--qorder", "4", "--points", "1"], 30),
     (["verify", "normalization", "--type", "B2", "--qorder", "4", "--points", "1"], 48),
     (["verify", "duality", "--type", "A2", "--qorder", "4", "--points", "2"], 120),
@@ -420,16 +420,19 @@ def test_campaigns_compute_each_delta_of_a_point_once(argv, computed, computed_d
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
 def test_complex_duality_computes_the_deltas_of_exact(label, computed_deltas, capsys):
-    # every step reads nu_s as a coroot value at the table's own point, so
-    # the memo meets one float per coroot and misses no cached delta
-    counts = []
-    for backend in ("exact", "complex"):
-        computed_deltas[0] = 0
-        assert main(["verify", "duality", "--type", label, "--backend", backend,
-                     "--points", "1", "--seed", "0"]) == 0
-        counts.append(computed_deltas[0])
-    capsys.readouterr()
-    assert counts[0] == counts[1] > 0
+    # every root and coroot value is read by index at the memo's own point,
+    # so the memo meets one float per root or coroot and misses no cached
+    # delta; the q-order leaves the count as it is, and a low one keeps the
+    # exact R-matrix tables of the recursions campaign short
+    for campaign, qorder in (("duality", "8"), ("normalization", "2"), ("recursions", "2")):
+        counts = []
+        for backend in ("exact", "complex"):
+            computed_deltas[0] = 0
+            assert main(["verify", campaign, "--type", label, "--backend", backend,
+                         "--qorder", qorder, "--points", "1", "--seed", "0"]) == 0
+            counts.append(computed_deltas[0])
+        capsys.readouterr()
+        assert counts[0] == counts[1] > 0, campaign
 
 
 def test_group_above_the_order_cap_exits_2(capsys, monkeypatch):

@@ -44,9 +44,9 @@ GOLDEN = [
     ("verify duality --type B3 --backend complex --points 1", 0,
      "faed9b867feadf00fb0e20f18e9ac71c28eb6a774d05431ab636f4362ab5a9f5"),
     ("verify recursions --type B2 --backend complex --points 1", 0,
-     "5a236201f5b375e3eb6382b7323554877e8c3cb1bbb6dfddccb497b06b038c69"),
+     "afeb3bb752fe074644c8dd7a967b9cc7aa6cd2fd500a3d92f37b551bdddef729"),
     ("verify normalization --type A2 --backend complex --points 1", 0,
-     "c2e3bb288ad9d81f507e069f16d50f580bb85f798da317df4e35e93903828f29"),
+     "f53df739cf7b46a806e190b0f4e03fa8fe393e4429f441b7a3e828955aa3c3ef"),
     # s* is trivial on B2, so this is the first exact digest where the
     # double-dual relabeling moves variables; the complex ones below pin the
     # product order of every change of variables and of the point draws.
@@ -55,7 +55,7 @@ GOLDEN = [
     ("verify double-dual --type A3 --backend complex --points 1", 0,
      "06c21bd2794977746cb09108b14866688933d754179f4de18965cf0aba3012df"),
     ("verify normalization --type B2 --backend complex --points 1", 0,
-     "ee311a54501e147e4c1ac65b8f5c1e075a517c435ecb4d71fda210b336336048"),
+     "c199f59253ef4b71539db0476dca4d25cdb5bb1d4fb3f5d9c5c086edf77ddd56"),
     ("corpus --backend complex --points 1", 0,
      "ba8a83c43200b6b838faa5f36922be7f6da1ccfca128749c40bf1664d16f2693"),
     ("table --type A3 --word 1,2,3,1 --backend complex --format json", 0,
@@ -69,24 +69,27 @@ GOLDEN = [
     ("verify normalization --type G2 --points 1 --qorder 4", 0,
      "b3031993ac19af36528c7ebecafc43c4c5944990bf272ee69c95b958a60a7780"),
     ("verify normalization --type G2 --backend complex --points 1", 0,
-     "5dda9bac626f46c710a2906c9333e635b8f5a83f553a930613856d8b03756a15"),
+     "e40a85c7e47c1f94e5803fd054802f485ba85563e3e678a62ec91fa38459e99d"),
     ("verify normalization --type B3 --backend complex --points 1", 0,
-     "7e2922d28f0f5456e04beb2db9a2472b5de19afb98922c4506ab47e43892dfc4"),
+     "ccb872c8409900cfdeb847710891598808b196f1f327d00b929a63b37ac3de2a"),
+    # The normalization campaign at rank 4: 38592 checks.
+    ("verify normalization --type D4 --backend complex --points 1", 0,
+     "739cf5581fb7b5ce46a4be41ed71dcd1d710a3a7d6840debd96be6732306049e"),
     # Three of the four benchmark campaigns (perfbench/run.py) at seed 0;
     # the fourth, D4 complex duality, is test_benchmark_d4_complex_duality.
     ("verify duality --type A3 --backend exact --qorder 8 --points 3 --seed 0", 0,
      "d2802ab54c17f2c3add0e7ee267678aa14ab022258b66dfa64b0ab825902e962"),
     ("verify recursions --type B3 --backend complex --points 1 --seed 0", 0,
-     "22df98331bbd0ac089b097631e26a704d39b01d135e013875c09bb6caadffdf4"),
+     "b1f76893a7fef6bf567daa894d137ed032d9ff64e8e6b11ab3eaa13cd846afae"),
     ("corpus --backend exact --qorder 8 --points 3 --seed 0", 0,
      "d0887615211732255fca6bda65af5006cab01a4322a8e1f3814f8c481f269891"),
     # Record text the passing campaigns above do not print: failing complex
     # records (157 of 576), failing normalization records with a "simple"
-    # field (31 of 66) and a non-default q among the fixed fields.
+    # field (28 of 66) and a non-default q among the fixed fields.
     ("verify duality --type A3 --backend complex --tol 1e-15 --points 1", 1,
      "214acf1fbbe31ba374e3700d6751fe01024993d7af48dbcfba579bd60ebbb466"),
     ("verify normalization --type A2 --backend complex --tol 0 --points 1", 1,
-     "a7121040f9d54a344244ee55b2d98794e8677b48bc82071b1589bea760b0a240"),
+     "8e8c5ffa371c8e59434d10e5b75db299caffcbff06911532253a8843e4ac4a9c"),
     ("verify duality --type B2 --backend complex --q -0.25 --points 2 --seed 4", 0,
      "72cbb0501b20ee3ecc5d37b94ee387adf9a57ceb5e21b0eec7b509845e2025f1"),
     # 4 false failures of 1152 at point 1 (residuals 1.3e-9 to 2.6e-9 against
@@ -135,11 +138,12 @@ def test_benchmark_d4_complex_duality(capsys, monkeypatch):
 @pytest.mark.tier2
 def test_d4_complex_recursions(capsys, monkeypatch):
     """The R-matrix and Bott-Samelson recursions at rank 4: 36864 checks, the
-    digest recorded when the Bott-Samelson steps began to read nu_s as a
-    coroot value at the table's own point; the R-matrix values did not move."""
+    digest recorded when the R-matrix steps began to read zeta_s^-1 as the
+    value of the negated root at the table's own point, as every other root
+    and coroot value is read."""
     monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
     assert main("verify recursions --type D4 --backend complex --points 1 "
                 "--seed 0".split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ba20dc5b37ad9ddafdc141bcf1342245184fff95fca98746f5368870b8b9f1ce")
+        "5d624fbac2d0d2062abf6ca97a6e6fce4c83556ee2e070c1cb671de8a8fde8ea")

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from ellschub.classes import _nu, _zeta
+from ellschub.classes import StepMemo
 from ellschub.corpus import builtin_chart
 from ellschub.duality import f_interpretation_point, relabel_point, substitution
 from ellschub.elliptic import (
@@ -163,10 +163,11 @@ def test_maps_equal_former_loops(label, ctx):
 
     for m in _monomials(rank, rng):
         assert eval_monomial(point, m) == reference_eval_monomial(point, m)
-    # the root and coroot rows, read off their block of variables
-    assert _zeta(point, W.roots) == tuple(
+    # a step memo's root and coroot values, read off their block of variables
+    memo = StepMemo(W, point)
+    assert memo.roots == tuple(
         reference_eval_monomial(point, beta + (0,) * (rank + 1)) for beta in W.roots)
-    assert _nu(point, W.coroots) == tuple(
+    assert memo.coroots == tuple(
         reference_eval_monomial(point, (0,) * rank + gamma + (0,)) for gamma in W.coroots)
 
     for s in range(1, rank + 1):

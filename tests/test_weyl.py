@@ -6,8 +6,8 @@ import pytest
 from ellschub.rootsys import (COROOT, ROOT, LatticeVector, build_root_system, langlands_dual,
                               parse_label, reflect)
 from ellschub.weyl import GroupTooLargeError, _group_order, dual_group, enumerate_group, group
-from weyl_reference import (_identity, _matmul, act, bruhat_leq, coroot_matrices, matrices,
-                            matrix_group, simple_coroot, simple_root)
+from weyl_reference import (_identity, _matmul, _matvec, act, bruhat_leq, coroot_matrices,
+                            matrices, matrix_group, simple_coroot, simple_root)
 
 # every type of rank at most 4
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "B4": 384,
@@ -291,6 +291,18 @@ def test_root_index_tables(table_group):
     positive = len(W.rs.positive_roots)
     assert len(W.roots) == len(set(W.roots)) == 2 * positive
     assert len(W.coroots) == len(set(W.coroots)) == 2 * positive
+
+
+def test_act_matches_matrix_images(table_group):
+    """act(w, i) is the index of w(roots[i]) and of w(coroots[i]), each
+    image taken by w's matrix on its lattice."""
+    W, _ = table_group
+    mats, comats = matrices(W), coroot_matrices(W)
+    for w in range(W.order):
+        for i, (beta, gamma) in enumerate(zip(W.roots, W.coroots)):
+            j = W.act(w, i)
+            assert W.roots[j] == _matvec(mats[w], beta)
+            assert W.coroots[j] == _matvec(comats[w], gamma)
 
 
 def test_longest_and_star_tables(table_group):

@@ -92,6 +92,7 @@ def matrix_group(rs):
                  for s in range(1, n + 1))
     roots = _signed(rs.positive_roots)
     root_index = _column_index(matrices, roots)
+    where = {beta: i for i, beta in enumerate(roots)}
     return {
         "matrices": tuple(matrices),
         "coroot_matrices": tuple(comatrices),
@@ -106,6 +107,7 @@ def matrix_group(rs):
         "step_roots": tuple(tuple(dict.fromkeys(row[s] for row in root_index))
                             for s in range(n)),
         "coroots": _signed(rs.positive_coroots),
+        "reflected": tuple(tuple(where[_matvec(g, beta)] for beta in roots) for g in gens),
     }
 
 
