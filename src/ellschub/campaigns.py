@@ -6,9 +6,11 @@ arguments give identical records. A runner computes the values of one point
 at a time (``_per_point``) and builds that point's records from them only as
 they are read. A point that hits a singularity is redrawn by ``resample``
 before any of its records is built. The |W|^2-pair campaigns give a point's
-values as two grids indexed [omega][sigma], which ``_pair_records`` reads.
-Every record is built by a line builder from ``record``, which encodes the
-fields that all records of one kind of check share once per campaign.
+values as two grids indexed [omega][sigma], which ``_pair_records`` reads a
+row at a time. Every record comes from a row builder made by ``record``: it
+encodes the fields that all records of one kind of check share once per
+campaign, and compares and formats a whole row of checks at once under the
+one verdict rule (``_verdicts``); a single check is a row of one.
 """
 
 from __future__ import annotations
@@ -61,22 +63,6 @@ def ctx_fields(ctx: QContext) -> dict:
     return fields
 
 
-def _compare(ctx: QContext, lhs, rhs, tol: float):
-    """(pass, residual) under the backend's notion of equality. Exact: the
-    sides agree iff lhs - rhs is the zero series, and the residual is the
-    absolute max |coefficient| of lhs - rhs; tol is not read. Complex: the
-    residual is |lhs - rhs| relative to the larger of |lhs| and |rhs|, and
-    the check passes if it is at most tol."""
-    if ctx.backend == EXACT:
-        diff = lhs - rhs
-        if ctx.is_zero(diff):
-            return True, 0.0
-        return False, ctx.magnitude(diff)
-    scale = max(abs(lhs), abs(rhs))
-    residual = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
-    return residual <= tol, residual
-
-
 _SLOT = "\0"  # json.dumps escapes NUL, so it never occurs in its output
 _INF = float("inf")
 
@@ -88,16 +74,44 @@ def _float_json(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+def _verdicts(ctx: QContext, tol: float, lhs_row, rhs_row):
+    """(pass, residual) of each pair of lhs_row and rhs_row, in order, the
+    residual as JSON text: the verdict rule of every check. Exact: the sides
+    agree iff lhs - rhs is the zero series, and the residual is the absolute
+    max |coefficient| of lhs - rhs; tol is not read. Complex: the residual is
+    |lhs - rhs| relative to the larger of |lhs| and |rhs| (0.0 if that is
+    0), and the check passes if it is at most tol (tol >= 0); a pair of zeros
+    passes with 0.0, without an abs."""
+    if ctx.backend == EXACT:
+        for lhs, rhs in zip(lhs_row, rhs_row):
+            diff = lhs - rhs
+            if ctx.is_zero(diff):
+                yield True, "0.0"
+            else:
+                yield False, _float_json(ctx.magnitude(diff))
+        return
+    for lhs, rhs in zip(lhs_row, rhs_row):
+        if not (lhs or rhs):
+            yield True, "0.0"
+            continue
+        scale = max(abs(lhs), abs(rhs))
+        residual = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+        yield residual <= tol, _float_json(residual)
+
+
 def record(check: str, label: str, ctx: QContext, tol: float, extra: str | None = None,
            **fields):
-    """The line builder of one kind of check. line(k, lhs, rhs, omega_text,
-    extra_text="") compares lhs with rhs at the k-th point (_compare) and
-    returns (pass, text): text is json.dumps(rec, sort_keys=True) of the
-    record that holds check, type, fields and ctx_fields(ctx), the JSON texts
-    omega_text as omega_word and, if extra names a field, extra_text as that
-    field ("sigma_word" or "simple"; it must sort after "residual"), and the
-    point, the residual and the pass flag. The shared fields are encoded here,
-    once; a line is joined from them and the varying fields at its exact size."""
+    """The row builder of one kind of check. row(k, omega_text, lhs_row,
+    rhs_row, extra_texts) compares lhs_row with rhs_row pair by pair at the
+    k-th point (_verdicts) and yields (pass, text) for each pair: text is
+    json.dumps(rec, sort_keys=True) of the record that holds check, type,
+    fields and ctx_fields(ctx), the JSON texts omega_text as omega_word and,
+    if extra names a field, the pair's entry of extra_texts as that field
+    ("sigma_word" or "simple"; it must sort after "residual"; "" if extra is
+    None), and the point, the residual and the pass flag. A single check is
+    a row of one pair. The shared fields are encoded here, once; the text
+    up to the residual is joined once per row for either pass flag, and each
+    line from it, the residual and the extra text at its exact size."""
     fixed = {"check": check, "type": label, **fields, **ctx_fields(ctx)}
     slots = ("omega_word", "pass", "point", "residual") + ((extra,) if extra else ())
     items = [f"{json.dumps(key)}: {json.dumps(fixed[key]) if key in fixed else _SLOT}"
@@ -107,13 +121,14 @@ def record(check: str, label: str, ctx: QContext, tol: float, extra: str | None 
         parts.append("")
     head, after_omega, after_pass, after_point, after_residual, end = parts
 
-    def line(k: int, lhs, rhs, omega_text: str, extra_text: str = ""):
-        ok, residual = _compare(ctx, lhs, rhs, tol)
-        return ok, (f"{head}{omega_text}{after_omega}{'true' if ok else 'false'}"
-                    f"{after_pass}{k}{after_point}{_float_json(residual)}"
-                    f"{after_residual}{extra_text}{end}")
+    def row(k: int, omega_text: str, lhs_row, rhs_row, extra_texts):
+        prefix = (f"{head}{omega_text}{after_omega}false{after_pass}{k}{after_point}",
+                  f"{head}{omega_text}{after_omega}true{after_pass}{k}{after_point}")
+        for (ok, residual), extra_text in zip(_verdicts(ctx, tol, lhs_row, rhs_row),
+                                              extra_texts):
+            yield ok, f"{prefix[ok]}{residual}{after_residual}{extra_text}{end}"
 
-    return line
+    return row
 
 
 def _word_texts(W: WeylGroup) -> list:
@@ -130,14 +145,14 @@ def _per_point(points, seed, tag: str, compute):
 
 def _pair_records(check, label, ctx, points, seed, tol, W, grids, **fields):
     """The records of lhs_rows[omega][sigma] against rhs_rows[omega][sigma],
-    (lhs_rows, rhs_rows) = grids(point), point by point and omega-major."""
-    line = record(check, label, ctx, tol, "sigma_word", **fields)
+    (lhs_rows, rhs_rows) = grids(point), point by point and a row of one
+    omega at a time."""
+    row = record(check, label, ctx, tol, "sigma_word", **fields)
     words = _word_texts(W)
     for k, (lhs_rows, rhs_rows) in _per_point(
             points, seed, check, lambda rng: grids(sample_point(W.rank, ctx, rng))):
         for omega_text, lhs_row, rhs_row in zip(words, lhs_rows, rhs_rows):
-            for sigma_text, lhs, rhs in zip(words, lhs_row, rhs_row):
-                yield line(k, lhs, rhs, omega_text, sigma_text)
+            yield from row(k, omega_text, lhs_row, rhs_row, words)
 
 
 def run_duality(label, ctx, points, seed, tol, flip_sign=False):
@@ -181,8 +196,8 @@ def run_normalization(label, ctx, points, seed, tol):
     f_interpretation = record("normalization/f-interpretation", label, ctx, tol)
 
     def sides(rng):
-        """(line builder, omega, lhs, rhs, extra text) of every check at a
-        point."""
+        """(row builder, omega, lhs row, rhs row, extra texts) of every row
+        of checks at a point; every check but the scaling is a row of one."""
         point = sample_point(W.rank, ctx, rng)
         dual_point = f_interpretation_point(W, point)
         memo = StepMemo(W, point)
@@ -190,26 +205,25 @@ def run_normalization(label, ctx, points, seed, tol):
         out = []
         for omega in range(W.order):
             for s, simple in enumerate(simples, 1):
-                out.append((c_right, omega,
-                            *c_recursion_right_sides(W, omega, s, point, memo), simple))
-                out.append((c_left, omega,
-                            *c_recursion_left_sides(W, omega, s, point, memo), simple))
+                for c_row, c_sides in ((c_right, c_recursion_right_sides),
+                                       (c_left, c_recursion_left_sides)):
+                    lhs, rhs = c_sides(W, omega, s, point, memo)
+                    out.append((c_row, omega, (lhs,), (rhs,), (simple,)))
             c_val = normalization_factor(W, omega, point, memo)
             word = W.reduced_word(omega)
             ee = bs_table(W, word, point, memo).values
             e_vals = unnormalized_table(W, word, point, memo).values
-            out.extend((scaling, omega, ee[sigma], c_val * e_vals[sigma], words[sigma])
-                       for sigma in range(W.order))
+            out.append((scaling, omega, ee, [c_val * e for e in e_vals], words))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
             dual_e = unnormalized_table(Wdual, W.reduced_word(target), dual_point,
                                         dual_memo).values[target]
-            out.append((f_interpretation, omega, c_val, dual_e, ""))
+            out.append((f_interpretation, omega, (c_val,), (dual_e,), ("",)))
         return out
 
     for k, point_sides in _per_point(points, seed, "normalization", sides):
-        for line, omega, lhs, rhs, extra_text in point_sides:
-            yield line(k, lhs, rhs, words[omega], extra_text)
+        for row, omega, lhs_row, rhs_row, extra_texts in point_sides:
+            yield from row(k, words[omega], lhs_row, rhs_row, extra_texts)
 
 
 def run_corpus(ctx, points, seed, tol):
@@ -219,7 +233,7 @@ def run_corpus(ctx, points, seed, tol):
         for n, entry in enumerate(corpus_mod.load_corpus(fname)):
             W = group(entry.group_label)
             chart = corpus_mod.builtin_chart(entry.group_label)
-            line = record("corpus", entry.group_label, ctx, tol, "sigma_word", file=fname)
+            row = record("corpus", entry.group_label, ctx, tol, "sigma_word", file=fname)
             omega_text, sigma_text = map(json.dumps, (entry.omega_word, entry.sigma_word))
 
             def sides(rng):
@@ -228,7 +242,7 @@ def run_corpus(ctx, points, seed, tol):
 
             for k, (engine, expected) in _per_point(points, seed, f"corpus:{fname}:{n}",
                                                     sides):
-                yield line(k, engine, expected, omega_text, sigma_text)
+                yield from row(k, omega_text, (engine,), (expected,), (sigma_text,))
     sp2_chart = corpus_mod.sp2_chart()
     W = group("C2")
     cross = record("corpus/cross-substitution", "C2", ctx, tol, "sigma_word",
@@ -243,7 +257,7 @@ def run_corpus(ctx, points, seed, tol):
                 sp2_entry, so5_entry, chart_values, ctx, StepMemo(W, point))
 
         for k, (lhs, rhs) in _per_point(points, seed, f"cross:{n}", cross_sides):
-            yield cross(k, lhs, rhs, omega_text, sigma_text)
+            yield from cross(k, omega_text, (lhs,), (rhs,), (sigma_text,))
     sigma = W.from_word(corpus_mod.WORKED_SUM_SIGMA)
     omega_text, sigma_text = map(json.dumps, (corpus_mod.WORKED_SUM_WORD,
                                               corpus_mod.WORKED_SUM_SIGMA))
@@ -259,5 +273,5 @@ def run_corpus(ctx, points, seed, tol):
         return summed, factored, engine
 
     for k, (summed, factored, engine) in _per_point(points, seed, "worked", values):
-        yield sum_vs_factored(k, summed, factored, omega_text, sigma_text)
-        yield engine_vs_factored(k, engine, factored, omega_text, sigma_text)
+        yield from sum_vs_factored(k, omega_text, (summed,), (factored,), (sigma_text,))
+        yield from engine_vs_factored(k, omega_text, (engine,), (factored,), (sigma_text,))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import mul
 
 from .elliptic import EvalPoint, SingularPointError, delta, monomial_map
@@ -191,24 +192,23 @@ def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
     coeffs[r] for the root r = sigma(alpha_s).
 
     An entry outside `support` is zero. sigma is in the new support iff
-    sigma or sigma s was in the old one, for any word; only those entries
-    are computed, from their terms inside the old support, and every other
-    entry is `zero`."""
+    sigma or sigma s was in the old one, for any word. The step visits only
+    the old support: each sigma there gets its value, and a sigma s outside
+    it joins the support with c_mix(sigma s) * values[sigma], the one term it
+    has. Every other entry is `zero`."""
     i = s - 1
     rmult, root_index = W.rmult_table, W.root_index
     out = [zero] * len(values)
     grown = list(support)
-    for sigma, keep in enumerate(support):
+    for sigma in compress(range(len(values)), support):
         other = rmult[sigma][i]
-        if keep:
-            c = coeffs[root_index[sigma][i]]
-            if support[other]:
-                out[sigma] = c[0] * values[sigma] + c[1] * values[other]
-            else:
-                out[sigma] = c[0] * values[sigma]
-        elif support[other]:
-            out[sigma] = coeffs[root_index[sigma][i]][1] * values[other]
-            grown[sigma] = True
+        c = coeffs[root_index[sigma][i]]
+        if support[other]:
+            out[sigma] = c[0] * values[sigma] + c[1] * values[other]
+        else:
+            out[sigma] = c[0] * values[sigma]
+            out[other] = coeffs[root_index[other][i]][1] * values[sigma]
+            grown[other] = True
     return out, tuple(grown)
 
 
@@ -256,8 +256,8 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
         if not going_up:
             # the identity is always in the support, so a singular `down`
             # still raises
-            values = [_checked_div(v, down) if inside else v
-                      for v, inside in zip(values, support)]
+            for sigma in compress(range(W.order), support):
+                values[sigma] = _checked_div(values[sigma], down)
         omega = W.rmult(omega, s)
     return ClassTable(W, word, point, tuple(values), "E", support)
 

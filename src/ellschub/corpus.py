@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from random import Random
 
@@ -94,53 +93,6 @@ def builtin_chart(label: str) -> Chart:
         return sl_chart(int(label[1:]) + 1)
     rank = int(label[1:])
     return identity_chart(label, rank)
-
-
-def chart_to_canonical(chart: Chart, row: tuple[int, ...]) -> tuple[int, ...]:
-    """Solve for the canonical exponent row whose chart image is the exponent
-    row `row` over the chart variables; raises if no exact integer solution
-    exists."""
-    n_can = len(chart.canonical_map)
-    n_chart = len(chart.chart_vars)
-    target = [Fraction(e) for e in row]
-    # columns = chart images of the canonical variables
-    cols = [[Fraction(chart.canonical_map[j][i]) for j in range(n_can)]
-            for i in range(n_chart)]
-    rows = list(range(n_chart))
-    sol = [Fraction(0)] * n_can
-    pivots = []
-    r = 0
-    for c in range(n_can):
-        p = next((i for i in rows[r:] if cols[i][c] != 0), None)
-        if p is None:
-            continue
-        i = rows.index(p)
-        rows[r], rows[i] = rows[i], rows[r]
-        pr = rows[r]
-        for other in rows:
-            if other != pr and cols[other][c] != 0:
-                f = cols[other][c] / cols[pr][c]
-                for cc in range(n_can):
-                    cols[other][cc] -= f * cols[pr][cc]
-                target[other] -= f * target[pr]
-        pivots.append((pr, c))
-        r += 1
-    for pr, c in pivots:
-        sol[c] = target[pr] / cols[pr][c]
-        target[pr] = Fraction(0)
-    for i in rows:
-        if target[i] != 0 and all(c == 0 for c in cols[i]):
-            raise ValueError("chart monomial is not the image of a canonical monomial")
-    # verify and demand integrality
-    for i in range(n_chart):
-        acc = sum(
-            sol[j] * chart.canonical_map[j][i] for j in range(n_can)
-        )
-        if acc != row[i]:
-            raise ValueError("chart monomial is not the image of a canonical monomial")
-    if any(s.denominator != 1 for s in sol):
-        raise ValueError("canonical preimage requires fractional exponents")
-    return tuple(int(s) for s in sol)
 
 
 # ---------------------------------------------------------------------------

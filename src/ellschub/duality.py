@@ -71,8 +71,8 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
     sign = duality_sign(W) * (-1 if flip_sign else 1)
     flip = [W.mul(t0, W.inv(w)) for w in range(W.order)]  # w -> tau0 w^{-1}
     columns = [source_tables[f] for f in flip]  # sigma -> table of tau0 sigma^{-1}
-    lhs_rows = [tuple(col[f_omega] if sign > 0 else -col[f_omega] for col in columns)
-                for f_omega in flip]
+    rows = ([col[f_omega] for col in columns] for f_omega in flip)
+    lhs_rows = list(rows) if sign > 0 else [[-v for v in row] for row in rows]
     return lhs_rows, rhs_rows
 
 

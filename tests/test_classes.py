@@ -660,6 +660,79 @@ def test_steps_read_nu_s_where_the_point_chain_did(label, monkeypatch):
         assert start == products[points[0]]
 
 
+def dense_step_values(W, values, support, s, coeffs, zero):
+    """_step_values as a loop over every sigma, each entry computed at its
+    own sigma: sigma keeps its two terms inside the old support, and a sigma
+    outside it joins the support with its one term c_mix * values[sigma s]."""
+    i = s - 1
+    rmult, root_index = W.rmult_table, W.root_index
+    out = [zero] * len(values)
+    grown = list(support)
+    for sigma, keep in enumerate(support):
+        other = rmult[sigma][i]
+        if keep:
+            c = coeffs[root_index[sigma][i]]
+            if support[other]:
+                out[sigma] = c[0] * values[sigma] + c[1] * values[other]
+            else:
+                out[sigma] = c[0] * values[sigma]
+        elif support[other]:
+            out[sigma] = coeffs[root_index[sigma][i]][1] * values[other]
+            grown[sigma] = True
+    return out, tuple(grown)
+
+
+def prefix_tables(W, point, memo):
+    """The table of every reduced word of W, each made by one bs_step from
+    the table of its prefix; every step by s reads nu_s as alpha_s^v."""
+    stack = [(W.identity, initial_table(W, point, memo))]
+    while stack:
+        w, table = stack.pop()
+        yield table
+        for s in range(1, W.rank + 1):
+            if W.length(W.rmult(w, s)) > W.length(w):
+                g = W.root_index[W.identity][s - 1]
+                stack.append((W.rmult(w, s), bs_step(W, table, s, g, memo)))
+
+
+STEP_CASES = [
+    ("B3", QContext(COMPLEX, order=8, q=0.3), 209),
+    ("D4", QContext(COMPLEX, order=8, q=0.3), 9719),
+    ("B2", QContext(EXACT, order=4), 9),
+    ("G2", QContext(EXACT, order=3), 13),
+]
+
+
+@pytest.mark.parametrize("label,ctx,words", STEP_CASES,
+                         ids=[f"{c[0]}-{c[1].backend}" for c in STEP_CASES])
+def test_support_only_step_equals_the_dense_loop(label, ctx, words, monkeypatch):
+    """Every step of every reduced word, and of seeded words with repeated
+    letters, gives the values (==, entry for entry) and the support of the
+    loop over every sigma."""
+    W = group(label)
+    point = sample_point(W.rank, ctx, Random(f"support-steps:{label}"))
+    memo = StepMemo(W, point)
+    support_only, steps = classes._step_values, []
+
+    def both(W, values, support, s, coeffs, zero):
+        out = support_only(W, values, support, s, coeffs, zero)
+        assert out == dense_step_values(W, values, support, s, coeffs, zero)
+        steps.append(s)
+        return out
+
+    monkeypatch.setattr(classes, "_step_values", both)
+    assert sum(1 for _ in prefix_tables(W, point, memo)) == words  # () among them
+    assert len(steps) == words - 1
+    rng = Random(f"repeated-letters:{label}")
+    for _ in range(8):
+        word = [rng.randint(1, W.rank) for _ in range(rng.randint(2, 9))]
+        word.append(word[-1])  # a letter repeated at once: the word is not reduced
+        before = len(steps)
+        bs_table(W, word, point, memo)
+        unnormalized_table(W, word, point, memo)
+        assert len(steps) == before + 2 * len(word)
+
+
 def test_singular_point_raises_as_reference():
     # zeta1 zeta2 = 1: the root alpha1 + alpha2 of B2 is a pole of its deltas
     ctx = QContext(EXACT, order=3)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -9,7 +10,14 @@ import pytest
 
 from ellschub.classes import StepMemo, bs_table
 from ellschub.cli import main
-from ellschub.elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
+from ellschub.elliptic import (
+    COMPLEX,
+    EXACT,
+    QContext,
+    QSeries,
+    SingularPointError,
+    sample_point,
+)
 from ellschub.weyl import group
 from weyl_reference import bruhat_leq
 
@@ -240,32 +248,97 @@ def test_report_writes_in_bounded_chunks():
 
 @pytest.mark.parametrize("extra", ["sigma_word", "simple", None])
 def test_record_line_is_the_sorted_json_dump(extra, monkeypatch):
-    # the line builder against json.dumps of the record dict: residuals that
+    # the row builder against json.dumps of the record dict: residuals that
     # json spells unlike repr, strings it must quote and escape, q parts -0.0
     from ellschub import campaigns
 
-    # lhs and rhs carry the verdict and the residual straight through
-    monkeypatch.setattr(campaigns, "_compare", lambda ctx, ok, residual, tol: (ok, residual))
+    # the lhs and rhs rows carry the verdicts and the residuals straight through
+    monkeypatch.setattr(campaigns, "_verdicts", lambda ctx, tol, oks, residuals: (
+        (ok, campaigns._float_json(residual)) for ok, residual in zip(oks, residuals)))
     strange = 'a"b\\c%s{0}}\u00e9'
     words = [(), (1, 2, 3, 4, 2, 3, 1) * 12]
     values = {"sigma_word": words, "simple": [1, 4], None: [None]}[extra]
     for ctx in (QContext(EXACT, order=3), QContext(COMPLEX, q=complex(-0.0, -0.25)),
                 QContext(COMPLEX, q=complex(-0.5, -0.0))):
-        line = campaigns.record(f"check/{strange}", strange, ctx, 1e-9, extra,
-                                file=strange, dual_type="\u03a9")
-        for k, ok, residual, omega_word, value in product(
-                [0, 12345], [True, False],
+        row = campaigns.record(f"check/{strange}", strange, ctx, 1e-9, extra,
+                               file=strange, dual_type="\u03a9")
+        for k, omega_word in product([0, 12345], words):
+            cases = list(product(
+                [True, False],
                 [0.0, 5e-324, 1e300, -1.5, float("nan"), float("inf"), float("-inf")],
-                words, values):
-            rec = {"check": f"check/{strange}", "type": strange, "file": strange,
-                   "dual_type": "\u03a9", **campaigns.ctx_fields(ctx),
-                   "omega_word": list(omega_word), "point": k, "residual": residual,
-                   "pass": ok}
-            if extra is not None:
-                rec[extra] = value
-            extra_text = json.dumps(value) if extra is not None else ""
-            assert line(k, ok, residual, json.dumps(omega_word), extra_text) == (
-                ok, json.dumps(rec, sort_keys=True))
+                values))
+            lines = []
+            for ok, residual, value in cases:
+                rec = {"check": f"check/{strange}", "type": strange, "file": strange,
+                       "dual_type": "\u03a9", **campaigns.ctx_fields(ctx),
+                       "omega_word": list(omega_word), "point": k, "residual": residual,
+                       "pass": ok}
+                if extra is not None:
+                    rec[extra] = value
+                lines.append((ok, json.dumps(rec, sort_keys=True)))
+            oks, residuals, extras = zip(*cases)
+            extra_texts = [json.dumps(v) if extra is not None else "" for v in extras]
+            omega_text = json.dumps(omega_word)
+            assert list(row(k, omega_text, oks, residuals, extra_texts)) == lines
+            for ok, residual, extra_text, line in zip(oks, residuals, extra_texts, lines):
+                assert list(row(k, omega_text, (ok,), (residual,), (extra_text,))) == [line]
+
+
+def reference_compare(ctx, lhs, rhs, tol):
+    """(pass, residual) of one pair as each record was once compared. Exact:
+    the max |coefficient| of lhs - rhs, passing iff it is the zero series.
+    Complex: |lhs - rhs| over the larger of |lhs| and |rhs|, 0.0 if that is
+    0, passing iff it is at most tol."""
+    if ctx.backend == EXACT:
+        diff = lhs - rhs
+        if ctx.is_zero(diff):
+            return True, 0.0
+        return False, ctx.magnitude(diff)
+    scale = max(abs(lhs), abs(rhs))
+    residual = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+    return residual <= tol, residual
+
+
+def _series(*coeffs):
+    return QSeries([Fraction(c) for c in coeffs])
+
+
+NAN, INF = float("nan"), float("inf")
+VERDICT_CASES = [
+    (QContext(COMPLEX, q=0.3), tol, [
+        (0j, 0j), (0j, -0j), (-0j, -0j), (complex(0.0, -0.0), 0j), (0j, 1e-300),
+        (1e-300j, 0j), (0j, complex(NAN, 0)), (complex(NAN, 0), 0j), (complex(0, NAN), 1),
+        (0j, INF), (complex(INF, 0), 1), (complex(INF, 0), complex(INF, 0)),
+        (2 + 0j, 1 + 0j), (1 + 0j, 1 + 1e-12), (1 + 1j, 1 + 1j), (-0j, 5 + 0j)])
+    for tol in (0.5, 1e-9, 0.0)  # 2 against 1 is a residual exactly at 0.5
+] + [
+    (QContext(EXACT, order=2), 1e-9, [
+        (_series(0, 0, 0), _series(0, 0, 0)), (_series(1, "1/3", 0), _series(1, "1/3", 0)),
+        (_series(1, 0, 0), _series(0, 0, 0)), (_series(0, "-2/3", 5), _series(0, 0, 5)),
+        (_series(7, 0, "1/9"), _series(7, 0, "2/9"))]),
+]
+
+
+@pytest.mark.parametrize("ctx,tol,pairs", VERDICT_CASES,
+                         ids=[f"{c[0].backend}-tol{c[1]}" for c in VERDICT_CASES])
+def test_row_verdicts_are_the_pairwise_compare(ctx, tol, pairs):
+    # zeros of either sign, NaN and inf on either side, a residual at tol
+    from ellschub import campaigns
+
+    row = campaigns.record("check", "X", ctx, tol, "sigma_word", dual_type="Y")
+    lines = []
+    for n, (lhs, rhs) in enumerate(pairs):
+        ok, residual = reference_compare(ctx, lhs, rhs, tol)
+        rec = {"check": "check", "type": "X", "dual_type": "Y", **campaigns.ctx_fields(ctx),
+               "omega_word": [2], "point": 3, "residual": residual, "pass": ok,
+               "sigma_word": [n]}
+        lines.append((ok, json.dumps(rec, sort_keys=True)))
+    lhs_row, rhs_row = zip(*pairs)
+    extra_texts = [json.dumps([n]) for n in range(len(pairs))]
+    assert list(row(3, "[2]", lhs_row, rhs_row, extra_texts)) == lines
+    for lhs, rhs, extra_text, line in zip(lhs_row, rhs_row, extra_texts, lines):
+        assert list(row(3, "[2]", (lhs,), (rhs,), (extra_text,))) == [line]
+    assert {ok for ok, _ in lines} == {True, False}
 
 
 def test_closed_reader_exits_2():
