@@ -65,6 +65,7 @@ def ctx_fields(ctx: QContext) -> dict:
 
 _SLOT = "\0"  # json.dumps escapes NUL, so it never occurs in its output
 _INF = float("inf")
+_NAN = float("nan")
 
 
 def _float_json(x: float) -> str:
@@ -77,25 +78,27 @@ def _float_json(x: float) -> str:
 def _verdicts(ctx: QContext, tol: float, lhs_row, rhs_row):
     """(pass, residual) of each pair of lhs_row and rhs_row, in order, the
     residual as JSON text: the verdict rule of every check. Exact: the sides
-    agree iff lhs - rhs is the zero series, and the residual is the absolute
-    max |coefficient| of lhs - rhs; tol is not read. Complex: the residual is
-    |lhs - rhs| relative to the larger of |lhs| and |rhs| (0.0 if that is
-    0), and the check passes if it is at most tol (tol >= 0); a pair of zeros
-    passes with 0.0, without an abs."""
+    agree iff they are equal series (a QSeries is kept in lowest terms, so
+    equal values are equal representations), and an unequal pair's residual
+    is the absolute max |coefficient| of lhs - rhs; tol is not read. Complex:
+    the residual is |lhs - rhs| relative to the larger of |lhs| and |rhs|, and
+    the check passes if it is at most tol (tol >= 0); a pair of zeros passes
+    with 0.0, without an abs, and a pair with a NaN side fails with NaN."""
     if ctx.backend == EXACT:
         for lhs, rhs in zip(lhs_row, rhs_row):
-            diff = lhs - rhs
-            if ctx.is_zero(diff):
+            if lhs == rhs:
                 yield True, "0.0"
             else:
-                yield False, _float_json(ctx.magnitude(diff))
+                yield False, _float_json(ctx.magnitude(lhs - rhs))
         return
     for lhs, rhs in zip(lhs_row, rhs_row):
         if not (lhs or rhs):
             yield True, "0.0"
             continue
         scale = max(abs(lhs), abs(rhs))
-        residual = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+        # scale is 0.0 only for a zero lhs and an rhs with a NaN part, as max
+        # keeps the 0.0 before a NaN
+        residual = abs(lhs - rhs) / scale if scale else _NAN
         yield residual <= tol, _float_json(residual)
 
 

@@ -38,7 +38,7 @@ from .elliptic import (
 from .rootsys import parse_label
 from .weyl import GroupTooLargeError, group
 
-REPORT_CHUNK = 1024  # report lines per write, so the report is never one string
+REPORT_CHUNK = 1024  # report lines per write: a campaign keeps at most one chunk
 
 
 def make_context(backend: str, qorder: int, q: float) -> QContext:
@@ -140,18 +140,21 @@ def cmd_corpus(args, out) -> int:
 
 
 def _report(checks, out) -> int:
-    """Keep the line of each (pass, line) pair of a runner and count the
-    failures as they are read; write once the last is in, REPORT_CHUNK lines
-    a write, so a campaign that raises writes nothing."""
-    lines, failures = [], 0
-    for ok, line in checks:
-        lines.append(line)
+    """Read a runner's (pass, line) pairs once, counting the failures, and
+    write the lines REPORT_CHUNK to a write as soon as a chunk is full; the
+    summary line goes with the last write. A campaign that raises leaves the
+    whole chunks before its failure and no summary line."""
+    chunk, count, failures = [], 0, 0
+    for count, (ok, line) in enumerate(checks, 1):
+        chunk.append(line)
         failures += not ok
-    summary = {"summary": True, "checks": len(lines), "failures": failures,
+        if len(chunk) == REPORT_CHUNK:
+            out.write("\n".join(chunk) + "\n")
+            chunk = []
+    summary = {"summary": True, "checks": count, "failures": failures,
                "pass": not failures}
-    lines.append(json.dumps(summary, sort_keys=True))
-    for start in range(0, len(lines), REPORT_CHUNK):
-        out.write("\n".join(lines[start:start + REPORT_CHUNK]) + "\n")
+    chunk.append(json.dumps(summary, sort_keys=True))
+    out.write("\n".join(chunk) + "\n")
     return 0 if not failures else 1
 
 

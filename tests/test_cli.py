@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -240,10 +241,54 @@ def test_report_writes_in_bounded_chunks():
         yield from records
         raise SingularPointError("forced pole")
 
+    # a runner that raises leaves the whole chunks before it and no summary
     out = RecordingOut()
     with pytest.raises(SingularPointError):
         cli._report(raising(), out)
-    assert out.writes == []
+    assert out.writes == ["\n".join(lines[start:start + cli.REPORT_CHUNK]) + "\n"
+                          for start in (0, cli.REPORT_CHUNK)]
+
+
+def test_report_writes_a_chunk_before_the_next_pair_is_made():
+    from ellschub import cli
+
+    out = RecordingOut()
+
+    def checks():
+        for n in range(cli.REPORT_CHUNK + 1):
+            # pair n + 1 is made only after the writes of the first n pairs
+            assert len(out.writes) == n // cli.REPORT_CHUNK
+            yield True, f"line {n}"
+
+    assert cli._report(checks(), out) == 0
+    assert out.writes[0] == "".join(f"line {n}\n" for n in range(cli.REPORT_CHUNK))
+    assert out.writes[1].startswith(f"line {cli.REPORT_CHUNK}\n{{")
+    assert len(out.writes) == 2
+
+
+def test_report_memory_is_a_few_chunks():
+    # 36864 lines of about 220 B, as a D4 campaign point yields: kept until
+    # the last one is in they would take over 9 MB
+    import tracemalloc
+
+    from ellschub import cli
+
+    class CountingOut:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    out, pad = CountingOut(), "x" * 200
+    checks = ((n % 7 != 0, f'{{"n": {n}, "{pad}": 0}}') for n in range(36864))
+    tracemalloc.start()
+    try:
+        assert cli._report(checks, out) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.size > 36864 * 215
+    assert peak < 4 * cli.REPORT_CHUNK * 300
 
 
 @pytest.mark.parametrize("extra", ["sigma_word", "simple", None])
@@ -285,15 +330,18 @@ def test_record_line_is_the_sorted_json_dump(extra, monkeypatch):
 
 
 def reference_compare(ctx, lhs, rhs, tol):
-    """(pass, residual) of one pair as each record was once compared. Exact:
-    the max |coefficient| of lhs - rhs, passing iff it is the zero series.
-    Complex: |lhs - rhs| over the larger of |lhs| and |rhs|, 0.0 if that is
-    0, passing iff it is at most tol."""
+    """(pass, residual) of one pair. Exact: the max |coefficient| of
+    lhs - rhs, passing iff it is the zero series. Complex: a pair with a NaN
+    part on either side fails with residual NaN; any other pair has
+    |lhs - rhs| over the larger of |lhs| and |rhs|, 0.0 if that is 0, and
+    passes iff that is at most tol."""
     if ctx.backend == EXACT:
         diff = lhs - rhs
         if ctx.is_zero(diff):
             return True, 0.0
         return False, ctx.magnitude(diff)
+    if cmath.isnan(lhs) or cmath.isnan(rhs):
+        return False, NAN
     scale = max(abs(lhs), abs(rhs))
     residual = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
     return residual <= tol, residual
@@ -308,6 +356,8 @@ VERDICT_CASES = [
     (QContext(COMPLEX, q=0.3), tol, [
         (0j, 0j), (0j, -0j), (-0j, -0j), (complex(0.0, -0.0), 0j), (0j, 1e-300),
         (1e-300j, 0j), (0j, complex(NAN, 0)), (complex(NAN, 0), 0j), (complex(0, NAN), 1),
+        (0j, complex(0, NAN)), (-0j, complex(INF, NAN)), (complex(NAN, NAN), 1 + 0j),
+        (complex(INF, 0), complex(NAN, 0)),
         (0j, INF), (complex(INF, 0), 1), (complex(INF, 0), complex(INF, 0)),
         (2 + 0j, 1 + 0j), (1 + 0j, 1 + 1e-12), (1 + 1j, 1 + 1j), (-0j, 5 + 0j)])
     for tol in (0.5, 1e-9, 0.0)  # 2 against 1 is a residual exactly at 0.5
@@ -315,7 +365,9 @@ VERDICT_CASES = [
     (QContext(EXACT, order=2), 1e-9, [
         (_series(0, 0, 0), _series(0, 0, 0)), (_series(1, "1/3", 0), _series(1, "1/3", 0)),
         (_series(1, 0, 0), _series(0, 0, 0)), (_series(0, "-2/3", 5), _series(0, 0, 5)),
-        (_series(7, 0, "1/9"), _series(7, 0, "2/9"))]),
+        (_series(7, 0, "1/9"), _series(7, 0, "2/9")),
+        # equal values reached along two paths: one representation
+        (_series("1/4", "1/6", 0) + _series("1/4", "1/6", 0), _series("2/4", "2/6", 0))]),
 ]
 
 
@@ -412,13 +464,18 @@ def test_table_out_of_resamples(capsys, monkeypatch):
     assert len({p.values for p in calls}) == 10  # each try draws a new point
 
 
-def test_campaign_out_of_resamples_at_a_later_point_prints_nothing(tmp_path, capsys,
-                                                                  monkeypatch):
-    # the first point's records are built, but none is written before the
-    # second point runs out of draws
-    from ellschub import campaigns
+def test_campaign_out_of_resamples_at_a_later_point_leaves_whole_chunks(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the first point's 2304 records are read, and its first two chunks are
+    # written, before the second point runs out of draws; the rest of the
+    # first point and the summary line are not
+    from ellschub import campaigns, cli
     from ellschub.elliptic import SingularPointError
 
+    argv = ["verify", "duality", "--type", "B3", "--backend", "complex"]
+    assert main(argv + ["--points", "1"]) == 0
+    first_point = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(first_point) == 2304 + 1 > 2 * cli.REPORT_CHUNK
     calls = []
 
     def singular_after_one(*args):
@@ -430,16 +487,16 @@ def test_campaign_out_of_resamples_at_a_later_point_prints_nothing(tmp_path, cap
     duality_pairs = campaigns.duality_pairs
     monkeypatch.setattr(campaigns, "duality_pairs", singular_after_one)
     target = tmp_path / "report.jsonl"
-    argv = ["verify", "duality", "--type", "A1", "--qorder", "2", "--points", "2"]
+    argv += ["--points", "2"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "".join(first_point[:2 * cli.REPORT_CHUNK])
     assert captured.err.startswith("error: no nonsingular point")
     assert len(calls) == 1 + campaigns.ATTEMPTS
     calls.clear()
     assert main(argv + ["--out", str(target)]) == 2
     assert len(calls) == 1 + campaigns.ATTEMPTS
-    assert target.read_text() == ""
+    assert target.read_text() == captured.out
 
 
 @pytest.fixture
@@ -567,3 +624,41 @@ def test_qorder_too_large_to_hold(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory (too large a --qorder or group)\n"
+
+
+# Runs ellschub.cli.main(argv) in a process forked from this small interpreter
+# and prints that process's peak RSS in KiB to stderr. Linux carries the peak
+# of the process that spawns an interpreter into the interpreter's ru_maxrss,
+# so the campaign must run in a fork of a small process to read its own peak.
+FORKED_PEAK_RSS = """
+import os, resource, sys
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+code = 1
+try:
+    from ellschub.cli import main
+    code = main(sys.argv[1:])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+finally:
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+"""
+
+
+@pytest.mark.tier2
+def test_f4_complex_duality_peak_rss():
+    # 1327104 records, 343 MB of them, written a chunk at a time: the peak is
+    # the point's value grids (72 MB on x86-64 Linux, CPython 3.11), not them
+    import ellschub
+
+    src = os.path.dirname(os.path.dirname(ellschub.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", FORKED_PEAK_RSS, "verify", "duality", "--type", "F4",
+         "--backend", "complex", "--points", "1", "--seed", "0", "--out", os.devnull],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src}, timeout=600)
+    assert proc.returncode == 1  # the complex backend's false failures
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 150
