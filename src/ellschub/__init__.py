@@ -43,7 +43,7 @@ from .classes import (
     tangent_weights,
     unnormalized_table,
 )
-from .duality import DualitySubstitution, substitution
+from .duality import substitution
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

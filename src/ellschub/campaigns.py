@@ -179,8 +179,7 @@ def run_recursions(label, ctx, points, seed, tol):
     def rows(point):
         """(bs_rows, rm_rows), the two tables of each word made in turn."""
         memo = StepMemo(W, point)
-        return tuple(zip(*[(bs_table(W, word, point, memo).values,
-                            rmatrix_table(W, word, point, memo).values)
+        return tuple(zip(*[(bs_table(memo, word).values, rmatrix_table(memo, word).values)
                            for word in map(W.reduced_word, range(W.order))]))
 
     return _pair_records("recursions", label, ctx, points, seed, tol, W, rows)
@@ -202,25 +201,23 @@ def run_normalization(label, ctx, points, seed, tol):
         """(row builder, omega, lhs row, rhs row, extra texts) of every row
         of checks at a point; every check but the scaling is a row of one."""
         point = sample_point(W.rank, ctx, rng)
-        dual_point = f_interpretation_point(W, point)
         memo = StepMemo(W, point)
-        dual_memo = StepMemo(Wdual, dual_point, memo)
+        dual_memo = StepMemo(Wdual, f_interpretation_point(W, point), memo)
         out = []
         for omega in range(W.order):
             for s, simple in enumerate(simples, 1):
                 for c_row, c_sides in ((c_right, c_recursion_right_sides),
                                        (c_left, c_recursion_left_sides)):
-                    lhs, rhs = c_sides(W, omega, s, point, memo)
+                    lhs, rhs = c_sides(memo, omega, s)
                     out.append((c_row, omega, (lhs,), (rhs,), (simple,)))
-            c_val = normalization_factor(W, omega, point, memo)
+            c_val = normalization_factor(memo, omega)
             word = W.reduced_word(omega)
-            ee = bs_table(W, word, point, memo).values
-            e_vals = unnormalized_table(W, word, point, memo).values
+            ee = bs_table(memo, word).values
+            e_vals = unnormalized_table(memo, word).values
             out.append((scaling, omega, ee, [c_val * e for e in e_vals], words))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
-            dual_e = unnormalized_table(Wdual, W.reduced_word(target), dual_point,
-                                        dual_memo).values[target]
+            dual_e = unnormalized_table(dual_memo, W.reduced_word(target)).values[target]
             out.append((f_interpretation, omega, (c_val,), (dual_e,), ("",)))
         return out
 
@@ -241,7 +238,7 @@ def run_corpus(ctx, points, seed, tol):
 
             def sides(rng):
                 chart_values, point = chart.sample(ctx, rng)
-                return corpus_mod.corpus_sides(entry, W, chart_values, point)
+                return corpus_mod.corpus_sides(entry, chart_values, StepMemo(W, point))
 
             for k, (engine, expected) in _per_point(points, seed, f"corpus:{fname}:{n}",
                                                     sides):
@@ -257,7 +254,7 @@ def run_corpus(ctx, points, seed, tol):
         def cross_sides(rng):
             chart_values, point = sp2_chart.sample(ctx, rng)
             return corpus_mod.cross_substitution_sides(
-                sp2_entry, so5_entry, chart_values, ctx, StepMemo(W, point))
+                sp2_entry, so5_entry, chart_values, StepMemo(W, point))
 
         for k, (lhs, rhs) in _per_point(points, seed, f"cross:{n}", cross_sides):
             yield from cross(k, omega_text, (lhs,), (rhs,), (sigma_text,))
@@ -271,8 +268,8 @@ def run_corpus(ctx, points, seed, tol):
     def values(rng):
         chart_values, point = sp2_chart.sample(ctx, rng)
         memo = StepMemo(W, point)
-        summed, factored = corpus_mod.worked_sum_values(chart_values, ctx, memo)
-        engine = bs_table(W, corpus_mod.WORKED_SUM_WORD, point, memo).values[sigma]
+        summed, factored = corpus_mod.worked_sum_values(chart_values, memo)
+        engine = bs_table(memo, corpus_mod.WORKED_SUM_WORD).values[sigma]
         return summed, factored, engine
 
     for k, (summed, factored, engine) in _per_point(points, seed, "worked", values):

@@ -73,13 +73,13 @@ def _negated(W: WeylGroup, i: int) -> int:
     return i + half if i < half else i - half
 
 
-def initial_table(W: WeylGroup, point: EvalPoint, memo: StepMemo,
-                  u: int = 0) -> ClassTable:
-    """EE table for omega = id: the full delta product at id, 0 elsewhere.
-    Each positive coroot gamma is read as u(gamma), as the first step of a
-    word with product u^-1 needs (the default 0 is W.identity)."""
+def initial_table(memo: StepMemo, u: int = 0) -> ClassTable:
+    """EE table for omega = id at memo's point: the full delta product at id,
+    0 elsewhere. Each positive coroot gamma is read as u(gamma), as the first
+    step of a word with product u^-1 needs (the default 0 is W.identity)."""
+    W, point = memo.group, memo.point
     values = [point.ctx.zero()] * W.order
-    values[W.identity] = _h_product(memo, point, (  # u(-gamma) for the -gamma
+    values[W.identity] = _h_product(memo, (  # u(-gamma) for the -gamma
         memo.coroots[W.act(u, i)] for i in range(len(W.coroots) // 2, len(W.coroots))))
     return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
 
@@ -88,17 +88,19 @@ def _identity_support(W: WeylGroup) -> tuple[bool, ...]:
     return (True,) + (False,) * (W.order - 1)  # W.identity is 0
 
 
-def _h_product(memo: StepMemo, point: EvalPoint, values):
+def _h_product(memo: StepMemo, values):
     """prod delta(x, h) over the values x, in their order, from memo."""
-    return memo.delta_product((x, point.h) for x in values)
+    h = memo.point.h
+    return memo.delta_product((x, h) for x in values)
 
 
 class StepMemo:
     """What the classes of one group at one point share, and the only keeper
-    of delta values: make one with the point, pass it to every table and
-    normalization factor there, and drop it with the point. `deltas` holds
-    delta(a, b) under (a, b), read through `delta`; a memo made with
-    `deltas_of`, a memo of the same context, shares that dict.
+    of delta values: every table and normalization factor takes the memo as
+    its only handle on the group (`group`) and the point (`point`), and the
+    memo is dropped with the point. `deltas` holds delta(a, b) under (a, b),
+    read through `delta`; a memo made with `deltas_of`, a memo of the same
+    context, shares that dict.
 
     `roots` and `coroots` hold the point's values of e^(-beta) =
     prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
@@ -135,10 +137,6 @@ class StepMemo:
         factors = [self.delta(a, b) for a, b in pairs]
         return reduce(mul, factors) if factors else self.point.ctx.one()
 
-    def check(self, W: WeylGroup, point: EvalPoint) -> None:
-        if W is not self.group or point != self.point:
-            raise ValueError("step memo made for another group or point")
-
     def coefficients(self, kept: list, s: int, g: int, coefficients) -> list:
         """[r] -> coefficients(value of root r) for every root r of a step
         by s that reads nu_s as coroot g, worked out once and kept in
@@ -169,13 +167,12 @@ def _step_coroots(W: WeylGroup, word) -> tuple:
     return u, gammas[::-1]
 
 
-def bs_step(W: WeylGroup, table: ClassTable, s: int, g: int,
-            memo: StepMemo) -> ClassTable:
+def bs_step(memo: StepMemo, table: ClassTable, s: int, g: int) -> ClassTable:
     """One Bott-Samelson step by s that reads nu_s as the value of coroot g
     (an index into W.coroots) at memo's point; bs_table gives each step its
     g. Both coefficients are divided by delta(nu_s, h) before they are
     combined. The new table is kept with memo's point."""
-    point, nu_val = memo.point, memo.coroots[g]
+    W, point, nu_val = memo.group, memo.point, memo.coroots[g]
     den = memo.delta(nu_val, point.h)
     coeffs = memo.coefficients(memo.normalized, s, g, lambda sigma_zeta: (
         _checked_div(memo.delta(sigma_zeta, nu_val), den),
@@ -212,34 +209,24 @@ def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
     return out, tuple(grown)
 
 
-def _memo_for(W: WeylGroup, point: EvalPoint, memo: StepMemo | None) -> StepMemo:
-    if memo is None:
-        return StepMemo(W, point)
-    memo.check(W, point)
-    return memo
-
-
-def bs_table(W: WeylGroup, word, point: EvalPoint,
-             memo: StepMemo | None = None) -> ClassTable:
-    """EE table for omega = product of word (need not be reduced). memo, if
-    given, was made for W at point; the tables at one point share their
-    step coefficients through it."""
+def bs_table(memo: StepMemo, word) -> ClassTable:
+    """EE table of memo's group at memo's point for omega = product of word
+    (need not be reduced); the tables at one point share their step
+    coefficients through the memo."""
     word = tuple(word)
-    memo = _memo_for(W, point, memo)
-    u, gammas = _step_coroots(W, word)
-    table = initial_table(W, point, memo, u)
+    u, gammas = _step_coroots(memo.group, word)
+    table = initial_table(memo, u)
     for s, g in zip(word, gammas):
-        table = bs_step(W, table, s, g, memo)
+        table = bs_step(memo, table, s, g)
     return table
 
 
-def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
-                       memo: StepMemo | None = None) -> ClassTable:
+def unnormalized_table(memo: StepMemo, word) -> ClassTable:
     """E table (no normalization); length-decreasing steps divide the
     combined value by delta(nu_s,h) delta(nu_s^{-1},h). memo as for
     bs_table."""
     word = tuple(word)
-    memo = _memo_for(W, point, memo)
+    W, point = memo.group, memo.point
     ctx, h, zero = point.ctx, point.h, point.ctx.zero()
     values = [zero] * W.order
     values[W.identity] = ctx.one()
@@ -262,27 +249,27 @@ def unnormalized_table(W: WeylGroup, word, point: EvalPoint,
     return ClassTable(W, word, point, tuple(values), "E", support)
 
 
-def em_table(W: WeylGroup, word, point: EvalPoint) -> ClassTable:
+def em_table(memo: StepMemo, word) -> ClassTable:
     """Em normalization: EE divided by the full delta product over Pi."""
-    memo = StepMemo(W, point)
-    table = bs_table(W, word, point, memo)
-    full = initial_table(W, point, memo).values[W.identity]
+    W = memo.group
+    table = bs_table(memo, word)
+    full = initial_table(memo).values[W.identity]
     values = tuple(_checked_div(v, full) for v in table.values)
-    return ClassTable(W, table.word, point, values, "Em", table.support)
+    return ClassTable(W, table.word, memo.point, values, "Em", table.support)
 
 
 # ---------------------------------------------------------------------------
 # R-matrix recursion
 
 
-def rmatrix_table(W: WeylGroup, word, point: EvalPoint, memo: StepMemo) -> ClassTable:
+def rmatrix_table(memo: StepMemo, word) -> ClassTable:
     """EE table for omega = product of word via the memoized R-matrix
     recursion; indexing agrees with bs_table on the same word. memo as for
     bs_table; the recursion reads its delta values through it."""
     word = tuple(word)
-    memo.check(W, point)
+    W, point = memo.group, memo.point
     # a twist moves only the zeta values, which the depth-0 values never read
-    start = initial_table(W, point, memo).values
+    start = initial_table(memo).values
     kept, coeffs = {}, {}
     values = tuple(_rmatrix_eval(W, word, sigma, W.identity, point, memo, start, kept,
                                  coeffs) for sigma in range(W.order))
@@ -343,43 +330,46 @@ def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
     return frozenset(W.coroots[i] for i in _positive(W, omega, True, W.coroots))
 
 
-def normalization_factor(W: WeylGroup, omega: int, point: EvalPoint, memo: StepMemo):
-    """c(G, omega) at the point, with the delta values of memo."""
-    return _h_product(memo, point, (memo.coroots[_negated(W, i)]
-                                    for i in _positive(W, omega, True, W.coroots)))
+def normalization_factor(memo: StepMemo, omega: int):
+    """c(G, omega) at memo's point, with the delta values of memo."""
+    W = memo.group
+    return _h_product(memo, (memo.coroots[_negated(W, i)]
+                             for i in _positive(W, omega, True, W.coroots)))
 
 
-def c_recursion_right_sides(W, omega, s, point, memo: StepMemo):
+def c_recursion_right_sides(memo: StepMemo, omega: int, s: int):
     """(c(G, omega s), nu-transformed recursion rhs); the shifted factor
     reads h^(-gamma) at the point nu-transformed by s as h^(s(-gamma))."""
-    lhs = normalization_factor(W, W.rmult(omega, s), point, memo)
-    shifted = _h_product(memo, point, (memo.coroots[W.reflected[s - 1][_negated(W, i)]]
-                                       for i in _positive(W, omega, True, W.coroots)))
+    W, h = memo.group, memo.point.h
+    lhs = normalization_factor(memo, W.rmult(omega, s))
+    shifted = _h_product(memo, (memo.coroots[W.reflected[s - 1][_negated(W, i)]]
+                                for i in _positive(W, omega, True, W.coroots)))
     g = W.root_index[W.identity][s - 1]  # alpha_s^v
     nu_val, nu_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
     if W.length(W.rmult(omega, s)) > W.length(omega):
-        rhs = _checked_div(shifted, memo.delta(nu_val, point.h))
+        rhs = _checked_div(shifted, memo.delta(nu_val, h))
     else:
-        rhs = memo.delta(nu_inv, point.h) * shifted
+        rhs = memo.delta(nu_inv, h) * shifted
     return lhs, rhs
 
 
-def c_recursion_left_sides(W, omega, s, point, memo: StepMemo):
+def c_recursion_left_sides(memo: StepMemo, omega: int, s: int):
     """(c(G, s omega), recursion rhs), left-multiplication form."""
-    lhs = normalization_factor(W, W.lmult(s, omega), point, memo)
-    base = normalization_factor(W, omega, point, memo)
+    W, h = memo.group, memo.point.h
+    lhs = normalization_factor(memo, W.lmult(s, omega))
+    base = normalization_factor(memo, omega)
     g = W.root_index[W.inv(omega)][s - 1]
     gamma_val, gamma_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
     if W.length(W.lmult(s, omega)) > W.length(omega):
-        rhs = _checked_div(base, memo.delta(gamma_inv, point.h))
+        rhs = _checked_div(base, memo.delta(gamma_inv, h))
     else:
-        rhs = memo.delta(gamma_val, point.h) * base
+        rhs = memo.delta(gamma_val, h) * base
     return lhs, rhs
 
 
-def diagonal_closed_form(W: WeylGroup, sigma: int, point: EvalPoint):
+def diagonal_closed_form(memo: StepMemo, sigma: int):
     """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
     of delta(e^(alpha_s), h)."""
-    memo = StepMemo(W, point)
-    return _h_product(memo, point, (memo.roots[_negated(W, i)]
-                                    for i in _positive(W, W.inv(sigma), False, W.roots)))
+    W = memo.group
+    return _h_product(memo, (memo.roots[_negated(W, i)]
+                             for i in _positive(W, W.inv(sigma), False, W.roots)))

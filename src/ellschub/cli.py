@@ -25,7 +25,7 @@ from .campaigns import (
     run_normalization,
     run_recursions,
 )
-from .classes import bs_table
+from .classes import StepMemo, bs_table
 from .elliptic import (
     COMPLEX,
     EXACT,
@@ -77,9 +77,9 @@ def cmd_table(args, out) -> int:
             chart_values, point = chart.sample(ctx, rng)
         else:
             point = sample_point(W.rank, ctx, rng)
-        return point, bs_table(W, word, point)
+        return bs_table(StepMemo(W, point), word)
 
-    point, table = resample(args.seed, "table", compute)
+    table = resample(args.seed, "table", compute)
     flags = table.zero_flags()
     entries = [
         {
@@ -95,7 +95,7 @@ def cmd_table(args, out) -> int:
         "word": list(word),
         "seed": args.seed,
         "chart": chart.name if chart is not None else None,
-        "point": _point_json(point),
+        "point": _point_json(table.point),
         "entries": entries,
     }
     if args.format == "json":

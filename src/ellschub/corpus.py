@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from random import Random
 
+from .classes import StepMemo, bs_table
 from .elliptic import (
     EvalPoint,
     QContext,
@@ -32,7 +33,7 @@ from .elliptic import (
     sample_values,
     var_names,
 )
-from .weyl import WeylGroup, group
+from .weyl import group
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,9 @@ def corpus_files() -> tuple[str, ...]:
     return ("sl2.txt", "so5.txt", "sp2.txt")
 
 
-def eval_factors(entry: CorpusEntry, chart_values: tuple, memo):
+def eval_factors(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
     """The entry's signed product of delta(a, b) over its factors (a|b) at the
-    chart values, with the delta values of memo, a StepMemo."""
+    chart values, with the delta values of memo."""
     value = memo.delta_product(monomial_map(chart_values, pair) for pair in entry.factors)
     return -value if entry.sign < 0 else value
 
@@ -202,17 +203,12 @@ def eval_factors(entry: CorpusEntry, chart_values: tuple, memo):
 # checks driven by the corpus
 
 
-def corpus_sides(entry: CorpusEntry, W: WeylGroup, chart_values: tuple,
-                 point: EvalPoint):
-    """(engine value, factored expected value) at one point."""
-    from .classes import StepMemo, bs_table
-
-    memo = StepMemo(W, point)
-    table = bs_table(W, entry.omega_word, point, memo)
-    sigma = W.from_word(entry.sigma_word)
-    engine = table.values[sigma]
+def corpus_sides(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
+    """(engine value, factored expected value) at the chart values, with
+    memo made for the entry's group at their point."""
+    engine = bs_table(memo, entry.omega_word).values[memo.group.from_word(entry.sigma_word)]
     if entry.expects_zero:
-        return engine, point.ctx.zero()
+        return engine, memo.point.ctx.zero()
     return engine, eval_factors(entry, chart_values, memo)
 
 
@@ -240,13 +236,14 @@ _CROSS_ROWS = tuple(parse_monomial(m, _RANK2_VARS)
 
 
 def cross_substitution_sides(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
-                             sp2_values: tuple, ctx: QContext, memo):
+                             sp2_values: tuple, memo: StepMemo):
     """((-1)^(l(tau0)) times the substituted SO(5) value, the Sp(2) value) with
-    the delta values of memo, a StepMemo of ctx; l(tau0) = 4, so the sign is +1."""
+    the delta values of memo; l(tau0) = 4, so the sign is +1."""
     if sp2_entry.expects_zero or so5_entry.expects_zero:
         if sp2_entry.expects_zero != so5_entry.expects_zero:
             raise AssertionError("vanishing patterns disagree across the dual tables")
-        return ctx.zero(), ctx.zero()
+        zero = memo.point.ctx.zero()
+        return zero, zero
     lhs = eval_factors(so5_entry, monomial_map(sp2_values, _CROSS_ROWS), memo)
     rhs = eval_factors(sp2_entry, sp2_values, memo)
     return lhs, rhs
@@ -267,10 +264,10 @@ _WORKED_SUM = tuple(_parse_product(text, _RANK2_VARS) for text in (
     WORKED_SUM_PREFIX, *WORKED_SUM_TERMS, WORKED_SUM_TOTAL))
 
 
-def worked_sum_values(chart_values: tuple, ctx: QContext, memo):
+def worked_sum_values(chart_values: tuple, memo: StepMemo):
     """(three-term sum value, factored total value) for EE_{s1s2}(X^v_tau0)
-    in the Sp(2) chart, with the delta values of memo, a StepMemo of ctx."""
+    in the Sp(2) chart, with the delta values of memo."""
     prefix, *terms, factored = (
         memo.delta_product(monomial_map(chart_values, pair) for pair in factors)
         for factors in _WORKED_SUM)
-    return prefix * sum(terms, ctx.zero()), factored
+    return prefix * sum(terms, memo.point.ctx.zero()), factored

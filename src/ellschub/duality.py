@@ -17,22 +17,9 @@ are evaluated at consistent coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classes import StepMemo, bs_table
 from .elliptic import EvalPoint, monomial_map
 from .weyl import WeylGroup
-
-
-@dataclass(frozen=True)
-class DualitySubstitution:
-    # rows[i]: the exponents of the #-image of source variable i, over the
-    # target variables
-    rows: tuple[tuple[int, ...], ...]
-
-    def pull_point(self, p: EvalPoint) -> EvalPoint:
-        """EvalPoint for the source group from one for the target group."""
-        return EvalPoint(p.ctx, monomial_map(p.values, self.rows))
 
 
 def _variable_rows(images) -> tuple:
@@ -42,13 +29,19 @@ def _variable_rows(images) -> tuple:
     return tuple(tuple(e if k == j else 0 for k in range(n)) for j, e in images)
 
 
-def substitution(W: WeylGroup) -> DualitySubstitution:
-    """The # map of W to the variables of its Langlands dual."""
+def substitution(W: WeylGroup) -> tuple:
+    """The # map of W to the variables of its Langlands dual: row i holds the
+    exponents of the #-image of source variable i over the target variables."""
     r = W.rank
-    return DualitySubstitution(_variable_rows(
+    return _variable_rows(
         [(r + t - 1, -1) for t in W.star]  # zeta_s -> nubar_{s*}^{-1}
         + [(s, -1) for s in range(r)]  # nu_s -> zetabar_s^{-1}
-        + [(2 * r, -1)]))  # h -> h^{-1}
+        + [(2 * r, -1)])  # h -> h^{-1}
+
+
+def pull_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
+    """The point of W that # pulls back from the dual-group point p."""
+    return EvalPoint(p.ctx, monomial_map(p.values, substitution(W)))
 
 
 def duality_sign(W: WeylGroup) -> int:
@@ -60,14 +53,11 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
     """(lhs_rows, rhs_rows) at one dual-side point, computed from 2|W|
     tables; Wdual is dual_group(W). The pair (omega, sigma) has the signed
     lhs lhs_rows[omega][sigma] and the rhs rhs_rows[omega][sigma]."""
-    sub = substitution(W)
-    pulled = sub.pull_point(point)
     t0 = W.longest
-    source_memo, target_memo = StepMemo(W, pulled), StepMemo(Wdual, point)
-    source_tables = [bs_table(W, W.reduced_word(w), pulled, source_memo).values
+    source_memo, target_memo = StepMemo(W, pull_point(W, point)), StepMemo(Wdual, point)
+    source_tables = [bs_table(source_memo, W.reduced_word(w)).values
                      for w in range(W.order)]
-    rhs_rows = [bs_table(Wdual, W.reduced_word(w), point, target_memo).values
-                for w in range(W.order)]
+    rhs_rows = [bs_table(target_memo, W.reduced_word(w)).values for w in range(W.order)]
     sign = duality_sign(W) * (-1 if flip_sign else 1)
     flip = [W.mul(t0, W.inv(w)) for w in range(W.order)]  # w -> tau0 w^{-1}
     columns = [source_tables[f] for f in flip]  # sigma -> table of tau0 sigma^{-1}
@@ -89,12 +79,10 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> tuple:
     and twisted_rows[omega][sigma] is its relabeled conjugate side."""
     t0 = W.longest
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
-    relabeled = relabel_point(W, point)
     straight_memo = StepMemo(W, point)
-    twisted_memo = StepMemo(W, relabeled, straight_memo)
-    straight = [bs_table(W, W.reduced_word(w), point, straight_memo).values
-                for w in range(W.order)]
-    twisted = [bs_table(W, W.reduced_word(conj[w]), relabeled, twisted_memo).values
+    twisted_memo = StepMemo(W, relabel_point(W, point), straight_memo)
+    straight = [bs_table(straight_memo, W.reduced_word(w)).values for w in range(W.order)]
+    twisted = [bs_table(twisted_memo, W.reduced_word(conj[w])).values
                for w in range(W.order)]
     return straight, [tuple(row[c] for c in conj) for row in twisted]
 

@@ -42,7 +42,7 @@ from functools import cache
 from math import gcd, isqrt, lcm
 from random import Random
 
-from .rootsys import COROOT, ROOT, RootSystem
+from .rootsys import COROOT, ROOT, RootSystem, _basis, _reflect_coords
 
 EXACT = "exact"
 COMPLEX = "complex"
@@ -300,6 +300,19 @@ def _jacobi_theta(x, tri, size):
     return coeffs, u ** (top - 1) * v**top
 
 
+def _q_powers(q, big=1.0):
+    """q^n for n = 1, 2, ... while |q^n| * big >= 1e-18, at most 10000 of
+    them: the factors of a complex product kept until its tail differs from
+    1 by less than 1e-18, with big the largest modulus among the arguments
+    and their inverses."""
+    qn = 1.0 + 0j
+    for _ in range(10_000):
+        qn *= q
+        if abs(qn) * big < _TAIL_EPS:
+            return
+        yield qn
+
+
 def theta(x, ctx: QContext):
     """Jacobi theta x^(1/2)(1 - 1/x) prod (1-q^n x)(1-q^n/x), complex only.
 
@@ -311,16 +324,8 @@ def theta(x, ctx: QContext):
     x = complex(x)
     if x == 0:
         raise ZeroArgumentError("theta(0)")
-    q = ctx.q
     val = cmath.sqrt(x) * (1 - 1 / x)
-    qn = 1.0 + 0j
-    big = max(abs(x), 1 / abs(x))
-    n = 0
-    while True:
-        n += 1
-        qn *= q
-        if abs(qn) * big < _TAIL_EPS or n > 10_000:
-            break
+    for qn in _q_powers(ctx.q, max(abs(x), 1 / abs(x))):
         val *= (1 - qn * x) * (1 - qn / x)
     return val
 
@@ -334,15 +339,8 @@ def theta_prime_one(ctx: QContext):
             if m * (3 * m - 1) // 2 <= ctx.order:
                 euler[m * (3 * m - 1) // 2] = -1 if m & 1 else 1
         return QSeries._new(_convolve(euler, euler), 1)
-    q = ctx.q
     val = 1.0 + 0j
-    qn = 1.0 + 0j
-    n = 0
-    while True:
-        n += 1
-        qn *= q
-        if abs(qn) < _TAIL_EPS or n > 10_000:
-            break
+    for qn in _q_powers(ctx.q):
         val *= (1 - qn) ** 2
     return val
 
@@ -378,16 +376,8 @@ def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:
     _delta_checked_args(a, b, exact=False)
     ab = a * b
     val = (ab - 1) / ((a - 1) * (b - 1))
-    q = ctx.q
     mags = [abs(ab), 1 / abs(ab), abs(a), 1 / abs(a), abs(b), 1 / abs(b)]
-    big = max(mags + [1.0])
-    qn = 1.0 + 0j
-    n = 0
-    while True:
-        n += 1
-        qn *= q
-        if abs(qn) * big < _TAIL_EPS or n > 10_000:
-            break
+    for qn in _q_powers(ctx.q, max(mags + [1.0])):
         den = (1 - qn * a) * (1 - qn / a) * (1 - qn * b) * (1 - qn / b)
         if abs(den) < 1e-6:
             raise SingularPointError("delta argument hits a q-shifted pole")
@@ -484,7 +474,11 @@ def transform_point(point: EvalPoint, s: int, sector: str, rs: RootSystem) -> Ev
     h^(s(alpha_t^v)); zeta-sector analogously with s(alpha_t). h and the
     other sector are untouched. Involutive per sector.
     """
-    rows = rs.reflection_rows(s, ROOT if sector == ZETA else COROOT)
+    if not 1 <= s <= rs.rank:
+        raise IndexError(f"simple index {s} out of range 1..{rs.rank}")
+    lattice = ROOT if sector == ZETA else COROOT
+    rows = tuple(_reflect_coords(rs.cartan, s, _basis(rs.rank, t), lattice)
+                 for t in range(1, rs.rank + 1))
     return _sector_map(point, sector, rows)
 
 

@@ -79,12 +79,12 @@ def test_criterion_1_sl2_corpus():
         assert len(entries) == 4
         for n, entry in enumerate(entries):
             cv, point = chart.sample(EXACT8, Random(f"acc:sl2:{n}"))
-            engine, expected = corpus_sides(entry, W, cv, point)
+            engine, expected = corpus_sides(entry, cv, StepMemo(W, point))
             assert engine == expected  # coefficient-exact through q^8
         for k in range(10):
             for n, entry in enumerate(entries):
                 cv, point = chart.sample(COMPLEX_CTX, Random(f"acc:sl2c:{n}:{k}"))
-                engine, expected = corpus_sides(entry, W, cv, point)
+                engine, expected = corpus_sides(entry, cv, StepMemo(W, point))
                 scale = max(abs(engine), abs(expected))
                 assert abs(engine - expected) <= 1e-9 * max(scale, 1e-30)
         elapsed = time.monotonic() - start
@@ -104,7 +104,7 @@ def test_criterion_2_so5_sp2_corpus():
             chart = builtin_chart(entries[0].group_label)
             for n, entry in enumerate(entries):
                 cv, point = chart.sample(EXACT8, Random(f"acc:{name}:{n}"))
-                engine, expected = corpus_sides(entry, W, cv, point)
+                engine, expected = corpus_sides(entry, cv, StepMemo(W, point))
                 if entry.expects_zero:
                     assert is_zero(engine)  # tabulated 0 is exactly 0
                 else:
@@ -114,13 +114,13 @@ def test_criterion_2_so5_sp2_corpus():
         sigma = W.from_word(WORKED_SUM_SIGMA)
         cv, point = sp2_chart().sample(EXACT8, Random("acc:worked"))
         memo = StepMemo(W, point)
-        summed, factored = worked_sum_values(cv, EXACT8, memo)
-        engine = bs_table(W, WORKED_SUM_WORD, point, memo).values[sigma]
+        summed, factored = worked_sum_values(cv, memo)
+        engine = bs_table(memo, WORKED_SUM_WORD).values[sigma]
         assert summed == factored == engine
         # the closing substitution check across the two tables
         for n, (sp2_entry, so5_entry) in enumerate(cross_substitution_pairs()):
             cv, point = sp2_chart().sample(EXACT8, Random(f"acc:cross:{n}"))
-            lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv, EXACT8,
+            lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv,
                                                 StepMemo(W, point))
             assert lhs == rhs
         elapsed = time.monotonic() - start
@@ -166,16 +166,14 @@ def test_criterion_4_recursion_consistency():
                 memo = StepMemo(W, point)
                 for omega in range(W.order):
                     word = W.reduced_word(omega)
-                    assert bs_table(W, word, point, memo).values == rmatrix_table(
-                        W, word, point, memo
-                    ).values
+                    assert bs_table(memo, word).values == rmatrix_table(memo, word).values
         W = group("A3")
         point = sample_point(3, COMPLEX_CTX, Random("acc:rec:A3"))
         memo = StepMemo(W, point)
         for omega in range(W.order):
             word = W.reduced_word(omega)
-            bs = bs_table(W, word, point, memo).values
-            rm = rmatrix_table(W, word, point, memo).values
+            bs = bs_table(memo, word).values
+            rm = rmatrix_table(memo, word).values
             for sigma in range(W.order):
                 scale = max(abs(bs[sigma]), abs(rm[sigma]))
                 assert abs(bs[sigma] - rm[sigma]) <= 1e-8 * max(scale, 1e-30)
@@ -199,8 +197,8 @@ def test_criterion_5_word_independence():
     with criterion(5, "word independence"):
         W = group("B2")
         point = seeded_exact_point(2, "words:B2")
-        assert bs_table(W, (1, 2, 1, 2), point).values == bs_table(
-            W, (2, 1, 2, 1), point
+        assert bs_table(StepMemo(W, point), (1, 2, 1, 2)).values == bs_table(
+            StepMemo(W, point), (2, 1, 2, 1)
         ).values
 
         A3 = group("A3")
@@ -210,16 +208,16 @@ def test_criterion_5_word_independence():
         while len(words) < 3:
             words.add(random_reduced_word(A3, t0, rng))
         point = seeded_exact_point(3, "words:A3")
-        tables = [bs_table(A3, word, point).values for word in sorted(words)]
+        tables = [bs_table(StepMemo(A3, point), word).values for word in sorted(words)]
         assert all(t == tables[0] for t in tables[1:])
 
         # non-reduced round trip restores the previous table
         point = seeded_exact_point(2, "words:roundtrip")
-        base = bs_table(W, (1, 2), point)
-        extended = bs_table(W, (1, 2, 2, 2), point)
+        base = bs_table(StepMemo(W, point), (1, 2))
+        extended = bs_table(StepMemo(W, point), (1, 2, 2, 2))
         assert extended.values == base.values
-        assert (initial_table(W, point, StepMemo(W, point)).values
-                == bs_table(W, (2, 2), point).values)
+        assert (initial_table(StepMemo(W, point)).values
+                == bs_table(StepMemo(W, point), (2, 2)).values)
 
 
 # --- 6. normalization suite -------------------------------------------------------
@@ -236,18 +234,18 @@ def test_criterion_6_normalization():
             for omega in range(W.order):
                 for s in (1, 2):
                     for sides in (c_recursion_right_sides, c_recursion_left_sides):
-                        lhs, rhs = sides(W, omega, s, point, memo)
+                        lhs, rhs = sides(memo, omega, s)
                         assert is_zero(lhs - rhs)
                 word = W.reduced_word(omega)
-                c_val = normalization_factor(W, omega, point, memo)
-                ee = bs_table(W, word, point).values
-                e_vals = unnormalized_table(W, word, point).values
+                c_val = normalization_factor(memo, omega)
+                ee = bs_table(StepMemo(W, point), word).values
+                e_vals = unnormalized_table(StepMemo(W, point), word).values
                 for sigma in range(W.order):
                     assert ee[sigma] == c_val * e_vals[sigma]
                 target = W.mul(W.inv(omega), t0)
                 dual_point = f_interpretation_point(W, point)
                 dual_diag = unnormalized_table(
-                    Wd, W.reduced_word(target), dual_point
+                    StepMemo(Wd, dual_point), W.reduced_word(target)
                 ).values[target]
                 assert c_val == dual_diag
 
@@ -327,7 +325,7 @@ def test_criterion_9_vanishing_pattern():
             W = group(label)
             point = seeded_exact_point(W.rank, f"vanish:{label}")
             for omega in range(W.order):
-                table = bs_table(W, W.reduced_word(omega), point)
+                table = bs_table(StepMemo(W, point), W.reduced_word(omega))
                 for sigma in range(W.order):
                     assert is_zero(table.values[sigma]) == (
                         not bruhat_leq(W, sigma, omega)

@@ -453,8 +453,8 @@ def test_table_out_of_resamples(capsys, monkeypatch):
 
     calls = []
 
-    def singular(W, word, point):
-        calls.append(point)
+    def singular(memo, word):
+        calls.append(memo.point)
         raise SingularPointError("forced pole")
 
     monkeypatch.setattr(cli, "bs_table", singular)
@@ -519,14 +519,14 @@ def test_two_tables_share_deltas_only_through_a_memo(computed_deltas):
     W = group("B2")
     point = sample_point(W.rank, QContext(EXACT, order=3), Random("delta-owner"))
     word = W.reduced_word(W.longest)
-    bs_table(W, word, point)
+    bs_table(StepMemo(W, point), word)
     once = computed_deltas[0]
     assert once > 0
-    bs_table(W, word, point)
+    bs_table(StepMemo(W, point), word)
     assert computed_deltas[0] == 2 * once
     memo = StepMemo(W, point)
-    bs_table(W, word, point, memo)
-    bs_table(W, word, point, memo)
+    bs_table(memo, word)
+    bs_table(memo, word)
     assert computed_deltas[0] == 3 * once
 
 

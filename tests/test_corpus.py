@@ -198,7 +198,7 @@ def test_corpus_entries_match_engine(name, exact_ctx):
         W = group(entry.group_label)
         chart = builtin_chart(entry.group_label)
         cv, point = chart.sample(exact_ctx, Random(f"corpus-{name}-{n}"))
-        engine, expected = corpus_sides(entry, W, cv, point)
+        engine, expected = corpus_sides(entry, cv, StepMemo(W, point))
         assert engine == expected
 
 
@@ -207,7 +207,7 @@ def test_cross_substitution(exact_ctx):
     assert len(pairs) == 16
     for n, (sp2_entry, so5_entry) in enumerate(pairs):
         cv, point = sp2_chart().sample(exact_ctx, Random(f"cross-{n}"))
-        lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv, exact_ctx,
+        lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv,
                                             StepMemo(group("C2"), point))
         assert lhs == rhs
 
@@ -217,7 +217,7 @@ def test_worked_sum(exact_ctx):
     sigma = W.from_word(WORKED_SUM_SIGMA)
     cv, point = sp2_chart().sample(exact_ctx, Random("worked"))
     memo = StepMemo(W, point)
-    summed, factored = worked_sum_values(cv, exact_ctx, memo)
+    summed, factored = worked_sum_values(cv, memo)
     assert summed == factored
-    engine = bs_table(W, WORKED_SUM_WORD, point, memo).values[sigma]
+    engine = bs_table(memo, WORKED_SUM_WORD).values[sigma]
     assert engine == factored

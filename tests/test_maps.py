@@ -15,7 +15,7 @@ import pytest
 
 from ellschub.classes import StepMemo
 from ellschub.corpus import builtin_chart
-from ellschub.duality import f_interpretation_point, relabel_point, substitution
+from ellschub.duality import f_interpretation_point, pull_point, relabel_point
 from ellschub.elliptic import (
     COMPLEX,
     EXACT,
@@ -178,8 +178,7 @@ def test_maps_equal_former_loops(label, ctx):
         assert (twist_point(point, matrix).values
                 == reference_twist_point(point, matrix, W.rs).values)
 
-    sub = substitution(W)
-    assert sub.pull_point(point).values == reference_pull_point(W.star, point).values
+    assert pull_point(W, point).values == reference_pull_point(W.star, point).values
     assert relabel_point(W, point).values == reference_relabel_point(W, point).values
     assert (f_interpretation_point(W, point).values
             == reference_f_interpretation_point(W, point).values)
