@@ -4,12 +4,10 @@ types, with machine verification of their Langlands-duality symmetry."""
 from .rootsys import (
     CartanLabel,
     InvalidCartanError,
-    LatticeVector,
     RootSystem,
     build_root_system,
     langlands_dual,
     parse_label,
-    reflect,
 )
 from .weyl import GroupTooLargeError, WeylGroup, enumerate_group, group
 from .elliptic import (
@@ -21,26 +19,17 @@ from .elliptic import (
     SingularPointError,
     ZeroArgumentError,
     delta,
-    eval_monomial,
     sample_point,
-    theta,
-    theta_prime_one,
-    transform_point,
 )
 from .classes import (
-    ClassTable,
     StepMemo,
     bs_step,
     bs_table,
     c_recursion_left_sides,
     c_recursion_right_sides,
-    diagonal_closed_form,
-    em_table,
     initial_table,
     normalization_factor,
-    normalization_index_set,
     rmatrix_table,
-    tangent_weights,
     unnormalized_table,
 )
 from .duality import substitution

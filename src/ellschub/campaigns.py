@@ -179,7 +179,7 @@ def run_recursions(label, ctx, points, seed, tol):
     def rows(point):
         """(bs_rows, rm_rows), the two tables of each word made in turn."""
         memo = StepMemo(W, point)
-        return tuple(zip(*[(bs_table(memo, word).values, rmatrix_table(memo, word).values)
+        return tuple(zip(*[(bs_table(memo, word), rmatrix_table(memo, word))
                            for word in map(W.reduced_word, range(W.order))]))
 
     return _pair_records("recursions", label, ctx, points, seed, tol, W, rows)
@@ -212,12 +212,12 @@ def run_normalization(label, ctx, points, seed, tol):
                     out.append((c_row, omega, (lhs,), (rhs,), (simple,)))
             c_val = normalization_factor(memo, omega)
             word = W.reduced_word(omega)
-            ee = bs_table(memo, word).values
-            e_vals = unnormalized_table(memo, word).values
+            ee = bs_table(memo, word)
+            e_vals = unnormalized_table(memo, word)
             out.append((scaling, omega, ee, [c_val * e for e in e_vals], words))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
-            dual_e = unnormalized_table(dual_memo, W.reduced_word(target)).values[target]
+            dual_e = unnormalized_table(dual_memo, W.reduced_word(target))[target]
             out.append((f_interpretation, omega, (c_val,), (dual_e,), ("",)))
         return out
 
@@ -269,7 +269,7 @@ def run_corpus(ctx, points, seed, tol):
         chart_values, point = sp2_chart.sample(ctx, rng)
         memo = StepMemo(W, point)
         summed, factored = corpus_mod.worked_sum_values(chart_values, memo)
-        engine = bs_table(memo, corpus_mod.WORKED_SUM_WORD).values[sigma]
+        engine = bs_table(memo, corpus_mod.WORKED_SUM_WORD)[sigma]
         return summed, factored, engine
 
     for k, (summed, factored, engine) in _per_point(points, seed, "worked", values):

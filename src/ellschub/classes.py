@@ -29,35 +29,12 @@ are related by EE = c(G, omega) . E with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import mul
 
 from .elliptic import EvalPoint, SingularPointError, delta, monomial_map
 from .weyl import WeylGroup
-
-
-@dataclass(frozen=True)
-class ClassTable:
-    group: WeylGroup
-    word: tuple[int, ...]
-    point: EvalPoint
-    values: tuple
-    kind: str = "EE"  # EE | E | Em
-    # support[sigma] is False where the recursion makes values[sigma] zero
-    # (outside the Bruhat interval below omega, for a reduced word); None
-    # if the table does not track it
-    support: tuple[bool, ...] | None = None
-
-    @property
-    def omega(self) -> int:
-        return self.group.from_word(self.word)
-
-    def zero_flags(self) -> tuple[bool, ...]:
-        ctx = self.point.ctx
-        scale = max((ctx.magnitude(v) for v in self.values), default=0.0)
-        return tuple(ctx.is_zero(v, scale) for v in self.values)
 
 
 def _checked_div(num, den):
@@ -73,15 +50,16 @@ def _negated(W: WeylGroup, i: int) -> int:
     return i + half if i < half else i - half
 
 
-def initial_table(memo: StepMemo, u: int = 0) -> ClassTable:
-    """EE table for omega = id at memo's point: the full delta product at id,
-    0 elsewhere. Each positive coroot gamma is read as u(gamma), as the first
-    step of a word with product u^-1 needs (the default 0 is W.identity)."""
-    W, point = memo.group, memo.point
-    values = [point.ctx.zero()] * W.order
+def initial_table(memo: StepMemo, u: int = 0) -> tuple:
+    """EE values for omega = id at memo's point, by sigma: the full delta
+    product at id, 0 elsewhere. Each positive coroot gamma is read as
+    u(gamma), as the first step of a word with product u^-1 needs (the
+    default 0 is W.identity)."""
+    W = memo.group
+    values = [memo.point.ctx.zero()] * W.order
     values[W.identity] = _h_product(memo, (  # u(-gamma) for the -gamma
         memo.coroots[W.act(u, i)] for i in range(len(W.coroots) // 2, len(W.coroots))))
-    return ClassTable(W, (), point, tuple(values), support=_identity_support(W))
+    return tuple(values)
 
 
 def _identity_support(W: WeylGroup) -> tuple[bool, ...]:
@@ -167,20 +145,22 @@ def _step_coroots(W: WeylGroup, word) -> tuple:
     return u, gammas[::-1]
 
 
-def bs_step(memo: StepMemo, table: ClassTable, s: int, g: int) -> ClassTable:
-    """One Bott-Samelson step by s that reads nu_s as the value of coroot g
+def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tuple:
+    """(values, support) after one Bott-Samelson step by s from the table
+    `values` with support `support`, reading nu_s as the value of coroot g
     (an index into W.coroots) at memo's point; bs_table gives each step its
     g. Both coefficients are divided by delta(nu_s, h) before they are
-    combined. The new table is kept with memo's point."""
+    combined. support[sigma] is False where the recursion makes
+    values[sigma] zero: outside the Bruhat interval below omega, for a
+    reduced word."""
     W, point, nu_val = memo.group, memo.point, memo.coroots[g]
     den = memo.delta(nu_val, point.h)
     coeffs = memo.coefficients(memo.normalized, s, g, lambda sigma_zeta: (
         _checked_div(memo.delta(sigma_zeta, nu_val), den),
         _checked_div(memo.delta(sigma_zeta, point.h), den),
     ))
-    support = table.support or (True,) * W.order
-    values, support = _step_values(W, table.values, support, s, coeffs, point.ctx.zero())
-    return ClassTable(W, table.word + (s,), point, tuple(values), table.kind, support)
+    values, support = _step_values(W, values, support, s, coeffs, point.ctx.zero())
+    return tuple(values), support
 
 
 def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
@@ -209,21 +189,21 @@ def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
     return out, tuple(grown)
 
 
-def bs_table(memo: StepMemo, word) -> ClassTable:
-    """EE table of memo's group at memo's point for omega = product of word
-    (need not be reduced); the tables at one point share their step
-    coefficients through the memo."""
+def bs_table(memo: StepMemo, word) -> tuple:
+    """EE values by sigma of memo's group at memo's point for omega =
+    product of word (need not be reduced); the tables at one point share
+    their step coefficients through the memo."""
     word = tuple(word)
     u, gammas = _step_coroots(memo.group, word)
-    table = initial_table(memo, u)
+    values, support = initial_table(memo, u), _identity_support(memo.group)
     for s, g in zip(word, gammas):
-        table = bs_step(memo, table, s, g)
-    return table
+        values, support = bs_step(memo, values, support, s, g)
+    return values
 
 
-def unnormalized_table(memo: StepMemo, word) -> ClassTable:
-    """E table (no normalization); length-decreasing steps divide the
-    combined value by delta(nu_s,h) delta(nu_s^{-1},h). memo as for
+def unnormalized_table(memo: StepMemo, word) -> tuple:
+    """E values by sigma (no normalization); length-decreasing steps divide
+    the combined value by delta(nu_s,h) delta(nu_s^{-1},h). memo as for
     bs_table."""
     word = tuple(word)
     W, point = memo.group, memo.point
@@ -246,34 +226,24 @@ def unnormalized_table(memo: StepMemo, word) -> ClassTable:
             for sigma in compress(range(W.order), support):
                 values[sigma] = _checked_div(values[sigma], down)
         omega = W.rmult(omega, s)
-    return ClassTable(W, word, point, tuple(values), "E", support)
-
-
-def em_table(memo: StepMemo, word) -> ClassTable:
-    """Em normalization: EE divided by the full delta product over Pi."""
-    W = memo.group
-    table = bs_table(memo, word)
-    full = initial_table(memo).values[W.identity]
-    values = tuple(_checked_div(v, full) for v in table.values)
-    return ClassTable(W, table.word, memo.point, values, "Em", table.support)
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
 # R-matrix recursion
 
 
-def rmatrix_table(memo: StepMemo, word) -> ClassTable:
-    """EE table for omega = product of word via the memoized R-matrix
-    recursion; indexing agrees with bs_table on the same word. memo as for
-    bs_table; the recursion reads its delta values through it."""
+def rmatrix_table(memo: StepMemo, word) -> tuple:
+    """EE values by sigma for omega = product of word via the memoized
+    R-matrix recursion; indexing agrees with bs_table on the same word. memo
+    as for bs_table; the recursion reads its delta values through it."""
     word = tuple(word)
     W, point = memo.group, memo.point
     # a twist moves only the zeta values, which the depth-0 values never read
-    start = initial_table(memo).values
+    start = initial_table(memo)
     kept, coeffs = {}, {}
-    values = tuple(_rmatrix_eval(W, word, sigma, W.identity, point, memo, start, kept,
-                                 coeffs) for sigma in range(W.order))
-    return ClassTable(W, word, point, values)
+    return tuple(_rmatrix_eval(W, word, sigma, W.identity, point, memo, start, kept,
+                               coeffs) for sigma in range(W.order))
 
 
 def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
@@ -311,30 +281,19 @@ def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
 # normalization
 
 
-def _positive(W: WeylGroup, w: int, kept: bool, vectors) -> list:
-    """The indices i of the positive roots (and coroots: w(coroots[i]) is
-    the coroot of w(roots[i])) that w keeps positive (kept) or makes
-    negative (not kept), in the coordinate order of vectors[i]."""
-    half = len(W.roots) // 2
-    return sorted((i for i in range(half) if (W.act(w, i) < half) == kept),
-                  key=vectors.__getitem__)
-
-
-def tangent_weights(W: WeylGroup, omega: int) -> frozenset:
-    """T(G, omega) = Phi_+ intersect omega(Phi_-), as root coordinates."""
-    return frozenset(W.roots[i] for i in _positive(W, W.inv(omega), False, W.roots))
-
-
-def normalization_index_set(W: WeylGroup, omega: int) -> frozenset:
-    """F(G, omega) = Phi^v_+ intersect omega^{-1}(Phi^v_+), coroot coords."""
-    return frozenset(W.coroots[i] for i in _positive(W, omega, True, W.coroots))
+def _kept_positive(W: WeylGroup, omega: int) -> list:
+    """F(G, omega): the indices i of the positive coroots that omega keeps
+    positive, in the coordinate order of coroots[i]."""
+    half = len(W.coroots) // 2
+    return sorted((i for i in range(half) if W.act(omega, i) < half),
+                  key=W.coroots.__getitem__)
 
 
 def normalization_factor(memo: StepMemo, omega: int):
     """c(G, omega) at memo's point, with the delta values of memo."""
     W = memo.group
     return _h_product(memo, (memo.coroots[_negated(W, i)]
-                             for i in _positive(W, omega, True, W.coroots)))
+                             for i in _kept_positive(W, omega)))
 
 
 def c_recursion_right_sides(memo: StepMemo, omega: int, s: int):
@@ -343,7 +302,7 @@ def c_recursion_right_sides(memo: StepMemo, omega: int, s: int):
     W, h = memo.group, memo.point.h
     lhs = normalization_factor(memo, W.rmult(omega, s))
     shifted = _h_product(memo, (memo.coroots[W.reflected[s - 1][_negated(W, i)]]
-                                for i in _positive(W, omega, True, W.coroots)))
+                                for i in _kept_positive(W, omega)))
     g = W.root_index[W.identity][s - 1]  # alpha_s^v
     nu_val, nu_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
     if W.length(W.rmult(omega, s)) > W.length(omega):
@@ -366,10 +325,3 @@ def c_recursion_left_sides(memo: StepMemo, omega: int, s: int):
         rhs = memo.delta(gamma_val, h) * base
     return lhs, rhs
 
-
-def diagonal_closed_form(memo: StepMemo, sigma: int):
-    """E_sigma(X_sigma) = prod over reflections with alpha_s in sigma(Phi_-)
-    of delta(e^(alpha_s), h)."""
-    W = memo.group
-    return _h_product(memo, (memo.roots[_negated(W, i)]
-                             for i in _positive(W, W.inv(sigma), False, W.roots)))

@@ -77,25 +77,25 @@ def cmd_table(args, out) -> int:
             chart_values, point = chart.sample(ctx, rng)
         else:
             point = sample_point(W.rank, ctx, rng)
-        return bs_table(StepMemo(W, point), word)
+        return point, bs_table(StepMemo(W, point), word)
 
-    table = resample(args.seed, "table", compute)
-    flags = table.zero_flags()
+    point, values = resample(args.seed, "table", compute)
+    scale = max((ctx.magnitude(v) for v in values), default=0.0)
     entries = [
         {
             "sigma_word": list(W.reduced_word(sigma)),
-            "value": _scalar_json(ctx, table.values[sigma]),
-            "zero": flags[sigma],
+            "value": _scalar_json(ctx, value),
+            "zero": ctx.is_zero(value, scale),
         }
-        for sigma in range(W.order)
+        for sigma, value in enumerate(values)
     ]
     doc = {
         "type": label,
-        "kind": table.kind,
+        "kind": "EE",
         "word": list(word),
         "seed": args.seed,
         "chart": chart.name if chart is not None else None,
-        "point": _point_json(table.point),
+        "point": _point_json(point),
         "entries": entries,
     }
     if args.format == "json":

@@ -149,7 +149,10 @@ def parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("-", ""):
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse word {text!r}") from None
 
 
 def parse_entry(line: str) -> CorpusEntry:
@@ -206,7 +209,7 @@ def eval_factors(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
 def corpus_sides(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
     """(engine value, factored expected value) at the chart values, with
     memo made for the entry's group at their point."""
-    engine = bs_table(memo, entry.omega_word).values[memo.group.from_word(entry.sigma_word)]
+    engine = bs_table(memo, entry.omega_word)[memo.group.from_word(entry.sigma_word)]
     if entry.expects_zero:
         return engine, memo.point.ctx.zero()
     return engine, eval_factors(entry, chart_values, memo)

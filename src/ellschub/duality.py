@@ -55,9 +55,8 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
     lhs lhs_rows[omega][sigma] and the rhs rhs_rows[omega][sigma]."""
     t0 = W.longest
     source_memo, target_memo = StepMemo(W, pull_point(W, point)), StepMemo(Wdual, point)
-    source_tables = [bs_table(source_memo, W.reduced_word(w)).values
-                     for w in range(W.order)]
-    rhs_rows = [bs_table(target_memo, W.reduced_word(w)).values for w in range(W.order)]
+    source_tables = [bs_table(source_memo, W.reduced_word(w)) for w in range(W.order)]
+    rhs_rows = [bs_table(target_memo, W.reduced_word(w)) for w in range(W.order)]
     sign = duality_sign(W) * (-1 if flip_sign else 1)
     flip = [W.mul(t0, W.inv(w)) for w in range(W.order)]  # w -> tau0 w^{-1}
     columns = [source_tables[f] for f in flip]  # sigma -> table of tau0 sigma^{-1}
@@ -81,8 +80,8 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> tuple:
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     straight_memo = StepMemo(W, point)
     twisted_memo = StepMemo(W, relabel_point(W, point), straight_memo)
-    straight = [bs_table(straight_memo, W.reduced_word(w)).values for w in range(W.order)]
-    twisted = [bs_table(twisted_memo, W.reduced_word(conj[w])).values
+    straight = [bs_table(straight_memo, W.reduced_word(w)) for w in range(W.order)]
+    twisted = [bs_table(twisted_memo, W.reduced_word(conj[w]))
                for w in range(W.order)]
     return straight, [tuple(row[c] for c in conj) for row in twisted]
 

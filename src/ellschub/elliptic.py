@@ -25,8 +25,12 @@ nonzero. The complex backend keeps the branch-free product rearrangement
               / ((1-q^n a)(1-q^n/a)(1-q^n b)(1-q^n/b)),
 
 since its printed digits depend on the order of its float operations.
-theta itself is exposed on the complex backend only (principal branch of
-x^(1/2); branch-dependent, used for validation, never by the recursions).
+theta (complex backend only, principal branch of x^(1/2), so
+branch-dependent) and theta'(1) live here only for validation: the tests
+check delta against them, and no library code calls them. Likewise
+eval_monomial, transform_point and twist_point serve the test references
+and the benchmark tracer, which wraps them by name; the library reads every
+root and coroot value by index from a StepMemo.
 
 Formal variables for a rank-r group are ordered (zeta_1..zeta_r,
 nu_1..nu_r, h); a monomial is an exponent row, an int tuple over them.

@@ -65,16 +65,6 @@ def parse_label(text: str) -> CartanLabel:
     return CartanLabel(text[0].upper(), int(text[1:]))
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    coords: tuple[int, ...]
-    lattice: str
-
-    def __post_init__(self):
-        if self.lattice not in (ROOT, COROOT):
-            raise ValueError(f"bad lattice tag {self.lattice!r}")
-
-
 def cartan_matrix(label: CartanLabel) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with A[i][j] = 2(a_i, a_j)/(a_i, a_i)."""
     n = label.rank
@@ -145,18 +135,6 @@ def _reflect_coords(cartan, s, coords, lattice):
     return tuple(out)
 
 
-def reflect(rs: RootSystem, s: int, v: LatticeVector) -> LatticeVector:
-    """Simple reflection s_s applied to v, staying in v's lattice.
-
-    >>> reflect(build_root_system(parse_label("B2")), 2,
-    ...         LatticeVector((1, 0), ROOT)).coords
-    (1, 2)
-    """
-    if not 1 <= s <= rs.rank:
-        raise IndexError(f"simple index {s} out of range 1..{rs.rank}")
-    return LatticeVector(_reflect_coords(rs.cartan, s, v.coords, v.lattice), v.lattice)
-
-
 def build_root_system(label: CartanLabel) -> RootSystem:
     """Enumerate positive roots and index-aligned coroots by reflection closure."""
     cartan = cartan_matrix(label)
@@ -198,17 +176,4 @@ def langlands_dual(rs: RootSystem) -> RootSystem:
         transposed,
         tuple(p[0] for p in pairs),
         tuple(p[1] for p in pairs),
-    )
-
-
-def pairing(rs: RootSystem, root: LatticeVector, coroot: LatticeVector) -> int:
-    """<root, coroot> in simple coordinates: coroot^T A root."""
-    if root.lattice != ROOT or coroot.lattice != COROOT:
-        raise ValueError("pairing expects (root, coroot)")
-    a = rs.cartan
-    n = rs.rank
-    return sum(
-        coroot.coords[i] * a[i][j] * root.coords[j]
-        for i in range(n)
-        for j in range(n)
     )

@@ -109,6 +109,14 @@ def test_table_bad_word_letter(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("word", ["1,,2", "a", "1.5"])
+def test_table_malformed_word(word, capsys):
+    assert main(["table", "--type", "A2", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse word {word!r}\n"
+
+
 def test_table_bad_type(capsys):
     code = main(["table", "--type", "H2", "--word", "1", "--seed", "1"])
     assert code == 2

@@ -58,6 +58,11 @@ def test_parse_entry_rejects_bad_monomials(line):
         parse_entry(line)
 
 
+def test_parse_entry_names_a_malformed_word():
+    with pytest.raises(ValueError, match=r"^cannot parse word '1,x'$"):
+        parse_entry("A1 1,x - 0")
+
+
 def test_parse_entry_forms():
     entry = parse_entry("B2 1,2 - (mu1^2|h)(z2/z1|1/(mu1*mu2))")
     assert entry.group_label == "B2"
@@ -219,5 +224,5 @@ def test_worked_sum(exact_ctx):
     memo = StepMemo(W, point)
     summed, factored = worked_sum_values(cv, memo)
     assert summed == factored
-    engine = bs_table(memo, WORKED_SUM_WORD).values[sigma]
+    engine = bs_table(memo, WORKED_SUM_WORD)[sigma]
     assert engine == factored

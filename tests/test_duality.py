@@ -112,17 +112,17 @@ def test_sl2_duality_identities(exact_ctx):
     tau = W.from_word((1,))
 
     # -EE_tau(X_tau)|_# = EE_id(X_id)
-    lhs = -bs_table(StepMemo(W, pulled), (1,)).values[tau]
+    lhs = -bs_table(StepMemo(W, pulled), (1,))[tau]
     assert lhs == delta(mu1 / mu2, h, exact_ctx)
     # -EE_id(X_tau)|_# = EE_id(X_tau)
-    lhs = -bs_table(StepMemo(W, pulled), (1,)).values[W.identity]
+    lhs = -bs_table(StepMemo(W, pulled), (1,))[W.identity]
     assert lhs == delta(z2 / z1, mu2 / mu1, exact_ctx)
     # -EE_id(X_id)|_# = EE_tau(X_tau)
-    lhs = -bs_table(StepMemo(W, pulled), ()).values[W.identity]
+    lhs = -bs_table(StepMemo(W, pulled), ())[W.identity]
     assert lhs == delta(z1 / z2, h, exact_ctx)
     # off-support pair: both sides vanish
-    assert is_zero(bs_table(StepMemo(W, pulled), ()).values[tau])
-    assert is_zero(bs_table(StepMemo(Wd, point), ()).values[tau])
+    assert is_zero(bs_table(StepMemo(W, pulled), ())[tau])
+    assert is_zero(bs_table(StepMemo(Wd, point), ())[tau])
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])

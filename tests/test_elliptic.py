@@ -23,10 +23,10 @@ from ellschub.elliptic import (
     theta_prime_one,
     transform_point,
 )
-from ellschub.rootsys import build_root_system, parse_label
+from ellschub.rootsys import COROOT, ROOT, build_root_system, parse_label
 from ellschub.weyl import group
 from elliptic_reference import product_delta, product_theta_prime_one
-from weyl_reference import act
+from weyl_reference import LatticeVector, act
 
 
 # --- exact series arithmetic ------------------------------------------------
@@ -330,14 +330,10 @@ def test_transform_commutes_with_eval(exact_ctx, rng):
 
 
 def rs_vec(coords):
-    from ellschub.rootsys import ROOT, LatticeVector
-
     return LatticeVector(coords, ROOT)
 
 
 def rs_covec(coords):
-    from ellschub.rootsys import COROOT, LatticeVector
-
     return LatticeVector(coords, COROOT)
 
 

@@ -28,9 +28,9 @@ from ellschub.elliptic import (
     transform_point,
     twist_point,
 )
-from ellschub.rootsys import COROOT, ROOT, LatticeVector, _basis, reflect
+from ellschub.rootsys import COROOT, ROOT, _basis
 from ellschub.weyl import group
-from weyl_reference import matrices
+from weyl_reference import LatticeVector, matrices, reflect
 
 LABELS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
           "D3", "D4", "F4", "G2")

@@ -4,14 +4,11 @@ from ellschub.rootsys import (
     COROOT,
     ROOT,
     InvalidCartanError,
-    LatticeVector,
     build_root_system,
     langlands_dual,
-    pairing,
     parse_label,
-    reflect,
 )
-from weyl_reference import simple_coroot, simple_root
+from weyl_reference import LatticeVector, pairing, reflect, simple_coroot, simple_root
 
 ALL_SMALL = [
     "A1", "A2", "A3", "A4",

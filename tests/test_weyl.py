@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from ellschub.rootsys import (COROOT, ROOT, LatticeVector, build_root_system, langlands_dual,
-                              parse_label, reflect)
+from ellschub.rootsys import COROOT, ROOT, build_root_system, langlands_dual, parse_label
 from ellschub.weyl import GroupTooLargeError, _group_order, dual_group, enumerate_group, group
-from weyl_reference import (_identity, _matmul, _matvec, act, bruhat_leq, coroot_matrices,
-                            matrices, matrix_group, simple_coroot, simple_root)
+from weyl_reference import (LatticeVector, _identity, _matmul, _matvec, act, bruhat_leq,
+                            coroot_matrices, matrices, matrix_group, pairing, reflect,
+                            simple_coroot, simple_root)
 
 # every type of rank at most 4
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "B4": 384,
@@ -123,8 +123,6 @@ def test_coroot_action_matches_reflect_on_generators(label):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_act_preserves_pairing(label):
-    from ellschub.rootsys import pairing
-
     W = group(label)
     rs = W.rs
     for w in range(W.order):

@@ -5,12 +5,50 @@ is an integer matrix on root-lattice coordinates (column j = image of the
 j-th simple root), with a companion matrix on the coroot lattice, found by a
 BFS over matrix products; the tables are then built from the matrices by
 their definitions. The Bruhat order is the standard descent recursion,
-with no cache.
+with no cache. A root or coroot is a `LatticeVector`, its simple
+coordinates tagged with its lattice, which `reflect` and `pairing` read.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
-from ellschub.rootsys import COROOT, ROOT, LatticeVector, _basis, _reflect_coords
+from ellschub.rootsys import COROOT, ROOT, _basis, _reflect_coords
+
+
+@dataclass(frozen=True)
+class LatticeVector:
+    coords: tuple[int, ...]
+    lattice: str
+
+    def __post_init__(self):
+        if self.lattice not in (ROOT, COROOT):
+            raise ValueError(f"bad lattice tag {self.lattice!r}")
+
+
+def reflect(rs, s: int, v: LatticeVector) -> LatticeVector:
+    """Simple reflection s_s applied to v, staying in v's lattice.
+
+    >>> from ellschub.rootsys import build_root_system, parse_label
+    >>> reflect(build_root_system(parse_label("B2")), 2,
+    ...         LatticeVector((1, 0), ROOT)).coords
+    (1, 2)
+    """
+    if not 1 <= s <= rs.rank:
+        raise IndexError(f"simple index {s} out of range 1..{rs.rank}")
+    return LatticeVector(_reflect_coords(rs.cartan, s, v.coords, v.lattice), v.lattice)
+
+
+def pairing(rs, root: LatticeVector, coroot: LatticeVector) -> int:
+    """<root, coroot> in simple coordinates: coroot^T A root."""
+    if root.lattice != ROOT or coroot.lattice != COROOT:
+        raise ValueError("pairing expects (root, coroot)")
+    a = rs.cartan
+    n = rs.rank
+    return sum(
+        coroot.coords[i] * a[i][j] * root.coords[j]
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def _identity(n):
