@@ -82,13 +82,14 @@ class StepMemo:
 
     `roots` and `coroots` hold the point's values of e^(-beta) =
     prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
-    W.roots and W.coroots. A Bott-Samelson step reads nu_s as coroot g and
-    sigma(alpha_s) as root r, so its coefficient pairs are kept in rows
-    [g][r]: `normalized` those of bs_step, divided by delta(nu_s, h), and
-    `unnormalized` the undivided ones of unnormalized_table."""
+    W.roots and W.coroots. A step reads nu_s as coroot g and sigma(alpha_s),
+    or the twist's image of alpha_s, as root r, so its coefficient pairs are
+    kept in rows [g][r]: `normalized` those of bs_step, divided by
+    delta(nu_s, h), `unnormalized` the undivided ones of unnormalized_table,
+    and `rmatrix` those of rmatrix_table, which read roots r and -r."""
 
     __slots__ = ("group", "point", "roots", "coroots", "normalized", "unnormalized",
-                 "deltas")
+                 "rmatrix", "deltas")
 
     def __init__(self, W: WeylGroup, point: EvalPoint, deltas_of: StepMemo | None = None):
         self.group = W
@@ -98,6 +99,7 @@ class StepMemo:
         self.coroots = monomial_map(point.values[rank:2 * rank], W.coroots)
         self.normalized: list = [None] * len(W.coroots)
         self.unnormalized: list = [None] * len(W.coroots)
+        self.rmatrix: list = [None] * len(W.coroots)
         if deltas_of is not None and deltas_of.point.ctx != point.ctx:
             raise ValueError("delta values shared across contexts")
         self.deltas: dict = {} if deltas_of is None else deltas_of.deltas
@@ -116,9 +118,8 @@ class StepMemo:
         return reduce(mul, factors) if factors else self.point.ctx.one()
 
     def coefficients(self, kept: list, s: int, g: int, coefficients) -> list:
-        """[r] -> coefficients(value of root r) for every root r of a step
-        by s that reads nu_s as coroot g, worked out once and kept in
-        kept[g].
+        """[r] -> coefficients(r) for every root r of a step by s that reads
+        nu_s as coroot g, worked out once and kept in kept[g].
 
         Missing pairs are computed in the order the roots first appear over
         sigma, as a per-sigma loop meets them, and a kept pair raised
@@ -129,7 +130,7 @@ class StepMemo:
             row = kept[g] = [None] * len(self.roots)
         for r in self.group.step_roots[s - 1]:
             if row[r] is None:
-                row[r] = coefficients(self.roots[r])
+                row[r] = coefficients(r)
         return row
 
 
@@ -155,9 +156,9 @@ def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tu
     reduced word."""
     W, point, nu_val = memo.group, memo.point, memo.coroots[g]
     den = memo.delta(nu_val, point.h)
-    coeffs = memo.coefficients(memo.normalized, s, g, lambda sigma_zeta: (
-        _checked_div(memo.delta(sigma_zeta, nu_val), den),
-        _checked_div(memo.delta(sigma_zeta, point.h), den),
+    coeffs = memo.coefficients(memo.normalized, s, g, lambda r: (
+        _checked_div(memo.delta(memo.roots[r], nu_val), den),
+        _checked_div(memo.delta(memo.roots[r], point.h), den),
     ))
     values, support = _step_values(W, values, support, s, coeffs, point.ctx.zero())
     return tuple(values), support
@@ -217,8 +218,8 @@ def unnormalized_table(memo: StepMemo, word) -> tuple:
         going_up = W.length(W.rmult(omega, s)) > W.length(omega)
         if not going_up:
             down = memo.delta(nu_val, h) * memo.delta(nu_inv, h)
-        coeffs = memo.coefficients(memo.unnormalized, s, g, lambda sigma_zeta: (
-            memo.delta(sigma_zeta, nu_val), memo.delta(sigma_zeta, h)))
+        coeffs = memo.coefficients(memo.unnormalized, s, g, lambda r: (
+            memo.delta(memo.roots[r], nu_val), memo.delta(memo.roots[r], h)))
         values, support = _step_values(W, values, support, s, coeffs, zero)
         if not going_up:
             # the identity is always in the support, so a singular `down`
@@ -236,44 +237,40 @@ def unnormalized_table(memo: StepMemo, word) -> tuple:
 def rmatrix_table(memo: StepMemo, word) -> tuple:
     """EE values by sigma for omega = product of word via the memoized
     R-matrix recursion; indexing agrees with bs_table on the same word. memo
-    as for bs_table; the recursion reads its delta values through it."""
+    as for bs_table: step j reads nu_s as the coroot that step j of bs_table
+    reads, and the recursion reads its delta values through the memo."""
     word = tuple(word)
-    W, point = memo.group, memo.point
-    # a twist moves only the zeta values, which the depth-0 values never read
-    start = initial_table(memo)
-    kept, coeffs = {}, {}
-    return tuple(_rmatrix_eval(W, word, sigma, W.identity, point, memo, start, kept,
-                               coeffs) for sigma in range(W.order))
-
-
-def _rmatrix_eval(W, word, sigma, twist, point, memo, start, kept, coeffs):
-    depth = len(word)
-    key = (depth, sigma, twist)
-    hit = kept.get(key)
-    if hit is not None:
-        return hit
-    if depth == 0:
-        out = kept[key] = start[sigma]
-        return out
-    # word = (s, rest): omega = s . product(rest), built by left multiplication
-    s, rest = word[0], word[1:]
-    # gamma depends only on (product(rest), s), so the coefficients only on
-    # (depth, twist)
-    c = coeffs.get((depth, twist))
-    if c is None:
-        # zeta_s^(+-1) at the twisted point is the value at the point of the
-        # root +-twist(alpha_s); nu and h are the point's own
-        r = W.root_index[twist][s - 1]
-        g = W.root_index[W.inv(W.from_word(rest))][s - 1]
-        den = memo.delta(memo.coroots[_negated(W, g)], point.h)
-        c = coeffs[(depth, twist)] = (
+    W, h = memo.group, memo.point.h
+    steps = []
+    for s, g in zip(word, _step_coroots(W, word)[1]):
+        # zeta_s^(+-1) at the twisted point are the values at the point of
+        # the roots r = twist(alpha_s) and -r; nu and h are the point's own
+        den = memo.delta(memo.coroots[_negated(W, g)], h)
+        steps.append((s, memo.coefficients(memo.rmatrix, s, g, lambda r: (
             _checked_div(memo.delta(memo.roots[r], memo.coroots[g]), den),
-            _checked_div(memo.delta(memo.roots[_negated(W, r)], point.h), den),
-        )
-    keep = _rmatrix_eval(W, rest, sigma, twist, point, memo, start, kept, coeffs)
-    mixed = _rmatrix_eval(W, rest, W.lmult(s, sigma), W.rmult(twist, s),
-                          point, memo, start, kept, coeffs)
-    out = kept[key] = c[0] * keep + c[1] * mixed
+            _checked_div(memo.delta(memo.roots[_negated(W, r)], h), den)))))
+    # the initial product reads no zeta value, so no twist moves it
+    start, zero = initial_table(memo)[W.identity], memo.point.ctx.zero()
+    return tuple(_rmatrix_value(W, steps, {(len(steps), sigma): start}, zero, 0, W.identity)
+                 for sigma in range(W.order))
+
+
+def _rmatrix_value(W: WeylGroup, steps, kept: dict, zero, j: int, twist: int):
+    """EE_(twist^-1 sigma)(X_omega), omega = product(word[j:]), at the point
+    twisted by twist, for the table's sigma; steps[j] = (word[j], coefficient
+    row of step j). A mixed term sends twist^-1 sigma to s twist^-1 sigma and
+    the twist to twist s, so (j, twist) is the whole state. kept holds its
+    values for sigma, seeded at the end of the word with the one nonzero
+    one, the initial product at twist = sigma; every other end is zero."""
+    out = kept.get((j, twist))
+    if out is None:
+        if j == len(steps):
+            return zero
+        s, row = steps[j]
+        c = row[W.root_index[twist][s - 1]]
+        keep = _rmatrix_value(W, steps, kept, zero, j + 1, twist)
+        mixed = _rmatrix_value(W, steps, kept, zero, j + 1, W.rmult_table[twist][s - 1])
+        out = kept[j, twist] = c[0] * keep + c[1] * mixed
     return out
 
 

@@ -95,9 +95,6 @@ def cartan_matrix(label: CartanLabel) -> tuple[tuple[int, ...], ...]:
         a[2][1] = -2
     elif fam == "E":
         # chain 1-3-4-5-..., node 2 hangs off node 4
-        for i in range(n):
-            for j in range(n):
-                a[i][j] = 2 if i == j else 0
         bonds = [(0, 2), (2, 3), (3, 4)] + [(i, i + 1) for i in range(4, n - 1)]
         bonds.append((1, 3))
         for i, j in bonds:

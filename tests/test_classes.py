@@ -263,6 +263,24 @@ def test_rmatrix_nonreduced_word(exact_ctx):
     assert rmatrix_table(memo, (1, 1)) == initial_table(memo)
 
 
+def test_rmatrix_memory_is_one_sigma_at_a_time(complex_ctx):
+    # the longest word of B3: a memo of (step, twist) values kept for the
+    # whole table, or kept alive past its sigma, would take over 1 MB
+    import tracemalloc
+
+    W = group("B3")
+    memo = StepMemo(W, sample_point(W.rank, complex_ctx, Random("rm-memory")))
+    word = W.reduced_word(W.longest)
+    tracemalloc.start()
+    try:
+        table = rmatrix_table(memo, word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == W.order
+    assert peak < 256 * 1024
+
+
 # --- normalization -----------------------------------------------------------
 
 
@@ -913,6 +931,8 @@ def test_singular_root_of_skipped_entries_still_raises():
         assert not support[W.rmult(sigma, 1)]
     for fn in (lambda: bs_table(StepMemo(W, point), (1,)),
                lambda: unnormalized_table(StepMemo(W, point), (1,)),
+               lambda: rmatrix_table(StepMemo(W, point), (1,)),
+               lambda: rmatrix_table(StepMemo(W, point), (2,)),
                lambda: reference_bs_table(W, (1,), point)):
         with pytest.raises(SingularPointError) as err:
             fn()

@@ -66,6 +66,10 @@ GOLDEN = [
     # and at rank 3.
     ("verify recursions --type G2 --points 1 --qorder 4", 0,
      "bcb5a5c09f25eac0cda269b41b91c33302d062347700558db21141eea28bf5c8"),
+    # The exact R-matrix on type C, whose short and long roots swap places
+    # against B.
+    ("verify recursions --type C3 --backend exact --qorder 4 --points 1 --seed 0", 0,
+     "64e86c582875e2272c5ef360ebbfa94f3906aaaf20acea315f683c4937e44e88"),
     ("verify normalization --type G2 --points 1 --qorder 4", 0,
      "b3031993ac19af36528c7ebecafc43c4c5944990bf272ee69c95b958a60a7780"),
     ("verify normalization --type G2 --backend complex --points 1", 0,
