@@ -2,15 +2,13 @@
 checked identity, line being the check's record as one JSON text.
 
 Every campaign draws its points from seeded generators, so identical
-arguments give identical records. A runner computes the values of one point
-at a time (``_per_point``) and builds that point's records from them only as
-they are read. A point that hits a singularity is redrawn by ``resample``
-before any of its records is built. The |W|^2-pair campaigns give a point's
-values as two grids indexed [omega][sigma], which ``_pair_records`` reads a
-row at a time. Every record comes from a row builder made by ``record``: it
-encodes the fields that all records of one kind of check share once per
-campaign, and compares and formats a whole row of checks at once under the
-one verdict rule (``_verdicts``); a single check is a row of one.
+arguments give identical records. One loop, ``_records``, draws each point,
+redraws it by ``resample`` while it hits a singularity, and builds the
+records from the point's rows of checks only as they are read. Each record
+comes from a row builder made by ``record``, which encodes the fields shared
+by all records of one kind of check once per campaign, and compares and
+formats a whole row of checks under the one verdict rule (``_verdicts``); a
+single check is a row of one.
 """
 
 from __future__ import annotations
@@ -139,23 +137,28 @@ def _word_texts(W: WeylGroup) -> list:
     return [json.dumps(W.reduced_word(w)) for w in range(W.order)]
 
 
-def _per_point(points, seed, tag: str, compute):
-    """(k, compute(rng)) for k < points, one point at a time; compute draws its
-    own point, redrawn by resample while compute hits a singularity."""
+def _records(points, seed, tag: str, rows):
+    """The records of the points k < points: rows(rng) draws a point and
+    returns its rows of checks, (row builder, omega text, lhs row, rhs row,
+    extra texts) each, with every value computed, so that resample redraws
+    the point under f"{tag}:{k}" on any singularity of its values."""
     for k in range(points):
-        yield k, resample(seed, f"{tag}:{k}", compute)
+        for row, *cells in resample(seed, f"{tag}:{k}", rows):
+            yield from row(k, *cells)
 
 
 def _pair_records(check, label, ctx, points, seed, tol, W, grids, **fields):
     """The records of lhs_rows[omega][sigma] against rhs_rows[omega][sigma],
-    (lhs_rows, rhs_rows) = grids(point), point by point and a row of one
-    omega at a time."""
+    (lhs_rows, rhs_rows) = grids(point) built in full, a row per omega."""
     row = record(check, label, ctx, tol, "sigma_word", **fields)
     words = _word_texts(W)
-    for k, (lhs_rows, rhs_rows) in _per_point(
-            points, seed, check, lambda rng: grids(sample_point(W.rank, ctx, rng))):
-        for omega_text, lhs_row, rhs_row in zip(words, lhs_rows, rhs_rows):
-            yield from row(k, omega_text, lhs_row, rhs_row, words)
+
+    def rows(rng):
+        lhs_rows, rhs_rows = grids(sample_point(W.rank, ctx, rng))
+        return ((row, omega_text, lhs_row, rhs_row, words)
+                for omega_text, lhs_row, rhs_row in zip(words, lhs_rows, rhs_rows))
+
+    yield from _records(points, seed, check, rows)
 
 
 def run_duality(label, ctx, points, seed, tol, flip_sign=False):
@@ -197,33 +200,31 @@ def run_normalization(label, ctx, points, seed, tol):
     scaling = record("normalization/scaling", label, ctx, tol, "sigma_word")
     f_interpretation = record("normalization/f-interpretation", label, ctx, tol)
 
-    def sides(rng):
-        """(row builder, omega, lhs row, rhs row, extra texts) of every row
-        of checks at a point; every check but the scaling is a row of one."""
+    def rows(rng):
+        """The rows of checks at a point, as a list; every check but the
+        scaling is a row of one."""
         point = sample_point(W.rank, ctx, rng)
         memo = StepMemo(W, point)
         dual_memo = StepMemo(Wdual, f_interpretation_point(W, point), memo)
         out = []
-        for omega in range(W.order):
+        for omega, omega_text in enumerate(words):
             for s, simple in enumerate(simples, 1):
                 for c_row, c_sides in ((c_right, c_recursion_right_sides),
                                        (c_left, c_recursion_left_sides)):
                     lhs, rhs = c_sides(memo, omega, s)
-                    out.append((c_row, omega, (lhs,), (rhs,), (simple,)))
+                    out.append((c_row, omega_text, (lhs,), (rhs,), (simple,)))
             c_val = normalization_factor(memo, omega)
             word = W.reduced_word(omega)
             ee = bs_table(memo, word)
             e_vals = unnormalized_table(memo, word)
-            out.append((scaling, omega, ee, [c_val * e for e in e_vals], words))
+            out.append((scaling, omega_text, ee, [c_val * e for e in e_vals], words))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
             dual_e = unnormalized_table(dual_memo, W.reduced_word(target))[target]
-            out.append((f_interpretation, omega, (c_val,), (dual_e,), ("",)))
+            out.append((f_interpretation, omega_text, (c_val,), (dual_e,), ("",)))
         return out
 
-    for k, point_sides in _per_point(points, seed, "normalization", sides):
-        for row, omega, lhs_row, rhs_row, extra_texts in point_sides:
-            yield from row(k, words[omega], lhs_row, rhs_row, extra_texts)
+    yield from _records(points, seed, "normalization", rows)
 
 
 def run_corpus(ctx, points, seed, tol):
@@ -236,13 +237,13 @@ def run_corpus(ctx, points, seed, tol):
             row = record("corpus", entry.group_label, ctx, tol, "sigma_word", file=fname)
             omega_text, sigma_text = map(json.dumps, (entry.omega_word, entry.sigma_word))
 
-            def sides(rng):
+            def rows(rng):
                 chart_values, point = chart.sample(ctx, rng)
-                return corpus_mod.corpus_sides(entry, chart_values, StepMemo(W, point))
+                engine, expected = corpus_mod.corpus_sides(entry, chart_values,
+                                                           StepMemo(W, point))
+                return [(row, omega_text, (engine,), (expected,), (sigma_text,))]
 
-            for k, (engine, expected) in _per_point(points, seed, f"corpus:{fname}:{n}",
-                                                    sides):
-                yield from row(k, omega_text, (engine,), (expected,), (sigma_text,))
+            yield from _records(points, seed, f"corpus:{fname}:{n}", rows)
     sp2_chart = corpus_mod.sp2_chart()
     W = group("C2")
     cross = record("corpus/cross-substitution", "C2", ctx, tol, "sigma_word",
@@ -251,13 +252,13 @@ def run_corpus(ctx, points, seed, tol):
         omega_text, sigma_text = map(json.dumps, (sp2_entry.omega_word,
                                                   sp2_entry.sigma_word))
 
-        def cross_sides(rng):
+        def cross_rows(rng):
             chart_values, point = sp2_chart.sample(ctx, rng)
-            return corpus_mod.cross_substitution_sides(
+            lhs, rhs = corpus_mod.cross_substitution_sides(
                 sp2_entry, so5_entry, chart_values, StepMemo(W, point))
+            return [(cross, omega_text, (lhs,), (rhs,), (sigma_text,))]
 
-        for k, (lhs, rhs) in _per_point(points, seed, f"cross:{n}", cross_sides):
-            yield from cross(k, omega_text, (lhs,), (rhs,), (sigma_text,))
+        yield from _records(points, seed, f"cross:{n}", cross_rows)
     sigma = W.from_word(corpus_mod.WORKED_SUM_SIGMA)
     omega_text, sigma_text = map(json.dumps, (corpus_mod.WORKED_SUM_WORD,
                                               corpus_mod.WORKED_SUM_SIGMA))
@@ -265,13 +266,12 @@ def run_corpus(ctx, points, seed, tol):
         record(f"corpus/worked-sum/{kind}", "C2", ctx, tol, "sigma_word")
         for kind in ("sum-vs-factored", "engine-vs-factored"))
 
-    def values(rng):
+    def worked_rows(rng):
         chart_values, point = sp2_chart.sample(ctx, rng)
         memo = StepMemo(W, point)
         summed, factored = corpus_mod.worked_sum_values(chart_values, memo)
         engine = bs_table(memo, corpus_mod.WORKED_SUM_WORD)[sigma]
-        return summed, factored, engine
+        return [(sum_vs_factored, omega_text, (summed,), (factored,), (sigma_text,)),
+                (engine_vs_factored, omega_text, (engine,), (factored,), (sigma_text,))]
 
-    for k, (summed, factored, engine) in _per_point(points, seed, "worked", values):
-        yield from sum_vs_factored(k, omega_text, (summed,), (factored,), (sigma_text,))
-        yield from engine_vs_factored(k, omega_text, (engine,), (factored,), (sigma_text,))
+    yield from _records(points, seed, "worked", worked_rows)

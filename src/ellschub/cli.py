@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--qorder", type=int, default=qorder,
                        help="truncation order (exact backend)")
         p.add_argument("--q", type=float, default=0.3,
-                       help="q value (complex backend), |q| < 1")
+                       help="q value (complex backend), |q| < 1; exit 2 at |q| above "
+                            "about 0.996 or when a delta leaves the range of doubles")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write output to a file")
         if with_points:

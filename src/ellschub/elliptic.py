@@ -305,16 +305,17 @@ def _jacobi_theta(x, tri, size):
 
 
 def _q_powers(q, big=1.0):
-    """q^n for n = 1, 2, ... while |q^n| * big >= 1e-18, at most 10000 of
-    them: the factors of a complex product kept until its tail differs from
-    1 by less than 1e-18, with big the largest modulus among the arguments
-    and their inverses."""
+    """q^n for n = 1, 2, ... while |q^n| * big >= 1e-18: the factors of a
+    complex product kept until its tail differs from 1 by less than 1e-18,
+    with big the largest modulus among the arguments and their inverses.
+    ValueError if 10000 factors do not reach that bound (|q| above ~0.996)."""
     qn = 1.0 + 0j
     for _ in range(10_000):
         qn *= q
         if abs(qn) * big < _TAIL_EPS:
             return
         yield qn
+    raise ValueError(f"q = {q:g}: 10000 factors leave a product's tail above 1e-18")
 
 
 def theta(x, ctx: QContext):
@@ -386,6 +387,8 @@ def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:
         if abs(den) < 1e-6:
             raise SingularPointError("delta argument hits a q-shifted pole")
         val *= (1 - qn * ab) * (1 - qn / ab) * (1 - qn) ** 2 / den
+    if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
+        raise SingularPointError("delta value outside the range of doubles")
     return val
 
 

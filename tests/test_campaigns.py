@@ -1,0 +1,65 @@
+"""The one record loop of the campaigns, campaigns._records: the tags under
+which each runner draws its points, and the redraw of a point whose values
+hit a singularity."""
+
+import pytest
+
+from ellschub import campaigns, classes
+from ellschub.elliptic import EXACT, QContext, SingularPointError
+
+CTX = QContext(EXACT, order=3)
+RUNNERS = {
+    "duality": lambda: campaigns.run_duality("A2", CTX, 2, 0, 1e-9),
+    "double-dual": lambda: campaigns.run_double_dual("A2", CTX, 2, 0, 1e-9),
+    "recursions": lambda: campaigns.run_recursions("A2", CTX, 2, 0, 1e-9),
+    "normalization": lambda: campaigns.run_normalization("A2", CTX, 2, 0, 1e-9),
+    "corpus": lambda: campaigns.run_corpus(CTX, 2, 0, 1e-9),
+}
+# 106 corpus draws: the 36 shipped entries, the 16 cross-substitution pairs
+# and the worked sum, at 2 points each
+CORPUS_TAGS = ([f"corpus:{fname}:{n}:{k}"
+                for fname, entries in (("sl2.txt", 4), ("so5.txt", 16), ("sp2.txt", 16))
+                for n in range(entries) for k in range(2)]
+               + [f"cross:{n}:{k}" for n in range(16) for k in range(2)]
+               + ["worked:0", "worked:1"])
+TAGS = {name: [f"{name}:0", f"{name}:1"] for name in RUNNERS}
+TAGS["corpus"] = CORPUS_TAGS
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_runner_draws_its_points_under_fixed_tags(runner, monkeypatch):
+    # a point is drawn from Random(f"{seed}:{tag}:{k}:{attempt}"), so a tag
+    # that moves changes every point, and so every record, of its campaign
+    calls = []
+    resample = campaigns.resample
+
+    def recording(seed, tag, compute):
+        calls.append((seed, tag))
+        return resample(seed, tag, compute)
+
+    monkeypatch.setattr(campaigns, "resample", recording)
+    records = list(RUNNERS[runner]())
+    assert calls == [(0, tag) for tag in TAGS[runner]]
+    assert records and all(ok for ok, _ in records)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_runner_redraws_a_point_whose_first_delta_is_singular(runner, monkeypatch):
+    # every value of a point is computed before its rows leave resample, so
+    # a singularity at the point's first delta redraws the point rather
+    # than ending the campaign
+    expected = sum(1 for _ in RUNNERS[runner]())
+    raised = []
+    delta = classes.delta
+
+    def singular_once(*args):
+        if not raised:
+            raised.append(args)
+            raise SingularPointError("forced pole")
+        return delta(*args)
+
+    monkeypatch.setattr(classes, "delta", singular_once)
+    records = list(RUNNERS[runner]())
+    assert len(raised) == 1
+    assert len(records) == expected
+    assert all(ok for ok, _ in records)

@@ -609,6 +609,28 @@ def test_complex_q_outside_unit_disc(argv, q, capsys):
     assert captured.err == "error: complex backend needs |q| < 1\n"
 
 
+def test_complex_run_whose_deltas_leave_the_doubles_exits_2(capsys):
+    # at q = 0.995 every B3 draw meets a delta below the smallest double;
+    # taken as 0.0, it let the negative control pass all 2304 checks
+    argv = ["verify", "duality", "--type", "B3", "--backend", "complex",
+            "--q", "0.995", "--points", "1", "--flip-sign"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no nonsingular point after 10 tries: "
+                            "delta value outside the range of doubles\n")
+
+
+def test_complex_q_too_close_to_1_exits_2(capsys):
+    # 10000 factors of a product no longer bring its tail below 1e-18
+    argv = ["verify", "duality", "--type", "A2", "--backend", "complex",
+            "--q", "0.999", "--points", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: q = 0.999+0j: 10000 factors")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "duality", "--type", "A2"],
     ["table", "--type", "A2", "--word", "1"],

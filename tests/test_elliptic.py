@@ -239,6 +239,24 @@ def test_delta_singularities(exact_ctx, complex_ctx):
         delta(0.0, 3.0, complex_ctx)
 
 
+def test_complex_delta_outside_the_range_of_doubles_is_singular():
+    # delta(-1, i) at q = 0.995 is about 3.5e-425 (40-digit product): in
+    # doubles it underflows to 0, and a check of zeros would pass vacuously;
+    # delta(-1, 2) is in range, 808.03727039920 at 40 digits
+    ctx = QContext(COMPLEX, order=8, q=0.995)
+    with pytest.raises(SingularPointError, match="outside the range of doubles"):
+        delta(-1.0, 1j, ctx)
+    assert abs(delta(-1.0, 2.0, ctx) - 808.03727039920) < 1e-9
+
+
+def test_complex_product_that_10000_factors_do_not_converge_is_refused():
+    # 0.997^10000 is about 9e-14, far above the 1e-18 tail bound
+    ctx = QContext(COMPLEX, order=8, q=0.997)
+    for value in (lambda: delta(2.0, 3.0, ctx), lambda: theta_prime_one(ctx)):
+        with pytest.raises(ValueError, match=r"q = 0\.997(\+0j)?: 10000 factors"):
+            value()
+
+
 def test_backend_agreement(rng):
     # sum the exact series at q = 1/1000 and compare with the complex value
     q = Fraction(1, 1000)
