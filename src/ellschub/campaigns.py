@@ -14,9 +14,9 @@ single check is a row of one.
 from __future__ import annotations
 
 import json
+from functools import partial
 from random import Random
 
-from . import corpus as corpus_mod
 from .classes import (
     StepMemo,
     bs_table,
@@ -26,6 +26,7 @@ from .classes import (
     rmatrix_table,
     unnormalized_table,
 )
+from .corpus import corpus_checks
 from .duality import double_dual_pairs, duality_pairs, f_interpretation_point
 from .elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
 from .weyl import WeylGroup, dual_group, group
@@ -227,51 +228,21 @@ def run_normalization(label, ctx, points, seed, tol):
     yield from _records(points, seed, "normalization", rows)
 
 
+def _chart_rows(ctx, W, chart, encoded, sides, rng):
+    """The rows of one corpus draw at a point of W drawn in chart by rng: a row
+    of one check per encoded head (row builder, omega text, sigma text)."""
+    chart_values, point = chart.sample(ctx, rng)
+    return [(row, omega_text, (lhs,), (rhs,), (sigma_text,))
+            for (row, omega_text, sigma_text), (lhs, rhs)
+            in zip(encoded, sides(chart_values, StepMemo(W, point)))]
+
+
 def run_corpus(ctx, points, seed, tol):
-    """Engine vs the shipped tables, the cross-table substitution, and the
-    worked three-term sum."""
-    for fname in corpus_mod.corpus_files():
-        for n, entry in enumerate(corpus_mod.load_corpus(fname)):
-            W = group(entry.group_label)
-            chart = corpus_mod.builtin_chart(entry.group_label)
-            row = record("corpus", entry.group_label, ctx, tol, "sigma_word", file=fname)
-            omega_text, sigma_text = map(json.dumps, (entry.omega_word, entry.sigma_word))
-
-            def rows(rng):
-                chart_values, point = chart.sample(ctx, rng)
-                engine, expected = corpus_mod.corpus_sides(entry, chart_values,
-                                                           StepMemo(W, point))
-                return [(row, omega_text, (engine,), (expected,), (sigma_text,))]
-
-            yield from _records(points, seed, f"corpus:{fname}:{n}", rows)
-    sp2_chart = corpus_mod.sp2_chart()
-    W = group("C2")
-    cross = record("corpus/cross-substitution", "C2", ctx, tol, "sigma_word",
-                   dual_type="B2")
-    for n, (sp2_entry, so5_entry) in enumerate(corpus_mod.cross_substitution_pairs()):
-        omega_text, sigma_text = map(json.dumps, (sp2_entry.omega_word,
-                                                  sp2_entry.sigma_word))
-
-        def cross_rows(rng):
-            chart_values, point = sp2_chart.sample(ctx, rng)
-            lhs, rhs = corpus_mod.cross_substitution_sides(
-                sp2_entry, so5_entry, chart_values, StepMemo(W, point))
-            return [(cross, omega_text, (lhs,), (rhs,), (sigma_text,))]
-
-        yield from _records(points, seed, f"cross:{n}", cross_rows)
-    sigma = W.from_word(corpus_mod.WORKED_SUM_SIGMA)
-    omega_text, sigma_text = map(json.dumps, (corpus_mod.WORKED_SUM_WORD,
-                                              corpus_mod.WORKED_SUM_SIGMA))
-    sum_vs_factored, engine_vs_factored = (
-        record(f"corpus/worked-sum/{kind}", "C2", ctx, tol, "sigma_word")
-        for kind in ("sum-vs-factored", "engine-vs-factored"))
-
-    def worked_rows(rng):
-        chart_values, point = sp2_chart.sample(ctx, rng)
-        memo = StepMemo(W, point)
-        summed, factored = corpus_mod.worked_sum_values(chart_values, memo)
-        engine = bs_table(memo, corpus_mod.WORKED_SUM_WORD)[sigma]
-        return [(sum_vs_factored, omega_text, (summed,), (factored,), (sigma_text,)),
-                (engine_vs_factored, omega_text, (engine,), (factored,), (sigma_text,))]
-
-    yield from _records(points, seed, "worked", worked_rows)
+    """Every draw of corpus.corpus_checks: the engine against the shipped
+    tables, the cross-table substitution, and the worked three-term sum."""
+    for tag, label, chart, heads, sides in corpus_checks():
+        encoded = [(record(check, label, ctx, tol, "sigma_word", **fields),
+                    json.dumps(omega), json.dumps(sigma))
+                   for check, fields, omega, sigma in heads]
+        yield from _records(points, seed, tag,
+                            partial(_chart_rows, ctx, group(label), chart, encoded, sides))

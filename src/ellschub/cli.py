@@ -41,12 +41,6 @@ from .weyl import GroupTooLargeError, group
 REPORT_CHUNK = 1024  # report lines per write: a campaign keeps at most one chunk
 
 
-def make_context(backend: str, qorder: int, q: float) -> QContext:
-    if backend == EXACT:
-        return QContext(EXACT, order=qorder)
-    return QContext(COMPLEX, order=qorder, q=complex(q))
-
-
 def _scalar_json(ctx: QContext, value):
     if ctx.backend == EXACT:
         return [f"{c.numerator}/{c.denominator}" for c in value.coeffs]
@@ -64,7 +58,7 @@ def _point_json(point: EvalPoint):
 def cmd_table(args, out) -> int:
     label = str(parse_label(args.type))
     W = group(label)
-    ctx = make_context(args.backend, args.qorder, args.q)
+    ctx = QContext(args.backend, args.qorder, complex(args.q))
     word = corpus_mod.parse_word(args.word)
     for s in word:
         if not 1 <= s <= W.rank:
@@ -121,7 +115,7 @@ def _campaign_settings(args, kind: str):
         raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.tol is not None and not args.tol >= 0:
         raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
-    ctx = make_context(args.backend, args.qorder, args.q)
+    ctx = QContext(args.backend, args.qorder, complex(args.q))
     return ctx, args.tol if args.tol is not None else DEFAULT_TOLS[kind]
 
 

@@ -16,12 +16,16 @@ Chart values are tuples in chart-variable order. A chart's canonical
 its chart variables, read by one parser and evaluated by
 elliptic.monomial_map; the chart-to-canonical direction always has integer
 exponents.
+
+The module owns the corpus campaign's draws: corpus_checks names each draw's
+group, chart and records, and gives the sides that each record compares.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from random import Random
 
@@ -80,11 +84,6 @@ def sp2_chart() -> Chart:
     return _chart("sp2", "C2", _RANK2_VARS, ("z2/z1", "1/z2^2", "mu2/mu1", "1/mu2", "h"))
 
 
-def identity_chart(label: str, rank: int) -> Chart:
-    names = var_names(rank)
-    return _chart("canonical", label, names, names)
-
-
 def builtin_chart(label: str) -> Chart:
     if label == "B2":
         return so5_chart()
@@ -92,8 +91,8 @@ def builtin_chart(label: str) -> Chart:
         return sp2_chart()
     if label.startswith("A"):
         return sl_chart(int(label[1:]) + 1)
-    rank = int(label[1:])
-    return identity_chart(label, rank)
+    names = var_names(int(label[1:]))
+    return _chart("canonical", label, names, names)
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +181,11 @@ def _parse_product(text: str, chart_vars) -> tuple:
 
 def load_corpus(name: str) -> list[CorpusEntry]:
     text = resources.files("ellschub.data.corpus").joinpath(name).read_text()
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(parse_entry(line))
-    return out
+    lines = (line.strip() for line in text.splitlines())
+    return [parse_entry(line) for line in lines if line and not line.startswith("#")]
 
 
-def corpus_files() -> tuple[str, ...]:
-    return ("sl2.txt", "so5.txt", "sp2.txt")
+CORPUS_FILES = ("sl2.txt", "so5.txt", "sp2.txt")
 
 
 def eval_factors(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
@@ -215,20 +208,18 @@ def corpus_sides(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
     return engine, eval_factors(entry, chart_values, memo)
 
 
-def cross_substitution_pairs() -> list[tuple[CorpusEntry, CorpusEntry]]:
+def cross_substitution_pairs(sp2_entries, so5_entries) -> list[tuple[CorpusEntry, CorpusEntry]]:
     """Pair each Sp(2) entry with the SO(5) entry at (tau0 sigma^{-1},
     tau0 omega^{-1}); the tables must match under mu_i <-> zbar_i^{-1},
     mubar_i <-> z_i^{-1}, h <-> h^{-1}."""
     W = group("B2")
     t0 = W.longest
     so5 = {(W.from_word(e.omega_word), W.from_word(e.sigma_word)): e
-           for e in load_corpus("so5.txt")}
+           for e in so5_entries}
     out = []
-    for entry in load_corpus("sp2.txt"):
-        omega = W.from_word(entry.omega_word)
-        sigma = W.from_word(entry.sigma_word)
-        partner = so5[(W.mul(t0, W.inv(sigma)), W.mul(t0, W.inv(omega)))]
-        out.append((entry, partner))
+    for entry in sp2_entries:
+        omega, sigma = map(W.from_word, (entry.omega_word, entry.sigma_word))
+        out.append((entry, so5[(W.mul(t0, W.inv(sigma)), W.mul(t0, W.inv(omega)))]))
     return out
 
 
@@ -267,10 +258,48 @@ _WORKED_SUM = tuple(_parse_product(text, _RANK2_VARS) for text in (
     WORKED_SUM_PREFIX, *WORKED_SUM_TERMS, WORKED_SUM_TOTAL))
 
 
-def worked_sum_values(chart_values: tuple, memo: StepMemo):
-    """(three-term sum value, factored total value) for EE_{s1s2}(X^v_tau0)
-    in the Sp(2) chart, with the delta values of memo."""
+def worked_sum_values(chart_values: tuple, memo: StepMemo, sigma: int):
+    """(three-term sum value, factored total value, engine value) for
+    EE_{s1s2}(X^v_tau0) in the Sp(2) chart, with the delta values of memo;
+    sigma is the element of WORKED_SUM_SIGMA in memo's group."""
     prefix, *terms, factored = (
         memo.delta_product(monomial_map(chart_values, pair) for pair in factors)
         for factors in _WORKED_SUM)
-    return prefix * sum(terms, memo.point.ctx.zero()), factored
+    engine = bs_table(memo, WORKED_SUM_WORD)[sigma]
+    return prefix * sum(terms, memo.point.ctx.zero()), factored, engine
+
+
+def _entry_sides(entry, chart_values, memo):
+    return (corpus_sides(entry, chart_values, memo),)
+
+
+def _cross_sides(sp2_entry, so5_entry, chart_values, memo):
+    return (cross_substitution_sides(sp2_entry, so5_entry, chart_values, memo),)
+
+
+def _worked_sides(sigma, chart_values, memo):
+    summed, factored, engine = worked_sum_values(chart_values, memo, sigma)
+    return (summed, factored), (engine, factored)
+
+
+def corpus_checks():
+    """Every draw of the corpus campaign, in order, as (tag, label, chart,
+    heads, sides): a point of group label drawn in chart under tag; a head
+    (check, record fields, omega word, sigma word) per record; and
+    sides(chart_values, memo), the (lhs, rhs) of each head at the point."""
+    entries = {name: load_corpus(name) for name in CORPUS_FILES}
+    for name, file_entries in entries.items():
+        for n, entry in enumerate(file_entries):
+            yield (f"corpus:{name}:{n}", entry.group_label, builtin_chart(entry.group_label),
+                   (("corpus", {"file": name}, entry.omega_word, entry.sigma_word),),
+                   partial(_entry_sides, entry))
+    sp2 = sp2_chart()
+    pairs = cross_substitution_pairs(entries["sp2.txt"], entries["so5.txt"])
+    for n, (sp2_entry, so5_entry) in enumerate(pairs):
+        head = ("corpus/cross-substitution", {"dual_type": "B2"},
+                sp2_entry.omega_word, sp2_entry.sigma_word)
+        yield f"cross:{n}", "C2", sp2, (head,), partial(_cross_sides, sp2_entry, so5_entry)
+    heads = tuple((f"corpus/worked-sum/{kind}", {}, WORKED_SUM_WORD, WORKED_SUM_SIGMA)
+                  for kind in ("sum-vs-factored", "engine-vs-factored"))
+    sigma = group("C2").from_word(WORKED_SUM_SIGMA)
+    yield "worked", "C2", sp2, heads, partial(_worked_sides, sigma)

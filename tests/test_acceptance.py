@@ -26,7 +26,6 @@ from ellschub.corpus import (
     sp2_chart,
     worked_sum_values,
     WORKED_SUM_SIGMA,
-    WORKED_SUM_WORD,
 )
 from ellschub.duality import (
     double_dual_pairs,
@@ -97,8 +96,8 @@ def test_criterion_1_sl2_corpus():
 def test_criterion_2_so5_sp2_corpus():
     start = time.monotonic()
     with criterion(2, "SO(5)/Sp(2) corpus"):
-        for name in ("so5.txt", "sp2.txt"):
-            entries = load_corpus(name)
+        tables = {name: load_corpus(name) for name in ("so5.txt", "sp2.txt")}
+        for name, entries in tables.items():
             assert len(entries) == 16
             W = group(entries[0].group_label)
             chart = builtin_chart(entries[0].group_label)
@@ -111,14 +110,13 @@ def test_criterion_2_so5_sp2_corpus():
                     assert engine == expected
         # the worked three-term sum for EE_{s1s2}(X^v_tau0)
         W = group("C2")
-        sigma = W.from_word(WORKED_SUM_SIGMA)
         cv, point = sp2_chart().sample(EXACT8, Random("acc:worked"))
-        memo = StepMemo(W, point)
-        summed, factored = worked_sum_values(cv, memo)
-        engine = bs_table(memo, WORKED_SUM_WORD)[sigma]
+        summed, factored, engine = worked_sum_values(cv, StepMemo(W, point),
+                                                     W.from_word(WORKED_SUM_SIGMA))
         assert summed == factored == engine
         # the closing substitution check across the two tables
-        for n, (sp2_entry, so5_entry) in enumerate(cross_substitution_pairs()):
+        pairs = cross_substitution_pairs(tables["sp2.txt"], tables["so5.txt"])
+        for n, (sp2_entry, so5_entry) in enumerate(pairs):
             cv, point = sp2_chart().sample(EXACT8, Random(f"acc:cross:{n}"))
             lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv,
                                                 StepMemo(W, point))

@@ -1,10 +1,10 @@
 """The one record loop of the campaigns, campaigns._records: the tags under
-which each runner draws its points, and the redraw of a point whose values
-hit a singularity."""
+which each runner draws its points, the redraw of a point whose values hit a
+singularity, and the one parse of each corpus file per corpus campaign."""
 
 import pytest
 
-from ellschub import campaigns, classes
+from ellschub import campaigns, classes, corpus
 from ellschub.elliptic import EXACT, QContext, SingularPointError
 
 CTX = QContext(EXACT, order=3)
@@ -63,3 +63,19 @@ def test_runner_redraws_a_point_whose_first_delta_is_singular(runner, monkeypatc
     assert len(raised) == 1
     assert len(records) == expected
     assert all(ok for ok, _ in records)
+
+
+def test_corpus_campaign_parses_each_file_once(monkeypatch):
+    # corpus.corpus_checks loads each shipped file once and hands the Sp(2)
+    # and SO(5) entries on to the cross-substitution pairs
+    loaded = []
+    load_corpus = corpus.load_corpus
+
+    def counting(name):
+        loaded.append(name)
+        return load_corpus(name)
+
+    monkeypatch.setattr(corpus, "load_corpus", counting)
+    records = list(campaigns.run_corpus(CTX, 1, 0, 1e-9))
+    assert len(records) == 54
+    assert loaded == ["sl2.txt", "so5.txt", "sp2.txt"]

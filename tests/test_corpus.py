@@ -3,10 +3,10 @@ from random import Random
 
 import pytest
 
-from ellschub.classes import StepMemo, bs_table
+from ellschub.classes import StepMemo
 from ellschub.corpus import (
     builtin_chart,
-    corpus_files,
+    CORPUS_FILES,
     corpus_sides,
     cross_substitution_pairs,
     cross_substitution_sides,
@@ -18,7 +18,6 @@ from ellschub.corpus import (
     sp2_chart,
     worked_sum_values,
     WORKED_SUM_SIGMA,
-    WORKED_SUM_WORD,
 )
 from ellschub.elliptic import eval_monomial, monomial_map
 from ellschub.weyl import group
@@ -81,7 +80,7 @@ def test_parse_entry_forms():
 
 def test_corpus_files_load():
     sizes = {"sl2.txt": 4, "so5.txt": 16, "sp2.txt": 16}
-    for name in corpus_files():
+    for name in CORPUS_FILES:
         entries = load_corpus(name)
         assert len(entries) == sizes[name]
         for entry in entries:
@@ -178,7 +177,7 @@ def chart_to_canonical(chart, row):
 def test_chart_naturality(exact_ctx):
     # evaluating a corpus delta argument in chart coordinates equals
     # evaluating its canonical preimage at the mapped point
-    for name in corpus_files():
+    for name in CORPUS_FILES:
         for entry in load_corpus(name):
             chart = builtin_chart(entry.group_label)
             cv, point = chart.sample(exact_ctx, Random(f"nat-{name}"))
@@ -208,7 +207,7 @@ def test_corpus_entries_match_engine(name, exact_ctx):
 
 
 def test_cross_substitution(exact_ctx):
-    pairs = cross_substitution_pairs()
+    pairs = cross_substitution_pairs(load_corpus("sp2.txt"), load_corpus("so5.txt"))
     assert len(pairs) == 16
     for n, (sp2_entry, so5_entry) in enumerate(pairs):
         cv, point = sp2_chart().sample(exact_ctx, Random(f"cross-{n}"))
@@ -219,10 +218,8 @@ def test_cross_substitution(exact_ctx):
 
 def test_worked_sum(exact_ctx):
     W = group("C2")
-    sigma = W.from_word(WORKED_SUM_SIGMA)
     cv, point = sp2_chart().sample(exact_ctx, Random("worked"))
-    memo = StepMemo(W, point)
-    summed, factored = worked_sum_values(cv, memo)
+    summed, factored, engine = worked_sum_values(cv, StepMemo(W, point),
+                                                 W.from_word(WORKED_SUM_SIGMA))
     assert summed == factored
-    engine = bs_table(memo, WORKED_SUM_WORD)[sigma]
     assert engine == factored
