@@ -13,12 +13,15 @@ The basic building block is
     delta(a, b) = theta(ab) theta'(1) / (theta(a) theta(b)),
 
 in which the half-integer powers of theta cancel. The exact backend takes
-it from the Jacobi triple product as the quotient of sparse series
+it from its divisor-sum q-expansion (Kronecker's formula, as stated in
+Zagier, "Periods of modular forms and Jacobi theta functions", Invent.
+Math. 104 (1991), section 3)
 
-    -E(q)^3 Theta(ab) / (Theta(a) Theta(b)),  Theta(x) = sum_k (-1)^k q^(k(k-1)/2) x^k,
+    (ab-1)/((a-1)(b-1)) + sum_{m,k>=1} (a^-m b^-k - a^m b^k) q^(mk),
 
-with E(q) = prod_{n>=1} (1-q^n); only O(sqrt(N)) powers below q^(N+1) are
-nonzero. The complex backend keeps the branch-free product rearrangement
+whose coefficient of q^n is a sum over the divisors m of n: no division,
+and O(N log N) terms below q^(N+1). The complex backend keeps the
+branch-free product rearrangement
 
     (ab-1)/((a-1)(b-1)) *
     prod_{n>=1} (1-q^n ab)(1-q^n/(ab))(1-q^n)^2
@@ -42,7 +45,6 @@ import cmath
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, isqrt, lcm
 from random import Random
 
@@ -279,29 +281,15 @@ def _int_reciprocal(b):
     return [x * p for x, p in zip(quo, reversed(pows))], pows[-1] * b0
 
 
-@cache
-def _jacobi_row(order):
-    """The exponents k(k-1)/2 <= order, k = 1, 2, ..., and the coefficients
-    of E(q)^3 = sum_{k>=1} (-1)^(k-1) (2k-1) q^(k(k-1)/2) (Jacobi), where
-    E(q) = prod_{n>=1} (1-q^n); worked out once per order."""
-    cube = [1] + [0] * order
-    tri = [k * (k - 1) // 2 for k in range(1, (1 + isqrt(8 * order + 1)) // 2 + 1)]
-    for k, t in enumerate(tri, 1):
-        cube[t] = (-1) ** (k - 1) * (2 * k - 1)
-    return tuple(tri), tuple(cube)
-
-
-def _jacobi_theta(x, tri, size):
-    """Integer coefficients T and the int scale c with Theta(x) = T/c to
-    `size` terms, for rational x = u/v != 0 (Theta as in the module text):
-    its terms k and 1-k share q^(k(k-1)/2), and c = u^(K-1) v^K with
-    K = len(tri) clears the denominators of x^(1-K)..x^K."""
-    u, v = x.numerator, x.denominator
-    top = len(tri)
-    coeffs = [0] * size
-    for k, t in enumerate(tri, 1):
-        coeffs[t] = (-1) ** k * (u * v) ** (top - k) * (u ** (2 * k - 1) - v ** (2 * k - 1))
-    return coeffs, u ** (top - 1) * v**top
+def _power_rows(u, v, order):
+    """v^(N+m) u^(N-m) and u^(N+m) v^(N-m) for m = 0..N, N = order: the
+    powers x^-m and x^m of x = u/v over the scale (uv)^N."""
+    pu, pv = [1], [1]
+    for _ in range(2 * order):
+        pu.append(pu[-1] * u)
+        pv.append(pv[-1] * v)
+    return ([pv[order + m] * pu[order - m] for m in range(order + 1)],
+            [pu[order + m] * pv[order - m] for m in range(order + 1)])
 
 
 def _q_powers(q, big=1.0):
@@ -363,18 +351,24 @@ def _delta_checked_args(a, b, exact):
 
 
 def _delta_exact(a: Fraction, b: Fraction, ctx: QContext) -> QSeries:
-    """delta(a, b) = -E(q)^3 Theta(ab) / (Theta(a) Theta(b)) from the Jacobi
-    triple product: sparse integer series, one integer reciprocal, and one
-    reduction with the scales of the three Theta folded in."""
+    """delta(a, b) from its divisor-sum q-expansion (module text), in
+    integers over the scale (u-v)(s-t)(uvst)^N for a = u/v, b = s/t and
+    N = ctx.order: a sum of products per power of q and one reduction."""
     _delta_checked_args(a, b, exact=True)
-    tri, cube = _jacobi_row(ctx.order)
-    top, c_ab = _jacobi_theta(a * b, tri, len(cube))
-    left, c_a = _jacobi_theta(a, tri, len(cube))
-    right, c_b = _jacobi_theta(b, tri, len(cube))
-    inv, inv_den = _int_reciprocal(_convolve(left, right))
-    scale = -c_a * c_b
-    top = _convolve([scale * c for c in cube], top)
-    return QSeries._new(_convolve(top, inv), c_ab * inv_den)
+    n = ctx.order
+    u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
+    down_a, up_a = _power_rows(u, v, n)
+    down_b, up_b = _power_rows(s, t, n)
+    coeffs = [0] * (n + 1)
+    for m in range(1, n + 1):
+        dm, um = down_a[m], up_a[m]
+        for k, mk in enumerate(range(m, n + 1, m), 1):
+            coeffs[mk] += dm * down_b[k] - um * up_b[k]
+    poles = (u - v) * (s - t)
+    scale = up_a[0] * up_b[0]
+    coeffs = [poles * c for c in coeffs]
+    coeffs[0] = (u * s - v * t) * scale
+    return QSeries._new(coeffs, poles * scale)
 
 
 def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:

@@ -1,5 +1,5 @@
-"""Test-side reference for the exact delta, independent of the Jacobi triple
-product that elliptic._delta_exact uses.
+"""Test-side reference for the exact delta, independent of the divisor-sum
+q-expansion that elliptic._delta_exact uses.
 
 delta(a, b) here is the branch-free product rearrangement
 

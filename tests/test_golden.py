@@ -37,10 +37,14 @@ GOLDEN = [
      "bf992f3b11522663fec8427e89e544f3fc6ee7fce1351d2e15454130e7ed4463"),
     ("table --type B3 --word 1,2,3,2,1,2,3,2,3 --qorder 10 --format json", 0,
      "146743db3b6583991e0f030d9c44103934aacefc34d40348972876f1f571e43e"),
-    # The one digest above --qorder 10: every delta here has 25 terms, so it
-    # reads the exact delta's high powers of q.
+    # The two digests above --qorder 10: every delta of this table has 25
+    # terms, so it reads the exact delta's high powers of q.
     ("table --type B2 --word 1,2,1,2 --backend exact --qorder 24 --seed 1 --format csv", 0,
      "2e8d5a25c69623ea13043193b04c6238cdde13ecd75d56511b0cd4e71bd8990a"),
+    # Order 36 has 9 divisors, so the top coefficient of every delta here is a
+    # divisor sum of 9 terms.
+    ("table --type A2 --word 1,2,1 --backend exact --qorder 36 --seed 2 --format csv", 0,
+     "d1be239e184414aedcec35ed1503df8c056560cfb976b32bb3d7d6eabd628827"),
     ("verify duality --type B3 --backend complex --points 1", 0,
      "faed9b867feadf00fb0e20f18e9ac71c28eb6a774d05431ab636f4362ab5a9f5"),
     ("verify recursions --type B2 --backend complex --points 1", 0,
