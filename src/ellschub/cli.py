@@ -175,16 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Langlands-duality symmetry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_qorder = os.environ.get("ELLSCHUB_QORDER", "8")
-    try:
-        qorder = int(env_qorder)
-    except ValueError:
-        raise ValueError(
-            f"ELLSCHUB_QORDER must be an integer, got {env_qorder!r}") from None
 
     def common(p, with_points=True):
         p.add_argument("--backend", choices=[EXACT, COMPLEX], default=EXACT)
-        p.add_argument("--qorder", type=int, default=qorder,
+        p.add_argument("--qorder", type=int, default=8,
                        help="truncation order (exact backend)")
         p.add_argument("--q", type=float, default=0.3,
                        help="q value (complex backend), |q| < 1; exit 2 at |q| above "

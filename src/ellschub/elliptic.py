@@ -1,4 +1,4 @@
-"""Scalar backends, the Jacobi theta function, and the branch-free delta.
+"""Scalar backends, the branch-free delta, and evaluation points.
 
 Two backends share one interface:
 
@@ -28,12 +28,11 @@ branch-free product rearrangement
               / ((1-q^n a)(1-q^n/a)(1-q^n b)(1-q^n/b)),
 
 since its printed digits depend on the order of its float operations.
-theta (complex backend only, principal branch of x^(1/2), so
-branch-dependent) and theta'(1) live here only for validation: the tests
-check delta against them, and no library code calls them. Likewise
-eval_monomial, transform_point and twist_point serve the test references
-and the benchmark tracer, which wraps them by name; the library reads every
-root and coroot value by index from a StepMemo.
+The tests check delta against its defining quotient with theta and
+theta'(1), which live in tests/elliptic_reference.py. eval_monomial,
+transform_point and twist_point stay here only because the benchmark
+tracer wraps them by name; the library reads every root and coroot value
+by index from a StepMemo.
 
 Formal variables for a rank-r group are ordered (zeta_1..zeta_r,
 nu_1..nu_r, h); a monomial is an exponent row, an int tuple over them.
@@ -45,7 +44,7 @@ import cmath
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from random import Random
 
 from .rootsys import COROOT, ROOT, RootSystem, _basis, _reflect_coords
@@ -60,7 +59,7 @@ _TAIL_EPS = 1e-18
 
 
 class ZeroArgumentError(ValueError):
-    """theta/delta received a zero argument."""
+    """delta received a zero argument."""
 
 
 class SingularPointError(ArithmeticError):
@@ -304,38 +303,6 @@ def _q_powers(q, big=1.0):
             return
         yield qn
     raise ValueError(f"q = {q:g}: 10000 factors leave a product's tail above 1e-18")
-
-
-def theta(x, ctx: QContext):
-    """Jacobi theta x^(1/2)(1 - 1/x) prod (1-q^n x)(1-q^n/x), complex only.
-
-    Principal branch of the square root; downstream identities use delta,
-    which is branch-free.
-    """
-    if ctx.backend != COMPLEX:
-        raise ValueError("theta is exposed on the complex backend only")
-    x = complex(x)
-    if x == 0:
-        raise ZeroArgumentError("theta(0)")
-    val = cmath.sqrt(x) * (1 - 1 / x)
-    for qn in _q_powers(ctx.q, max(abs(x), 1 / abs(x))):
-        val *= (1 - qn * x) * (1 - qn / x)
-    return val
-
-
-def theta_prime_one(ctx: QContext):
-    """theta'(1) = prod_{n>=1} (1-q^n)^2 = E(q)^2; on the exact backend E(q)
-    is Euler's pentagonal series sum_m (-1)^m q^(m(3m-1)/2)."""
-    if ctx.backend == EXACT:
-        euler = [1] + [0] * ctx.order
-        for m in range(-isqrt(ctx.order), isqrt(ctx.order) + 1):
-            if m * (3 * m - 1) // 2 <= ctx.order:
-                euler[m * (3 * m - 1) // 2] = -1 if m & 1 else 1
-        return QSeries._new(_convolve(euler, euler), 1)
-    val = 1.0 + 0j
-    for qn in _q_powers(ctx.q):
-        val *= (1 - qn) ** 2
-    return val
 
 
 def _delta_checked_args(a, b, exact):

@@ -23,7 +23,7 @@ from math import prod
 
 from .rootsys import ROOT, RootSystem, _basis, _reflect_coords, langlands_dual
 
-DEFAULT_ORDER_CAP = 10**6
+ORDER_CAP = 10**6  # enumerate_group refuses a larger group
 
 
 class GroupTooLargeError(RuntimeError):
@@ -120,17 +120,17 @@ def _group_order(rs: RootSystem) -> int:
     return prod((k + 1) ** (heights.count(k) - heights.count(k + 1)) for k in set(heights))
 
 
-def enumerate_group(rs: RootSystem, max_order: int = DEFAULT_ORDER_CAP) -> WeylGroup:
+def enumerate_group(rs: RootSystem) -> WeylGroup:
     """BFS from the identity by right multiplication with simple reflections,
     then the word, inverse, conjugation and root tables in O(|W| rank). The
     search keys w by the root indices of w^-1(alpha_1), ..., w^-1(alpha_n);
     as (w s)^-1 = s w^-1, a step is n lookups in the table of simple
     reflections on roots, and root_index[w] is the key of w^-1. A group
-    above max_order is refused before any element is built."""
+    above ORDER_CAP is refused before any element is built."""
     order = _group_order(rs)
-    if order > max_order:
+    if order > ORDER_CAP:
         raise GroupTooLargeError(
-            f"Weyl group of {rs.label} has order {order}, above the order cap {max_order}")
+            f"Weyl group of {rs.label} has order {order}, above the order cap {ORDER_CAP}")
     n = rs.rank
     reflected = _reflected(rs)
     keys = [tuple(rs.positive_roots.index(_basis(n, s)) for s in range(1, n + 1))]

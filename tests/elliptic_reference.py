@@ -1,19 +1,53 @@
-"""Test-side reference for the exact delta, independent of the divisor-sum
-q-expansion that elliptic._delta_exact uses.
+"""Test-side references for delta.
 
-delta(a, b) here is the branch-free product rearrangement
+The exact delta here is independent of the divisor-sum q-expansion that
+elliptic._delta_exact uses: the branch-free product rearrangement
 
     (ab-1)/((a-1)(b-1)) *
     prod_{n>=1} (1-q^n ab)(1-q^n/(ab))(1-q^n)^2
               / ((1-q^n a)(1-q^n/a)(1-q^n b)(1-q^n/b)),
 
 each product expanded factor by factor in integers and the two divided
-once, and theta'(1) is prod_{n>=1} (1-q^n)^2 expanded the same way.
+once, and the exact theta'(1) is prod_{n>=1} (1-q^n)^2 expanded the same
+way. The complex theta and theta'(1) are the factors of delta's defining
+quotient theta(ab) theta'(1) / (theta(a) theta(b)); they draw their powers
+q^n from elliptic._q_powers, as the complex delta does.
 """
 
+import cmath
 from fractions import Fraction
 
-from ellschub.elliptic import QSeries, _delta_checked_args
+from ellschub.elliptic import (
+    COMPLEX,
+    QContext,
+    QSeries,
+    ZeroArgumentError,
+    _delta_checked_args,
+    _q_powers,
+)
+
+
+def theta(x, ctx: QContext) -> complex:
+    """Jacobi theta x^(1/2)(1 - 1/x) prod (1-q^n x)(1-q^n/x), on the
+    principal branch of the square root; delta is branch-free."""
+    if ctx.backend != COMPLEX:
+        raise ValueError("theta is a reference on the complex backend only")
+    x = complex(x)
+    if x == 0:
+        raise ZeroArgumentError("theta(0)")
+    val = cmath.sqrt(x) * (1 - 1 / x)
+    for qn in _q_powers(ctx.q, max(abs(x), 1 / abs(x))):
+        val *= (1 - qn * x) * (1 - qn / x)
+    return val
+
+
+def theta_prime_one(ctx: QContext) -> complex:
+    """theta'(1) = prod_{n>=1} (1-q^n)^2 at the complex q of ctx;
+    product_theta_prime_one is the exact one."""
+    val = 1.0 + 0j
+    for qn in _q_powers(ctx.q):
+        val *= (1 - qn) ** 2
+    return val
 
 
 def theta_product(xs, order):

@@ -39,10 +39,9 @@ from ellschub.elliptic import (
     QSeries,
     delta,
     sample_point,
-    theta,
-    theta_prime_one,
 )
 from ellschub.weyl import dual_group, group
+from elliptic_reference import theta, theta_prime_one
 from weyl_reference import bruhat_leq, descents_right
 
 EXACT8 = QContext(EXACT, order=8)

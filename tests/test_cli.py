@@ -202,13 +202,19 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(lines[-1])["pass"]
 
 
-def test_qorder_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("ELLSCHUB_QORDER", "3")
-    code, out = run_cli(capsys, "table", "--type", "A1", "--word", "1",
-                        "--seed", "2")
-    assert code == 0
-    doc = json.loads(out)
-    assert len(doc["entries"][0]["value"]) == 4  # order 3 -> 4 coefficients
+def test_environment_does_not_steer_a_run(capsys, monkeypatch):
+    # only flags steer a run: no ELLSCHUB_<FLAG> variable sets a default, so
+    # the default order stays 8 with every such variable set to 3
+    names = [f"ELLSCHUB_{flag.upper()}" for flag in
+             ("backend", "qorder", "q", "seed", "points", "tol", "type", "word")]
+    argv = ("table", "--type", "A1", "--word", "1", "--seed", "2")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    plain = run_cli(capsys, *argv)
+    for name in names:
+        monkeypatch.setenv(name, "3")
+    assert run_cli(capsys, *argv) == plain
+    assert len(json.loads(plain[1])["entries"][0]["value"]) == 9
 
 
 def test_out_unwritable(tmp_path, capsys):
@@ -586,14 +592,6 @@ def test_group_above_the_order_cap_exits_2(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("error: Weyl group of E8 has order 696729600, above the "
                             "order cap 1000000\n")
-
-
-def test_qorder_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("ELLSCHUB_QORDER", "x")
-    assert main(["verify", "duality", "--type", "A1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: ELLSCHUB_QORDER must be an integer, got 'x'\n"
 
 
 @pytest.mark.parametrize("argv", [

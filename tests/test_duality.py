@@ -221,9 +221,9 @@ def test_campaigns_enumerate_no_dual(monkeypatch):
     searched = []
     enumerate_group = weyl.enumerate_group
 
-    def counting(rs, *args):
+    def counting(rs):
         searched.append(rs.label)
-        return enumerate_group(rs, *args)
+        return enumerate_group(rs)
 
     group("B2")
     monkeypatch.setattr(weyl, "enumerate_group", counting)

@@ -110,18 +110,16 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_stdout_digest(command, code, digest, capsys, monkeypatch):
-    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)  # --qorder defaults to 8
+def test_stdout_digest(command, code, digest, capsys):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.tier2
-def test_exact_d4_duality(capsys, monkeypatch):
+def test_exact_d4_duality(capsys):
     """Exact D4 duality at one point: 36864 checks, digest recorded before
     the recursion steps became support-sparse."""
-    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
     assert main("verify duality --type D4 --backend exact --qorder 8 --points 1 "
                 "--seed 0".split()) == 0
     out = capsys.readouterr().out
@@ -132,10 +130,9 @@ def test_exact_d4_duality(capsys, monkeypatch):
 
 
 @pytest.mark.tier2
-def test_benchmark_d4_complex_duality(capsys, monkeypatch):
+def test_benchmark_d4_complex_duality(capsys):
     """The D4 complex duality benchmark campaign at seed 0: 8 MB of stdout,
     exit 1 for the complex backend's false failures (4 of 36864)."""
-    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
     assert main("verify duality --type D4 --backend complex --points 1 "
                 "--seed 0".split()) == 1
     out = capsys.readouterr().out
@@ -144,12 +141,11 @@ def test_benchmark_d4_complex_duality(capsys, monkeypatch):
 
 
 @pytest.mark.tier2
-def test_d4_complex_recursions(capsys, monkeypatch):
+def test_d4_complex_recursions(capsys):
     """The R-matrix and Bott-Samelson recursions at rank 4: 36864 checks, the
     digest recorded when the R-matrix steps began to read zeta_s^-1 as the
     value of the negated root at the table's own point, as every other root
     and coroot value is read."""
-    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
     assert main("verify recursions --type D4 --backend complex --points 1 "
                 "--seed 0".split()) == 0
     out = capsys.readouterr().out
@@ -158,12 +154,11 @@ def test_d4_complex_recursions(capsys, monkeypatch):
 
 
 @pytest.mark.tier2
-def test_f4_complex_duality(tmp_path, monkeypatch):
+def test_f4_complex_duality(tmp_path):
     """F4 complex duality at one point: 1327104 checks and 343 MB of records,
     written to a file and hashed in chunks so that the test keeps no captured
     copy of them. Exit 1 for the complex backend's false failures (9255); the complex
     verdicts that allow for cancellation (ROADMAP item 3) will re-pin it."""
-    monkeypatch.delenv("ELLSCHUB_QORDER", raising=False)
     out = tmp_path / "f4.jsonl"
     assert main(f"verify duality --type F4 --backend complex --points 1 --seed 0 "
                 f"--out {out}".split()) == 1

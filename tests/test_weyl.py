@@ -190,7 +190,8 @@ def test_order_cap(monkeypatch):
     from ellschub import weyl
 
     rs = build_root_system(parse_label("D4"))
-    assert enumerate_group(rs, max_order=192).order == 192
+    monkeypatch.setattr(weyl, "ORDER_CAP", 192)
+    assert enumerate_group(rs).order == 192
 
     def no_roots(vectors):
         raise AssertionError("the search started")
@@ -198,8 +199,9 @@ def test_order_cap(monkeypatch):
     # a group above the cap is refused before the search lists the roots,
     # its first step
     monkeypatch.setattr(weyl, "_signed", no_roots)
+    monkeypatch.setattr(weyl, "ORDER_CAP", 191)
     with pytest.raises(GroupTooLargeError) as err:
-        enumerate_group(rs, max_order=191)
+        enumerate_group(rs)
     assert str(err.value) == "Weyl group of D4 has order 192, above the order cap 191"
 
 
