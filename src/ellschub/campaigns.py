@@ -215,13 +215,12 @@ def run_normalization(label, ctx, points, seed, tol):
                     lhs, rhs = c_sides(memo, omega, s)
                     out.append((c_row, omega_text, (lhs,), (rhs,), (simple,)))
             c_val = normalization_factor(memo, omega)
-            word = W.reduced_word(omega)
-            ee = bs_table(memo, word)
-            e_vals = unnormalized_table(memo, word)
+            ee = bs_table(memo, W.reduced_word(omega))
+            e_vals = unnormalized_table(memo, omega)
             out.append((scaling, omega_text, ee, [c_val * e for e in e_vals], words))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
-            dual_e = unnormalized_table(dual_memo, W.reduced_word(target))[target]
+            dual_e = unnormalized_table(dual_memo, target)[target]
             out.append((f_interpretation, omega_text, (c_val,), (dual_e,), ("",)))
         return out
 

@@ -19,9 +19,10 @@ Normalized classes EE are computed by
 with the shared initial condition EE_tau(X_id) = prod over all positive
 coroots gamma of delta(h^{-gamma}, h) for tau = id, else 0.
 
-Unnormalized classes E carry the extra delta(nu_s,h)delta(nu_s^{-1},h)
-factor in length-decreasing steps and start from E_id(X_id) = 1; the two
-are related by EE = c(G, omega) . E with
+Unnormalized classes E start from E_id(X_id) = 1 and follow a reduced word
+of omega, so every step raises the length and takes the two Bott-Samelson
+coefficients without the division by delta(nu_s, h); the two are related
+by EE = c(G, omega) . E with
 
     c(G, omega) = prod over reflections s with omega(alpha_s) positive
                   of delta(nu_s^{-1}, h).
@@ -202,31 +203,22 @@ def bs_table(memo: StepMemo, word) -> tuple:
     return values
 
 
-def unnormalized_table(memo: StepMemo, word) -> tuple:
-    """E values by sigma (no normalization); length-decreasing steps divide
-    the combined value by delta(nu_s,h) delta(nu_s^{-1},h). memo as for
+def unnormalized_table(memo: StepMemo, omega: int) -> tuple:
+    """E values by sigma (no normalization) for the element omega, built
+    along W.reduced_word(omega): every step raises the length, so each is a
+    Bott-Samelson step with the undivided coefficients. memo as for
     bs_table."""
-    word = tuple(word)
     W, point = memo.group, memo.point
-    ctx, h, zero = point.ctx, point.h, point.ctx.zero()
+    word = W.reduced_word(omega)
+    h, zero = point.h, point.ctx.zero()
     values = [zero] * W.order
-    values[W.identity] = ctx.one()
+    values[W.identity] = point.ctx.one()
     support = _identity_support(W)
-    omega = W.identity
     for s, g in zip(word, _step_coroots(W, word)[1]):
-        nu_val, nu_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
-        going_up = W.length(W.rmult(omega, s)) > W.length(omega)
-        if not going_up:
-            down = memo.delta(nu_val, h) * memo.delta(nu_inv, h)
+        nu_val = memo.coroots[g]
         coeffs = memo.coefficients(memo.unnormalized, s, g, lambda r: (
             memo.delta(memo.roots[r], nu_val), memo.delta(memo.roots[r], h)))
         values, support = _step_values(W, values, support, s, coeffs, zero)
-        if not going_up:
-            # the identity is always in the support, so a singular `down`
-            # still raises
-            for sigma in compress(range(W.order), support):
-                values[sigma] = _checked_div(values[sigma], down)
-        omega = W.rmult(omega, s)
     return tuple(values)
 
 

@@ -151,19 +151,12 @@ class QSeries:
         den = self.den
         return tuple(Fraction(n, den) for n in self.num)
 
-    @property
-    def order(self):
-        return len(self.num) - 1
-
     def __eq__(self, other):
         if isinstance(other, QSeries):
             return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            return self == QSeries.constant(other, self.order)
+            return self == QSeries.constant(other, len(self.num) - 1)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"QSeries({list(self.coeffs)!r})"
@@ -174,7 +167,7 @@ class QSeries:
                 raise ValueError("mixed truncation orders")
             return other
         if isinstance(other, (int, Fraction)):
-            return QSeries.constant(other, self.order)
+            return QSeries.constant(other, len(self.num) - 1)
         return None
 
     def _aligned(self, other):
@@ -194,8 +187,6 @@ class QSeries:
         a, b, den = self._aligned(other)
         return QSeries._new([x + y for x, y in zip(a, b)], den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QSeries._new([-x for x in self.num], self.den)
 
@@ -205,9 +196,6 @@ class QSeries:
             return NotImplemented
         a, b, den = self._aligned(other)
         return QSeries._new([x - y for x, y in zip(a, b)], den)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -238,12 +226,6 @@ class QSeries:
             db = self.den
             inv = self._inv = QSeries._new([x * db for x in num], den)
         return inv
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
 
 def _convolve(a, b):

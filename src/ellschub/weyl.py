@@ -122,11 +122,12 @@ def _group_order(rs: RootSystem) -> int:
 
 def enumerate_group(rs: RootSystem) -> WeylGroup:
     """BFS from the identity by right multiplication with simple reflections,
-    then the word, inverse, conjugation and root tables in O(|W| rank). The
-    search keys w by the root indices of w^-1(alpha_1), ..., w^-1(alpha_n);
-    as (w s)^-1 = s w^-1, a step is n lookups in the table of simple
-    reflections on roots, and root_index[w] is the key of w^-1. A group
-    above ORDER_CAP is refused before any element is built."""
+    then the word, inverse and root tables in O(|W| rank); tau0 and s -> s*
+    are read off the search. The search keys w by the root indices of
+    w^-1(alpha_1), ..., w^-1(alpha_n); as (w s)^-1 = s w^-1, a step is n
+    lookups in the table of simple reflections on roots, and root_index[w]
+    is the key of w^-1. A group above ORDER_CAP is refused before any
+    element is built."""
     order = _group_order(rs)
     if order > ORDER_CAP:
         raise GroupTooLargeError(
@@ -161,17 +162,11 @@ def enumerate_group(rs: RootSystem) -> WeylGroup:
         t = next(t for t in range(1, n + 1) if lengths[rmult[w][t - 1]] < lengths[w])
         words.append(words[rmult[w][t - 1]] + (t,))
     inverses = tuple(_walk(rmult, 0, reversed(word)) for word in words)
-    t0 = max(range(len(keys)), key=lambda i: lengths[i])
-    simple = {rmult[0][s - 1]: s for s in range(1, n + 1)}
-    star = []
-    for s in range(1, n + 1):
-        conj = _walk(rmult, rmult[t0][s - 1], words[t0])
-        if conj not in simple:
-            raise RuntimeError(
-                f"tau0 s{s} tau0 is not a simple reflection; group data is corrupt"
-            )
-        star.append(simple[conj])
-    return WeylGroup(rs, tuple(lengths), rmult, tuple(words), inverses, t0, tuple(star),
+    # tau0, the one longest element, comes last. As tau0 = tau0^-1, its key
+    # holds tau0(alpha_s) = -alpha_(s*): the index of alpha_(s*) plus half.
+    t0, half = len(keys) - 1, len(rs.positive_roots)
+    star = tuple(keys[0].index(i - half) + 1 for i in keys[t0])
+    return WeylGroup(rs, tuple(lengths), rmult, tuple(words), inverses, t0, star,
                      *_root_tables(rs, tuple(keys[v] for v in inverses), reflected))
 
 

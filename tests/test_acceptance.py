@@ -236,14 +236,12 @@ def test_criterion_6_normalization():
                 word = W.reduced_word(omega)
                 c_val = normalization_factor(memo, omega)
                 ee = bs_table(StepMemo(W, point), word)
-                e_vals = unnormalized_table(StepMemo(W, point), word)
+                e_vals = unnormalized_table(StepMemo(W, point), omega)
                 for sigma in range(W.order):
                     assert ee[sigma] == c_val * e_vals[sigma]
                 target = W.mul(W.inv(omega), t0)
                 dual_point = f_interpretation_point(W, point)
-                dual_diag = unnormalized_table(
-                    StepMemo(Wd, dual_point), W.reduced_word(target)
-                )[target]
+                dual_diag = unnormalized_table(StepMemo(Wd, dual_point), target)[target]
                 assert c_val == dual_diag
 
 

@@ -153,6 +153,19 @@ def test_d4_complex_recursions(capsys):
         "5d624fbac2d0d2062abf6ca97a6e6fce4c83556ee2e070c1cb671de8a8fde8ea")
 
 
+def _file_digest(path):
+    """(sha256 hex digest, summary record) of a campaign's --out file, read in
+    chunks so that a test keeps no whole copy of the records; the file is
+    removed."""
+    digest, tail = hashlib.sha256(), b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+            tail = (tail + chunk)[-256:]
+    path.unlink()
+    return digest.hexdigest(), json.loads(tail.splitlines()[-1])
+
+
 @pytest.mark.tier2
 def test_f4_complex_duality(tmp_path):
     """F4 complex duality at one point: 1327104 checks and 343 MB of records,
@@ -162,13 +175,22 @@ def test_f4_complex_duality(tmp_path):
     out = tmp_path / "f4.jsonl"
     assert main(f"verify duality --type F4 --backend complex --points 1 --seed 0 "
                 f"--out {out}".split()) == 1
-    digest, tail = hashlib.sha256(), b""
-    with open(out, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-            tail = (tail + chunk)[-256:]
-    out.unlink()
-    summary = json.loads(tail.splitlines()[-1])
+    digest, summary = _file_digest(out)
     assert (summary["checks"], summary["failures"]) == (1327104, 9255)
-    assert digest.hexdigest() == (
-        "8ee90f32f06c6ee8d1f3ce97260cc1a8559f5eb19bd2d3372261db1abd7a8c68")
+    assert digest == "8ee90f32f06c6ee8d1f3ce97260cc1a8559f5eb19bd2d3372261db1abd7a8c68"
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize("label,expected", [
+    ("B4", "4c2a7392db87cdbbd87d8ae894c3cc3a45c6dd970b85b86023bce58999da2dd7"),
+    ("C4", "15b4964849067e42aadf0305d89da50a90e6e401ab01d7bc0715ae7d2ea98aa2"),
+], ids=["B4", "C4"])
+def test_exact_rank4_duality_where_the_dual_differs(label, expected, tmp_path):
+    """Exact duality at one point on B4 and C4, where G^v is not G: 147456
+    checks each, no failure, about 35 s and 160 MB per type."""
+    out = tmp_path / f"{label}.jsonl"
+    assert main(f"verify duality --type {label} --backend exact --qorder 8 --points 1 "
+                f"--seed 0 --out {out}".split()) == 0
+    digest, summary = _file_digest(out)
+    assert (summary["checks"], summary["failures"]) == (147456, 0)
+    assert digest == expected

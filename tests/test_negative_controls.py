@@ -6,14 +6,16 @@ order 4, seed 0 and one point it must fail at least the stated number of
 checks, the count it failed when this test was written, and it must pass on
 the groups where it changes nothing, which shows what it really changes:
 G^v = G on the simply laced types, s* = s on B2 and G2, and the sign is +1
-where l(tau0) is even."""
+where l(tau0) is even. A corpus mutant must pass every record of a kind
+that does not read what it changes."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ellschub import campaigns, classes, duality
+from ellschub import campaigns, classes, corpus, duality
 from ellschub.elliptic import EXACT, QContext
 
 CTX = QContext(EXACT, order=4)
@@ -76,7 +78,8 @@ def c_first_factor_dropped(mp):
 
 # (mutant, campaign, {type: (failures at least, checks)}, types where it passes)
 CASES = [
-    (g_in_place_of_dual, "duality", {"B2": (33, 64), "G2": (73, 144)}, ("A2", "A3")),
+    (g_in_place_of_dual, "duality",
+     {"B2": (33, 64), "G2": (73, 144), "B3": (847, 2304)}, ("A2", "A3")),
     (s_in_place_of_star, "duality", {"A2": (16, 36), "A3": (197, 576)}, ("B2", "G2")),
     (h_not_inverted, "duality",
      {"A2": (18, 36), "A3": (212, 576), "B2": (32, 64), "G2": (72, 144)}, ()),
@@ -103,3 +106,43 @@ def test_mutant_is_caught(mutant, kind, fails, passes, monkeypatch):
         assert total == checks and failed >= least, label
     for label in passes:
         assert failures(kind, label)[0] == 0, label
+
+
+def so5_monomial_inverted(mp):
+    """The first monomial of the first so5.txt entry inverted: that entry
+    and its cross-substitution partner fail."""
+    load_corpus = corpus.load_corpus
+
+    def mutant(name):
+        entries = load_corpus(name)
+        if name == "so5.txt":
+            (a, b), *rest = entries[0].factors
+            entries[0] = replace(entries[0], factors=((tuple(-e for e in a), b), *rest))
+        return entries
+
+    mp.setattr(corpus, "load_corpus", mutant)
+
+
+def cross_h_not_inverted(mp):
+    rows = corpus._CROSS_ROWS  # the last row is h -> h^-1
+    mp.setattr(corpus, "_CROSS_ROWS", rows[:-1] + (tuple(-e for e in rows[-1]),))
+
+
+# (mutant, failures at least, (record field, value) of records that pass)
+CORPUS_CASES = [
+    (so5_monomial_inverted, 2, ("file", "sl2.txt")),
+    (cross_h_not_inverted, 9, ("check", "corpus")),
+]
+
+
+@pytest.mark.parametrize("mutant,least,passing", CORPUS_CASES,
+                         ids=[case[0].__name__ for case in CORPUS_CASES])
+def test_corpus_mutant_is_caught(mutant, least, passing, monkeypatch):
+    mutant(monkeypatch)
+    records = [(ok, json.loads(line)) for ok, line
+               in campaigns.run_corpus(CTX, 1, 0, campaigns.DEFAULT_TOLS["corpus"])]
+    assert len(records) == 54
+    assert [ok for ok, _ in records].count(False) >= least
+    key, value = passing
+    kept = [ok for ok, rec in records if rec.get(key) == value]
+    assert kept and all(kept)

@@ -220,6 +220,7 @@ def test_mul_inv_consistency():
 
 ALL_RANK_AT_MOST_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                       "D3", "D4", "F4", "G2"]
+ALL_RANK_AT_MOST_5 = ALL_RANK_AT_MOST_4 + ["A5", "B5", "C5", "D5"]
 
 
 def greedy_descent_word(W, w):
@@ -314,6 +315,25 @@ def test_longest_and_star_tables(table_group):
     for s in range(1, W.rank + 1):
         conj = _matmul(_matmul(t0, mats[W.rmult(W.identity, s)]), t0)
         assert index[conj] == W.rmult(W.identity, W.star[s - 1])
+
+
+def assert_star_is_conjugation_by_longest(W):
+    """s_(s*) = tau0 s tau0 for every simple s, the products taken by W.mul."""
+    for s in range(1, W.rank + 1):
+        conj = W.mul(W.mul(W.longest, W.rmult(W.identity, s)), W.longest)
+        assert conj == W.rmult(W.identity, W.star[s - 1]), s
+
+
+@pytest.mark.parametrize("label", ALL_RANK_AT_MOST_5)
+def test_star_is_conjugation_by_longest(label):
+    assert_star_is_conjugation_by_longest(group(label))
+
+
+@pytest.mark.tier2
+def test_e6_star_is_conjugation_by_longest():
+    W = group("E6")
+    assert W.star == (6, 2, 5, 4, 3, 1)
+    assert_star_is_conjugation_by_longest(W)
 
 
 # --- the tables against the matrix search, and the dual group -------------
