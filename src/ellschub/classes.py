@@ -19,6 +19,11 @@ Normalized classes EE are computed by
 with the shared initial condition EE_tau(X_id) = prod over all positive
 coroots gamma of delta(h^{-gamma}, h) for tau = id, else 0.
 
+A Bott-Samelson step mixes only sigma and sigma s, so it is a 2x2 block on
+each right coset {sigma, sigma s}. A step makes the cosets that meet its
+table's support, each by one call of the backend's coset kernel
+(QContext.coset_kernels), which returns both new entries.
+
 Unnormalized classes E start from E_id(X_id) = 1 and follow a reduced word
 of omega, so every step raises the length and takes the two Bott-Samelson
 coefficients without the division by delta(nu_s, h); the two are related
@@ -78,8 +83,9 @@ class StepMemo:
     of delta values: every table and normalization factor takes the memo as
     its only handle on the group (`group`) and the point (`point`), and the
     memo is dropped with the point. `deltas` holds delta(a, b) under (a, b),
-    read through `delta`; a memo made with `deltas_of`, a memo of the same
-    context, shares that dict.
+    read through `delta`, and `powers` the exact delta's power rows of each
+    argument met, so that they are made once per value; a memo made with
+    `deltas_of`, a memo of the same context, shares both dicts.
 
     `roots` and `coroots` hold the point's values of e^(-beta) =
     prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
@@ -90,7 +96,7 @@ class StepMemo:
     and `rmatrix` those of rmatrix_table, which read roots r and -r."""
 
     __slots__ = ("group", "point", "roots", "coroots", "normalized", "unnormalized",
-                 "rmatrix", "deltas")
+                 "rmatrix", "deltas", "powers")
 
     def __init__(self, W: WeylGroup, point: EvalPoint, deltas_of: StepMemo | None = None):
         self.group = W
@@ -104,12 +110,13 @@ class StepMemo:
         if deltas_of is not None and deltas_of.point.ctx != point.ctx:
             raise ValueError("delta values shared across contexts")
         self.deltas: dict = {} if deltas_of is None else deltas_of.deltas
+        self.powers: dict = {} if deltas_of is None else deltas_of.powers
 
     def delta(self, a, b):
         """delta(a, b) in the memo's context, computed once per `deltas`."""
         out = self.deltas.get((a, b))
         if out is None:
-            out = self.deltas[a, b] = delta(a, b, self.point.ctx)
+            out = self.deltas[a, b] = delta(a, b, self.point.ctx, powers=self.powers)
         return out
 
     def delta_product(self, pairs):
@@ -161,33 +168,36 @@ def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tu
         _checked_div(memo.delta(memo.roots[r], nu_val), den),
         _checked_div(memo.delta(memo.roots[r], point.h), den),
     ))
-    values, support = _step_values(W, values, support, s, coeffs, point.ctx.zero())
+    values, support = _step_values(W, values, support, s, coeffs, point.ctx)
     return tuple(values), support
 
 
-def _step_values(W: WeylGroup, values, support, s: int, coeffs, zero):
+def _step_values(W: WeylGroup, values, support, s: int, coeffs, ctx):
     """(new values, new support) of a step by s, in which the new value is
     c_keep * values[sigma] + c_mix * values[sigma s] with (c_keep, c_mix) =
     coeffs[r] for the root r = sigma(alpha_s).
 
-    An entry outside `support` is zero. sigma is in the new support iff
-    sigma or sigma s was in the old one, for any word. The step visits only
-    the old support: each sigma there gets its value, and a sigma s outside
-    it joins the support with c_mix(sigma s) * values[sigma], the one term it
-    has. Every other entry is `zero`."""
+    An entry outside `support` is zero, and sigma is in the new support iff
+    sigma or sigma s was in the old one, for any word. So the step makes
+    each coset {sigma, sigma s} that meets the old support once, by one
+    kernel of ctx.coset_kernels: `pair` when both entries are in the old
+    support, else `single`, which gives sigma s its one term
+    c_mix(sigma s) * values[sigma]. Every other entry is ctx.zero()."""
     i = s - 1
     rmult, root_index = W.rmult_table, W.root_index
-    out = [zero] * len(values)
+    pair, single = ctx.coset_kernels()
+    out = [ctx.zero()] * len(values)
     grown = list(support)
     for sigma in compress(range(len(values)), support):
         other = rmult[sigma][i]
-        c = coeffs[root_index[sigma][i]]
-        if support[other]:
-            out[sigma] = c[0] * values[sigma] + c[1] * values[other]
-        else:
-            out[sigma] = c[0] * values[sigma]
-            out[other] = coeffs[root_index[other][i]][1] * values[sigma]
+        if not support[other]:
+            out[sigma], out[other] = single(coeffs[root_index[sigma][i]],
+                                            coeffs[root_index[other][i]], values[sigma])
             grown[other] = True
+        elif sigma < other:  # else the coset was made at other
+            out[sigma], out[other] = pair(coeffs[root_index[sigma][i]],
+                                          coeffs[root_index[other][i]],
+                                          values[sigma], values[other])
     return out, tuple(grown)
 
 
@@ -218,7 +228,7 @@ def unnormalized_table(memo: StepMemo, omega: int) -> tuple:
         nu_val = memo.coroots[g]
         coeffs = memo.coefficients(memo.unnormalized, s, g, lambda r: (
             memo.delta(memo.roots[r], nu_val), memo.delta(memo.roots[r], h)))
-        values, support = _step_values(W, values, support, s, coeffs, zero)
+        values, support = _step_values(W, values, support, s, coeffs, point.ctx)
     return tuple(values)
 
 

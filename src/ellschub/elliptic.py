@@ -94,6 +94,17 @@ class QContext:
             return QSeries.constant(Fraction(0), self.order)
         return complex(0)
 
+    def coset_kernels(self):
+        """(pair, single): the scalar kernels of a Bott-Samelson step on one
+        right coset {sigma, sigma s}, with (a, b) the coefficients (c_keep,
+        c_mix) of sigma, (c, d) those of sigma s, and x, y their old values.
+        pair((a, b), (c, d), x, y) is (a*x + b*y, c*y + d*x), and
+        single((a, b), (c, d), x), for a sigma s outside the support, is
+        (a*x, d*x)."""
+        if self.backend == EXACT:
+            return _pair_exact, _single_exact
+        return _pair_complex, _single_complex
+
     def is_zero(self, value, scale=None) -> bool:
         if self.backend == EXACT:
             return not any(value.num)
@@ -102,7 +113,10 @@ class QContext:
 
     def magnitude(self, value) -> float:
         if self.backend == EXACT:
-            return max(abs(n) for n in value.num) / value.den
+            try:
+                return max(abs(n) for n in value.num) / value.den
+            except OverflowError:  # the ratio is beyond the largest float
+                return float("inf")
         return abs(value)
 
 
@@ -113,9 +127,11 @@ class QSeries:
     positive denominator ``den``, in lowest terms (gcd(den, *num) == 1; the
     zero series has den == 1), so every rational series has exactly one
     representation. Each operation does plain integer arithmetic on the
-    numerators and one gcd reduction at the end. Division multiplies by the
-    divisor's reciprocal, which a series computes on the first division by
-    it and then keeps.
+    numerators and one gcd reduction at the end; so does the coset kernel of
+    a Bott-Samelson step (QContext.coset_kernels), which makes a sum of two
+    products over one denominator and reduces it once. Division multiplies
+    by the divisor's reciprocal, which a series computes on the first
+    division by it and then keeps.
     """
 
     __slots__ = ("num", "den", "_inv")
@@ -239,6 +255,64 @@ def _convolve(a, b):
     return out
 
 
+def _over_one_den(a, x, b, y):
+    """(p*a.num, q*b.num, den) for QSeries a, x, b, y: the products a*x and
+    b*y have the numerators p*(a.num*x.num) and q*(b.num*y.num) over den,
+    their least common denominator."""
+    da, db = a.den * x.den, b.den * y.den
+    if da == db:
+        return a.num, b.num, da
+    g = gcd(da, db)
+    p, q = db // g, da // g
+    return [p * v for v in a.num], [q * v for v in b.num], da * p
+
+
+def _pair_exact(ab, cd, x, y):
+    """The pair kernel of QContext.coset_kernels on the exact backend: each
+    output's two products aligned over one denominator, both outputs summed
+    in one pass over the coefficients, and one reduction per output. The
+    values are those of the plain expressions, as a QSeries is kept in
+    lowest terms."""
+    (a, b), (c, d) = ab, cd
+    a_row, b_row, den1 = _over_one_den(a, x, b, y)
+    d_row, c_row, den2 = _over_one_den(d, x, c, y)
+    xs, ys = x.num, y.num
+    n = len(xs)
+    out1, out2 = [0] * n, [0] * n
+    for i, (ai, bi, ci, di) in enumerate(zip(a_row, b_row, c_row, d_row)):
+        for k, xj, yj in zip(range(i, n), xs, ys):
+            out1[k] += ai * xj + bi * yj
+            out2[k] += ci * yj + di * xj
+    return QSeries._new(out1, den1), QSeries._new(out2, den2)
+
+
+def _single_exact(ab, cd, x):
+    """The single kernel of QContext.coset_kernels on the exact backend: both
+    products in one pass over x, and one reduction per output."""
+    a, d = ab[0], cd[1]
+    xs = x.num
+    n = len(xs)
+    out1, out2 = [0] * n, [0] * n
+    for i, (ai, di) in enumerate(zip(a.num, d.num)):
+        for k, xj in zip(range(i, n), xs):
+            out1[k] += ai * xj
+            out2[k] += di * xj
+    return QSeries._new(out1, a.den * x.den), QSeries._new(out2, d.den * x.den)
+
+
+def _pair_complex(ab, cd, x, y):
+    """The pair kernel of QContext.coset_kernels on the complex backend: the
+    plain expressions, whose order of float operations the printed digits
+    pin."""
+    (a, b), (c, d) = ab, cd
+    return a * x + b * y, c * y + d * x
+
+
+def _single_complex(ab, cd, x):
+    """The single kernel of QContext.coset_kernels on the complex backend."""
+    return ab[0] * x, cd[1] * x
+
+
 def _int_reciprocal(b):
     """Integer numerators num and a denominator den (possibly negative) with
     1/b = num/den as truncated series, for integer b, b[0] != 0.
@@ -299,15 +373,24 @@ def _delta_checked_args(a, b, exact):
                 raise SingularPointError("delta argument within 1e-3 of 1 (pole)")
 
 
-def _delta_exact(a: Fraction, b: Fraction, ctx: QContext) -> QSeries:
+def _delta_exact(a: Fraction, b: Fraction, ctx: QContext,
+                 powers: dict | None = None) -> QSeries:
     """delta(a, b) from its divisor-sum q-expansion (module text), in
     integers over the scale (u-v)(s-t)(uvst)^N for a = u/v, b = s/t and
-    N = ctx.order: a sum of products per power of q and one reduction."""
+    N = ctx.order: a sum of products per power of q and one reduction. The
+    _power_rows of (u, v) and (s, t) are read from, or kept in, powers."""
     _delta_checked_args(a, b, exact=True)
+    if powers is None:
+        powers = {}
     n = ctx.order
     u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
-    down_a, up_a = _power_rows(u, v, n)
-    down_b, up_b = _power_rows(s, t, n)
+    rows = []
+    for key in ((u, v), (s, t)):
+        row = powers.get(key)
+        if row is None:
+            row = powers[key] = _power_rows(*key, n)
+        rows.append(row)
+    (down_a, up_a), (down_b, up_b) = rows
     coeffs = [0] * (n + 1)
     for m in range(1, n + 1):
         dm, um = down_a[m], up_a[m]
@@ -335,15 +418,18 @@ def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:
     return val
 
 
-def delta(a, b, ctx: QContext):
+def delta(a, b, ctx: QContext, *, powers: dict | None = None):
     """delta(a, b) for scalar arguments, computed afresh on every call; the
-    values of one point are kept by the point's classes.StepMemo.
+    values of one point are kept by the point's classes.StepMemo. On the
+    exact backend, powers (argument (num, den) -> _power_rows, all at
+    ctx.order) lends the rows of arguments already met and keeps the new
+    ones; the complex backend ignores it.
 
     >>> delta(Fraction(2), Fraction(3), QContext(EXACT, order=2)).coeffs[:2]
     (Fraction(5, 2), Fraction(-35, 6))
     """
     if ctx.backend == EXACT:
-        return _delta_exact(Fraction(a), Fraction(b), ctx)
+        return _delta_exact(Fraction(a), Fraction(b), ctx, powers)
     return _delta_complex(complex(a), complex(b), ctx)
 
 

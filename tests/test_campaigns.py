@@ -52,11 +52,11 @@ def test_runner_redraws_a_point_whose_first_delta_is_singular(runner, monkeypatc
     raised = []
     delta = classes.delta
 
-    def singular_once(*args):
+    def singular_once(*args, **kwargs):
         if not raised:
             raised.append(args)
             raise SingularPointError("forced pole")
-        return delta(*args)
+        return delta(*args, **kwargs)
 
     monkeypatch.setattr(classes, "delta", singular_once)
     records = list(RUNNERS[runner]())

@@ -33,7 +33,9 @@ from ellschub.elliptic import (
     NU,
     EvalPoint,
     QContext,
+    QSeries,
     SingularPointError,
+    _power_rows,
     delta,
     monomial_map,
     sample_point,
@@ -735,9 +737,9 @@ def test_support_only_step_equals_the_dense_loop(label, ctx, words, monkeypatch)
     memo = StepMemo(W, point)
     support_only, steps = classes._step_values, []
 
-    def both(W, values, support, s, coeffs, zero):
-        out = support_only(W, values, support, s, coeffs, zero)
-        assert out == dense_step_values(W, values, support, s, coeffs, zero)
+    def both(W, values, support, s, coeffs, ctx):
+        out = support_only(W, values, support, s, coeffs, ctx)
+        assert out == dense_step_values(W, values, support, s, coeffs, ctx.zero())
         steps.append(s)
         return out
 
@@ -932,3 +934,98 @@ def test_singular_root_of_skipped_entries_still_raises():
         with pytest.raises(SingularPointError) as err:
             fn()
         assert str(err.value) == "delta argument is 1 (pole)"
+
+
+def test_exact_step_makes_one_reduction_per_new_entry(monkeypatch):
+    # the coset kernels sum each new entry's products over one denominator
+    # and reduce it once; the coefficient rows are filled before the step
+    # loop, so what the loop reduces is its entries and the zero it fills in
+    W = group("B2")
+    point = sample_point(W.rank, QContext(EXACT, order=4), Random("one-reduction"))
+    memo = StepMemo(W, point)
+    made, steps = [], []
+    new, step_values = QSeries._new.__func__, classes._step_values
+
+    def counting_new(cls, num, den):
+        made.append(den)
+        return new(cls, num, den)
+
+    def counted_step(W, values, support, s, coeffs, ctx):
+        made.clear()
+        out, grown = step_values(W, values, support, s, coeffs, ctx)
+        pairs = sum(1 for sigma in range(W.order)
+                    if support[sigma] and support[W.rmult(sigma, s)])
+        steps.append((len(made), sum(grown) + 1, pairs))
+        return out, grown
+
+    monkeypatch.setattr(QSeries, "_new", classmethod(counting_new))
+    monkeypatch.setattr(classes, "_step_values", counted_step)
+    for omega in range(W.order):
+        bs_table(memo, W.reduced_word(omega))
+        unnormalized_table(memo, omega)
+    assert len(steps) == 2 * sum(map(W.length, range(W.order)))
+    assert all(reductions == entries for reductions, entries, _ in steps)
+    assert any(pairs for _, _, pairs in steps)  # two-term entries among them
+
+
+def _power_row_memos(monkeypatch, label, order, tag):
+    """(memos, rows made, delta calls) for the duality tables of one exact
+    point of label at order: the StepMemos made, the (num, den) argument of
+    each _power_rows call, and the (a, b) of each elliptic.delta call."""
+    from ellschub import elliptic
+    from ellschub.duality import duality_pairs
+    from ellschub.weyl import dual_group
+
+    memos, rows, calls = [], [], []
+    init, power_rows, traced_delta = StepMemo.__init__, elliptic._power_rows, classes.delta
+
+    def recording_init(self, *args):
+        init(self, *args)
+        memos.append(self)
+
+    def counting_rows(u, v, n):
+        rows.append((u, v))
+        return power_rows(u, v, n)
+
+    def counting_delta(a, b, ctx, **kwargs):
+        calls.append((a, b))
+        return traced_delta(a, b, ctx, **kwargs)
+
+    monkeypatch.setattr(StepMemo, "__init__", recording_init)
+    monkeypatch.setattr(elliptic, "_power_rows", counting_rows)
+    monkeypatch.setattr(classes, "delta", counting_delta)
+    W = group(label)
+    point = sample_point(W.rank, QContext(EXACT, order=order), Random(tag))
+    duality_pairs(W, dual_group(W), point)
+    monkeypatch.undo()
+    return memos, rows, calls
+
+
+def test_power_rows_are_made_once_per_argument_per_memo(monkeypatch):
+    # the memo keeps the exact delta's power rows by argument: 50 rows for
+    # the 26 distinct arguments of the two sides' memos, where 2 per delta
+    # made 384; every delta is still computed once per memo, 192 in all
+    memos, rows, calls = _power_row_memos(monkeypatch, "A3", 3, "power-rows")
+    assert len(memos) == 2 and memos[0].powers is not memos[1].powers
+    assert sorted(rows) == sorted(key for memo in memos for key in memo.powers)
+    assert (len(rows), len(set(rows))) == (50, 26)
+    assert len(calls) == sum(len(memo.deltas) for memo in memos) == 192
+    ctx = memos[0].point.ctx
+    for memo in memos:
+        for (a, b), value in memo.deltas.items():
+            assert value == delta(a, b, ctx)
+        for (u, v), kept in memo.powers.items():
+            assert kept == _power_rows(u, v, ctx.order)
+
+
+def test_a_deltas_of_memo_shares_the_power_rows():
+    from ellschub.duality import relabel_point
+
+    W = group("A2")
+    point = sample_point(W.rank, QContext(EXACT, order=3), Random("shared-rows"))
+    memo = StepMemo(W, point)
+    twin = StepMemo(W, relabel_point(W, point), memo)
+    assert twin.powers is memo.powers and twin.deltas is memo.deltas
+    bs_table(twin, W.reduced_word(W.longest))
+    assert memo.powers and len(memo.powers) < 2 * len(memo.deltas)
+    assert StepMemo(W, point).powers == {}

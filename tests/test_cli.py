@@ -68,6 +68,16 @@ def test_table_empty_word_is_initial(capsys):
     assert sorted(zeros) == [False, True]
 
 
+def test_exact_table_beyond_the_float_range(capsys):
+    # the zero test of a table reads the largest magnitude of its values,
+    # which at this order and seed is above the largest float: it reads
+    # inf, where an int true division used to end in OverflowError
+    code, out = run_cli(capsys, "table", "--type", "A1", "--word", "-", "--backend",
+                        "exact", "--qorder", "160", "--seed", "7")
+    assert code == 0
+    assert [e["zero"] for e in json.loads(out)["entries"]] == [False, True]
+
+
 def test_table_sl2_matches_corpus_products(capsys):
     # the two nonzero entries of the word-(1) table factor per the corpus
     from random import Random

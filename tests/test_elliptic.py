@@ -723,3 +723,62 @@ def test_delta_exact_raises_before_series_work(order, monkeypatch):
         with pytest.raises(err) as info:
             delta(a, b, ctx)
         assert str(info.value) == message
+
+
+def _kernel_series(rng, order, den=None):
+    """A random QSeries at order; with den, one over exactly that denominator
+    (its constant term is 1/den), with numerators of both signs."""
+    if den is None:
+        return QSeries(_random_series(rng, order))
+    return QSeries([Fraction(1, den)] + [Fraction(rng.randint(-10**12, 10**12), den)
+                                         for _ in range(order)])
+
+
+@pytest.mark.parametrize("order", (1, 8, 36))
+def test_exact_coset_kernels_equal_the_plain_expressions(order):
+    rng = Random(f"coset-kernels-{order}")
+    pair, single = QContext(EXACT, order=order).coset_kernels()
+    zero = QSeries([0] * (order + 1))
+    cases = [tuple(_kernel_series(rng, order) for _ in range(6)) for _ in range(30)]
+    # a*x and b*y, and d*x and c*y, over equal denominators: 12*35 = 60*7
+    equal = [tuple(_kernel_series(rng, order, den) for den in (12, 60, 60, 12, 35, 7))
+             for _ in range(3)]
+    # over coprime ones: 3*5 and 7*11, 13*5 and 17*11
+    coprime = [tuple(_kernel_series(rng, order, den) for den in (3, 7, 17, 13, 5, 11))
+               for _ in range(3)]
+    for a, b, c, d, x, y in equal:
+        assert a.den * x.den == b.den * y.den and d.den * x.den == c.den * y.den
+    for a, b, c, d, x, y in coprime:
+        assert gcd(a.den * x.den, b.den * y.den) == gcd(d.den * x.den, c.den * y.den) == 1
+    cases += equal + coprime
+    # the zero series in each place
+    cases += [case[:k] + (zero,) + case[k + 1:] for case in cases[:6] for k in range(6)]
+    assert any(v < 0 for case in cases for s in case for v in s.num)
+    for a, b, c, d, x, y in cases:
+        got = pair((a, b), (c, d), x, y)
+        assert got == (a * x + b * y, c * y + d * x)
+        got += single((a, b), (c, d), x)
+        assert got[2:] == (a * x, d * x)
+        for s in got:
+            assert_canonical(s)
+
+
+def test_complex_coset_kernels_are_the_plain_expressions():
+    # the complex digests pin the order of float operations, so the kernels
+    # must give the bits of the plain expressions
+    rng = Random("coset-kernels-complex")
+    pair, single = QContext(COMPLEX).coset_kernels()
+    for _ in range(500):
+        a, b, c, d, x, y = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                            * 10.0 ** rng.randint(-150, 150) for _ in range(6))
+        assert repr(pair((a, b), (c, d), x, y)) == repr((a * x + b * y, c * y + d * x))
+        assert repr(single((a, b), (c, d), x)) == repr((a * x, d * x))
+
+
+def test_exact_magnitude_beyond_the_float_range_is_inf():
+    # the largest coefficient of this delta is about 3e320 at order 160, and
+    # about 4e300 at order 150
+    ctx = QContext(EXACT, order=160)
+    assert ctx.magnitude(delta(Fraction(-98), Fraction(97), ctx)) == float("inf")
+    below = QContext(EXACT, order=150)
+    assert 1e300 < below.magnitude(delta(Fraction(-98), Fraction(97), below)) < 1e301

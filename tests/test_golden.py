@@ -130,6 +130,21 @@ def test_exact_d4_duality(capsys):
 
 
 @pytest.mark.tier2
+def test_exact_b3_duality_at_order_16(capsys):
+    """Exact B3 duality at one point and q-order 16: 2304 checks, no failure,
+    about 2 s. Its coefficients run to about twice the heights of the
+    order-8 goldens, which the exact step arithmetic must carry as well;
+    digest recorded before a step became one kernel call per coset."""
+    assert main("verify duality --type B3 --backend exact --qorder 16 --points 1 "
+                "--seed 0".split()) == 0
+    out = capsys.readouterr().out
+    summary = json.loads(out.splitlines()[-1])
+    assert (summary["checks"], summary["failures"]) == (2304, 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "aa0a1275ffa6a8edba99b15043ee7b1208e77984117d36b0847e6647d7227e97")
+
+
+@pytest.mark.tier2
 def test_benchmark_d4_complex_duality(capsys):
     """The D4 complex duality benchmark campaign at seed 0: 8 MB of stdout,
     exit 1 for the complex backend's false failures (4 of 36864)."""
