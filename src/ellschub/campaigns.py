@@ -7,8 +7,8 @@ redraws it by ``resample`` while it hits a singularity, and builds the
 records from the point's rows of checks only as they are read. Each record
 comes from a row builder made by ``record``, which encodes the fields shared
 by all records of one kind of check once per campaign, and compares and
-formats a whole row of checks under the one verdict rule (``_verdicts``); a
-single check is a row of one.
+formats a whole row of checks under the verdict rule of the context's
+ring (``QContext.verdicts``); a single check is a row of one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .classes import (
 )
 from .corpus import corpus_checks
 from .duality import double_dual_pairs, duality_pairs, f_interpretation_point
-from .elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
+from .elliptic import QContext, SingularPointError, sample_point
 from .weyl import WeylGroup, dual_group, group
 
 DEFAULT_TOLS = {
@@ -54,67 +54,23 @@ def resample(seed, tag: str, compute):
     raise SingularPointError(f"no nonsingular point after {ATTEMPTS} tries: {last}")
 
 
-def ctx_fields(ctx: QContext) -> dict:
-    """The backend settings a record or a point document carries."""
-    fields = {"backend": ctx.backend, "qorder": ctx.order}
-    if ctx.backend == COMPLEX:
-        fields["q"] = [ctx.q.real, ctx.q.imag]
-    return fields
-
-
 _SLOT = "\0"  # json.dumps escapes NUL, so it never occurs in its output
-_INF = float("inf")
-_NAN = float("nan")
-
-
-def _float_json(x: float) -> str:
-    """x as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
-    if -_INF < x < _INF:
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _verdicts(ctx: QContext, tol: float, lhs_row, rhs_row):
-    """(pass, residual) of each pair of lhs_row and rhs_row, in order, the
-    residual as JSON text: the verdict rule of every check. Exact: the sides
-    agree iff they are equal series (a QSeries is kept in lowest terms, so
-    equal values are equal representations), and an unequal pair's residual
-    is the absolute max |coefficient| of lhs - rhs; tol is not read. Complex:
-    the residual is |lhs - rhs| relative to the larger of |lhs| and |rhs|, and
-    the check passes if it is at most tol (tol >= 0); a pair of zeros passes
-    with 0.0, without an abs, and a pair with a NaN side fails with NaN."""
-    if ctx.backend == EXACT:
-        for lhs, rhs in zip(lhs_row, rhs_row):
-            if lhs == rhs:
-                yield True, "0.0"
-            else:
-                yield False, _float_json(ctx.magnitude(lhs - rhs))
-        return
-    for lhs, rhs in zip(lhs_row, rhs_row):
-        if not (lhs or rhs):
-            yield True, "0.0"
-            continue
-        scale = max(abs(lhs), abs(rhs))
-        # scale is 0.0 only for a zero lhs and an rhs with a NaN part, as max
-        # keeps the 0.0 before a NaN
-        residual = abs(lhs - rhs) / scale if scale else _NAN
-        yield residual <= tol, _float_json(residual)
 
 
 def record(check: str, label: str, ctx: QContext, tol: float, extra: str | None = None,
            **fields):
     """The row builder of one kind of check. row(k, omega_text, lhs_row,
     rhs_row, extra_texts) compares lhs_row with rhs_row pair by pair at the
-    k-th point (_verdicts) and yields (pass, text) for each pair: text is
+    k-th point (ctx.verdicts) and yields (pass, text) for each pair: text is
     json.dumps(rec, sort_keys=True) of the record that holds check, type,
-    fields and ctx_fields(ctx), the JSON texts omega_text as omega_word and,
+    fields and ctx.fields(), the JSON texts omega_text as omega_word and,
     if extra names a field, the pair's entry of extra_texts as that field
     ("sigma_word" or "simple"; it must sort after "residual"; "" if extra is
     None), and the point, the residual and the pass flag. A single check is
     a row of one pair. The shared fields are encoded here, once; the text
     up to the residual is joined once per row for either pass flag, and each
     line from it, the residual and the extra text at its exact size."""
-    fixed = {"check": check, "type": label, **fields, **ctx_fields(ctx)}
+    fixed = {"check": check, "type": label, **fields, **ctx.fields()}
     slots = ("omega_word", "pass", "point", "residual") + ((extra,) if extra else ())
     items = [f"{json.dumps(key)}: {json.dumps(fixed[key]) if key in fixed else _SLOT}"
              for key in sorted([*fixed, *slots])]
@@ -126,8 +82,7 @@ def record(check: str, label: str, ctx: QContext, tol: float, extra: str | None 
     def row(k: int, omega_text: str, lhs_row, rhs_row, extra_texts):
         prefix = (f"{head}{omega_text}{after_omega}false{after_pass}{k}{after_point}",
                   f"{head}{omega_text}{after_omega}true{after_pass}{k}{after_point}")
-        for (ok, residual), extra_text in zip(_verdicts(ctx, tol, lhs_row, rhs_row),
-                                              extra_texts):
+        for (ok, residual), extra_text in zip(ctx.verdicts(tol, lhs_row, rhs_row), extra_texts):
             yield ok, f"{prefix[ok]}{residual}{after_residual}{extra_text}{end}"
 
     return row

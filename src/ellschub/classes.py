@@ -21,8 +21,8 @@ coroots gamma of delta(h^{-gamma}, h) for tau = id, else 0.
 
 A Bott-Samelson step mixes only sigma and sigma s, so it is a 2x2 block on
 each right coset {sigma, sigma s}. A step makes the cosets that meet its
-table's support, each by one call of the backend's coset kernel
-(QContext.coset_kernels), which returns both new entries.
+table's support, each by one call of a coset kernel of the context's
+ring (QContext.pair or single), which returns both new entries.
 
 Unnormalized classes E start from E_id(X_id) = 1 and follow a reduced word
 of omega, so every step raises the length and takes the two Bott-Samelson
@@ -180,12 +180,12 @@ def _step_values(W: WeylGroup, values, support, s: int, coeffs, ctx):
     An entry outside `support` is zero, and sigma is in the new support iff
     sigma or sigma s was in the old one, for any word. So the step makes
     each coset {sigma, sigma s} that meets the old support once, by one
-    kernel of ctx.coset_kernels: `pair` when both entries are in the old
+    coset kernel of ctx (QContext): `pair` when both entries are in the old
     support, else `single`, which gives sigma s its one term
     c_mix(sigma s) * values[sigma]. Every other entry is ctx.zero()."""
     i = s - 1
     rmult, root_index = W.rmult_table, W.root_index
-    pair, single = ctx.coset_kernels()
+    pair, single = ctx.pair, ctx.single
     out = [ctx.zero()] * len(values)
     grown = list(support)
     for sigma in compress(range(len(values)), support):

@@ -17,7 +17,6 @@ from functools import partial
 from . import corpus as corpus_mod
 from .campaigns import (
     DEFAULT_TOLS,
-    ctx_fields,
     resample,
     run_corpus,
     run_double_dual,
@@ -27,9 +26,8 @@ from .campaigns import (
 )
 from .classes import StepMemo, bs_table
 from .elliptic import (
-    COMPLEX,
     EXACT,
-    EvalPoint,
+    RINGS,
     QContext,
     SingularPointError,
     sample_point,
@@ -39,20 +37,6 @@ from .rootsys import parse_label
 from .weyl import GroupTooLargeError, group
 
 REPORT_CHUNK = 1024  # report lines per write: a campaign keeps at most one chunk
-
-
-def _scalar_json(ctx: QContext, value):
-    if ctx.backend == EXACT:
-        return [f"{c.numerator}/{c.denominator}" for c in value.coeffs]
-    return [value.real, value.imag]
-
-
-def _point_json(point: EvalPoint):
-    if point.ctx.backend == EXACT:
-        vals = [f"{v.numerator}/{v.denominator}" for v in point.values]
-    else:
-        vals = [[v.real, v.imag] for v in point.values]
-    return {**ctx_fields(point.ctx), "values": dict(zip(var_names(point.rank), vals))}
 
 
 def cmd_table(args, out) -> int:
@@ -78,7 +62,7 @@ def cmd_table(args, out) -> int:
     entries = [
         {
             "sigma_word": list(W.reduced_word(sigma)),
-            "value": _scalar_json(ctx, value),
+            "value": ctx.value_json(value),
             "zero": ctx.is_zero(value, scale),
         }
         for sigma, value in enumerate(values)
@@ -89,7 +73,8 @@ def cmd_table(args, out) -> int:
         "word": list(word),
         "seed": args.seed,
         "chart": chart.name if chart is not None else None,
-        "point": _point_json(point),
+        "point": {**ctx.fields(), "values": dict(zip(var_names(point.rank),
+                                                     map(ctx.scalar_json, point.values)))},
         "entries": entries,
     }
     if args.format == "json":
@@ -177,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_points=True):
-        p.add_argument("--backend", choices=[EXACT, COMPLEX], default=EXACT)
+        p.add_argument("--backend", choices=list(RINGS), default=EXACT)
         p.add_argument("--qorder", type=int, default=8,
                        help="truncation order (exact backend)")
         p.add_argument("--q", type=float, default=0.3,

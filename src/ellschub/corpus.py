@@ -34,7 +34,6 @@ from .elliptic import (
     EvalPoint,
     QContext,
     monomial_map,
-    sample_values,
     var_names,
 )
 from .weyl import group
@@ -52,7 +51,7 @@ class Chart:
         return EvalPoint(ctx, monomial_map(chart_values, self.canonical_map))
 
     def sample(self, ctx: QContext, rng: Random) -> tuple[tuple, EvalPoint]:
-        values = sample_values(len(self.chart_vars), ctx, rng)
+        values = ctx.draw(len(self.chart_vars), rng)
         return values, self.to_point(values, ctx)
 
 

@@ -1,18 +1,18 @@
-"""Scalar backends, the branch-free delta, and evaluation points.
+"""Scalar rings, the branch-free delta, and evaluation points.
 
-Two backends share one interface:
+Each scalar ring is one subclass of QContext, registered in RINGS:
 
-  * complex: ordinary complex floating point, infinite products truncated
-    once the tail factors differ from 1 by less than 1e-18;
-  * exact: truncated q-series with rational coefficients (integer
-    numerators over one common denominator), all arithmetic exact modulo
-    q^(N+1).
+  * complex (ComplexContext): double-precision complex, infinite products
+    truncated once their tail factors differ from 1 by less than 1e-18;
+  * exact (ExactContext): truncated q-series with rational coefficients
+    (integer numerators over one common denominator), all arithmetic exact
+    modulo q^(N+1).
 
 The basic building block is
 
     delta(a, b) = theta(ab) theta'(1) / (theta(a) theta(b)),
 
-in which the half-integer powers of theta cancel. The exact backend takes
+in which the half-integer powers of theta cancel. The exact ring takes
 it from its divisor-sum q-expansion (Kronecker's formula, as stated in
 Zagier, "Periods of modular forms and Jacobi theta functions", Invent.
 Math. 104 (1991), section 3)
@@ -20,7 +20,7 @@ Math. 104 (1991), section 3)
     (ab-1)/((a-1)(b-1)) + sum_{m,k>=1} (a^-m b^-k - a^m b^k) q^(mk),
 
 whose coefficient of q^n is a sum over the divisors m of n: no division,
-and O(N log N) terms below q^(N+1). The complex backend keeps the
+and O(N log N) terms below q^(N+1). The complex ring keeps the
 branch-free product rearrangement
 
     (ab-1)/((a-1)(b-1)) *
@@ -56,6 +56,7 @@ ZETA = "zeta"
 NU = "nu"
 
 _TAIL_EPS = 1e-18
+_INF = float("inf")
 
 
 class ZeroArgumentError(ValueError):
@@ -64,60 +65,43 @@ class ZeroArgumentError(ValueError):
 
 class SingularPointError(ArithmeticError):
     """A delta argument hit a pole (value 1, or too close to one in the
-    complex backend), or a recursion coefficient is not invertible.
+    complex ring), or a recursion coefficient is not invertible.
     Callers are expected to resample the point."""
 
 
 @dataclass(frozen=True)
 class QContext:
+    """The scalar ring of a run, named by `backend`: QContext(backend, order,
+    q) is an instance of the ring's class in RINGS, which holds all that
+    differs between the rings (the exact ring reads `order`, the complex one
+    `q`): one, zero, delta, the draw of n values, the verdicts of two rows of
+    sides, magnitude, is_zero, fields, and the JSON of a value and of a
+    scalar. Its coset kernels make a Bott-Samelson step on a right coset
+    {sigma, sigma s}, with (a, b) the coefficients (c_keep, c_mix) of sigma,
+    (c, d) those of sigma s and x, y their old values: pair((a, b), (c, d),
+    x, y) is (a*x + b*y, c*y + d*x), and single((a, b), (c, d), x), for a
+    sigma s outside the support, is (a*x, d*x)."""
+
     backend: str
     order: int = 8
     q: complex = 0.3
 
+    def __new__(cls, backend=None, *args, **kwargs):
+        # copy and pickle call cls.__new__(cls), with no backend, on a ring
+        ring = cls if backend is None else RINGS.get(backend)
+        if ring not in RINGS.values() or not issubclass(ring, cls):
+            raise ValueError(f"unknown backend {backend!r}")
+        return object.__new__(ring)
+
     def __post_init__(self):
-        if self.backend not in (EXACT, COMPLEX):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.order < 1:
             raise ValueError("truncation order must be >= 1")
         if self.order > sys.maxsize:  # a series holds order + 1 coefficients
             raise ValueError(f"truncation order must be at most {sys.maxsize}")
-        if self.backend == COMPLEX and not abs(self.q) < 1:
-            raise ValueError("complex backend needs |q| < 1")
 
-    def one(self):
-        if self.backend == EXACT:
-            return QSeries.constant(Fraction(1), self.order)
-        return complex(1)
-
-    def zero(self):
-        if self.backend == EXACT:
-            return QSeries.constant(Fraction(0), self.order)
-        return complex(0)
-
-    def coset_kernels(self):
-        """(pair, single): the scalar kernels of a Bott-Samelson step on one
-        right coset {sigma, sigma s}, with (a, b) the coefficients (c_keep,
-        c_mix) of sigma, (c, d) those of sigma s, and x, y their old values.
-        pair((a, b), (c, d), x, y) is (a*x + b*y, c*y + d*x), and
-        single((a, b), (c, d), x), for a sigma s outside the support, is
-        (a*x, d*x)."""
-        if self.backend == EXACT:
-            return _pair_exact, _single_exact
-        return _pair_complex, _single_complex
-
-    def is_zero(self, value, scale=None) -> bool:
-        if self.backend == EXACT:
-            return not any(value.num)
-        tol = 1e-10 * (scale if scale else 1.0)
-        return abs(value) < tol
-
-    def magnitude(self, value) -> float:
-        if self.backend == EXACT:
-            try:
-                return max(abs(n) for n in value.num) / value.den
-            except OverflowError:  # the ratio is beyond the largest float
-                return float("inf")
-        return abs(value)
+    def fields(self) -> dict:
+        """The ring's settings that a record or a point document carries."""
+        return {"backend": self.backend, "qorder": self.order}
 
 
 class QSeries:
@@ -128,7 +112,7 @@ class QSeries:
     zero series has den == 1), so every rational series has exactly one
     representation. Each operation does plain integer arithmetic on the
     numerators and one gcd reduction at the end; so does the coset kernel of
-    a Bott-Samelson step (QContext.coset_kernels), which makes a sum of two
+    a Bott-Samelson step (ExactContext.pair), which makes a sum of two
     products over one denominator and reduces it once. Division multiplies
     by the divisor's reciprocal, which a series computes on the first
     division by it and then keeps.
@@ -267,52 +251,6 @@ def _over_one_den(a, x, b, y):
     return [p * v for v in a.num], [q * v for v in b.num], da * p
 
 
-def _pair_exact(ab, cd, x, y):
-    """The pair kernel of QContext.coset_kernels on the exact backend: each
-    output's two products aligned over one denominator, both outputs summed
-    in one pass over the coefficients, and one reduction per output. The
-    values are those of the plain expressions, as a QSeries is kept in
-    lowest terms."""
-    (a, b), (c, d) = ab, cd
-    a_row, b_row, den1 = _over_one_den(a, x, b, y)
-    d_row, c_row, den2 = _over_one_den(d, x, c, y)
-    xs, ys = x.num, y.num
-    n = len(xs)
-    out1, out2 = [0] * n, [0] * n
-    for i, (ai, bi, ci, di) in enumerate(zip(a_row, b_row, c_row, d_row)):
-        for k, xj, yj in zip(range(i, n), xs, ys):
-            out1[k] += ai * xj + bi * yj
-            out2[k] += ci * yj + di * xj
-    return QSeries._new(out1, den1), QSeries._new(out2, den2)
-
-
-def _single_exact(ab, cd, x):
-    """The single kernel of QContext.coset_kernels on the exact backend: both
-    products in one pass over x, and one reduction per output."""
-    a, d = ab[0], cd[1]
-    xs = x.num
-    n = len(xs)
-    out1, out2 = [0] * n, [0] * n
-    for i, (ai, di) in enumerate(zip(a.num, d.num)):
-        for k, xj in zip(range(i, n), xs):
-            out1[k] += ai * xj
-            out2[k] += di * xj
-    return QSeries._new(out1, a.den * x.den), QSeries._new(out2, d.den * x.den)
-
-
-def _pair_complex(ab, cd, x, y):
-    """The pair kernel of QContext.coset_kernels on the complex backend: the
-    plain expressions, whose order of float operations the printed digits
-    pin."""
-    (a, b), (c, d) = ab, cd
-    return a * x + b * y, c * y + d * x
-
-
-def _single_complex(ab, cd, x):
-    """The single kernel of QContext.coset_kernels on the complex backend."""
-    return ab[0] * x, cd[1] * x
-
-
 def _int_reciprocal(b):
     """Integer numerators num and a denominator den (possibly negative) with
     1/b = num/den as truncated series, for integer b, b[0] != 0.
@@ -361,76 +299,221 @@ def _q_powers(q, big=1.0):
     raise ValueError(f"q = {q:g}: 10000 factors leave a product's tail above 1e-18")
 
 
-def _delta_checked_args(a, b, exact):
-    for x in (a, b):
-        if x == 0:
-            raise ZeroArgumentError("delta argument is 0")
-        if exact:
+class ExactContext(QContext):
+    """Truncated q-series (QSeries), exact modulo q^(order+1); q is not read."""
+
+    def one(self):
+        return QSeries.constant(Fraction(1), self.order)
+
+    def zero(self):
+        return QSeries.constant(Fraction(0), self.order)
+
+    @staticmethod
+    def pair(ab, cd, x, y):
+        """Each output's two products aligned over one denominator, both
+        outputs summed in one pass over the coefficients, and one reduction
+        per output. The values are those of the plain expressions, as a
+        QSeries is kept in lowest terms."""
+        (a, b), (c, d) = ab, cd
+        a_row, b_row, den1 = _over_one_den(a, x, b, y)
+        d_row, c_row, den2 = _over_one_den(d, x, c, y)
+        xs, ys = x.num, y.num
+        n = len(xs)
+        out1, out2 = [0] * n, [0] * n
+        for i, (ai, bi, ci, di) in enumerate(zip(a_row, b_row, c_row, d_row)):
+            for k, xj, yj in zip(range(i, n), xs, ys):
+                out1[k] += ai * xj + bi * yj
+                out2[k] += ci * yj + di * xj
+        return QSeries._new(out1, den1), QSeries._new(out2, den2)
+
+    @staticmethod
+    def single(ab, cd, x):
+        """Both products in one pass over x, and one reduction per output."""
+        a, d = ab[0], cd[1]
+        xs = x.num
+        n = len(xs)
+        out1, out2 = [0] * n, [0] * n
+        for i, (ai, di) in enumerate(zip(a.num, d.num)):
+            for k, xj in zip(range(i, n), xs):
+                out1[k] += ai * xj
+                out2[k] += di * xj
+        return QSeries._new(out1, a.den * x.den), QSeries._new(out2, d.den * x.den)
+
+    def delta(self, a, b, powers: dict | None = None) -> QSeries:
+        """delta(a, b) from its divisor-sum q-expansion (module text), in
+        integers over the scale (u-v)(s-t)(uvst)^N for a = u/v, b = s/t and
+        N = order: a sum of products per power of q and one reduction. The
+        _power_rows of (u, v) and (s, t) are read from, or kept in, powers."""
+        a, b = Fraction(a), Fraction(b)
+        for x in (a, b):
+            if x == 0:
+                raise ZeroArgumentError("delta argument is 0")
             if x == 1:
                 raise SingularPointError("delta argument is 1 (pole)")
-        else:
+        if powers is None:
+            powers = {}
+        n = self.order
+        u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
+        rows = []
+        for key in ((u, v), (s, t)):
+            row = powers.get(key)
+            if row is None:
+                row = powers[key] = _power_rows(*key, n)
+            rows.append(row)
+        (down_a, up_a), (down_b, up_b) = rows
+        coeffs = [0] * (n + 1)
+        for m in range(1, n + 1):
+            dm, um = down_a[m], up_a[m]
+            for k, mk in enumerate(range(m, n + 1, m), 1):
+                coeffs[mk] += dm * down_b[k] - um * up_b[k]
+        poles = (u - v) * (s - t)
+        scale = up_a[0] * up_b[0]
+        coeffs = [poles * c for c in coeffs]
+        coeffs[0] = (u * s - v * t) * scale
+        return QSeries._new(coeffs, poles * scale)
+
+    def draw(self, n: int, rng: Random) -> tuple:
+        """n rationals u/v with 0 < |u|, v < 100 and u != v, drawn one after
+        the other."""
+        out = []
+        while len(out) < n:
+            num = rng.randint(1, 99) * rng.choice((1, -1))
+            den = rng.randint(1, 99)
+            if num != den:  # value 1 is singular for every delta against h
+                out.append(Fraction(num, den))
+        return tuple(out)
+
+    def verdicts(self, tol: float, lhs_row, rhs_row):
+        """The sides agree iff they are equal series (a QSeries is kept in
+        lowest terms, so equal values are equal representations), and an
+        unequal pair's residual is the absolute max |coefficient| of
+        lhs - rhs; tol is not read."""
+        for lhs, rhs in zip(lhs_row, rhs_row):
+            if lhs == rhs:
+                yield True, "0.0"
+            else:
+                yield False, _float_json(self.magnitude(lhs - rhs))
+
+    def magnitude(self, value) -> float:
+        try:
+            return max(abs(n) for n in value.num) / value.den
+        except OverflowError:  # the ratio is beyond the largest float
+            return _INF
+
+    def is_zero(self, value, scale=None) -> bool:
+        return not any(value.num)
+
+    def value_json(self, value) -> list:
+        return [self.scalar_json(c) for c in value.coeffs]
+
+    @staticmethod
+    def scalar_json(x) -> str:
+        return f"{x.numerator}/{x.denominator}"
+
+
+class ComplexContext(QContext):
+    """Double-precision complex at the nome q, |q| < 1; order is not read."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not abs(self.q) < 1:
+            raise ValueError("complex backend needs |q| < 1")
+
+    def fields(self) -> dict:
+        return {**super().fields(), "q": [self.q.real, self.q.imag]}
+
+    def one(self):
+        return complex(1)
+
+    def zero(self):
+        return complex(0)
+
+    @staticmethod
+    def pair(ab, cd, x, y):
+        """The plain expressions, whose order of float operations the
+        printed digits pin."""
+        (a, b), (c, d) = ab, cd
+        return a * x + b * y, c * y + d * x
+
+    @staticmethod
+    def single(ab, cd, x):
+        return ab[0] * x, cd[1] * x
+
+    def delta(self, a, b, powers: dict | None = None) -> complex:
+        """delta(a, b) by the branch-free product (module text); powers is
+        not read."""
+        a, b = complex(a), complex(b)
+        for x in (a, b):
+            if x == 0:
+                raise ZeroArgumentError("delta argument is 0")
             if abs(x - 1) < 1e-3:
                 raise SingularPointError("delta argument within 1e-3 of 1 (pole)")
+        ab = a * b
+        val = (ab - 1) / ((a - 1) * (b - 1))
+        mags = [abs(ab), 1 / abs(ab), abs(a), 1 / abs(a), abs(b), 1 / abs(b)]
+        for qn in _q_powers(self.q, max(mags + [1.0])):
+            den = (1 - qn * a) * (1 - qn / a) * (1 - qn * b) * (1 - qn / b)
+            if abs(den) < 1e-6:
+                raise SingularPointError("delta argument hits a q-shifted pole")
+            val *= (1 - qn * ab) * (1 - qn / ab) * (1 - qn) ** 2 / den
+        if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
+            raise SingularPointError("delta value outside the range of doubles")
+        return val
+
+    def draw(self, n: int, rng: Random) -> tuple:
+        """n complex numbers with modulus in [1/2, 2], drawn one after the
+        other, modulus before phase."""
+        return tuple(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2 * cmath.pi))
+                     for _ in range(n))
+
+    def verdicts(self, tol: float, lhs_row, rhs_row):
+        """The residual is |lhs - rhs| relative to the larger of |lhs| and
+        |rhs|, and the check passes if it is at most tol (tol >= 0); a pair
+        of zeros passes with 0.0, without an abs, and a pair with a NaN side
+        fails with NaN."""
+        for lhs, rhs in zip(lhs_row, rhs_row):
+            if not (lhs or rhs):
+                yield True, "0.0"
+                continue
+            scale = max(abs(lhs), abs(rhs))
+            # scale is 0.0 only for a zero lhs and an rhs with a NaN part, as
+            # max keeps the 0.0 before a NaN
+            residual = abs(lhs - rhs) / scale if scale else float("nan")
+            yield residual <= tol, _float_json(residual)
+
+    magnitude = staticmethod(abs)
+
+    def is_zero(self, value, scale=None) -> bool:
+        return abs(value) < 1e-10 * (scale if scale else 1.0)
+
+    @staticmethod
+    def scalar_json(x) -> list:
+        return [x.real, x.imag]
+
+    value_json = scalar_json
 
 
-def _delta_exact(a: Fraction, b: Fraction, ctx: QContext,
-                 powers: dict | None = None) -> QSeries:
-    """delta(a, b) from its divisor-sum q-expansion (module text), in
-    integers over the scale (u-v)(s-t)(uvst)^N for a = u/v, b = s/t and
-    N = ctx.order: a sum of products per power of q and one reduction. The
-    _power_rows of (u, v) and (s, t) are read from, or kept in, powers."""
-    _delta_checked_args(a, b, exact=True)
-    if powers is None:
-        powers = {}
-    n = ctx.order
-    u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
-    rows = []
-    for key in ((u, v), (s, t)):
-        row = powers.get(key)
-        if row is None:
-            row = powers[key] = _power_rows(*key, n)
-        rows.append(row)
-    (down_a, up_a), (down_b, up_b) = rows
-    coeffs = [0] * (n + 1)
-    for m in range(1, n + 1):
-        dm, um = down_a[m], up_a[m]
-        for k, mk in enumerate(range(m, n + 1, m), 1):
-            coeffs[mk] += dm * down_b[k] - um * up_b[k]
-    poles = (u - v) * (s - t)
-    scale = up_a[0] * up_b[0]
-    coeffs = [poles * c for c in coeffs]
-    coeffs[0] = (u * s - v * t) * scale
-    return QSeries._new(coeffs, poles * scale)
-
-
-def _delta_complex(a: complex, b: complex, ctx: QContext) -> complex:
-    _delta_checked_args(a, b, exact=False)
-    ab = a * b
-    val = (ab - 1) / ((a - 1) * (b - 1))
-    mags = [abs(ab), 1 / abs(ab), abs(a), 1 / abs(a), abs(b), 1 / abs(b)]
-    for qn in _q_powers(ctx.q, max(mags + [1.0])):
-        den = (1 - qn * a) * (1 - qn / a) * (1 - qn * b) * (1 - qn / b)
-        if abs(den) < 1e-6:
-            raise SingularPointError("delta argument hits a q-shifted pole")
-        val *= (1 - qn * ab) * (1 - qn / ab) * (1 - qn) ** 2 / den
-    if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
-        raise SingularPointError("delta value outside the range of doubles")
-    return val
+RINGS = {EXACT: ExactContext, COMPLEX: ComplexContext}
 
 
 def delta(a, b, ctx: QContext, *, powers: dict | None = None):
-    """delta(a, b) for scalar arguments, computed afresh on every call; the
+    """delta(a, b) in the ring of ctx, computed afresh on every call; the
     values of one point are kept by the point's classes.StepMemo. On the
-    exact backend, powers (argument (num, den) -> _power_rows, all at
+    exact ring, powers (argument (num, den) -> _power_rows, all at
     ctx.order) lends the rows of arguments already met and keeps the new
-    ones; the complex backend ignores it.
+    ones. Every delta value goes through here, where the tracer counts it.
 
     >>> delta(Fraction(2), Fraction(3), QContext(EXACT, order=2)).coeffs[:2]
     (Fraction(5, 2), Fraction(-35, 6))
     """
-    if ctx.backend == EXACT:
-        return _delta_exact(Fraction(a), Fraction(b), ctx, powers)
-    return _delta_complex(complex(a), complex(b), ctx)
+    return ctx.delta(a, b, powers)
+
+
+def _float_json(x: float) -> str:
+    """x as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
+    if -_INF < x < _INF:
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 # ---------------------------------------------------------------------------
@@ -532,26 +615,4 @@ def twist_point(point: EvalPoint, matrix) -> EvalPoint:
 def sample_point(rank: int, ctx: QContext, rng: Random) -> EvalPoint:
     """One random nonsingular candidate point; callers resample on
     SingularPointError raised downstream."""
-    return EvalPoint(ctx, sample_values(2 * rank + 1, ctx, rng))
-
-
-def sample_values(n: int, ctx: QContext, rng: Random) -> tuple:
-    """n random values for the backend of ctx, drawn one after the other:
-    rationals u/v with 0 < |u|, v < 100 and u != v (exact), or complex
-    numbers with modulus in [1/2, 2] (complex)."""
-    draw = _random_fraction if ctx.backend == EXACT else _random_annulus
-    return tuple(draw(rng) for _ in range(n))
-
-
-def _random_fraction(rng: Random) -> Fraction:
-    while True:
-        num = rng.randint(1, 99) * rng.choice((1, -1))
-        den = rng.randint(1, 99)
-        if num != den:  # value 1 is singular for every delta against h
-            return Fraction(num, den)
-
-
-def _random_annulus(rng: Random) -> complex:
-    r = rng.uniform(0.5, 2.0)
-    phi = rng.uniform(0.0, 2 * cmath.pi)
-    return r * cmath.exp(1j * phi)
+    return EvalPoint(ctx, ctx.draw(2 * rank + 1, rng))

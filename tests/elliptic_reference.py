@@ -1,7 +1,7 @@
 """Test-side references for delta.
 
 The exact delta here is independent of the divisor-sum q-expansion that
-elliptic._delta_exact uses: the branch-free product rearrangement
+elliptic.ExactContext.delta uses: the branch-free product rearrangement
 
     (ab-1)/((a-1)(b-1)) *
     prod_{n>=1} (1-q^n ab)(1-q^n/(ab))(1-q^n)^2
@@ -21,8 +21,8 @@ from ellschub.elliptic import (
     COMPLEX,
     QContext,
     QSeries,
+    SingularPointError,
     ZeroArgumentError,
-    _delta_checked_args,
     _q_powers,
 )
 
@@ -78,8 +78,13 @@ def theta_product(xs, order):
 def product_delta(a: Fraction, b: Fraction, order: int) -> QSeries:
     """The rearranged product as one series division, with the scales of both
     integer products and the leading term collected into one Fraction that
-    multiplies the numerator; raises as elliptic.delta does."""
-    _delta_checked_args(a, b, exact=True)
+    multiplies the numerator; raises as elliptic.delta does, with the same
+    message, zero before pole and a before b."""
+    for x in (a, b):
+        if x == 0:
+            raise ZeroArgumentError("delta argument is 0")
+        if x == 1:
+            raise SingularPointError("delta argument is 1 (pole)")
     ab = a * b
     top, top_scale = theta_product((ab, 1), order)
     bottom, bottom_scale = theta_product((a, b), order)

@@ -319,11 +319,12 @@ def test_report_memory_is_a_few_chunks():
 def test_record_line_is_the_sorted_json_dump(extra, monkeypatch):
     # the row builder against json.dumps of the record dict: residuals that
     # json spells unlike repr, strings it must quote and escape, q parts -0.0
-    from ellschub import campaigns
+    from ellschub import campaigns, elliptic
 
     # the lhs and rhs rows carry the verdicts and the residuals straight through
-    monkeypatch.setattr(campaigns, "_verdicts", lambda ctx, tol, oks, residuals: (
-        (ok, campaigns._float_json(residual)) for ok, residual in zip(oks, residuals)))
+    for ring in elliptic.RINGS.values():
+        monkeypatch.setattr(ring, "verdicts", lambda ctx, tol, oks, residuals: (
+            (ok, elliptic._float_json(residual)) for ok, residual in zip(oks, residuals)))
     strange = 'a"b\\c%s{0}}\u00e9'
     words = [(), (1, 2, 3, 4, 2, 3, 1) * 12]
     values = {"sigma_word": words, "simple": [1, 4], None: [None]}[extra]
@@ -339,7 +340,7 @@ def test_record_line_is_the_sorted_json_dump(extra, monkeypatch):
             lines = []
             for ok, residual, value in cases:
                 rec = {"check": f"check/{strange}", "type": strange, "file": strange,
-                       "dual_type": "\u03a9", **campaigns.ctx_fields(ctx),
+                       "dual_type": "\u03a9", **ctx.fields(),
                        "omega_word": list(omega_word), "point": k, "residual": residual,
                        "pass": ok}
                 if extra is not None:
@@ -405,7 +406,7 @@ def test_row_verdicts_are_the_pairwise_compare(ctx, tol, pairs):
     lines = []
     for n, (lhs, rhs) in enumerate(pairs):
         ok, residual = reference_compare(ctx, lhs, rhs, tol)
-        rec = {"check": "check", "type": "X", "dual_type": "Y", **campaigns.ctx_fields(ctx),
+        rec = {"check": "check", "type": "X", "dual_type": "Y", **ctx.fields(),
                "omega_word": [2], "point": 3, "residual": residual, "pass": ok,
                "sigma_word": [n]}
         lines.append((ok, json.dumps(rec, sort_keys=True)))
@@ -529,12 +530,12 @@ def computed_deltas(monkeypatch):
     from ellschub import elliptic
 
     count = [0]
-    for name in ("_delta_exact", "_delta_complex"):
-        def counted(*args, compute=getattr(elliptic, name)):
+    for ring in elliptic.RINGS.values():
+        def counted(*args, compute=ring.delta):
             count[0] += 1
             return compute(*args)
 
-        monkeypatch.setattr(elliptic, name, counted)
+        monkeypatch.setattr(ring, "delta", counted)
     return count
 
 

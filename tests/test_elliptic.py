@@ -18,7 +18,6 @@ from ellschub.elliptic import (
     delta,
     eval_monomial,
     sample_point,
-    sample_values,
     transform_point,
 )
 from ellschub.rootsys import COROOT, ROOT, build_root_system, parse_label
@@ -214,7 +213,7 @@ def test_complex_delta_accuracy_across_q(q):
     ctx = QContext(COMPLEX, order=8, q=q)
     rng = Random(f"delta-accuracy:{q}")
     for _ in range(40):
-        a, b = sample_values(2, ctx, rng)
+        a, b = ctx.draw(2, rng)
         reference = mp_product_delta(mpmath, a, b, q)
         assert abs(delta(a, b, ctx) - reference) <= 1e-13 * abs(reference)
 
@@ -619,15 +618,13 @@ def _random_argument(rng):
 
 @pytest.mark.parametrize("order", range(1, 11))
 def test_delta_exact_matches_fraction_reference(order):
-    from ellschub.elliptic import _delta_exact
-
     rng = Random(f"delta-{order}")
     ctx = QContext(EXACT, order=order)
     for _ in range(12):
         a, b = _random_argument(rng), _random_argument(rng)
         if rng.random() < 0.3:  # eval_monomial-sized arguments
             a *= _random_argument(rng) ** 3
-        got = _outcome(lambda: _delta_exact(a, b, ctx))
+        got = _outcome(lambda: ctx.delta(a, b))
         want = _outcome(lambda: fraction_delta(a, b, order))
         if isinstance(want, tuple):
             assert got == want
@@ -636,7 +633,7 @@ def test_delta_exact_matches_fraction_reference(order):
     for a, b in ((Fraction(1), Fraction(-3, 7)), (Fraction(5, 2), Fraction(1)),
                  (Fraction(3, 8), Fraction(8, 3)), (Fraction(-2), Fraction(-1, 2)),
                  (Fraction(0), Fraction(2)), (Fraction(-1), Fraction(-1))):
-        got = _outcome(lambda: _delta_exact(a, b, ctx))
+        got = _outcome(lambda: ctx.delta(a, b))
         want = _outcome(lambda: fraction_delta(a, b, order))
         if isinstance(want, tuple):
             assert got == want
@@ -737,7 +734,8 @@ def _kernel_series(rng, order, den=None):
 @pytest.mark.parametrize("order", (1, 8, 36))
 def test_exact_coset_kernels_equal_the_plain_expressions(order):
     rng = Random(f"coset-kernels-{order}")
-    pair, single = QContext(EXACT, order=order).coset_kernels()
+    ctx = QContext(EXACT, order=order)
+    pair, single = ctx.pair, ctx.single
     zero = QSeries([0] * (order + 1))
     cases = [tuple(_kernel_series(rng, order) for _ in range(6)) for _ in range(30)]
     # a*x and b*y, and d*x and c*y, over equal denominators: 12*35 = 60*7
@@ -767,7 +765,8 @@ def test_complex_coset_kernels_are_the_plain_expressions():
     # the complex digests pin the order of float operations, so the kernels
     # must give the bits of the plain expressions
     rng = Random("coset-kernels-complex")
-    pair, single = QContext(COMPLEX).coset_kernels()
+    ctx = QContext(COMPLEX)
+    pair, single = ctx.pair, ctx.single
     for _ in range(500):
         a, b, c, d, x, y = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                             * 10.0 ** rng.randint(-150, 150) for _ in range(6))

@@ -2,8 +2,8 @@
 hand-written loops.
 
 Each reference below is a map as it was written before all of them went
-through ``elliptic.monomial_map`` (and the draws through
-``elliptic.sample_values``). The values must be equal (``==``), so on the
+through ``elliptic.monomial_map`` (and the draws through the ring's
+``QContext.draw``). The values must be equal (``==``), so on the
 complex backend the products are formed in the same order, float for
 float."""
 
