@@ -1,14 +1,14 @@
-"""Verification campaigns: each runner yields one (pass, line) pair per
-checked identity, line being the check's record as one JSON text.
+"""Verification campaigns: each runner yields a (lines, failures) pair per
+row of checks, with one JSON record per checked identity in lines.
 
 Every campaign draws its points from seeded generators, so identical
 arguments give identical records. One loop, ``_records``, draws each point,
 redraws it by ``resample`` while it hits a singularity, and builds the
-records from the point's rows of checks only as they are read. Each record
-comes from a row builder made by ``record``, which encodes the fields shared
-by all records of one kind of check once per campaign, and compares and
-formats a whole row of checks under the verdict rule of the context's
-ring (``QContext.verdicts``); a single check is a row of one.
+records of the point's rows of checks a row at a time, as they are read.
+Each row comes from a row builder made by ``record``, which encodes the
+fields shared by all records of one kind of check once per campaign, and
+compares and formats a whole row of checks under the verdict rule of the
+context's ring (``QContext.verdicts``); a single check is a row of one.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def record(check: str, label: str, ctx: QContext, tol: float, extra: str | None 
            **fields):
     """The row builder of one kind of check. row(k, omega_text, lhs_row,
     rhs_row, extra_texts) compares lhs_row with rhs_row pair by pair at the
-    k-th point (ctx.verdicts) and yields (pass, text) for each pair: text is
+    k-th point (ctx.verdicts) and returns (lines, failures): the text of
+    each pair and the number of pairs that fail. A text is
     json.dumps(rec, sort_keys=True) of the record that holds check, type,
     fields and ctx.fields(), the JSON texts omega_text as omega_word and,
     if extra names a field, the pair's entry of extra_texts as that field
@@ -82,8 +83,11 @@ def record(check: str, label: str, ctx: QContext, tol: float, extra: str | None 
     def row(k: int, omega_text: str, lhs_row, rhs_row, extra_texts):
         prefix = (f"{head}{omega_text}{after_omega}false{after_pass}{k}{after_point}",
                   f"{head}{omega_text}{after_omega}true{after_pass}{k}{after_point}")
+        lines, failures = [], 0
         for (ok, residual), extra_text in zip(ctx.verdicts(tol, lhs_row, rhs_row), extra_texts):
-            yield ok, f"{prefix[ok]}{residual}{after_residual}{extra_text}{end}"
+            lines.append(f"{prefix[ok]}{residual}{after_residual}{extra_text}{end}")
+            failures += not ok
+        return lines, failures
 
     return row
 
@@ -94,13 +98,13 @@ def _word_texts(W: WeylGroup) -> list:
 
 
 def _records(points, seed, tag: str, rows):
-    """The records of the points k < points: rows(rng) draws a point and
+    """The record rows of the points k < points: rows(rng) draws a point and
     returns its rows of checks, (row builder, omega text, lhs row, rhs row,
     extra texts) each, with every value computed, so that resample redraws
     the point under f"{tag}:{k}" on any singularity of its values."""
     for k in range(points):
         for row, *cells in resample(seed, f"{tag}:{k}", rows):
-            yield from row(k, *cells)
+            yield row(k, *cells)
 
 
 def _pair_records(check, label, ctx, points, seed, tol, W, grids, **fields):
@@ -114,7 +118,7 @@ def _pair_records(check, label, ctx, points, seed, tol, W, grids, **fields):
         return ((row, omega_text, lhs_row, rhs_row, words)
                 for omega_text, lhs_row, rhs_row in zip(words, lhs_rows, rhs_rows))
 
-    yield from _records(points, seed, check, rows)
+    return _records(points, seed, check, rows)
 
 
 def run_duality(label, ctx, points, seed, tol, flip_sign=False):
@@ -179,7 +183,7 @@ def run_normalization(label, ctx, points, seed, tol):
             out.append((f_interpretation, omega_text, (c_val,), (dual_e,), ("",)))
         return out
 
-    yield from _records(points, seed, "normalization", rows)
+    return _records(points, seed, "normalization", rows)
 
 
 def _chart_rows(ctx, W, chart, encoded, sides, rng):

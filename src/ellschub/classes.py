@@ -82,10 +82,11 @@ class StepMemo:
     """What the classes of one group at one point share, and the only keeper
     of delta values: every table and normalization factor takes the memo as
     its only handle on the group (`group`) and the point (`point`), and the
-    memo is dropped with the point. `deltas` holds delta(a, b) under (a, b),
-    read through `delta`, and `powers` the exact delta's power rows of each
-    argument met, so that they are made once per value; a memo made with
-    `deltas_of`, a memo of the same context, shares both dicts.
+    memo is dropped with the point. `deltas` holds delta(a, b) under
+    ctx.delta_key(a, b), read through `delta`, and `powers` the ring's delta
+    tables (exact power rows per argument, complex q-powers), made once per
+    point; a memo made with `deltas_of`, a memo of the same context, shares
+    both dicts.
 
     `roots` and `coroots` hold the point's values of e^(-beta) =
     prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
@@ -114,9 +115,10 @@ class StepMemo:
 
     def delta(self, a, b):
         """delta(a, b) in the memo's context, computed once per `deltas`."""
-        out = self.deltas.get((a, b))
+        key = self.point.ctx.delta_key(a, b)
+        out = self.deltas.get(key)
         if out is None:
-            out = self.deltas[a, b] = delta(a, b, self.point.ctx, powers=self.powers)
+            out = self.deltas[key] = delta(a, b, self.point.ctx, powers=self.powers)
         return out
 
     def delta_product(self, pairs):

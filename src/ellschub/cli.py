@@ -118,18 +118,19 @@ def cmd_corpus(args, out) -> int:
     return _report(run_corpus(ctx, args.points, args.seed, tol), out)
 
 
-def _report(checks, out) -> int:
-    """Read a runner's (pass, line) pairs once, counting the failures, and
-    write the lines REPORT_CHUNK to a write as soon as a chunk is full; the
-    summary line goes with the last write. A campaign that raises leaves the
-    whole chunks before its failure and no summary line."""
+def _report(rows, out) -> int:
+    """Read a runner's (lines, failures) rows once, counting both, and write
+    the lines REPORT_CHUNK to a write as soon as a chunk is full; the summary
+    line goes with the last write. A campaign that raises leaves the whole
+    chunks before its failure and no summary line."""
     chunk, count, failures = [], 0, 0
-    for count, (ok, line) in enumerate(checks, 1):
-        chunk.append(line)
-        failures += not ok
-        if len(chunk) == REPORT_CHUNK:
-            out.write("\n".join(chunk) + "\n")
-            chunk = []
+    for lines, bad in rows:
+        chunk += lines
+        count += len(lines)
+        failures += bad
+        while len(chunk) >= REPORT_CHUNK:
+            out.write("\n".join(chunk[:REPORT_CHUNK]) + "\n")
+            del chunk[:REPORT_CHUNK]
     summary = {"summary": True, "checks": count, "failures": failures,
                "pass": not failures}
     chunk.append(json.dumps(summary, sort_keys=True))

@@ -74,13 +74,14 @@ class QContext:
     """The scalar ring of a run, named by `backend`: QContext(backend, order,
     q) is an instance of the ring's class in RINGS, which holds all that
     differs between the rings (the exact ring reads `order`, the complex one
-    `q`): one, zero, delta, the draw of n values, the verdicts of two rows of
-    sides, magnitude, is_zero, fields, and the JSON of a value and of a
-    scalar. Its coset kernels make a Bott-Samelson step on a right coset
-    {sigma, sigma s}, with (a, b) the coefficients (c_keep, c_mix) of sigma,
-    (c, d) those of sigma s and x, y their old values: pair((a, b), (c, d),
-    x, y) is (a*x + b*y, c*y + d*x), and single((a, b), (c, d), x), for a
-    sigma s outside the support, is (a*x, d*x)."""
+    `q`): one, zero, delta and the memo key of its arguments, the draw of n
+    values, the list of verdicts of two rows of sides, magnitude, is_zero,
+    fields, and the JSON of a value and of a scalar. Its coset kernels make
+    a Bott-Samelson step on a right coset {sigma, sigma s}, with (a, b) the
+    coefficients (c_keep, c_mix) of sigma, (c, d) those of sigma s and x, y
+    their old values: pair((a, b), (c, d), x, y) is (a*x + b*y, c*y + d*x),
+    and single((a, b), (c, d), x), for a sigma s outside the support, is
+    (a*x, d*x)."""
 
     backend: str
     order: int = 8
@@ -285,20 +286,6 @@ def _power_rows(u, v, order):
             [pu[order + m] * pv[order - m] for m in range(order + 1)])
 
 
-def _q_powers(q, big=1.0):
-    """q^n for n = 1, 2, ... while |q^n| * big >= 1e-18: the factors of a
-    complex product kept until its tail differs from 1 by less than 1e-18,
-    with big the largest modulus among the arguments and their inverses.
-    ValueError if 10000 factors do not reach that bound (|q| above ~0.996)."""
-    qn = 1.0 + 0j
-    for _ in range(10_000):
-        qn *= q
-        if abs(qn) * big < _TAIL_EPS:
-            return
-        yield qn
-    raise ValueError(f"q = {q:g}: 10000 factors leave a product's tail above 1e-18")
-
-
 class ExactContext(QContext):
     """Truncated q-series (QSeries), exact modulo q^(order+1); q is not read."""
 
@@ -344,16 +331,15 @@ class ExactContext(QContext):
         integers over the scale (u-v)(s-t)(uvst)^N for a = u/v, b = s/t and
         N = order: a sum of products per power of q and one reduction. The
         _power_rows of (u, v) and (s, t) are read from, or kept in, powers."""
-        a, b = Fraction(a), Fraction(b)
-        for x in (a, b):
-            if x == 0:
+        u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
+        for num, den in ((u, v), (s, t)):
+            if num == 0:
                 raise ZeroArgumentError("delta argument is 0")
-            if x == 1:
+            if num == den:
                 raise SingularPointError("delta argument is 1 (pole)")
         if powers is None:
             powers = {}
         n = self.order
-        u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
         rows = []
         for key in ((u, v), (s, t)):
             row = powers.get(key)
@@ -383,16 +369,19 @@ class ExactContext(QContext):
                 out.append(Fraction(num, den))
         return tuple(out)
 
-    def verdicts(self, tol: float, lhs_row, rhs_row):
+    @staticmethod
+    def delta_key(a, b) -> tuple:
+        """(u, v, s, t) for a = u/v, b = s/t: ints hash without the modular
+        inverse that Fraction.__hash__ takes."""
+        return a.numerator, a.denominator, b.numerator, b.denominator
+
+    def verdicts(self, tol: float, lhs_row, rhs_row) -> list:
         """The sides agree iff they are equal series (a QSeries is kept in
         lowest terms, so equal values are equal representations), and an
         unequal pair's residual is the absolute max |coefficient| of
         lhs - rhs; tol is not read."""
-        for lhs, rhs in zip(lhs_row, rhs_row):
-            if lhs == rhs:
-                yield True, "0.0"
-            else:
-                yield False, _float_json(self.magnitude(lhs - rhs))
+        return [(True, "0.0") if lhs == rhs else (False, _float_json(self.magnitude(lhs - rhs)))
+                for lhs, rhs in zip(lhs_row, rhs_row)]
 
     def magnitude(self, value) -> float:
         try:
@@ -440,8 +429,11 @@ class ComplexContext(QContext):
         return ab[0] * x, cd[1] * x
 
     def delta(self, a, b, powers: dict | None = None) -> complex:
-        """delta(a, b) by the branch-free product (module text); powers is
-        not read."""
+        """delta(a, b) by the branch-free product (module text). Factor n
+        reads (q^n, |q^n|, (1-q^n)^2) from the table in powers under q, made
+        as far as first needed; the product stops at the first n with
+        |q^n| * big < 1e-18, big the largest modulus of the arguments and
+        their inverses, and raises ValueError after 10000 factors."""
         a, b = complex(a), complex(b)
         for x in (a, b):
             if x == 0:
@@ -450,12 +442,20 @@ class ComplexContext(QContext):
                 raise SingularPointError("delta argument within 1e-3 of 1 (pole)")
         ab = a * b
         val = (ab - 1) / ((a - 1) * (b - 1))
-        mags = [abs(ab), 1 / abs(ab), abs(a), 1 / abs(a), abs(b), 1 / abs(b)]
-        for qn in _q_powers(self.q, max(mags + [1.0])):
+        big = max(abs(ab), 1 / abs(ab), abs(a), 1 / abs(a), abs(b), 1 / abs(b), 1.0)
+        table = [] if powers is None else powers.setdefault(self.q, [])
+        while len(table) < 10_000 and not (table and table[-1][1] * big < _TAIL_EPS):
+            qn = (table[-1][0] if table else 1.0 + 0j) * self.q
+            table.append((qn, abs(qn), (1 - qn) ** 2))
+        for qn, size, square in table:
+            if size * big < _TAIL_EPS:
+                break
             den = (1 - qn * a) * (1 - qn / a) * (1 - qn * b) * (1 - qn / b)
             if abs(den) < 1e-6:
                 raise SingularPointError("delta argument hits a q-shifted pole")
-            val *= (1 - qn * ab) * (1 - qn / ab) * (1 - qn) ** 2 / den
+            val *= (1 - qn * ab) * (1 - qn / ab) * square / den
+        else:
+            raise ValueError(f"q = {self.q:g}: 10000 factors leave a product's tail above 1e-18")
         if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
             raise SingularPointError("delta value outside the range of doubles")
         return val
@@ -466,20 +466,27 @@ class ComplexContext(QContext):
         return tuple(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2 * cmath.pi))
                      for _ in range(n))
 
-    def verdicts(self, tol: float, lhs_row, rhs_row):
+    @staticmethod
+    def delta_key(a, b) -> tuple:
+        return a, b
+
+    def verdicts(self, tol: float, lhs_row, rhs_row) -> list:
         """The residual is |lhs - rhs| relative to the larger of |lhs| and
         |rhs|, and the check passes if it is at most tol (tol >= 0); a pair
         of zeros passes with 0.0, without an abs, and a pair with a NaN side
         fails with NaN."""
+        out = []
         for lhs, rhs in zip(lhs_row, rhs_row):
             if not (lhs or rhs):
-                yield True, "0.0"
+                out.append((True, "0.0"))
                 continue
-            scale = max(abs(lhs), abs(rhs))
-            # scale is 0.0 only for a zero lhs and an rhs with a NaN part, as
-            # max keeps the 0.0 before a NaN
+            size, other = abs(lhs), abs(rhs)
+            # the larger, or size if either is NaN: scale is 0.0 only for a
+            # zero lhs and an rhs with a NaN part
+            scale = other if other > size else size
             residual = abs(lhs - rhs) / scale if scale else float("nan")
-            yield residual <= tol, _float_json(residual)
+            out.append((residual <= tol, _float_json(residual)))
+        return out
 
     magnitude = staticmethod(abs)
 
@@ -498,10 +505,10 @@ RINGS = {EXACT: ExactContext, COMPLEX: ComplexContext}
 
 def delta(a, b, ctx: QContext, *, powers: dict | None = None):
     """delta(a, b) in the ring of ctx, computed afresh on every call; the
-    values of one point are kept by the point's classes.StepMemo. On the
-    exact ring, powers (argument (num, den) -> _power_rows, all at
-    ctx.order) lends the rows of arguments already met and keeps the new
-    ones. Every delta value goes through here, where the tracer counts it.
+    values of one point are kept by the point's classes.StepMemo. powers
+    lends the ring's tables of earlier calls and keeps the new ones (exact:
+    argument (num, den) -> _power_rows at ctx.order; complex: q -> q-power
+    rows). Every delta value goes through here, where the tracer counts it.
 
     >>> delta(Fraction(2), Fraction(3), QContext(EXACT, order=2)).coeffs[:2]
     (Fraction(5, 2), Fraction(-35, 6))

@@ -11,7 +11,7 @@ each product expanded factor by factor in integers and the two divided
 once, and the exact theta'(1) is prod_{n>=1} (1-q^n)^2 expanded the same
 way. The complex theta and theta'(1) are the factors of delta's defining
 quotient theta(ab) theta'(1) / (theta(a) theta(b)); they draw their powers
-q^n from elliptic._q_powers, as the complex delta does.
+q^n from _q_powers, which stops where the complex delta's product does.
 """
 
 import cmath
@@ -23,8 +23,22 @@ from ellschub.elliptic import (
     QSeries,
     SingularPointError,
     ZeroArgumentError,
-    _q_powers,
+    _TAIL_EPS,
 )
+
+
+def _q_powers(q, big=1.0):
+    """q^n for n = 1, 2, ... while |q^n| * big >= 1e-18: the factors of a
+    complex product kept until its tail differs from 1 by less than 1e-18,
+    with big the largest modulus among the arguments and their inverses.
+    ValueError if 10000 factors do not reach that bound (|q| above ~0.996)."""
+    qn = 1.0 + 0j
+    for _ in range(10_000):
+        qn *= q
+        if abs(qn) * big < _TAIL_EPS:
+            return
+        yield qn
+    raise ValueError(f"q = {q:g}: 10000 factors leave a product's tail above 1e-18")
 
 
 def theta(x, ctx: QContext) -> complex:

@@ -2,6 +2,8 @@
 which each runner draws its points, the redraw of a point whose values hit a
 singularity, and the one parse of each corpus file per corpus campaign."""
 
+import json
+
 import pytest
 
 from ellschub import campaigns, classes, corpus
@@ -26,6 +28,18 @@ TAGS = {name: [f"{name}:0", f"{name}:1"] for name in RUNNERS}
 TAGS["corpus"] = CORPUS_TAGS
 
 
+def checks(rows):
+    """The (pass, line) pair of every record in a runner's (lines, failures)
+    rows, the pass flag read from the line; each row's failure count must be
+    the number of its lines that fail."""
+    out = []
+    for lines, failures in rows:
+        row = [(json.loads(line)["pass"], line) for line in lines]
+        assert [ok for ok, _ in row].count(False) == failures
+        out += row
+    return out
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_runner_draws_its_points_under_fixed_tags(runner, monkeypatch):
     # a point is drawn from Random(f"{seed}:{tag}:{k}:{attempt}"), so a tag
@@ -38,7 +52,7 @@ def test_runner_draws_its_points_under_fixed_tags(runner, monkeypatch):
         return resample(seed, tag, compute)
 
     monkeypatch.setattr(campaigns, "resample", recording)
-    records = list(RUNNERS[runner]())
+    records = checks(RUNNERS[runner]())
     assert calls == [(0, tag) for tag in TAGS[runner]]
     assert records and all(ok for ok, _ in records)
 
@@ -48,7 +62,7 @@ def test_runner_redraws_a_point_whose_first_delta_is_singular(runner, monkeypatc
     # every value of a point is computed before its rows leave resample, so
     # a singularity at the point's first delta redraws the point rather
     # than ending the campaign
-    expected = sum(1 for _ in RUNNERS[runner]())
+    expected = len(checks(RUNNERS[runner]()))
     raised = []
     delta = classes.delta
 
@@ -59,7 +73,7 @@ def test_runner_redraws_a_point_whose_first_delta_is_singular(runner, monkeypatc
         return delta(*args, **kwargs)
 
     monkeypatch.setattr(classes, "delta", singular_once)
-    records = list(RUNNERS[runner]())
+    records = checks(RUNNERS[runner]())
     assert len(raised) == 1
     assert len(records) == expected
     assert all(ok for ok, _ in records)
@@ -76,6 +90,6 @@ def test_corpus_campaign_parses_each_file_once(monkeypatch):
         return load_corpus(name)
 
     monkeypatch.setattr(corpus, "load_corpus", counting)
-    records = list(campaigns.run_corpus(CTX, 1, 0, 1e-9))
+    records = checks(campaigns.run_corpus(CTX, 1, 0, 1e-9))
     assert len(records) == 54
     assert loaded == ["sl2.txt", "so5.txt", "sp2.txt"]

@@ -1011,11 +1011,34 @@ def test_power_rows_are_made_once_per_argument_per_memo(monkeypatch):
     assert (len(rows), len(set(rows))) == (50, 26)
     assert len(calls) == sum(len(memo.deltas) for memo in memos) == 192
     ctx = memos[0].point.ctx
+    # a delta is kept under the integers (u, v, s, t) of a = u/v, b = s/t
+    assert {key for memo in memos for key in memo.deltas} == {
+        (a.numerator, a.denominator, b.numerator, b.denominator) for a, b in calls}
     for memo in memos:
-        for (a, b), value in memo.deltas.items():
-            assert value == delta(a, b, ctx)
+        for (u, v, s, t), value in memo.deltas.items():
+            assert value == delta(Fraction(u, v), Fraction(s, t), ctx)
         for (u, v), kept in memo.powers.items():
             assert kept == _power_rows(u, v, ctx.order)
+
+
+def test_an_exact_duality_point_hashes_no_fraction(monkeypatch):
+    # Fraction.__hash__ takes a modular inverse; the memo keys its deltas by
+    # the integers of their arguments instead
+    from ellschub import campaigns
+
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    assert hash(Fraction(1, 3)) and len(hashed) == 1
+    hashed.clear()
+    rows = list(campaigns.run_duality("A3", QContext(EXACT, order=3), 1, 0, 1e-9))
+    assert hashed == []
+    assert sum(len(lines) for lines, _ in rows) == 576
 
 
 def test_a_deltas_of_memo_shares_the_power_rows():

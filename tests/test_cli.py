@@ -245,32 +245,58 @@ class RecordingOut:
         self.writes.append(text)
 
 
+def _report_rows(sizes):
+    """Rows of the given numbers of lines, every third line failing, and
+    the lines in their order."""
+    rows, lines, n = [], [], 0
+    for size in sizes:
+        row = [json.dumps({"n": n + i, "pass": (n + i) % 3 != 0}, sort_keys=True)
+               for i in range(size)]
+        rows.append((row, sum((n + i) % 3 == 0 for i in range(size))))
+        lines += row
+        n += size
+    return rows, lines
+
+
+# rows of 0, 1, 1023, 1024 and 1025 lines, alone and one after the other
+ROW_SIZES = [(0,), (1,), (1023,), (1024,), (1025,), (1, 1023), (1023, 1, 1024),
+             (0, 1025, 0, 1023, 1), (1024, 1024, 1025), (1,) * 2049]
+
+
 def test_report_writes_in_bounded_chunks():
+    for sizes in ROW_SIZES:
+        _check_report(*_report_rows(sizes))
+
+
+def _check_report(rows, lines):
     from ellschub import cli
 
-    records = [(n % 3 != 0, json.dumps({"n": n, "pass": n % 3 != 0}, sort_keys=True))
-               for n in range(2 * cli.REPORT_CHUNK + 5)]
     out = RecordingOut()
-    assert cli._report(iter(records), out) == 1
-    lines = [line for _, line in records]
-    summary = {"summary": True, "checks": len(records),
-               "failures": sum(not json.loads(line)["pass"] for line in lines),
-               "pass": False}
-    lines.append(json.dumps(summary, sort_keys=True))
-    assert "".join(out.writes) == "\n".join(lines) + "\n"
-    assert len(out.writes) > 1
-    assert all(text.count("\n") <= cli.REPORT_CHUNK for text in out.writes)
+    failures = sum(bad for _, bad in rows)
+    assert cli._report(iter(rows), out) == (1 if failures else 0)
+    summary = {"summary": True, "checks": len(lines), "failures": failures,
+               "pass": not failures}
+    assert "".join(out.writes) == "\n".join(lines + [json.dumps(summary, sort_keys=True)]) + "\n"
+    # every write but the last holds one whole chunk, the last the rest and
+    # the summary line
+    assert [text.count("\n") for text in out.writes[:-1]] == \
+        [cli.REPORT_CHUNK] * (len(lines) // cli.REPORT_CHUNK)
+    assert out.writes[-1].count("\n") == len(lines) % cli.REPORT_CHUNK + 1
 
-    def raising():
-        yield from records
-        raise SingularPointError("forced pole")
+    # a runner that raises after k rows leaves the whole chunks of those rows
+    # and no summary
+    for k in range(len(rows) + 1):
+        def raising():
+            yield from rows[:k]
+            raise SingularPointError("forced pole")
 
-    # a runner that raises leaves the whole chunks before it and no summary
-    out = RecordingOut()
-    with pytest.raises(SingularPointError):
-        cli._report(raising(), out)
-    assert out.writes == ["\n".join(lines[start:start + cli.REPORT_CHUNK]) + "\n"
-                          for start in (0, cli.REPORT_CHUNK)]
+        out = RecordingOut()
+        with pytest.raises(SingularPointError):
+            cli._report(raising(), out)
+        written = sum(len(row) for row, _ in rows[:k])
+        assert out.writes == ["\n".join(lines[start:start + cli.REPORT_CHUNK]) + "\n"
+                              for start in range(0, written - cli.REPORT_CHUNK + 1,
+                                                 cli.REPORT_CHUNK)]
 
 
 def test_report_writes_a_chunk_before_the_next_pair_is_made():
@@ -278,21 +304,21 @@ def test_report_writes_a_chunk_before_the_next_pair_is_made():
 
     out = RecordingOut()
 
-    def checks():
+    def rows():
         for n in range(cli.REPORT_CHUNK + 1):
-            # pair n + 1 is made only after the writes of the first n pairs
+            # row n + 1 is made only after the writes of the first n rows
             assert len(out.writes) == n // cli.REPORT_CHUNK
-            yield True, f"line {n}"
+            yield [f"line {n}"], 0
 
-    assert cli._report(checks(), out) == 0
+    assert cli._report(rows(), out) == 0
     assert out.writes[0] == "".join(f"line {n}\n" for n in range(cli.REPORT_CHUNK))
     assert out.writes[1].startswith(f"line {cli.REPORT_CHUNK}\n{{")
     assert len(out.writes) == 2
 
 
 def test_report_memory_is_a_few_chunks():
-    # 36864 lines of about 220 B, as a D4 campaign point yields: kept until
-    # the last one is in they would take over 9 MB
+    # 36864 lines of about 220 B in 192 rows of 192, as a D4 campaign point
+    # yields: kept until the last one is in they would take over 9 MB
     import tracemalloc
 
     from ellschub import cli
@@ -304,10 +330,12 @@ def test_report_memory_is_a_few_chunks():
             self.size += len(text)
 
     out, pad = CountingOut(), "x" * 200
-    checks = ((n % 7 != 0, f'{{"n": {n}, "{pad}": 0}}') for n in range(36864))
+    rows = (([f'{{"n": {n}, "{pad}": 0}}' for n in range(start, start + 192)],
+             sum(n % 7 == 0 for n in range(start, start + 192)))
+            for start in range(0, 36864, 192))
     tracemalloc.start()
     try:
-        assert cli._report(checks, out) == 1
+        assert cli._report(rows, out) == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -349,9 +377,10 @@ def test_record_line_is_the_sorted_json_dump(extra, monkeypatch):
             oks, residuals, extras = zip(*cases)
             extra_texts = [json.dumps(v) if extra is not None else "" for v in extras]
             omega_text = json.dumps(omega_word)
-            assert list(row(k, omega_text, oks, residuals, extra_texts)) == lines
-            for ok, residual, extra_text, line in zip(oks, residuals, extra_texts, lines):
-                assert list(row(k, omega_text, (ok,), (residual,), (extra_text,))) == [line]
+            assert row(k, omega_text, oks, residuals, extra_texts) == (
+                [line for _, line in lines], oks.count(False))
+            for ok, residual, extra_text, (_, line) in zip(oks, residuals, extra_texts, lines):
+                assert row(k, omega_text, (ok,), (residual,), (extra_text,)) == ([line], not ok)
 
 
 def reference_compare(ctx, lhs, rhs, tol):
@@ -412,9 +441,11 @@ def test_row_verdicts_are_the_pairwise_compare(ctx, tol, pairs):
         lines.append((ok, json.dumps(rec, sort_keys=True)))
     lhs_row, rhs_row = zip(*pairs)
     extra_texts = [json.dumps([n]) for n in range(len(pairs))]
-    assert list(row(3, "[2]", lhs_row, rhs_row, extra_texts)) == lines
-    for lhs, rhs, extra_text, line in zip(lhs_row, rhs_row, extra_texts, lines):
-        assert list(row(3, "[2]", (lhs,), (rhs,), (extra_text,))) == [line]
+    oks = [ok for ok, _ in lines]
+    assert row(3, "[2]", lhs_row, rhs_row, extra_texts) == (
+        [line for _, line in lines], oks.count(False))
+    for lhs, rhs, extra_text, (ok, line) in zip(lhs_row, rhs_row, extra_texts, lines):
+        assert row(3, "[2]", (lhs,), (rhs,), (extra_text,)) == ([line], not ok)
     assert {ok for ok, _ in lines} == {True, False}
 
 

@@ -16,6 +16,7 @@ from ellschub.duality import (
 )
 from ellschub.elliptic import delta, eval_monomial, sample_point
 from ellschub.weyl import dual_group, group
+from test_campaigns import checks
 
 
 def is_zero(v):
@@ -228,15 +229,15 @@ def test_campaigns_enumerate_no_dual(monkeypatch):
     group("B2")
     monkeypatch.setattr(weyl, "enumerate_group", counting)
     ctx = QContext(EXACT, order=2)
-    first = list(campaigns.run_duality("B2", ctx, 1, 0, 1e-9))
-    list(campaigns.run_normalization("B2", ctx, 1, 0, 1e-9))
-    assert list(campaigns.run_duality("B2", ctx, 1, 0, 1e-9)) == first
+    first = checks(campaigns.run_duality("B2", ctx, 1, 0, 1e-9))
+    checks(campaigns.run_normalization("B2", ctx, 1, 0, 1e-9))
+    assert checks(campaigns.run_duality("B2", ctx, 1, 0, 1e-9)) == first
     assert searched == []
 
 
 def test_campaign_yields_a_point_before_the_next_is_computed(monkeypatch):
     # a runner builds records from one point's values as they are read, so
-    # the first record needs the first point only
+    # the first row of records needs the first point only
     from ellschub import campaigns
     from ellschub.elliptic import EXACT, QContext
 
@@ -248,10 +249,10 @@ def test_campaign_yields_a_point_before_the_next_is_computed(monkeypatch):
 
     monkeypatch.setattr(campaigns, "duality_pairs", counting)
     records = campaigns.run_duality("A1", QContext(EXACT, order=2), 2, 0, 1e-9)
-    ok, line = next(records)
+    (ok, line), *rest = checks([next(records)])
     assert len(calls) == 1
     first = json.loads(line)
     assert (first["point"], first["omega_word"], first["sigma_word"]) == (0, [], [])
     assert ok is first["pass"]
-    assert len(list(records)) == 2 * 4 - 1
+    assert len(rest) + len(checks(records)) == 2 * 4 - 1
     assert len(calls) == 2

@@ -249,6 +249,44 @@ def test_complex_product_that_10000_factors_do_not_converge_is_refused():
             value()
 
 
+def _repr_outcome(compute):
+    try:
+        return repr(compute())
+    except (SingularPointError, ZeroArgumentError, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("q", [0.3, -0.9, 0.6j, 0.99])
+def test_complex_delta_is_the_same_with_a_shared_power_table(q):
+    # the table of (q^n, |q^n|, (1-q^n)^2) that a memo's deltas share holds
+    # the values the product computes afresh, and reaches as far as the
+    # longest product met; |a| and |b| run from 1/16 to 16, so a table made
+    # by a short product is extended by a long one, and a long one's table
+    # is read by short ones
+    ctx = QContext(COMPLEX, order=8, q=q)
+    rng = Random(f"shared-table:{q}")
+    args = [2.0**e * cmath.exp(1j * rng.uniform(0.0, 2 * cmath.pi)) for e in range(-4, 5)]
+    pairs = [(a, b) for a in args for b in args]
+    fresh = {pair: _repr_outcome(lambda: ctx.delta(*pair)) for pair in pairs}
+    assert len(set(fresh.values())) > len(pairs) // 2
+    short, long = (args[4], args[4]), (args[0], args[0])  # |ab| = 1 and 1/256
+    for order in ([short, long], [long, short], pairs, pairs[::-1]):
+        powers = {}
+        assert [_repr_outcome(lambda: ctx.delta(*pair, powers)) for pair in order] == \
+            [fresh[pair] for pair in order]
+        assert list(powers) == [q]
+
+
+def test_complex_delta_with_a_shared_table_refuses_the_same_q():
+    ctx = QContext(COMPLEX, order=8, q=0.997)
+    want = _repr_outcome(lambda: ctx.delta(2.0, 3.0))
+    assert want[0] is ValueError and want[1].startswith("q = 0.997: 10000 factors")
+    powers = {}
+    for _ in range(2):  # the second call reads the 10000 rows the first made
+        assert _repr_outcome(lambda: ctx.delta(2.0, 3.0, powers)) == want
+        assert len(powers[ctx.q]) == 10_000
+
+
 def test_backend_agreement(rng):
     # sum the exact series at q = 1/1000 and compare with the complex value
     q = Fraction(1, 1000)

@@ -17,6 +17,7 @@ import pytest
 
 from ellschub import campaigns, classes, corpus, duality
 from ellschub.elliptic import EXACT, QContext
+from test_campaigns import checks
 
 CTX = QContext(EXACT, order=4)
 RUNNERS = {"duality": campaigns.run_duality, "double-dual": campaigns.run_double_dual,
@@ -111,7 +112,8 @@ CASES = [
 
 def failures(kind, label):
     """(failed checks, checks) of one campaign."""
-    verdicts = [ok for ok, _ in RUNNERS[kind](label, CTX, 1, 0, campaigns.DEFAULT_TOLS[kind])]
+    verdicts = [ok for ok, _ in checks(RUNNERS[kind](label, CTX, 1, 0,
+                                                       campaigns.DEFAULT_TOLS[kind]))]
     return verdicts.count(False), len(verdicts)
 
 
@@ -176,7 +178,7 @@ CORPUS_CASES = [
 def test_corpus_mutant_is_caught(mutant, least, passing, monkeypatch):
     mutant(monkeypatch)
     records = [(ok, json.loads(line)) for ok, line
-               in campaigns.run_corpus(CTX, 1, 0, campaigns.DEFAULT_TOLS["corpus"])]
+               in checks(campaigns.run_corpus(CTX, 1, 0, campaigns.DEFAULT_TOLS["corpus"]))]
     assert len(records) == 54
     assert [ok for ok, _ in records].count(False) >= least
     key, value = passing
