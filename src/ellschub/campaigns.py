@@ -5,6 +5,10 @@ Every campaign draws its points from seeded generators, so identical
 arguments give identical records. One loop, ``_records``, draws each point,
 redraws it by ``resample`` while it hits a singularity, and builds the
 records of the point's rows of checks a row at a time, as they are read.
+Each point runs in two phases: inside ``resample`` every delta value the
+point's checks read is computed (``classes.prepare_point``), and with it
+every singularity found; then, outside it, the tables are built a row at a
+time, which cannot raise, as the records are read.
 Each row comes from a row builder made by ``record``, which encodes the
 fields shared by all records of one kind of check once per campaign, and
 compares and formats a whole row of checks under the verdict rule of the
@@ -23,6 +27,7 @@ from .classes import (
     c_recursion_left_sides,
     c_recursion_right_sides,
     normalization_factor,
+    prepare_point,
     rmatrix_table,
     unnormalized_table,
 )
@@ -98,10 +103,12 @@ def _word_texts(W: WeylGroup) -> list:
 
 
 def _records(points, seed, tag: str, rows):
-    """The record rows of the points k < points: rows(rng) draws a point and
-    returns its rows of checks, (row builder, omega text, lhs row, rhs row,
-    extra texts) each, with every value computed, so that resample redraws
-    the point under f"{tag}:{k}" on any singularity of its values."""
+    """The record rows of the points k < points: rows(rng) draws a point,
+    computes every value of it that can raise, so that resample redraws the
+    point under f"{tag}:{k}" on any singularity, and returns its rows of
+    checks, (row builder, omega text, lhs row, rhs row, extra texts) each,
+    which may be built as they are read as long as building raises nothing.
+    So no record of a point is made before the point is final."""
     for k in range(points):
         for row, *cells in resample(seed, f"{tag}:{k}", rows):
             yield row(k, *cells)
@@ -109,7 +116,9 @@ def _records(points, seed, tag: str, rows):
 
 def _pair_records(check, label, ctx, points, seed, tol, W, grids, **fields):
     """The records of lhs_rows[omega][sigma] against rhs_rows[omega][sigma],
-    (lhs_rows, rhs_rows) = grids(point) built in full, a row per omega."""
+    a row per omega, for (lhs_rows, rhs_rows) = grids(point): grids computes
+    every delta of the point, and the rows may be iterators that build each
+    row as it is read."""
     row = record(check, label, ctx, tol, "sigma_word", **fields)
     words = _word_texts(W)
 
@@ -136,14 +145,17 @@ def run_double_dual(label, ctx, points, seed, tol):
 
 
 def run_recursions(label, ctx, points, seed, tol):
-    """Bott-Samelson against R-matrix tables, for every omega."""
+    """Bott-Samelson against R-matrix tables, for every omega: the two
+    tables of a word are made as its row is read, after every delta of the
+    point."""
     W = group(label)
 
     def rows(point):
-        """(bs_rows, rm_rows), the two tables of each word made in turn."""
         memo = StepMemo(W, point)
-        return tuple(zip(*[(bs_table(memo, word), rmatrix_table(memo, word))
-                           for word in map(W.reduced_word, range(W.order))]))
+        prepare_point(memo, rmatrix=True)
+        words = list(map(W.reduced_word, range(W.order)))
+        return ((bs_table(memo, word) for word in words),
+                (rmatrix_table(memo, word) for word in words))
 
     return _pair_records("recursions", label, ctx, points, seed, tol, W, rows)
 

@@ -92,9 +92,11 @@ class StepMemo:
     prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
     W.roots and W.coroots. A step reads nu_s as coroot g and sigma(alpha_s),
     or the twist's image of alpha_s, as root r, so its coefficient pairs are
-    kept in rows [g][r]: `normalized` those of bs_step, divided by
+    kept in rows [g][r]: `normalized` those of bs_step (bs_row), divided by
     delta(nu_s, h), `unnormalized` the undivided ones of unnormalized_table,
-    and `rmatrix` those of rmatrix_table, which read roots r and -r."""
+    and `rmatrix` those of rmatrix_table (rmatrix_row), which read roots r
+    and -r. A campaign fills the memo before it builds any table
+    (prepare_point), so that its tables only read it."""
 
     __slots__ = ("group", "point", "roots", "coroots", "normalized", "unnormalized",
                  "rmatrix", "deltas", "powers")
@@ -144,16 +146,55 @@ class StepMemo:
         return row
 
 
-def _step_coroots(W: WeylGroup, word) -> tuple:
-    """(u, gammas): u = product(word)^-1, and gammas[j] the index in
-    W.coroots of u_j(alpha_s^v), s = word[j] and u_j = product(word[j+1:])^-1.
-    Step j makes the table of word[:j+1] at the point nu-transformed by
-    word[j+1:], where nu_s is the value of that coroot at the point itself."""
-    u, gammas = W.identity, []
-    for s in reversed(word):
-        gammas.append(W.root_index[u][s - 1])
-        u = W.rmult(u, s)
-    return u, gammas[::-1]
+_step_coroots = WeylGroup.step_coroots  # (W, word) -> (u, gammas)
+
+
+def bs_row(memo: StepMemo, s: int, g: int) -> list:
+    """The coefficient row of a Bott-Samelson step by s that reads nu_s as
+    the value of coroot g, kept in memo.normalized: by root r, the pair
+    delta(e^(-r), nu_s) and delta(e^(-r), h), both divided by
+    delta(nu_s, h)."""
+    nu_val, h = memo.coroots[g], memo.point.h
+    den = memo.delta(nu_val, h)
+    return memo.coefficients(memo.normalized, s, g, lambda r: (
+        _checked_div(memo.delta(memo.roots[r], nu_val), den),
+        _checked_div(memo.delta(memo.roots[r], h), den),
+    ))
+
+
+def rmatrix_row(memo: StepMemo, s: int, g: int) -> list:
+    """The coefficient row of an R-matrix step by s whose Bott-Samelson
+    counterpart reads nu_s as coroot g, kept in memo.rmatrix. zeta_s^(+-1)
+    at the twisted point are the values at the point of the roots r =
+    twist(alpha_s) and -r; nu and h are the point's own."""
+    W, h = memo.group, memo.point.h
+    den = memo.delta(memo.coroots[_negated(W, g)], h)
+    return memo.coefficients(memo.rmatrix, s, g, lambda r: (
+        _checked_div(memo.delta(memo.roots[r], memo.coroots[g]), den),
+        _checked_div(memo.delta(memo.roots[_negated(W, r)], h), den)))
+
+
+def prepare_point(memo: StepMemo, rmatrix: bool = False, steps=None) -> None:
+    """Phase 1 of a point: every delta value and coefficient row that
+    bs_table, and with rmatrix rmatrix_table too, reads along the reduced
+    words of memo's group, so that a singular point raises its
+    SingularPointError here and the tables built afterwards compute no delta
+    and raise nothing. steps is W.word_steps of the elements in the order
+    their tables are built, W.steps (index order) by default.
+
+    The initial products read delta(x, h) at the negative coroots and, on
+    the word of w, at the positive coroots w sends to negative ones: the
+    nu_s of the word's steps, whose rows start with delta(nu_s, h). So the
+    values and rows come in the order in which building the tables first
+    computes them, and a point singular in several ways raises the error it
+    would raise there."""
+    h, half = memo.point.h, len(memo.coroots) // 2
+    for x in memo.coroots[half:]:  # the initial product at the identity
+        memo.delta(x, h)
+    for s, g in memo.group.steps if steps is None else steps:
+        bs_row(memo, s, g)
+        if rmatrix:
+            rmatrix_row(memo, s, g)
 
 
 def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tuple:
@@ -161,16 +202,11 @@ def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tu
     `values` with support `support`, reading nu_s as the value of coroot g
     (an index into W.coroots) at memo's point; bs_table gives each step its
     g. Both coefficients are divided by delta(nu_s, h) before they are
-    combined. support[sigma] is False where the recursion makes
+    combined (bs_row). support[sigma] is False where the recursion makes
     values[sigma] zero: outside the Bruhat interval below omega, for a
     reduced word."""
-    W, point, nu_val = memo.group, memo.point, memo.coroots[g]
-    den = memo.delta(nu_val, point.h)
-    coeffs = memo.coefficients(memo.normalized, s, g, lambda r: (
-        _checked_div(memo.delta(memo.roots[r], nu_val), den),
-        _checked_div(memo.delta(memo.roots[r], point.h), den),
-    ))
-    values, support = _step_values(W, values, support, s, coeffs, point.ctx)
+    values, support = _step_values(memo.group, values, support, s, bs_row(memo, s, g),
+                                   memo.point.ctx)
     return tuple(values), support
 
 
@@ -244,15 +280,8 @@ def rmatrix_table(memo: StepMemo, word) -> tuple:
     as for bs_table: step j reads nu_s as the coroot that step j of bs_table
     reads, and the recursion reads its delta values through the memo."""
     word = tuple(word)
-    W, h = memo.group, memo.point.h
-    steps = []
-    for s, g in zip(word, _step_coroots(W, word)[1]):
-        # zeta_s^(+-1) at the twisted point are the values at the point of
-        # the roots r = twist(alpha_s) and -r; nu and h are the point's own
-        den = memo.delta(memo.coroots[_negated(W, g)], h)
-        steps.append((s, memo.coefficients(memo.rmatrix, s, g, lambda r: (
-            _checked_div(memo.delta(memo.roots[r], memo.coroots[g]), den),
-            _checked_div(memo.delta(memo.roots[_negated(W, r)], h), den)))))
+    W = memo.group
+    steps = [(s, rmatrix_row(memo, s, g)) for s, g in zip(word, _step_coroots(W, word)[1])]
     # the initial product reads no zeta value, so no twist moves it
     start, zero = initial_table(memo)[W.identity], memo.point.ctx.zero()
     return tuple(_rmatrix_value(W, steps, {(len(steps), sigma): start}, zero, 0, W.identity)

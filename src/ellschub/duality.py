@@ -17,7 +17,7 @@ are evaluated at consistent coordinates.
 
 from __future__ import annotations
 
-from .classes import StepMemo, bs_table
+from .classes import StepMemo, bs_table, prepare_point
 from .elliptic import EvalPoint, monomial_map
 from .weyl import WeylGroup
 
@@ -50,19 +50,34 @@ def duality_sign(W: WeylGroup) -> int:
 
 def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
                   flip_sign: bool = False) -> tuple:
-    """(lhs_rows, rhs_rows) at one dual-side point, computed from 2|W|
-    tables; Wdual is dual_group(W). The pair (omega, sigma) has the signed
-    lhs lhs_rows[omega][sigma] and the rhs rhs_rows[omega][sigma]."""
+    """(lhs_rows, rhs_rows) at one dual-side point, from 2|W| tables; Wdual
+    is dual_group(W). The pair (omega, sigma) has the signed lhs
+    lhs_rows[omega][sigma] and the rhs rhs_rows[omega][sigma].
+
+    Every delta value of the point is computed here (prepare_point), so a
+    singular point raises here. The rows are iterators, built as they are
+    read, and raise nothing: rhs_rows makes one dual table per row, and
+    lhs_rows makes the |W| source tables at its first row and keeps them,
+    as their columns are its rows."""
     t0 = W.longest
     source_memo, target_memo = StepMemo(W, pull_point(W, point)), StepMemo(Wdual, point)
-    source_tables = [bs_table(source_memo, W.reduced_word(w)) for w in range(W.order)]
-    rhs_rows = [bs_table(target_memo, W.reduced_word(w)) for w in range(W.order)]
+    prepare_point(source_memo)
+    prepare_point(target_memo)
     sign = duality_sign(W) * (-1 if flip_sign else 1)
     flip = [W.mul(t0, W.inv(w)) for w in range(W.order)]  # w -> tau0 w^{-1}
-    columns = [source_tables[f] for f in flip]  # sigma -> table of tau0 sigma^{-1}
-    rows = ([col[f_omega] for col in columns] for f_omega in flip)
-    lhs_rows = list(rows) if sign > 0 else [[-v for v in row] for row in rows]
-    return lhs_rows, rhs_rows
+    rhs_rows = (bs_table(target_memo, W.reduced_word(w)) for w in range(W.order))
+    return _lhs_rows(source_memo, flip, sign), rhs_rows
+
+
+def _lhs_rows(memo: StepMemo, flip: list, sign: int):
+    """The signed rows sigma -> source table of flip[sigma] at flip[omega],
+    by omega, from the tables of memo's group made at the first row."""
+    W = memo.group
+    tables = [bs_table(memo, W.reduced_word(w)) for w in range(W.order)]
+    columns = [tables[f] for f in flip]  # sigma -> table of tau0 sigma^{-1}
+    for f_omega in flip:
+        row = [col[f_omega] for col in columns]
+        yield row if sign > 0 else [-v for v in row]
 
 
 def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
@@ -75,15 +90,18 @@ def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
 
 def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> tuple:
     """(straight, twisted_rows): EE_sigma(X_omega) is straight[omega][sigma],
-    and twisted_rows[omega][sigma] is its relabeled conjugate side."""
+    and twisted_rows[omega][sigma] is its relabeled conjugate side. Every
+    delta value is computed here, as in duality_pairs; the rows are
+    iterators that make one table each as they are read."""
     t0 = W.longest
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     straight_memo = StepMemo(W, point)
     twisted_memo = StepMemo(W, relabel_point(W, point), straight_memo)
-    straight = [bs_table(straight_memo, W.reduced_word(w)) for w in range(W.order)]
-    twisted = [bs_table(twisted_memo, W.reduced_word(conj[w]))
-               for w in range(W.order)]
-    return straight, [tuple(row[c] for c in conj) for row in twisted]
+    prepare_point(straight_memo)
+    prepare_point(twisted_memo, steps=W.word_steps(conj))
+    straight = (bs_table(straight_memo, W.reduced_word(w)) for w in range(W.order))
+    twisted = (bs_table(twisted_memo, W.reduced_word(conj[w])) for w in range(W.order))
+    return straight, (tuple(row[c] for c in conj) for row in twisted)
 
 
 def f_interpretation_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:

@@ -330,16 +330,20 @@ class ExactContext(QContext):
         """delta(a, b) from its divisor-sum q-expansion (module text), in
         integers over the scale (u-v)(s-t)(uvst)^N for a = u/v, b = s/t and
         N = order: a sum of products per power of q and one reduction. The
-        _power_rows of (u, v) and (s, t) are read from, or kept in, powers."""
+        _power_rows of (u, v) and (s, t) are read from, or kept in, powers.
+        The list of the N positive powers' sums comes first, so that an
+        order too large to hold fails with MemoryError before any power row
+        is made."""
         u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
         for num, den in ((u, v), (s, t)):
             if num == 0:
                 raise ZeroArgumentError("delta argument is 0")
             if num == den:
                 raise SingularPointError("delta argument is 1 (pole)")
+        n = self.order
+        sums = [0] * n  # sums[j] is the coefficient of q^(j+1) over poles
         if powers is None:
             powers = {}
-        n = self.order
         rows = []
         for key in ((u, v), (s, t)):
             row = powers.get(key)
@@ -347,16 +351,14 @@ class ExactContext(QContext):
                 row = powers[key] = _power_rows(*key, n)
             rows.append(row)
         (down_a, up_a), (down_b, up_b) = rows
-        coeffs = [0] * (n + 1)
         for m in range(1, n + 1):
             dm, um = down_a[m], up_a[m]
-            for k, mk in enumerate(range(m, n + 1, m), 1):
-                coeffs[mk] += dm * down_b[k] - um * up_b[k]
+            for k, mk in enumerate(range(m - 1, n, m), 1):
+                sums[mk] += dm * down_b[k] - um * up_b[k]
         poles = (u - v) * (s - t)
         scale = up_a[0] * up_b[0]
-        coeffs = [poles * c for c in coeffs]
-        coeffs[0] = (u * s - v * t) * scale
-        return QSeries._new(coeffs, poles * scale)
+        return QSeries._new([(u * s - v * t) * scale] + [poles * c for c in sums],
+                            poles * scale)
 
     def draw(self, n: int, rng: Random) -> tuple:
         """n rationals u/v with 0 < |u|, v < 100 and u != v, drawn one after

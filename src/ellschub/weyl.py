@@ -34,7 +34,9 @@ class GroupTooLargeError(RuntimeError):
 class WeylGroup:
     """A Weyl group with its multiplication, word and root tables, all
     computed once by enumerate_group. The element tables, from lengths to
-    star, are shared with the dual group that dual_group derives."""
+    star, are shared with the dual group that dual_group derives. `steps`
+    = word_steps(range(order)), which the campaigns read, is computed on
+    construction as well, as an attribute that is not a field."""
 
     rs: RootSystem
     lengths: tuple[int, ...]
@@ -52,6 +54,13 @@ class WeylGroup:
     coroots: tuple[tuple[int, ...], ...]
     # [s-1][i] -> index of s_s(roots[i]) in roots, and of s_s(coroots[i]) in coroots
     reflected: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        # set as the fields are: a lazy attribute written to the instance's
+        # __dict__ (functools.cached_property) makes CPython give the
+        # instance a dict of its own, which slowed every attribute read of
+        # the table loops, complex B3 recursions by about a tenth
+        object.__setattr__(self, "steps", self.word_steps(range(self.order)))
 
     @property
     def order(self) -> int:
@@ -103,6 +112,26 @@ class WeylGroup:
         for s in reversed(self.words[w]):
             i = self.reflected[s - 1][i]
         return i
+
+    def step_coroots(self, word) -> tuple:
+        """(u, gammas): u = product(word)^-1, and gammas[j] the index in
+        coroots of u_j(alpha_s^v), s = word[j] and u_j =
+        product(word[j+1:])^-1. Step j of a table along word makes the table
+        of word[:j+1] at the point nu-transformed by word[j+1:], where nu_s
+        is the value of that coroot at the point itself."""
+        u, gammas = self.identity, []
+        for s in reversed(word):
+            gammas.append(self.root_index[u][s - 1])
+            u = self.rmult_table[u][s - 1]
+        return u, gammas[::-1]
+
+    def word_steps(self, elements) -> tuple:
+        """The distinct steps (s, g) of the reduced words of elements, in
+        the order a walk over the words, each from its first letter, meets
+        them: letter s read with nu_s the coroot of index g (step_coroots)."""
+        return tuple(dict.fromkeys(
+            step for word in map(self.words.__getitem__, elements)
+            for step in zip(word, self.step_coroots(word)[1])))
 
 
 def _walk(rmult_table, w: int, word) -> int:

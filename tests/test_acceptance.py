@@ -136,7 +136,7 @@ def test_criterion_3_duality():
             Wd = dual_group(W)
             for k in range(3):
                 point = seeded_exact_point(W.rank, f"dual:{label}:{k}")
-                lhs_rows, rhs_rows = duality_pairs(W, Wd, point)
+                lhs_rows, rhs_rows = map(list, duality_pairs(W, Wd, point))
                 assert sum(map(len, lhs_rows)) == sum(map(len, rhs_rows)) == pair_count
                 for omega, sigma in product(range(W.order), repeat=2):
                     lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
@@ -293,7 +293,7 @@ def test_criterion_8_double_dual():
         A2 = group("A2")
         assert A2.star == (2, 1)
         point = seeded_exact_point(2, "dd:A2")
-        lhs_rows, rhs_rows = double_dual_pairs(A2, point)
+        lhs_rows, rhs_rows = map(list, double_dual_pairs(A2, point))
         assert sum(map(len, lhs_rows)) == sum(map(len, rhs_rows)) == 36
         for omega, sigma in product(range(A2.order), repeat=2):
             lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
@@ -305,7 +305,7 @@ def test_criterion_8_double_dual():
 
         point = seeded_exact_point(2, "dd:B2")
         assert relabel_point(B2, point).values == point.values
-        lhs_rows, rhs_rows = double_dual_pairs(B2, point)
+        lhs_rows, rhs_rows = map(list, double_dual_pairs(B2, point))
         for omega, sigma in product(range(B2.order), repeat=2):
             lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
             assert lhs == rhs

@@ -20,6 +20,7 @@ from ellschub.elliptic import (
     sample_point,
 )
 from ellschub.weyl import group
+from peak_rss import forked_peak_rss
 from weyl_reference import bruhat_leq
 
 
@@ -686,6 +687,10 @@ def test_qorder_too_large_for_an_index(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "duality", "--type", "A1", "--points", "1"],
     ["table", "--type", "A1", "--word", "1"],
+    ["verify", "recursions", "--type", "A1", "--points", "1"],
+    ["verify", "double-dual", "--type", "A1", "--points", "1"],
+    ["verify", "normalization", "--type", "A1", "--points", "1"],
+    ["corpus", "--points", "1"],
 ])
 def test_qorder_too_large_to_hold(argv, capsys):
     # sys.maxsize passes the index check, and a series of that length fails
@@ -696,39 +701,57 @@ def test_qorder_too_large_to_hold(argv, capsys):
     assert captured.err == "error: out of memory (too large a --qorder or group)\n"
 
 
-# Runs ellschub.cli.main(argv) in a process forked from this small interpreter
-# and prints that process's peak RSS in KiB to stderr. Linux carries the peak
-# of the process that spawns an interpreter into the interpreter's ru_maxrss,
-# so the campaign must run in a fork of a small process to read its own peak.
-FORKED_PEAK_RSS = """
-import os, resource, sys
-pid = os.fork()
-if pid:
-    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-code = 1
+# Calls the exact delta at q-order sys.maxsize in a process whose address
+# space is capped at 1 GiB, and prints its peak RSS in KiB once the call
+# raises MemoryError.
+CAPPED_DELTA = """
+import resource, sys
+from fractions import Fraction
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ellschub.elliptic import EXACT, QContext, delta
 try:
-    from ellschub.cli import main
-    code = main(sys.argv[1:])
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
-finally:
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    delta(Fraction(2), Fraction(3), QContext(EXACT, order=sys.maxsize))
+except MemoryError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+
+
+def test_exact_delta_at_an_order_too_large_to_hold_fails_at_once():
+    # delta makes its list of coefficients before the power rows of its
+    # arguments, which would otherwise grow until memory runs out; the cap
+    # turns such a regression into a failure here rather than an exhausted
+    # machine
+    import ellschub
+
+    src = os.path.dirname(os.path.dirname(ellschub.__file__))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_DELTA], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100 * 1024  # KiB: nothing was allocated
+
+
+# F4 complex duality at one point peaks at 40 MB with and without
+# --flip-sign (x86-64 Linux, CPython 3.11); it took 73 and 112 MB while a
+# point kept both grids of values, and a negated copy under --flip-sign
+F4_PEAK_MB = 60
 
 
 @pytest.mark.tier2
 def test_f4_complex_duality_peak_rss():
     # 1327104 records, 343 MB of them, written a chunk at a time: the peak is
-    # the point's value grids (72 MB on x86-64 Linux, CPython 3.11), not them
-    import ellschub
+    # the point's source grid (F4_PEAK_MB), not them
+    code, peak_mb = forked_peak_rss("verify", "duality", "--type", "F4", "--backend", "complex",
+                                    "--points", "1", "--seed", "0", "--out", os.devnull)
+    assert code == 1  # the complex backend's false failures
+    assert peak_mb < F4_PEAK_MB
 
-    src = os.path.dirname(os.path.dirname(ellschub.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", FORKED_PEAK_RSS, "verify", "duality", "--type", "F4",
-         "--backend", "complex", "--points", "1", "--seed", "0", "--out", os.devnull],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src}, timeout=600)
-    assert proc.returncode == 1  # the complex backend's false failures
-    peak_mb = int(proc.stderr.split()[-1]) / 1024
-    assert peak_mb < 150
+
+@pytest.mark.tier2
+def test_f4_complex_flip_sign_duality_peak_rss():
+    # a negative sign makes each lhs row afresh, one row at a time, and keeps
+    # no negated copy of the source grid
+    code, peak_mb = forked_peak_rss("verify", "duality", "--type", "F4", "--backend", "complex",
+                                    "--points", "1", "--seed", "0", "--flip-sign",
+                                    "--out", os.devnull)
+    assert code == 1
+    assert peak_mb < F4_PEAK_MB

@@ -132,7 +132,7 @@ def test_duality_all_pairs(label, exact_ctx):
     Wd = dual_group(W)
     for k in range(5):
         point = sample_point(W.rank, exact_ctx, Random(f"dual-{label}-{k}"))
-        lhs_rows, rhs_rows = duality_pairs(W, Wd, point)
+        lhs_rows, rhs_rows = map(list, duality_pairs(W, Wd, point))
         for omega, sigma in product(range(W.order), repeat=2):
             lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
             assert lhs == rhs, (omega, sigma)
@@ -144,7 +144,7 @@ def test_duality_complex_backend(label, complex_ctx):
     Wd = dual_group(W)
     for k in range(5):
         point = sample_point(W.rank, complex_ctx, Random(f"dualc-{label}-{k}"))
-        lhs_rows, rhs_rows = duality_pairs(W, Wd, point)
+        lhs_rows, rhs_rows = map(list, duality_pairs(W, Wd, point))
         for omega, sigma in product(range(W.order), repeat=2):
             lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
             scale = max(abs(lhs), abs(rhs))
@@ -157,7 +157,7 @@ def test_verify_duality_single_pair(exact_ctx):
     point = sample_point(2, exact_ctx, Random("single"))
     omega = W.from_word((1, 2))
     sigma = W.from_word((1,))
-    lhs_rows, rhs_rows = duality_pairs(W, Wd, point)
+    lhs_rows, rhs_rows = map(list, duality_pairs(W, Wd, point))
     lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
     assert is_zero(lhs - rhs)
 
@@ -167,7 +167,7 @@ def test_duality_sign_is_load_bearing(exact_ctx):
         W = group(label)
         Wd = dual_group(W)
         point = sample_point(W.rank, exact_ctx, Random(f"sign-{label}"))
-        lhs_rows, rhs_rows = duality_pairs(W, Wd, point, flip_sign=True)
+        lhs_rows, rhs_rows = map(list, duality_pairs(W, Wd, point, flip_sign=True))
         bad = [(omega, sigma) for omega, sigma in product(range(W.order), repeat=2)
                if lhs_rows[omega][sigma] != rhs_rows[omega][sigma]]
         assert bad, "flipping the sign must break at least one pair"
@@ -185,7 +185,7 @@ def test_duality_sign_values():
 def test_double_dual_a2(exact_ctx):
     W = group("A2")
     point = sample_point(2, exact_ctx, Random("dd-a2"))
-    lhs_rows, rhs_rows = double_dual_pairs(W, point)
+    lhs_rows, rhs_rows = map(list, double_dual_pairs(W, point))
     assert sum(map(len, lhs_rows)) == sum(map(len, rhs_rows)) == 36
     for omega, sigma in product(range(W.order), repeat=2):
         lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
@@ -197,7 +197,7 @@ def test_double_dual_b2_trivial(exact_ctx):
     # constraint is 0 = 0 on the nose
     W = group("B2")
     point = sample_point(2, exact_ctx, Random("dd-b2"))
-    lhs_rows, rhs_rows = double_dual_pairs(W, point)
+    lhs_rows, rhs_rows = map(list, double_dual_pairs(W, point))
     for omega, sigma in product(range(W.order), repeat=2):
         lhs, rhs = lhs_rows[omega][sigma], rhs_rows[omega][sigma]
         assert lhs == rhs
@@ -208,7 +208,7 @@ def test_double_dual_identity_entry(exact_ctx):
     # index relabeling
     W = group("A2")
     point = sample_point(2, exact_ctx, Random("dd-id"))
-    lhs_rows, rhs_rows = double_dual_pairs(W, point)
+    lhs_rows, rhs_rows = map(list, double_dual_pairs(W, point))
     lhs, rhs = lhs_rows[W.identity][W.identity], rhs_rows[W.identity][W.identity]
     assert lhs == rhs
 
