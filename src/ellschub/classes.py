@@ -24,10 +24,10 @@ each right coset {sigma, sigma s}. A step makes the cosets that meet its
 table's support, each by one call of a coset kernel of the context's
 ring (QContext.pair or single), which returns both new entries.
 
-Unnormalized classes E start from E_id(X_id) = 1 and follow a reduced word
-of omega, so every step raises the length and takes the two Bott-Samelson
-coefficients without the division by delta(nu_s, h); the two are related
-by EE = c(G, omega) . E with
+Unnormalized classes E take the same walk from E_id(X_id) = 1 along a
+reduced word of omega, so every step raises the length, with the two
+Bott-Samelson coefficients not divided by delta(nu_s, h); the two are
+related by EE = c(G, omega) . E with
 
     c(G, omega) = prod over reflections s with omega(alpha_s) positive
                   of delta(nu_s^{-1}, h).
@@ -39,15 +39,8 @@ from functools import reduce
 from itertools import compress
 from operator import mul
 
-from .elliptic import EvalPoint, SingularPointError, delta, monomial_map
+from .elliptic import EvalPoint, delta, monomial_map
 from .weyl import WeylGroup
-
-
-def _checked_div(num, den):
-    try:
-        return num / den
-    except ZeroDivisionError as err:
-        raise SingularPointError(str(err)) from err
 
 
 def _negated(W: WeylGroup, i: int) -> int:
@@ -66,10 +59,6 @@ def initial_table(memo: StepMemo, u: int = 0) -> tuple:
     values[W.identity] = _h_product(memo, (  # u(-gamma) for the -gamma
         memo.coroots[W.act(u, i)] for i in range(len(W.coroots) // 2, len(W.coroots))))
     return tuple(values)
-
-
-def _identity_support(W: WeylGroup) -> tuple[bool, ...]:
-    return (True,) + (False,) * (W.order - 1)  # W.identity is 0
 
 
 def _h_product(memo: StepMemo, values):
@@ -92,11 +81,12 @@ class StepMemo:
     prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
     W.roots and W.coroots. A step reads nu_s as coroot g and sigma(alpha_s),
     or the twist's image of alpha_s, as root r, so its coefficient pairs are
-    kept in rows [g][r]: `normalized` those of bs_step (bs_row), divided by
-    delta(nu_s, h), `unnormalized` the undivided ones of unnormalized_table,
-    and `rmatrix` those of rmatrix_table (rmatrix_row), which read roots r
-    and -r. A campaign fills the memo before it builds any table
-    (prepare_point), so that its tables only read it."""
+    kept in rows [g][r], each made once, whole (`coefficients`): `normalized`
+    those of bs_step (bs_row), divided by delta(nu_s, h), `unnormalized` the
+    undivided ones of unnormalized_table, and `rmatrix` those of
+    rmatrix_table (rmatrix_row), which read roots r and -r. A campaign fills
+    the memo before it builds any table (prepare_point), so that its tables
+    only read it."""
 
     __slots__ = ("group", "point", "roots", "coroots", "normalized", "unnormalized",
                  "rmatrix", "deltas", "powers")
@@ -131,22 +121,18 @@ class StepMemo:
 
     def coefficients(self, kept: list, s: int, g: int, coefficients) -> list:
         """[r] -> coefficients(r) for every root r of a step by s that reads
-        nu_s as coroot g, worked out once and kept in kept[g].
-
-        Missing pairs are computed in the order the roots first appear over
-        sigma, as a per-sigma loop meets them, and a kept pair raised
-        nothing when it was computed; so a singular point raises the same
-        error, also for a root whose entries are all outside the support."""
+        nu_s as coroot g, made whole once and kept in kept[g]: those roots are
+        the W-orbit of roots[g], whatever s. They are computed in the order
+        they first appear over sigma, as a per-sigma loop meets them, so a
+        singular point raises the same error, also for a root whose entries
+        are all outside the support."""
         row = kept[g]
         if row is None:
-            row = kept[g] = [None] * len(self.roots)
-        for r in self.group.step_roots[s - 1]:
-            if row[r] is None:
+            row = [None] * len(self.roots)
+            for r in self.group.step_roots[s - 1]:
                 row[r] = coefficients(r)
+            kept[g] = row
         return row
-
-
-_step_coroots = WeylGroup.step_coroots  # (W, word) -> (u, gammas)
 
 
 def bs_row(memo: StepMemo, s: int, g: int) -> list:
@@ -157,9 +143,7 @@ def bs_row(memo: StepMemo, s: int, g: int) -> list:
     nu_val, h = memo.coroots[g], memo.point.h
     den = memo.delta(nu_val, h)
     return memo.coefficients(memo.normalized, s, g, lambda r: (
-        _checked_div(memo.delta(memo.roots[r], nu_val), den),
-        _checked_div(memo.delta(memo.roots[r], h), den),
-    ))
+        memo.delta(memo.roots[r], nu_val) / den, memo.delta(memo.roots[r], h) / den))
 
 
 def rmatrix_row(memo: StepMemo, s: int, g: int) -> list:
@@ -170,8 +154,8 @@ def rmatrix_row(memo: StepMemo, s: int, g: int) -> list:
     W, h = memo.group, memo.point.h
     den = memo.delta(memo.coroots[_negated(W, g)], h)
     return memo.coefficients(memo.rmatrix, s, g, lambda r: (
-        _checked_div(memo.delta(memo.roots[r], memo.coroots[g]), den),
-        _checked_div(memo.delta(memo.roots[_negated(W, r)], h), den)))
+        memo.delta(memo.roots[r], memo.coroots[g]) / den,
+        memo.delta(memo.roots[_negated(W, r)], h) / den))
 
 
 def prepare_point(memo: StepMemo, rmatrix: bool = False, steps=None) -> None:
@@ -205,9 +189,15 @@ def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tu
     combined (bs_row). support[sigma] is False where the recursion makes
     values[sigma] zero: outside the Bruhat interval below omega, for a
     reduced word."""
-    values, support = _step_values(memo.group, values, support, s, bs_row(memo, s, g),
-                                   memo.point.ctx)
-    return tuple(values), support
+    return _step_values(memo.group, values, support, s, bs_row(memo, s, g), memo.point.ctx)
+
+
+def _unnormalized_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tuple:
+    """bs_step with the undivided coefficients, kept in memo.unnormalized."""
+    nu_val, h = memo.coroots[g], memo.point.h
+    row = memo.coefficients(memo.unnormalized, s, g, lambda r: (
+        memo.delta(memo.roots[r], nu_val), memo.delta(memo.roots[r], h)))
+    return _step_values(memo.group, values, support, s, row, memo.point.ctx)
 
 
 def _step_values(W: WeylGroup, values, support, s: int, coeffs, ctx):
@@ -236,38 +226,37 @@ def _step_values(W: WeylGroup, values, support, s: int, coeffs, ctx):
             out[sigma], out[other] = pair(coeffs[root_index[sigma][i]],
                                           coeffs[root_index[other][i]],
                                           values[sigma], values[other])
-    return out, tuple(grown)
+    return tuple(out), tuple(grown)
 
 
 def bs_table(memo: StepMemo, word) -> tuple:
     """EE values by sigma of memo's group at memo's point for omega =
     product of word (need not be reduced); the tables at one point share
     their step coefficients through the memo."""
-    word = tuple(word)
-    u, gammas = _step_coroots(memo.group, word)
-    values, support = initial_table(memo, u), _identity_support(memo.group)
-    for s, g in zip(word, gammas):
-        values, support = bs_step(memo, values, support, s, g)
-    return values
+    word, W = tuple(word), memo.group
+    u, gammas = W.step_coroots(word)
+    return _walk(memo, word, gammas, initial_table(memo, u)[W.identity], bs_step)
 
 
 def unnormalized_table(memo: StepMemo, omega: int) -> tuple:
     """E values by sigma (no normalization) for the element omega, built
-    along W.reduced_word(omega): every step raises the length, so each is a
-    Bott-Samelson step with the undivided coefficients. memo as for
-    bs_table."""
-    W, point = memo.group, memo.point
-    word = W.reduced_word(omega)
-    h, zero = point.h, point.ctx.zero()
-    values = [zero] * W.order
-    values[W.identity] = point.ctx.one()
-    support = _identity_support(W)
-    for s, g in zip(word, _step_coroots(W, word)[1]):
-        nu_val = memo.coroots[g]
-        coeffs = memo.coefficients(memo.unnormalized, s, g, lambda r: (
-            memo.delta(memo.roots[r], nu_val), memo.delta(memo.roots[r], h)))
-        values, support = _step_values(W, values, support, s, coeffs, point.ctx)
-    return tuple(values)
+    along W.reduced_word(omega) from 1: every step raises the length, so
+    each is a Bott-Samelson step with the undivided coefficients. memo as
+    for bs_table."""
+    word = memo.group.reduced_word(omega)
+    return _walk(memo, word, memo.group.step_coroots(word)[1], memo.point.ctx.one(),
+                 _unnormalized_step)
+
+
+def _walk(memo: StepMemo, word, gammas, start, step) -> tuple:
+    """The table after step(memo, values, support, s, g) for each letter s
+    of word and coroot g of gammas, from the table of omega = id, which is
+    start at the identity and zero elsewhere."""
+    rest = memo.group.order - 1  # W.identity is 0
+    values, support = (start,) + (memo.point.ctx.zero(),) * rest, (True,) + (False,) * rest
+    for s, g in zip(word, gammas):
+        values, support = step(memo, values, support, s, g)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +270,7 @@ def rmatrix_table(memo: StepMemo, word) -> tuple:
     reads, and the recursion reads its delta values through the memo."""
     word = tuple(word)
     W = memo.group
-    steps = [(s, rmatrix_row(memo, s, g)) for s, g in zip(word, _step_coroots(W, word)[1])]
+    steps = [(s, rmatrix_row(memo, s, g)) for s, g in zip(word, W.step_coroots(word)[1])]
     # the initial product reads no zeta value, so no twist moves it
     start, zero = initial_table(memo)[W.identity], memo.point.ctx.zero()
     return tuple(_rmatrix_value(W, steps, {(len(steps), sigma): start}, zero, 0, W.identity)
@@ -336,7 +325,7 @@ def c_recursion_right_sides(memo: StepMemo, omega: int, s: int):
     g = W.root_index[W.identity][s - 1]  # alpha_s^v
     nu_val, nu_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
     if W.length(W.rmult(omega, s)) > W.length(omega):
-        rhs = _checked_div(shifted, memo.delta(nu_val, h))
+        rhs = shifted / memo.delta(nu_val, h)
     else:
         rhs = memo.delta(nu_inv, h) * shifted
     return lhs, rhs
@@ -350,7 +339,7 @@ def c_recursion_left_sides(memo: StepMemo, omega: int, s: int):
     g = W.root_index[W.inv(omega)][s - 1]
     gamma_val, gamma_inv = memo.coroots[g], memo.coroots[_negated(W, g)]
     if W.length(W.lmult(s, omega)) > W.length(omega):
-        rhs = _checked_div(base, memo.delta(gamma_inv, h))
+        rhs = base / memo.delta(gamma_inv, h)
     else:
         rhs = memo.delta(gamma_val, h) * base
     return lhs, rhs

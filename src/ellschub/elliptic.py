@@ -245,8 +245,6 @@ def _over_one_den(a, x, b, y):
     b*y have the numerators p*(a.num*x.num) and q*(b.num*y.num) over den,
     their least common denominator."""
     da, db = a.den * x.den, b.den * y.den
-    if da == db:
-        return a.num, b.num, da
     g = gcd(da, db)
     p, q = db // g, da // g
     return [p * v for v in a.num], [q * v for v in b.num], da * p
@@ -457,7 +455,8 @@ class ComplexContext(QContext):
                 raise SingularPointError("delta argument hits a q-shifted pole")
             val *= (1 - qn * ab) * (1 - qn / ab) * square / den
         else:
-            raise ValueError(f"q = {self.q:g}: 10000 factors leave a product's tail above 1e-18")
+            raise ValueError(f"q = {str(self.q).strip('()')}: 10000 factors leave a "
+                             "product's tail above 1e-18")
         if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
             raise SingularPointError("delta value outside the range of doubles")
         return val

@@ -4,7 +4,7 @@ form E_sigma(X_sigma). Each reads the group and the point as the library
 does, by index from a StepMemo, so the tests can hold them against
 `ellschub.classes` and against the coordinate references."""
 
-from ellschub.classes import StepMemo, _checked_div, _h_product, _negated, bs_table, initial_table
+from ellschub.classes import StepMemo, _h_product, _negated, bs_table, initial_table
 from ellschub.weyl import WeylGroup
 
 
@@ -18,7 +18,7 @@ def _inverted(W: WeylGroup, w: int) -> list:
 def em_table(memo: StepMemo, word) -> tuple:
     """Em normalization: EE divided by the full delta product over Pi."""
     full = initial_table(memo)[memo.group.identity]
-    return tuple(_checked_div(v, full) for v in bs_table(memo, word))
+    return tuple(v / full for v in bs_table(memo, word))
 
 
 def tangent_weights(W: WeylGroup, omega: int) -> frozenset:

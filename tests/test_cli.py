@@ -670,6 +670,12 @@ def test_complex_q_too_close_to_1_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: q = 0.999+0j: 10000 factors")
+    # q is printed as it was given, not rounded to 1
+    argv = ["table", "--type", "A1", "--word", "1", "--backend", "complex", "--q", "0.9999999"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: q = 0.9999999+0j: 10000 factors")
 
 
 @pytest.mark.parametrize("argv", [

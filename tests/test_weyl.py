@@ -1,5 +1,6 @@
 from dataclasses import fields
 from itertools import combinations
+from random import Random
 
 import pytest
 
@@ -383,3 +384,50 @@ def test_e6_dual_is_the_group():
 @pytest.mark.tier2
 def test_e6_tables_equal_the_matrix_search():
     assert_matches_matrix_search(group("E6"))
+
+
+# --- the roots a step reads depend only on its coroot ----------------------
+
+
+def orbit(W, i):
+    """The indices of the W-orbit of roots[i], closed under the simple
+    reflections."""
+    seen, todo = {i}, [i]
+    while todo:
+        j = todo.pop()
+        for row in W.reflected:
+            if row[j] not in seen:
+                seen.add(row[j])
+                todo.append(row[j])
+    return seen
+
+
+def assert_step_roots_are_the_orbit_of_the_coroot(W, words):
+    """Every step (s, g) of W.steps, and of step_coroots on words, reads the
+    roots step_roots[s-1]: the orbit of roots[g], so a coefficient row kept
+    by g serves every step that reads g."""
+    steps = set(W.steps)
+    for word in words:
+        steps.update(zip(word, W.step_coroots(word)[1]))
+    orbits = {}
+    for s, g in steps:
+        if g not in orbits:
+            orbits[g] = orbit(W, g)
+        assert set(W.step_roots[s - 1]) == orbits[g], (s, g)
+
+
+@pytest.mark.parametrize("label", ALL_RANK_AT_MOST_5)
+def test_step_roots_are_the_orbit_of_the_coroot(label):
+    rng = Random(f"orbit-steps:{label}")
+    for W in (group(label), dual_group(group(label))):
+        # words with repeated letters are not reduced
+        words = [[rng.randint(1, W.rank) for _ in range(rng.randint(2, 12))] for _ in range(20)]
+        assert_step_roots_are_the_orbit_of_the_coroot(W, words)
+
+
+@pytest.mark.tier2
+def test_e6_step_roots_are_the_orbit_of_the_coroot():
+    W = group("E6")
+    rng = Random("orbit-steps:E6")
+    words = [[rng.randint(1, 6) for _ in range(rng.randint(2, 12))] for _ in range(20)]
+    assert_step_roots_are_the_orbit_of_the_coroot(W, words)
