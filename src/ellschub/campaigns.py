@@ -6,9 +6,10 @@ arguments give identical records. One loop, ``_records``, draws each point,
 redraws it by ``resample`` while it hits a singularity, and builds the
 records of the point's rows of checks a row at a time, as they are read.
 Each point runs in two phases: inside ``resample`` every delta value the
-point's checks read is computed (``classes.prepare_point``), and with it
-every singularity found; then, outside it, the tables are built a row at a
-time, which cannot raise, as the records are read.
+point's checks read is called and checked (``classes.prepare_point``), and
+with it every singularity found; then, outside it, the tables are built a
+row at a time, which cannot raise, as the records are read (an exact
+series is expanded there, on its first read, which raises nothing).
 Each row comes from a row builder made by ``record``, which encodes the
 fields shared by all records of one kind of check once per campaign, and
 compares and formats a whole row of checks under the verdict rule of the

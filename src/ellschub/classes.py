@@ -161,10 +161,12 @@ def rmatrix_row(memo: StepMemo, s: int, g: int) -> list:
 def prepare_point(memo: StepMemo, rmatrix: bool = False, steps=None) -> None:
     """Phase 1 of a point: every delta value and coefficient row that
     bs_table, and with rmatrix rmatrix_table too, reads along the reduced
-    words of memo's group, so that a singular point raises its
-    SingularPointError here and the tables built afterwards compute no delta
-    and raise nothing. steps is W.word_steps of the elements in the order
-    their tables are built, W.steps (index order) by default.
+    words of memo's group is called and checked here, so that a singular
+    point raises its SingularPointError here and the tables built afterwards
+    call no delta and raise nothing. An exact value's series is expanded
+    when a table first reads it (elliptic.QSeries). steps is W.word_steps
+    of the elements in the order their tables are built, W.steps (index
+    order) by default.
 
     The initial products read delta(x, h) at the negative coroots and, on
     the word of w, at the positive coroots w sends to negative ones: the

@@ -54,11 +54,11 @@ def duality_pairs(W: WeylGroup, Wdual: WeylGroup, point: EvalPoint,
     is dual_group(W). The pair (omega, sigma) has the signed lhs
     lhs_rows[omega][sigma] and the rhs rhs_rows[omega][sigma].
 
-    Every delta value of the point is computed here (prepare_point), so a
-    singular point raises here. The rows are iterators, built as they are
-    read, and raise nothing: rhs_rows makes one dual table per row, and
-    lhs_rows makes the |W| source tables at its first row and keeps them,
-    as their columns are its rows."""
+    Every delta value of the point is called and checked here
+    (prepare_point), so a singular point raises here. The rows are
+    iterators, built as they are read, and raise nothing: rhs_rows makes one
+    dual table per row, and lhs_rows makes the |W| source tables at its
+    first row and keeps them, as their columns are its rows."""
     t0 = W.longest
     source_memo, target_memo = StepMemo(W, pull_point(W, point)), StepMemo(Wdual, point)
     prepare_point(source_memo)
@@ -91,8 +91,8 @@ def relabel_point(W: WeylGroup, p: EvalPoint) -> EvalPoint:
 def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> tuple:
     """(straight, twisted_rows): EE_sigma(X_omega) is straight[omega][sigma],
     and twisted_rows[omega][sigma] is its relabeled conjugate side. Every
-    delta value is computed here, as in duality_pairs; the rows are
-    iterators that make one table each as they are read."""
+    delta value is called and checked here, as in duality_pairs; the rows
+    are iterators that make one table each as they are read."""
     t0 = W.longest
     conj = [W.mul(W.mul(t0, w), t0) for w in range(W.order)]
     straight_memo = StepMemo(W, point)

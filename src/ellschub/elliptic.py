@@ -28,11 +28,15 @@ branch-free product rearrangement
               / ((1-q^n a)(1-q^n/a)(1-q^n b)(1-q^n/b)),
 
 since its printed digits depend on the order of its float operations.
-The tests check delta against its defining quotient with theta and
-theta'(1), which live in tests/elliptic_reference.py. eval_monomial,
-transform_point and twist_point stay here only because the benchmark
-tracer wraps them by name; the library reads every root and coroot value
-by index from a StepMemo.
+An exact delta value or quotient runs every check that can raise when it
+is made, and its series is expanded when first read (QSeries): so a
+point's phase 1 finds every singular point, and a series that no table
+reads is never expanded. The tests check delta against its defining
+quotient with theta and theta'(1), which live in
+tests/elliptic_reference.py. eval_monomial, transform_point and
+twist_point stay here only because the benchmark tracer wraps them by
+name; the library reads every root and coroot value by index from a
+StepMemo.
 
 Formal variables for a rank-r group are ordered (zeta_1..zeta_r,
 nu_1..nu_r, h); a monomial is an exponent row, an int tuple over them.
@@ -117,9 +121,19 @@ class QSeries:
     products over one denominator and reduces it once. Division multiplies
     by the divisor's reciprocal, which a series computes on the first
     division by it and then keeps.
+
+    A delta value and a quotient are deferred: every check that can raise
+    runs when the value is made (ExactContext.delta's zero and pole
+    arguments and its list of sums; a division's mixed orders and the
+    divisor's reciprocal, which raises SingularPointError on a zero
+    constant term), and ``num`` and ``den`` are computed on their first
+    read. Until then `_make` holds (length, make, args) with make(*args)
+    the unreduced (numerators, denominator); it is dropped once the series
+    is made, and making one raises nothing but MemoryError. So a value
+    that no table reads is checked but never expanded.
     """
 
-    __slots__ = ("num", "den", "_inv")
+    __slots__ = ("num", "den", "_inv", "_make")
 
     def __init__(self, coeffs):
         fracs = [Fraction(c) for c in coeffs]
@@ -143,6 +157,32 @@ class QSeries:
         return out
 
     @classmethod
+    def _deferred(cls, length, make, *args):
+        """The series of `length` coefficients num/den, (num, den) =
+        make(*args), made and reduced on the first read of num or den."""
+        out = object.__new__(cls)
+        out._inv = None
+        out._make = length, make, args
+        return out
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: num and den of a deferred series
+        if name != "num" and name != "den":
+            raise AttributeError(name)
+        _, make, args = self._make
+        made = QSeries._new(*make(*args))
+        self.num, self.den = made.num, made.den
+        del self._make
+        return made.num if name == "num" else made.den
+
+    def _length(self):
+        """The number of coefficients, without making a deferred series."""
+        try:
+            return self._make[0]
+        except AttributeError:
+            return len(self.num)
+
+    @classmethod
     def constant(cls, value, order):
         value = Fraction(value)
         return cls._new((value.numerator,) + (0,) * order, value.denominator)
@@ -164,11 +204,11 @@ class QSeries:
 
     def _coerce(self, other):
         if isinstance(other, QSeries):
-            if len(other.num) != len(self.num):
+            if len(other.num) != self._length():
                 raise ValueError("mixed truncation orders")
             return other
         if isinstance(other, (int, Fraction)):
-            return QSeries.constant(other, len(self.num) - 1)
+            return QSeries.constant(other, self._length() - 1)
         return None
 
     def _aligned(self, other):
@@ -202,16 +242,17 @@ class QSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QSeries._new(_convolve(self.num, other.num), self.den * other.den)
+        return QSeries._new(*_product(self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """self times the divisor's reciprocal, made here; the product is
+        deferred, so the dividend is not read until the quotient is."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        inv = other._reciprocal()
-        return QSeries._new(_convolve(self.num, inv.num), self.den * inv.den)
+        return QSeries._deferred(len(other.num), _product, self, other._reciprocal())
 
     def _reciprocal(self):
         """1/self, worked out on the first division by self and then kept.
@@ -227,6 +268,11 @@ class QSeries:
             db = self.den
             inv = self._inv = QSeries._new([x * db for x in num], den)
         return inv
+
+
+def _product(a, b):
+    """The numerators and denominator of a*b for QSeries a, b, unreduced."""
+    return _convolve(a.num, b.num), a.den * b.den
 
 
 def _convolve(a, b):
@@ -284,6 +330,28 @@ def _power_rows(u, v, order):
             [pu[order + m] * pv[order - m] for m in range(order + 1)])
 
 
+def _delta_terms(u, v, s, t, sums, powers):
+    """The numerators and denominator of delta(u/v, s/t), unreduced, in
+    integers over the scale (u-v)(s-t)(uvst)^N, N = len(sums): a sum of
+    products per power of q into sums, zeros on entry. The _power_rows of
+    (u, v) and (s, t) are read from, or kept in, powers."""
+    n = len(sums)
+    rows = []
+    for key in ((u, v), (s, t)):
+        row = powers.get(key)
+        if row is None:
+            row = powers[key] = _power_rows(*key, n)
+        rows.append(row)
+    (down_a, up_a), (down_b, up_b) = rows
+    for m in range(1, n + 1):
+        dm, um = down_a[m], up_a[m]
+        for k, mk in enumerate(range(m - 1, n, m), 1):
+            sums[mk] += dm * down_b[k] - um * up_b[k]
+    poles = (u - v) * (s - t)
+    scale = up_a[0] * up_b[0]
+    return [(u * s - v * t) * scale] + [poles * c for c in sums], poles * scale
+
+
 class ExactContext(QContext):
     """Truncated q-series (QSeries), exact modulo q^(order+1); q is not read."""
 
@@ -325,38 +393,20 @@ class ExactContext(QContext):
         return QSeries._new(out1, a.den * x.den), QSeries._new(out2, d.den * x.den)
 
     def delta(self, a, b, powers: dict | None = None) -> QSeries:
-        """delta(a, b) from its divisor-sum q-expansion (module text), in
-        integers over the scale (u-v)(s-t)(uvst)^N for a = u/v, b = s/t and
-        N = order: a sum of products per power of q and one reduction. The
-        _power_rows of (u, v) and (s, t) are read from, or kept in, powers.
-        The list of the N positive powers' sums comes first, so that an
-        order too large to hold fails with MemoryError before any power row
-        is made."""
+        """delta(a, b) from its divisor-sum q-expansion (module text), made
+        on its first read (_delta_terms). The zero and pole arguments raise
+        here, and so does an order too large to hold: the list of the N
+        positive powers' sums, N = order, is made here, with MemoryError
+        before any power row is made."""
         u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
         for num, den in ((u, v), (s, t)):
             if num == 0:
                 raise ZeroArgumentError("delta argument is 0")
             if num == den:
                 raise SingularPointError("delta argument is 1 (pole)")
-        n = self.order
-        sums = [0] * n  # sums[j] is the coefficient of q^(j+1) over poles
-        if powers is None:
-            powers = {}
-        rows = []
-        for key in ((u, v), (s, t)):
-            row = powers.get(key)
-            if row is None:
-                row = powers[key] = _power_rows(*key, n)
-            rows.append(row)
-        (down_a, up_a), (down_b, up_b) = rows
-        for m in range(1, n + 1):
-            dm, um = down_a[m], up_a[m]
-            for k, mk in enumerate(range(m - 1, n, m), 1):
-                sums[mk] += dm * down_b[k] - um * up_b[k]
-        poles = (u - v) * (s - t)
-        scale = up_a[0] * up_b[0]
-        return QSeries._new([(u * s - v * t) * scale] + [poles * c for c in sums],
-                            poles * scale)
+        sums = [0] * self.order  # sums[j] is the coefficient of q^(j+1) over poles
+        return QSeries._deferred(self.order + 1, _delta_terms, u, v, s, t, sums,
+                                 {} if powers is None else powers)
 
     def draw(self, n: int, rng: Random) -> tuple:
         """n rationals u/v with 0 < |u|, v < 100 and u != v, drawn one after
@@ -505,7 +555,8 @@ RINGS = {EXACT: ExactContext, COMPLEX: ComplexContext}
 
 
 def delta(a, b, ctx: QContext, *, powers: dict | None = None):
-    """delta(a, b) in the ring of ctx, computed afresh on every call; the
+    """delta(a, b) in the ring of ctx, called afresh on every call (an
+    exact value is checked here and expanded on its first read); the
     values of one point are kept by the point's classes.StepMemo. powers
     lends the ring's tables of earlier calls and keeps the new ones (exact:
     argument (num, den) -> _power_rows at ctx.order; complex: q -> q-power
@@ -560,11 +611,16 @@ def monomial_map(values, rows) -> tuple:
     values[0]**0, the backend's one. Every change of variables of
     evaluation points (sector transforms, twists, the duality maps, chart
     points) and every corpus monomial is such a table of rows and goes
-    through here.
+    through here. Fraction values give the same value from one integer
+    numerator and denominator per monomial, normalized once
+    (_fraction_monomials); any other values take the products above, in
+    that order, as the complex digests pin them.
 
     >>> monomial_map((Fraction(2), Fraction(3)), ((0, 1), (2, -1), (0, 0)))
     (Fraction(3, 1), Fraction(4, 3), Fraction(1, 1))
     """
+    if values and isinstance(values[0], Fraction):
+        return _fraction_monomials(values, rows)
     out = ()  # rows are few, and for one row a growing tuple beats a list
     for row in rows:
         acc = None
@@ -572,6 +628,24 @@ def monomial_map(values, rows) -> tuple:
             if e:
                 acc = v**e if acc is None else acc * v**e
         out += (values[0] ** 0 if acc is None else acc,)
+    return out
+
+
+def _fraction_monomials(values, rows) -> tuple:
+    """monomial_map for rational values: each monomial's numerator and
+    denominator multiplied up in integers and made a Fraction once."""
+    pairs = [(v.numerator, v.denominator) for v in values]
+    out = ()
+    for row in rows:
+        num = den = 1
+        for (p, q), e in zip(pairs, row):
+            if e > 0:
+                num *= p**e
+                den *= q**e
+            elif e:
+                num *= q**-e
+                den *= p**-e
+        out += (Fraction(num, den),)
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
@@ -959,7 +960,8 @@ def test_singular_root_of_skipped_entries_still_raises():
 def test_exact_step_makes_one_reduction_per_new_entry(monkeypatch):
     # the coset kernels sum each new entry's products over one denominator
     # and reduce it once; the coefficient rows are filled before the step
-    # loop, so what the loop reduces is its entries and the zero it fills in
+    # loop, so what the loop reduces is its entries and the zero it fills in,
+    # besides the deferred coefficients (QSeries.__getattr__) it first reads
     W = group("B2")
     point = sample_point(W.rank, QContext(EXACT, order=4), Random("one-reduction"))
     memo = StepMemo(W, point)
@@ -967,7 +969,8 @@ def test_exact_step_makes_one_reduction_per_new_entry(monkeypatch):
     new, step_values = QSeries._new.__func__, classes._step_values
 
     def counting_new(cls, num, den):
-        made.append(den)
+        if sys._getframe(1).f_code is not QSeries.__getattr__.__code__:
+            made.append(den)
         return new(cls, num, den)
 
     def counted_step(W, values, support, s, coeffs, ctx):
@@ -1017,6 +1020,9 @@ def _power_row_memos(monkeypatch, label, order, tag):
     W = group(label)
     point = sample_point(W.rank, QContext(EXACT, order=order), Random(tag))
     duality_pairs(W, dual_group(W), point)
+    for memo in memos:  # a delta makes its power rows on its first read
+        for value in memo.deltas.values():
+            value.num
     monkeypatch.undo()
     return memos, rows, calls
 

@@ -819,3 +819,123 @@ def test_exact_magnitude_beyond_the_float_range_is_inf():
     assert ctx.magnitude(delta(Fraction(-98), Fraction(97), ctx)) == float("inf")
     below = QContext(EXACT, order=150)
     assert 1e300 < below.magnitude(delta(Fraction(-98), Fraction(97), below)) < 1e301
+
+
+# --- deferred delta values and quotients ------------------------------------
+
+
+def _deferred(series):
+    """Whether series is still deferred: its `_make` is dropped once made."""
+    return hasattr(series, "_make")
+
+
+def test_an_unread_exact_delta_makes_no_power_row_and_no_series(monkeypatch):
+    from ellschub import classes, elliptic
+    from ellschub.classes import StepMemo
+
+    calls, rows, made = [], [], []
+    traced, power_rows, new = classes.delta, elliptic._power_rows, QSeries._new.__func__
+
+    def counting_delta(a, b, ctx, **kwargs):
+        calls.append((a, b))
+        return traced(a, b, ctx, **kwargs)
+
+    def counting_rows(u, v, n):
+        rows.append((u, v))
+        return power_rows(u, v, n)
+
+    def counting_new(cls, num, den):
+        made.append(den)
+        return new(cls, num, den)
+
+    monkeypatch.setattr(classes, "delta", counting_delta)
+    monkeypatch.setattr(elliptic, "_power_rows", counting_rows)
+    monkeypatch.setattr(QSeries, "_new", classmethod(counting_new))
+    W = group("A2")
+    memo = StepMemo(W, sample_point(W.rank, QContext(EXACT, order=8), Random("unread")))
+    value = memo.delta(memo.roots[0], memo.point.h)
+    assert len(calls) == 1 and memo.deltas  # called, checked and kept
+    assert (rows, made, memo.powers) == ([], [], {}) and _deferred(value)
+    assert memo.delta(memo.roots[0], memo.point.h) is value and len(calls) == 1
+    assert_same(value, fraction_delta(memo.roots[0], memo.point.h, 8))
+    # made on the first of those reads, reduced once, and kept
+    assert len(rows) == len(memo.powers) == 2 and len(made) == 1 and not _deferred(value)
+
+
+def _deferred_cases(order):
+    """(make, reference) pairs: make() returns a fresh deferred delta value or
+    quotient, reference the FractionQSeries it must equal."""
+    rng = Random(f"deferred-{order}")
+    ctx = QContext(EXACT, order=order)
+    cases = []
+    for _ in range(4):
+        a, b, c, d = (_random_argument(rng) for _ in range(4))
+        if 1 in (a, b, c, d):
+            continue
+        cases.append((lambda a=a, b=b: delta(a, b, ctx), fraction_delta(a, b, order)))
+        quotient = fraction_delta(a, b, order) / fraction_delta(c, d, order)
+        cases.append((lambda a=a, b=b, c=c, d=d: delta(a, b, ctx) / delta(c, d, ctx), quotient))
+        ca, cb = _random_series(rng, order), _random_series(rng, order)
+        cb[0] = cb[0] or Fraction(1)
+        cases.append((lambda ca=ca, cb=cb: QSeries(ca) / QSeries(cb),
+                      FractionQSeries(ca) / FractionQSeries(cb)))
+    # ab = 1 gives the zero series, over 1 in lowest terms
+    cases.append((lambda: delta(Fraction(3, 8), Fraction(8, 3), ctx),
+                  FractionQSeries.constant(0, order)))
+    cases.append((lambda: delta(Fraction(3, 8), Fraction(8, 3), ctx) / delta(2, 5, ctx),
+                  FractionQSeries.constant(0, order)))
+    return ctx, cases
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_deferred_values_equal_the_eager_reference(order):
+    import copy
+    import pickle
+
+    ctx, cases = _deferred_cases(order)
+    for make, reference in cases:
+        eager = QSeries(reference.coeffs)
+        assert _deferred(make())
+        assert make() == eager and eager == make() and make() == QSeries(reference.coeffs)
+        assert repr(make()) == repr(reference)
+        assert make().coeffs == reference.coeffs
+        assert (make().num, make().den) == (eager.num, eager.den)
+        assert -make() == -eager
+        assert ctx.magnitude(make()) == ctx.magnitude(eager)
+        assert ctx.is_zero(make()) == ctx.is_zero(eager)
+        assert (make() == 0) == (eager == 0)
+        for clone in (copy.copy(make()), copy.deepcopy(make()),
+                      pickle.loads(pickle.dumps(make()))):
+            assert not _deferred(clone)
+            assert_same(clone, reference)
+        value = make()
+        assert_same(value, reference)
+        assert not _deferred(value) and value.num is value.num
+
+
+def test_a_quotient_reads_its_divisor_at_once_and_its_dividend_when_read():
+    ctx = QContext(EXACT, order=6)
+    powers = {}
+    dividend = delta(Fraction(2), Fraction(-5, 3), ctx, powers=powers)
+    divisor = delta(Fraction(7, 4), Fraction(-1, 9), ctx)
+    quotient = dividend / divisor
+    assert _deferred(quotient) and _deferred(dividend) and powers == {}
+    assert not _deferred(divisor) and divisor._inv is not None
+    assert_same(quotient, fraction_delta(Fraction(2), Fraction(-5, 3), 6)
+                / fraction_delta(Fraction(7, 4), Fraction(-1, 9), 6))
+    assert not _deferred(dividend) and len(powers) == 2
+
+
+def test_a_division_raises_at_once_without_reading_the_dividend():
+    quartic = QContext(EXACT, order=4)
+    for order, divisor, message in (
+            (4, delta(Fraction(3), Fraction(1, 3), quartic), "zero constant term"),  # ab = 1
+            (3, delta(Fraction(7, 4), Fraction(3), quartic), "mixed truncation orders"),
+            (5, delta(Fraction(7, 4), Fraction(3), quartic), "mixed truncation orders"),
+            (3, QSeries([1] * 5), "mixed truncation orders")):
+        powers = {}
+        dividend = delta(Fraction(2), Fraction(-5, 3), QContext(EXACT, order=order),
+                         powers=powers)
+        with pytest.raises((SingularPointError, ValueError), match=message):
+            dividend / divisor
+        assert _deferred(dividend) and powers == {}

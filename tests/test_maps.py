@@ -24,6 +24,7 @@ from ellschub.elliptic import (
     EvalPoint,
     QContext,
     eval_monomial,
+    monomial_map,
     sample_point,
     transform_point,
     twist_point,
@@ -143,12 +144,17 @@ def reference_draw(n, ctx, rng):
 
 
 def _monomials(rank, rng):
-    """The exponent rows of the zero monomial, of each variable alone, and
-    of eight random monomials."""
+    """The exponent rows of the zero monomial, of each variable alone, of
+    eight random monomials, and of eight more with exponents up to 9 in
+    size, each with at least one negative exponent and half of them zero."""
     n = 2 * rank + 1
     out = [(0,) * n]
     out += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     out += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(8)]
+    for _ in range(8):
+        row = [rng.choice((0, rng.randint(-9, 9))) for _ in range(n)]
+        row[rng.randrange(n)] = -rng.randint(1, 9)
+        out.append(tuple(row))
     return out
 
 
@@ -161,8 +167,12 @@ def test_maps_equal_former_loops(label, ctx):
     assert point.values == reference_draw(2 * rank + 1, ctx,
                                           Random(f"maps:{label}:{ctx.backend}"))
 
-    for m in _monomials(rank, rng):
+    rows = _monomials(rank, rng)
+    for m in rows:
         assert eval_monomial(point, m) == reference_eval_monomial(point, m)
+    values = monomial_map(point.values, rows)
+    assert values == tuple(reference_eval_monomial(point, m) for m in rows)
+    assert {type(v) for v in values} == {type(point.values[0])}
     # a step memo's root and coroot values, read off their block of variables
     memo = StepMemo(W, point)
     assert memo.roots == tuple(
