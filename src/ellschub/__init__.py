@@ -27,7 +27,7 @@ from .classes import (
     bs_table,
     c_recursion_left_sides,
     c_recursion_right_sides,
-    initial_table,
+    initial_product,
     normalization_factor,
     rmatrix_table,
     unnormalized_table,

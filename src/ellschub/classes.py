@@ -49,16 +49,14 @@ def _negated(W: WeylGroup, i: int) -> int:
     return i + half if i < half else i - half
 
 
-def initial_table(memo: StepMemo, u: int = 0) -> tuple:
-    """EE values for omega = id at memo's point, by sigma: the full delta
-    product at id, 0 elsewhere. Each positive coroot gamma is read as
-    u(gamma), as the first step of a word with product u^-1 needs (the
-    default 0 is W.identity)."""
+def initial_product(memo: StepMemo, u: int = 0):
+    """EE_id(X_id) at memo's point, the full delta product over the
+    positive coroots gamma, each read as u(gamma), as the first step of a
+    word with product u^-1 needs (the default 0 is W.identity). Every other
+    entry of the table of omega = id is zero, and _walk makes it."""
     W = memo.group
-    values = [memo.point.ctx.zero()] * W.order
-    values[W.identity] = _h_product(memo, (  # u(-gamma) for the -gamma
+    return _h_product(memo, (  # u(-gamma) for the -gamma
         memo.coroots[W.act(u, i)] for i in range(len(W.coroots) // 2, len(W.coroots))))
-    return tuple(values)
 
 
 def _h_product(memo: StepMemo, values):
@@ -237,7 +235,7 @@ def bs_table(memo: StepMemo, word) -> tuple:
     their step coefficients through the memo."""
     word, W = tuple(word), memo.group
     u, gammas = W.step_coroots(word)
-    return _walk(memo, word, gammas, initial_table(memo, u)[W.identity], bs_step)
+    return _walk(memo, word, gammas, initial_product(memo, u), bs_step)
 
 
 def unnormalized_table(memo: StepMemo, omega: int) -> tuple:
@@ -274,7 +272,7 @@ def rmatrix_table(memo: StepMemo, word) -> tuple:
     W = memo.group
     steps = [(s, rmatrix_row(memo, s, g)) for s, g in zip(word, W.step_coroots(word)[1])]
     # the initial product reads no zeta value, so no twist moves it
-    start, zero = initial_table(memo)[W.identity], memo.point.ctx.zero()
+    start, zero = initial_product(memo), memo.point.ctx.zero()
     return tuple(_rmatrix_value(W, steps, {(len(steps), sigma): start}, zero, 0, W.identity)
                  for sigma in range(W.order))
 

@@ -28,7 +28,6 @@ from .classes import StepMemo, bs_table
 from .elliptic import (
     EXACT,
     RINGS,
-    QContext,
     SingularPointError,
     sample_point,
     var_names,
@@ -42,7 +41,7 @@ REPORT_CHUNK = 1024  # report lines per write: a campaign keeps at most one chun
 def cmd_table(args, out) -> int:
     label = str(parse_label(args.type))
     W = group(label)
-    ctx = QContext(args.backend, args.qorder, complex(args.q))
+    ctx = RINGS[args.backend](args.qorder, complex(args.q))
     word = corpus_mod.parse_word(args.word)
     for s in word:
         if not 1 <= s <= W.rank:
@@ -100,7 +99,7 @@ def _campaign_settings(args, kind: str):
         raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.tol is not None and not args.tol >= 0:
         raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
-    ctx = QContext(args.backend, args.qorder, complex(args.q))
+    ctx = RINGS[args.backend](args.qorder, complex(args.q))
     return ctx, args.tol if args.tol is not None else DEFAULT_TOLS[kind]
 
 

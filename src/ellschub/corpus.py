@@ -42,7 +42,6 @@ from .weyl import group
 @dataclass(frozen=True)
 class Chart:
     name: str
-    group_label: str
     chart_vars: tuple[str, ...]
     # per canonical variable, exponents over chart_vars
     canonical_map: tuple[tuple[int, ...], ...]
@@ -55,9 +54,9 @@ class Chart:
         return values, self.to_point(values, ctx)
 
 
-def _chart(name: str, label: str, chart_vars, monomials) -> Chart:
+def _chart(name: str, chart_vars, monomials) -> Chart:
     """The chart whose canonical variables are the given monomials."""
-    return Chart(name, label, chart_vars,
+    return Chart(name, chart_vars,
                  tuple(parse_monomial(m, chart_vars) for m in monomials))
 
 
@@ -66,7 +65,7 @@ def sl_chart(n: int) -> Chart:
     z = [f"z{i}" for i in range(1, n + 1)]
     mu = [f"mu{i}" for i in range(1, n + 1)]
     ratios = [f"{v[s]}/{v[s - 1]}" for v in (z, mu) for s in range(1, n)]
-    return _chart(f"sl{n}", f"A{n - 1}", tuple(z + mu + ["h"]), ratios + ["h"])
+    return _chart(f"sl{n}", tuple(z + mu + ["h"]), ratios + ["h"])
 
 
 # the chart variables of both rank-2 charts, in chart-value order
@@ -75,12 +74,12 @@ _RANK2_VARS = ("z1", "z2", "mu1", "mu2", "h")
 
 def so5_chart() -> Chart:
     """B2 chart: zeta1 = z2/z1, zeta2 = 1/z2, nu1 = mu2/mu1, nu2 = 1/mu2^2."""
-    return _chart("so5", "B2", _RANK2_VARS, ("z2/z1", "1/z2", "mu2/mu1", "1/mu2^2", "h"))
+    return _chart("so5", _RANK2_VARS, ("z2/z1", "1/z2", "mu2/mu1", "1/mu2^2", "h"))
 
 
 def sp2_chart() -> Chart:
     """C2 chart: zeta1 = z2/z1, zeta2 = 1/z2^2, nu1 = mu2/mu1, nu2 = 1/mu2."""
-    return _chart("sp2", "C2", _RANK2_VARS, ("z2/z1", "1/z2^2", "mu2/mu1", "1/mu2", "h"))
+    return _chart("sp2", _RANK2_VARS, ("z2/z1", "1/z2^2", "mu2/mu1", "1/mu2", "h"))
 
 
 def builtin_chart(label: str) -> Chart:
@@ -91,7 +90,7 @@ def builtin_chart(label: str) -> Chart:
     if label.startswith("A"):
         return sl_chart(int(label[1:]) + 1)
     names = var_names(int(label[1:]))
-    return _chart("canonical", label, names, names)
+    return _chart("canonical", names, names)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +198,12 @@ def eval_factors(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
 
 
 def corpus_sides(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
-    """(engine value, factored expected value) at the chart values, with
-    memo made for the entry's group at their point."""
+    """((engine value, factored expected value),), the row of one check at
+    the chart values, with memo made for the entry's group at their point."""
     engine = bs_table(memo, entry.omega_word)[memo.group.from_word(entry.sigma_word)]
     if entry.expects_zero:
-        return engine, memo.point.ctx.zero()
-    return engine, eval_factors(entry, chart_values, memo)
+        return ((engine, memo.point.ctx.zero()),)
+    return ((engine, eval_factors(entry, chart_values, memo)),)
 
 
 def cross_substitution_pairs(sp2_entries, so5_entries) -> list[tuple[CorpusEntry, CorpusEntry]]:
@@ -230,16 +229,16 @@ _CROSS_ROWS = tuple(parse_monomial(m, _RANK2_VARS)
 
 def cross_substitution_sides(sp2_entry: CorpusEntry, so5_entry: CorpusEntry,
                              sp2_values: tuple, memo: StepMemo):
-    """((-1)^(l(tau0)) times the substituted SO(5) value, the Sp(2) value) with
-    the delta values of memo; l(tau0) = 4, so the sign is +1."""
+    """(((-1)^(l(tau0)) times the substituted SO(5) value, the Sp(2)
+    value),), the row of one check, with the delta values of memo;
+    l(tau0) = 4, so the sign is +1."""
     if sp2_entry.expects_zero or so5_entry.expects_zero:
         if sp2_entry.expects_zero != so5_entry.expects_zero:
             raise AssertionError("vanishing patterns disagree across the dual tables")
         zero = memo.point.ctx.zero()
-        return zero, zero
+        return ((zero, zero),)
     lhs = eval_factors(so5_entry, monomial_map(sp2_values, _CROSS_ROWS), memo)
-    rhs = eval_factors(sp2_entry, sp2_values, memo)
-    return lhs, rhs
+    return ((lhs, eval_factors(sp2_entry, sp2_values, memo)),)
 
 
 WORKED_SUM_PREFIX = "(z1^2|h)(z1/z2|h)"
@@ -257,28 +256,16 @@ _WORKED_SUM = tuple(_parse_product(text, _RANK2_VARS) for text in (
     WORKED_SUM_PREFIX, *WORKED_SUM_TERMS, WORKED_SUM_TOTAL))
 
 
-def worked_sum_values(chart_values: tuple, memo: StepMemo, sigma: int):
-    """(three-term sum value, factored total value, engine value) for
-    EE_{s1s2}(X^v_tau0) in the Sp(2) chart, with the delta values of memo;
-    sigma is the element of WORKED_SUM_SIGMA in memo's group."""
+def worked_sum_values(sigma: int, chart_values: tuple, memo: StepMemo):
+    """The rows (three-term sum value, factored total value) and (engine
+    value, factored total value) for EE_{s1s2}(X^v_tau0) in the Sp(2)
+    chart, with the delta values of memo; sigma is the element of
+    WORKED_SUM_SIGMA in memo's group."""
     prefix, *terms, factored = (
         memo.delta_product(monomial_map(chart_values, pair) for pair in factors)
         for factors in _WORKED_SUM)
     engine = bs_table(memo, WORKED_SUM_WORD)[sigma]
-    return prefix * sum(terms, memo.point.ctx.zero()), factored, engine
-
-
-def _entry_sides(entry, chart_values, memo):
-    return (corpus_sides(entry, chart_values, memo),)
-
-
-def _cross_sides(sp2_entry, so5_entry, chart_values, memo):
-    return (cross_substitution_sides(sp2_entry, so5_entry, chart_values, memo),)
-
-
-def _worked_sides(sigma, chart_values, memo):
-    summed, factored, engine = worked_sum_values(chart_values, memo, sigma)
-    return (summed, factored), (engine, factored)
+    return (prefix * sum(terms, memo.point.ctx.zero()), factored), (engine, factored)
 
 
 def corpus_checks():
@@ -291,14 +278,15 @@ def corpus_checks():
         for n, entry in enumerate(file_entries):
             yield (f"corpus:{name}:{n}", entry.group_label, builtin_chart(entry.group_label),
                    (("corpus", {"file": name}, entry.omega_word, entry.sigma_word),),
-                   partial(_entry_sides, entry))
+                   partial(corpus_sides, entry))
     sp2 = sp2_chart()
     pairs = cross_substitution_pairs(entries["sp2.txt"], entries["so5.txt"])
     for n, (sp2_entry, so5_entry) in enumerate(pairs):
         head = ("corpus/cross-substitution", {"dual_type": "B2"},
                 sp2_entry.omega_word, sp2_entry.sigma_word)
-        yield f"cross:{n}", "C2", sp2, (head,), partial(_cross_sides, sp2_entry, so5_entry)
+        yield (f"cross:{n}", "C2", sp2, (head,),
+               partial(cross_substitution_sides, sp2_entry, so5_entry))
     heads = tuple((f"corpus/worked-sum/{kind}", {}, WORKED_SUM_WORD, WORKED_SUM_SIGMA)
                   for kind in ("sum-vs-factored", "engine-vs-factored"))
     sigma = group("C2").from_word(WORKED_SUM_SIGMA)
-    yield "worked", "C2", sp2, heads, partial(_worked_sides, sigma)
+    yield "worked", "C2", sp2, heads, partial(worked_sum_values, sigma)

@@ -75,10 +75,11 @@ class SingularPointError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QContext:
-    """The scalar ring of a run, named by `backend`: QContext(backend, order,
-    q) is an instance of the ring's class in RINGS, which holds all that
-    differs between the rings (the exact ring reads `order`, the complex one
-    `q`): one, zero, delta and the memo key of its arguments, the draw of n
+    """The scalar ring of a run: a context is an instance of one ring's
+    class, ExactContext or ComplexContext, which names itself by its class
+    attribute `backend` (its key in RINGS) and holds all that differs
+    between the rings (the exact ring reads `order`, the complex one `q`):
+    one, zero, delta and the memo key of its arguments, the draw of n
     values, the list of verdicts of two rows of sides, magnitude, is_zero,
     fields, and the JSON of a value and of a scalar. Its coset kernels make
     a Bott-Samelson step on a right coset {sigma, sigma s}, with (a, b) the
@@ -87,16 +88,8 @@ class QContext:
     and single((a, b), (c, d), x), for a sigma s outside the support, is
     (a*x, d*x)."""
 
-    backend: str
     order: int = 8
     q: complex = 0.3
-
-    def __new__(cls, backend=None, *args, **kwargs):
-        # copy and pickle call cls.__new__(cls), with no backend, on a ring
-        ring = cls if backend is None else RINGS.get(backend)
-        if ring not in RINGS.values() or not issubclass(ring, cls):
-            raise ValueError(f"unknown backend {backend!r}")
-        return object.__new__(ring)
 
     def __post_init__(self):
         if self.order < 1:
@@ -355,6 +348,8 @@ def _delta_terms(u, v, s, t, sums, powers):
 class ExactContext(QContext):
     """Truncated q-series (QSeries), exact modulo q^(order+1); q is not read."""
 
+    backend = EXACT
+
     def one(self):
         return QSeries.constant(Fraction(1), self.order)
 
@@ -452,6 +447,8 @@ class ExactContext(QContext):
 
 class ComplexContext(QContext):
     """Double-precision complex at the nome q, |q| < 1; order is not read."""
+
+    backend = COMPLEX
 
     def __post_init__(self):
         super().__post_init__()
@@ -551,7 +548,7 @@ class ComplexContext(QContext):
     value_json = scalar_json
 
 
-RINGS = {EXACT: ExactContext, COMPLEX: ComplexContext}
+RINGS = {ring.backend: ring for ring in (ExactContext, ComplexContext)}
 
 
 def delta(a, b, ctx: QContext, *, powers: dict | None = None):
@@ -562,7 +559,7 @@ def delta(a, b, ctx: QContext, *, powers: dict | None = None):
     argument (num, den) -> _power_rows at ctx.order; complex: q -> q-power
     rows). Every delta value goes through here, where the tracer counts it.
 
-    >>> delta(Fraction(2), Fraction(3), QContext(EXACT, order=2)).coeffs[:2]
+    >>> delta(Fraction(2), Fraction(3), ExactContext(order=2)).coeffs[:2]
     (Fraction(5, 2), Fraction(-35, 6))
     """
     return ctx.delta(a, b, powers)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .rootsys import ROOT, RootSystem, _basis, _reflect_coords, langlands_dual
+from .rootsys import (ROOT, RootSystem, _basis, _reflect_coords, build_root_system,
+                      langlands_dual, parse_label)
 
 ORDER_CAP = 10**6  # enumerate_group refuses a larger group
 
@@ -237,8 +238,6 @@ def _root_tables(rs: RootSystem, root_index, reflected) -> tuple:
 
 @lru_cache(maxsize=None)
 def _cached_group(label_text: str) -> WeylGroup:
-    from .rootsys import build_root_system, parse_label
-
     return enumerate_group(build_root_system(parse_label(label_text)))
 
 

@@ -1,10 +1,11 @@
 """Test-side class functions that no campaign needs: the Em normalization,
-the tangent-weight and normalization index sets, and the diagonal closed
-form E_sigma(X_sigma). Each reads the group and the point as the library
+the table of omega = id that a word's first step starts from, the
+tangent-weight and normalization index sets, and the diagonal closed form
+E_sigma(X_sigma). Each reads the group and the point as the library
 does, by index from a StepMemo, so the tests can hold them against
 `ellschub.classes` and against the coordinate references."""
 
-from ellschub.classes import StepMemo, _h_product, _negated, bs_table, initial_table
+from ellschub.classes import StepMemo, _h_product, _negated, bs_table, initial_product
 from ellschub.weyl import WeylGroup
 
 
@@ -17,8 +18,18 @@ def _inverted(W: WeylGroup, w: int) -> list:
 
 def em_table(memo: StepMemo, word) -> tuple:
     """Em normalization: EE divided by the full delta product over Pi."""
-    full = initial_table(memo)[memo.group.identity]
+    full = initial_product(memo)
     return tuple(v / full for v in bs_table(memo, word))
+
+
+def identity_table(memo: StepMemo, u: int) -> tuple:
+    """The table of omega = id that the first step of a word with product
+    u^-1 starts from: initial_product(memo, u) at the identity, zero
+    elsewhere."""
+    W = memo.group
+    values = [memo.point.ctx.zero()] * W.order
+    values[W.identity] = initial_product(memo, u)
+    return tuple(values)
 
 
 def tangent_weights(W: WeylGroup, omega: int) -> frozenset:

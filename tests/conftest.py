@@ -2,18 +2,18 @@ from random import Random
 
 import pytest
 
-from ellschub.elliptic import COMPLEX, EXACT, QContext, sample_point
+from ellschub.elliptic import ComplexContext, ExactContext, sample_point
 from ellschub.weyl import group
 
 
 @pytest.fixture(scope="session")
 def exact_ctx():
-    return QContext(EXACT, order=6)
+    return ExactContext(order=6)
 
 
 @pytest.fixture(scope="session")
 def complex_ctx():
-    return QContext(COMPLEX, order=8, q=0.3)
+    return ComplexContext(order=8, q=0.3)
 
 
 @pytest.fixture

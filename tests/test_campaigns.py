@@ -11,10 +11,18 @@ from random import Random
 import pytest
 
 from ellschub import campaigns, classes, corpus, duality
-from ellschub.elliptic import COMPLEX, EXACT, QContext, SingularPointError, sample_point
+from ellschub.elliptic import (
+    COMPLEX,
+    EXACT,
+    RINGS,
+    ComplexContext,
+    ExactContext,
+    SingularPointError,
+    sample_point,
+)
 from ellschub.weyl import group
 
-CTX = QContext(EXACT, order=3)
+CTX = ExactContext(order=3)
 RUNNERS = {
     "duality": lambda: campaigns.run_duality("A2", CTX, 2, 0, 1e-9),
     "double-dual": lambda: campaigns.run_double_dual("A2", CTX, 2, 0, 1e-9),
@@ -136,7 +144,7 @@ def test_tables_add_no_delta_after_the_first_phase(campaign, label, backend, mon
 
     _table_builders(monkeypatch, wrap)
     W = group(label)
-    records = checks(PHASE_RUNNERS[campaign](label, QContext(backend, order=2), 1, 0, 1e-9))
+    records = checks(PHASE_RUNNERS[campaign](label, RINGS[backend](order=2), 1, 0, 1e-9))
     assert len(records) == W.order ** 2
     assert len(built) == 2 * W.order
 
@@ -161,7 +169,7 @@ def test_a_point_yields_its_first_row_after_the_tables_it_reads(campaign, first,
         return counting
 
     _table_builders(monkeypatch, wrap)
-    rows = PHASE_RUNNERS[campaign]("B3", QContext(COMPLEX), 1, 0, 1e-9)
+    rows = PHASE_RUNNERS[campaign]("B3", ComplexContext(), 1, 0, 1e-9)
     lines, _ = next(rows)
     assert len(lines) == 48
     assert sorted((str(memo.group.rs.label), n) for (memo, _), n in built.items()) == first
@@ -175,7 +183,7 @@ def test_a_delta_only_the_last_table_reads_redraws_the_point_first(backend, monk
     # reads delta(zeta_1, nu_1) at the drawn point. Singular there, the point
     # is redrawn before any of its records is made, as if every table were
     # built before the first record.
-    ctx = QContext(backend, order=2)
+    ctx = RINGS[backend](order=2)
     expected = len(checks(campaigns.run_duality("A1", ctx, 1, 0, 1e-9)))
     points, raised = [], []
     sample_point = campaigns.sample_point
@@ -210,7 +218,7 @@ def test_first_phase_computes_in_the_order_the_tables_would(label, backend, monk
     # singular in several ways raises the same error, and a row shared by
     # steps of several letters is made by the same one
     W = group(label)
-    point = sample_point(W.rank, QContext(backend, order=2), Random(label))
+    point = sample_point(W.rank, RINGS[backend](order=2), Random(label))
     conj = [W.mul(W.mul(W.longest, w), W.longest) for w in range(W.order)]
     log = []
     delta, coefficients = classes.delta, classes.StepMemo.coefficients

@@ -10,6 +10,7 @@ import pytest
 from classes_reference import (
     diagonal_closed_form,
     em_table,
+    identity_table,
     normalization_index_set,
     tangent_weights,
 )
@@ -20,7 +21,7 @@ from ellschub.classes import (
     bs_table,
     c_recursion_left_sides,
     c_recursion_right_sides,
-    initial_table,
+    initial_product,
     normalization_factor,
     rmatrix_table,
     unnormalized_table,
@@ -29,11 +30,10 @@ from ellschub.campaigns import resample
 from ellschub.cli import main
 from ellschub.corpus import builtin_chart
 from ellschub.elliptic import (
-    COMPLEX,
-    EXACT,
     NU,
+    ComplexContext,
     EvalPoint,
-    QContext,
+    ExactContext,
     QSeries,
     SingularPointError,
     _power_rows,
@@ -89,7 +89,7 @@ def test_initial_table_sl2(exact_ctx):
     # EE_id(X_id) = delta(mu1/mu2, h); EE_tau(X_id) = 0
     W = group("A1")
     (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "sl2-init")
-    table = initial_table(StepMemo(W, point))
+    table = bs_table(StepMemo(W, point), ())
     expected = delta(mu1 / mu2, h, exact_ctx)
     assert table[W.identity] == expected
     assert is_zero(table[W.from_word((1,))])
@@ -103,7 +103,7 @@ def test_initial_table_multiplies_from_the_first_factor(exact_ctx, monkeypatch):
     W = group("A2")
     point = sample_point(2, exact_ctx, Random("a2-products"))
     memo = StepMemo(W, point)
-    expected = initial_table(memo)  # fills the memo's deltas
+    expected = bs_table(memo, ())  # fills the memo's deltas
     products = []
     series_mul = QSeries.__mul__
 
@@ -112,7 +112,7 @@ def test_initial_table_multiplies_from_the_first_factor(exact_ctx, monkeypatch):
         return series_mul(a, b)
 
     monkeypatch.setattr(QSeries, "__mul__", counting)
-    assert initial_table(memo) == expected
+    assert bs_table(memo, ()) == expected
     assert len(products) == 2
 
 
@@ -120,7 +120,7 @@ def test_initial_table_so5(exact_ctx):
     # the four-factor product (mu1^2|h)(mu1/mu2|h)(mu1 mu2|h)(mu2^2|h)
     W = group("B2")
     (z1, z2, mu1, mu2, h), point = chart_point("B2", exact_ctx, "so5-init")
-    table = initial_table(StepMemo(W, point))
+    table = bs_table(StepMemo(W, point), ())
     expected = (
         delta(mu1**2, h, exact_ctx)
         * delta(mu1 / mu2, h, exact_ctx)
@@ -144,7 +144,7 @@ def test_bs_step_sl2_word_matches_example(exact_ctx):
     memo = StepMemo(W, point)
     # the initial product reads tau(gamma) for tau = (s1)^-1, and the one
     # step reads nu_1 as the coroot alpha_1^v itself
-    table, _ = bs_step(memo, initial_table(memo, tau), identity_support(W), 1,
+    table, _ = bs_step(memo, identity_table(memo, tau), identity_support(W), 1,
                        W.root_index[W.identity][0])
     assert table[W.identity] == delta(z2 / z1, mu2 / mu1, exact_ctx)
     assert table[tau] == delta(z1 / z2, h, exact_ctx)
@@ -157,12 +157,12 @@ def test_bs_step_requires_transformed_input(exact_ctx):
     point = sample_point(W.rank, exact_ctx, Random("a2-chain"))
     memo = StepMemo(W, point)
     u = W.from_word((2, 1))  # (s1 s2)^-1
-    table = (initial_table(memo, u), identity_support(W))
+    table = (identity_table(memo, u), identity_support(W))
     # step 1 reads s2(alpha_1^v), step 2 alpha_2^v
     for s, g in ((1, W.root_index[W.from_word((2,))][0]), (2, W.root_index[W.identity][1])):
         table = bs_step(memo, *table, s, g)
     assert bs_table(StepMemo(W, point), (1, 2)) == table[0]
-    untransformed = (initial_table(memo), identity_support(W))
+    untransformed = (bs_table(memo, ()), identity_support(W))
     for s in (1, 2):
         untransformed = bs_step(memo, *untransformed, s, W.root_index[W.identity][s - 1])
     assert table[0] != untransformed[0]
@@ -172,7 +172,7 @@ def test_bs_round_trip_single_letter(exact_ctx):
     for label in ("A1", "B2"):
         W = group(label)
         point = sample_point(W.rank, exact_ctx, Random(f"round-{label}"))
-        base = initial_table(StepMemo(W, point))
+        base = bs_table(StepMemo(W, point), ())
         for s in range(1, W.rank + 1):
             again = bs_table(StepMemo(W, point), (s, s))
             assert again == base
@@ -227,7 +227,7 @@ def test_rmatrix_empty_word_is_initial(exact_ctx):
     W = group("B2")
     point = sample_point(2, exact_ctx, Random("rm-init"))
     memo = StepMemo(W, point)
-    assert rmatrix_table(memo, ()) == initial_table(memo)
+    assert rmatrix_table(memo, ()) == bs_table(memo, ())
 
 
 def test_rmatrix_sl2_example(exact_ctx):
@@ -263,7 +263,7 @@ def test_rmatrix_nonreduced_word(exact_ctx):
     W = group("B2")
     point = sample_point(2, exact_ctx, Random("rm-nonred"))
     memo = StepMemo(W, point)
-    assert rmatrix_table(memo, (1, 1)) == initial_table(memo)
+    assert rmatrix_table(memo, (1, 1)) == bs_table(memo, ())
 
 
 def test_rmatrix_memory_is_one_sigma_at_a_time(complex_ctx):
@@ -408,7 +408,7 @@ def test_em_table(exact_ctx):
     assert em_table(StepMemo(W, point), ())[W.identity] == exact_ctx.one()
     ee = bs_table(StepMemo(W, point), (1, 2))
     em = em_table(StepMemo(W, point), (1, 2))
-    full = initial_table(StepMemo(W, point))[W.identity]
+    full = bs_table(StepMemo(W, point), ())[W.identity]
     for sigma in range(W.order):
         assert em[sigma] * full == ee[sigma]
     # the EE/Em ratio is sigma-independent per omega
@@ -445,7 +445,7 @@ def test_complex_zero_detection(capsys):
 
 
 def test_complex_agrees_with_exact_structure():
-    ctx = QContext(COMPLEX, order=8, q=0.25)
+    ctx = ComplexContext(order=8, q=0.25)
     W = group("A2")
     point = sample_point(2, ctx, Random("cplx-rm"))
     memo = StepMemo(W, point)
@@ -459,7 +459,7 @@ def test_complex_agrees_with_exact_structure():
 
 
 def test_complex_word_independence():
-    ctx = QContext(COMPLEX, order=8, q=0.3)
+    ctx = ComplexContext(order=8, q=0.3)
     W = group("B2")
     point = sample_point(2, ctx, Random("cplx-words"))
     a = bs_table(StepMemo(W, point), (1, 2, 1, 2))
@@ -612,9 +612,9 @@ def reference_rmatrix_values(W, word, point, negated_root=False):
 # point, the complex one both at the table's own point by index, as the
 # library does: the two differ in the last bits of a float.
 REFERENCE_CASES = [
-    ("B2", QContext(EXACT, order=4), chain_values),
-    ("G2", QContext(EXACT, order=3), chain_values),
-    ("B3", QContext(COMPLEX, order=8, q=0.3), indexed_values),
+    ("B2", ExactContext(order=4), chain_values),
+    ("G2", ExactContext(order=3), chain_values),
+    ("B3", ComplexContext(order=8, q=0.3), indexed_values),
 ]
 
 
@@ -655,18 +655,19 @@ def test_steps_read_nu_s_where_the_point_chain_did(label, monkeypatch):
     at the table's own point is nu_s at the step's point of the chain, and
     the initial product is the one at the chain's first point."""
     W = group(label)
-    point = sample_point(W.rank, QContext(EXACT, order=1), Random(f"coroot-steps:{label}"))
+    point = sample_point(W.rank, ExactContext(order=1), Random(f"coroot-steps:{label}"))
     memo = StepMemo(W, point)
     steps, tables = [], {}
+    product = classes.initial_product
 
     def initial(memo, u=W.identity):
-        """initial_table, computed once per u: it reads the word only through u."""
+        """initial_product, computed once per u: it reads the word only through u."""
         if u not in tables:
-            tables[u] = initial_table(memo, u)
+            tables[u] = product(memo, u)
         return tables[u]
 
     # every step returns its table, so bs_table returns the initial one
-    monkeypatch.setattr(classes, "initial_table", initial)
+    monkeypatch.setattr(classes, "initial_product", initial)
     monkeypatch.setattr(classes, "bs_step", lambda memo, values, support, s, g:
                         steps.append((s, g)) or (values, support))
     chain, products = {}, {}
@@ -709,7 +710,7 @@ def dense_step_values(W, values, support, s, coeffs, zero):
 def prefix_tables(W, point, memo):
     """The table of every reduced word of W, each made by one bs_step from
     the table of its prefix; every step by s reads nu_s as alpha_s^v."""
-    stack = [(W.identity, initial_table(memo), identity_support(W))]
+    stack = [(W.identity, bs_table(memo, ()), identity_support(W))]
     while stack:
         w, values, support = stack.pop()
         yield values
@@ -720,10 +721,10 @@ def prefix_tables(W, point, memo):
 
 
 STEP_CASES = [
-    ("B3", QContext(COMPLEX, order=8, q=0.3), 209),
-    ("D4", QContext(COMPLEX, order=8, q=0.3), 9719),
-    ("B2", QContext(EXACT, order=4), 9),
-    ("G2", QContext(EXACT, order=3), 13),
+    ("B3", ComplexContext(order=8, q=0.3), 209),
+    ("D4", ComplexContext(order=8, q=0.3), 9719),
+    ("B2", ExactContext(order=4), 9),
+    ("G2", ExactContext(order=3), 13),
 ]
 
 
@@ -760,7 +761,7 @@ def test_support_only_step_equals_the_dense_loop(label, ctx, words, monkeypatch)
 
 def test_singular_point_raises_as_reference():
     # zeta1 zeta2 = 1: the root alpha1 + alpha2 of B2 is a pole of its deltas
-    ctx = QContext(EXACT, order=3)
+    ctx = ExactContext(order=3)
     values = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(7, 3))
     point = EvalPoint(ctx, values)
     W = group("B2")
@@ -779,7 +780,7 @@ def test_singular_point_raises_as_reference():
 def test_a_zero_constant_term_in_a_step_denominator_is_redrawn():
     # nu_1 h = 1: delta(nu_1, h) has zero constant term, so the division in
     # bs_row raises the ring's SingularPointError, and resample draws anew
-    ctx = QContext(EXACT, order=3)
+    ctx = ExactContext(order=3)
     W = group("A1")
     singular = EvalPoint(ctx, (Fraction(2), Fraction(3), Fraction(1, 3)))
     with pytest.raises(SingularPointError) as err:
@@ -850,13 +851,12 @@ def reference_diagonal_closed_form(W, sigma, point):
 def test_index_reads_equal_the_coordinate_path(label):
     """Float for float on the complex backend, for every omega (and u)."""
     W = group(label)
-    point = sample_point(W.rank, QContext(COMPLEX, order=8, q=0.3),
+    point = sample_point(W.rank, ComplexContext(order=8, q=0.3),
                          Random(f"coordinates:{label}"))
     memo = StepMemo(W, point)
     full = reference_initial_product(W, point, W.identity)
     for w in range(W.order):
-        assert (initial_table(memo, w)[W.identity]
-                == reference_initial_product(W, point, w))
+        assert initial_product(memo, w) == reference_initial_product(W, point, w)
         assert normalization_factor(memo, w) == reference_normalization_factor(W, w, point)
         assert (diagonal_closed_form(StepMemo(W, point), w)
                 == reference_diagonal_closed_form(W, w, point))
@@ -873,7 +873,7 @@ def test_shifted_factor_equals_the_transformed_point(label):
     """At exact points, c_recursion_right_sides reads the coroots s(-gamma) at
     the point where the coordinate path transformed the point by s."""
     W = group(label)
-    point = sample_point(W.rank, QContext(EXACT, order=2), Random(f"shifted:{label}"))
+    point = sample_point(W.rank, ExactContext(order=2), Random(f"shifted:{label}"))
     memo = StepMemo(W, point)
     for omega in range(W.order):
         for s in range(1, W.rank + 1):
@@ -884,7 +884,7 @@ def test_shifted_factor_equals_the_transformed_point(label):
 # --- support-sparse steps and the per-point step memo ------------------------
 
 SUPPORT_CASES = [(label, ctx) for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
-                 for ctx in (QContext(EXACT, order=2), QContext(COMPLEX, order=8, q=0.3))]
+                 for ctx in (ExactContext(order=2), ComplexContext(order=8, q=0.3))]
 
 
 @pytest.mark.parametrize("label,ctx", SUPPORT_CASES,
@@ -903,7 +903,7 @@ def test_tables_vanish_outside_the_bruhat_interval(label, ctx):
         for values in (bs_table(memo, word), unnormalized_table(memo, omega)):
             assert [value != zero for value in values] == below
         u, gammas = W.step_coroots(word)
-        values, support = initial_table(memo, u), identity_support(W)
+        values, support = identity_table(memo, u), identity_support(W)
         for s, g in zip(word, gammas):
             values, support = bs_step(memo, values, support, s, g)
         assert list(support) == below
@@ -911,7 +911,7 @@ def test_tables_vanish_outside_the_bruhat_interval(label, ctx):
 
 
 def test_shared_memo_gives_the_tables_of_fresh_ones():
-    ctx = QContext(EXACT, order=3)
+    ctx = ExactContext(order=3)
     W = group("B2")
     point = sample_point(W.rank, ctx, Random("shared-memo"))
     memo = StepMemo(W, point)
@@ -927,11 +927,11 @@ def test_shared_memo_gives_the_tables_of_fresh_ones():
 
 def test_memo_shares_deltas_only_within_a_context():
     W = group("A2")
-    point = sample_point(W.rank, QContext(EXACT, order=2), Random("memo-share"))
+    point = sample_point(W.rank, ExactContext(order=2), Random("memo-share"))
     memo = StepMemo(W, point)
     assert StepMemo(W, transform_point(point, 1, NU, W.rs), memo).deltas is memo.deltas
     # the keys leave the context out, so another q-order must not read them
-    other = EvalPoint(QContext(EXACT, order=3), point.values)
+    other = EvalPoint(ExactContext(order=3), point.values)
     with pytest.raises(ValueError):
         StepMemo(W, other, memo)
 
@@ -939,11 +939,11 @@ def test_memo_shares_deltas_only_within_a_context():
 def test_singular_root_of_skipped_entries_still_raises():
     # zeta1 zeta2 = 1: the root alpha1 + alpha2 = s2(alpha1) is a pole, and
     # only sigma = s2 and s2 s1, both outside the support of the step, use it
-    ctx = QContext(EXACT, order=3)
+    ctx = ExactContext(order=3)
     values = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(7, 3))
     point = EvalPoint(ctx, values)
     W = group("A2")
-    support = [v != ctx.zero() for v in initial_table(StepMemo(W, point))]
+    support = [v != ctx.zero() for v in bs_table(StepMemo(W, point), ())]
     for sigma in (W.from_word((2,)), W.from_word((2, 1))):
         assert not support[sigma]
         assert not support[W.rmult(sigma, 1)]
@@ -963,7 +963,7 @@ def test_exact_step_makes_one_reduction_per_new_entry(monkeypatch):
     # loop, so what the loop reduces is its entries and the zero it fills in,
     # besides the deferred coefficients (QSeries.__getattr__) it first reads
     W = group("B2")
-    point = sample_point(W.rank, QContext(EXACT, order=4), Random("one-reduction"))
+    point = sample_point(W.rank, ExactContext(order=4), Random("one-reduction"))
     memo = StepMemo(W, point)
     made, steps = [], []
     new, step_values = QSeries._new.__func__, classes._step_values
@@ -1018,7 +1018,7 @@ def _power_row_memos(monkeypatch, label, order, tag):
     monkeypatch.setattr(elliptic, "_power_rows", counting_rows)
     monkeypatch.setattr(classes, "delta", counting_delta)
     W = group(label)
-    point = sample_point(W.rank, QContext(EXACT, order=order), Random(tag))
+    point = sample_point(W.rank, ExactContext(order=order), Random(tag))
     duality_pairs(W, dual_group(W), point)
     for memo in memos:  # a delta makes its power rows on its first read
         for value in memo.deltas.values():
@@ -1062,7 +1062,7 @@ def test_an_exact_duality_point_hashes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting)
     assert hash(Fraction(1, 3)) and len(hashed) == 1
     hashed.clear()
-    rows = list(campaigns.run_duality("A3", QContext(EXACT, order=3), 1, 0, 1e-9))
+    rows = list(campaigns.run_duality("A3", ExactContext(order=3), 1, 0, 1e-9))
     assert hashed == []
     assert sum(len(lines) for lines, _ in rows) == 576
 
@@ -1071,7 +1071,7 @@ def test_a_deltas_of_memo_shares_the_power_rows():
     from ellschub.duality import relabel_point
 
     W = group("A2")
-    point = sample_point(W.rank, QContext(EXACT, order=3), Random("shared-rows"))
+    point = sample_point(W.rank, ExactContext(order=3), Random("shared-rows"))
     memo = StepMemo(W, point)
     twin = StepMemo(W, relabel_point(W, point), memo)
     assert twin.powers is memo.powers and twin.deltas is memo.deltas

@@ -12,9 +12,9 @@ import pytest
 from ellschub.classes import StepMemo, bs_table
 from ellschub.cli import main
 from ellschub.elliptic import (
-    COMPLEX,
     EXACT,
-    QContext,
+    ComplexContext,
+    ExactContext,
     QSeries,
     SingularPointError,
     sample_point,
@@ -84,13 +84,13 @@ def test_table_sl2_matches_corpus_products(capsys):
     from random import Random
 
     from ellschub.corpus import builtin_chart, eval_factors, load_corpus
-    from ellschub.elliptic import EXACT, QContext
+    from ellschub.elliptic import ExactContext
 
     code, out = run_cli(capsys, "table", "--type", "A1", "--word", "1",
                         "--qorder", "6", "--seed", "5", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    ctx = QContext(EXACT, order=6)
+    ctx = ExactContext(order=6)
     chart = builtin_chart("A1")
     # rebuild the chart sample the CLI used (seed string fixed by the CLI)
     cv, point = chart.sample(ctx, Random("5:table:0"))
@@ -357,8 +357,8 @@ def test_record_line_is_the_sorted_json_dump(extra, monkeypatch):
     strange = 'a"b\\c%s{0}}\u00e9'
     words = [(), (1, 2, 3, 4, 2, 3, 1) * 12]
     values = {"sigma_word": words, "simple": [1, 4], None: [None]}[extra]
-    for ctx in (QContext(EXACT, order=3), QContext(COMPLEX, q=complex(-0.0, -0.25)),
-                QContext(COMPLEX, q=complex(-0.5, -0.0))):
+    for ctx in (ExactContext(order=3), ComplexContext(q=complex(-0.0, -0.25)),
+                ComplexContext(q=complex(-0.5, -0.0))):
         row = campaigns.record(f"check/{strange}", strange, ctx, 1e-9, extra,
                                file=strange, dual_type="\u03a9")
         for k, omega_word in product([0, 12345], words):
@@ -408,7 +408,7 @@ def _series(*coeffs):
 
 NAN, INF = float("nan"), float("inf")
 VERDICT_CASES = [
-    (QContext(COMPLEX, q=0.3), tol, [
+    (ComplexContext(q=0.3), tol, [
         (0j, 0j), (0j, -0j), (-0j, -0j), (complex(0.0, -0.0), 0j), (0j, 1e-300),
         (1e-300j, 0j), (0j, complex(NAN, 0)), (complex(NAN, 0), 0j), (complex(0, NAN), 1),
         (0j, complex(0, NAN)), (-0j, complex(INF, NAN)), (complex(NAN, NAN), 1 + 0j),
@@ -417,7 +417,7 @@ VERDICT_CASES = [
         (2 + 0j, 1 + 0j), (1 + 0j, 1 + 1e-12), (1 + 1j, 1 + 1j), (-0j, 5 + 0j)])
     for tol in (0.5, 1e-9, 0.0)  # 2 against 1 is a residual exactly at 0.5
 ] + [
-    (QContext(EXACT, order=2), 1e-9, [
+    (ExactContext(order=2), 1e-9, [
         (_series(0, 0, 0), _series(0, 0, 0)), (_series(1, "1/3", 0), _series(1, "1/3", 0)),
         (_series(1, 0, 0), _series(0, 0, 0)), (_series(0, "-2/3", 5), _series(0, 0, 5)),
         (_series(7, 0, "1/9"), _series(7, 0, "2/9")),
@@ -574,7 +574,7 @@ def computed_deltas(monkeypatch):
 def test_two_tables_share_deltas_only_through_a_memo(computed_deltas):
     # delta keeps nothing: the StepMemo of a point is the only keeper
     W = group("B2")
-    point = sample_point(W.rank, QContext(EXACT, order=3), Random("delta-owner"))
+    point = sample_point(W.rank, ExactContext(order=3), Random("delta-owner"))
     word = W.reduced_word(W.longest)
     bs_table(StepMemo(W, point), word)
     once = computed_deltas[0]
@@ -714,9 +714,9 @@ CAPPED_DELTA = """
 import resource, sys
 from fractions import Fraction
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from ellschub.elliptic import EXACT, QContext, delta
+from ellschub.elliptic import ExactContext, delta
 try:
-    delta(Fraction(2), Fraction(3), QContext(EXACT, order=sys.maxsize))
+    delta(Fraction(2), Fraction(3), ExactContext(order=sys.maxsize))
 except MemoryError:
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """

@@ -202,7 +202,7 @@ def test_corpus_entries_match_engine(name, exact_ctx):
         W = group(entry.group_label)
         chart = builtin_chart(entry.group_label)
         cv, point = chart.sample(exact_ctx, Random(f"corpus-{name}-{n}"))
-        engine, expected = corpus_sides(entry, cv, StepMemo(W, point))
+        ((engine, expected),) = corpus_sides(entry, cv, StepMemo(W, point))
         assert engine == expected
 
 
@@ -211,15 +211,15 @@ def test_cross_substitution(exact_ctx):
     assert len(pairs) == 16
     for n, (sp2_entry, so5_entry) in enumerate(pairs):
         cv, point = sp2_chart().sample(exact_ctx, Random(f"cross-{n}"))
-        lhs, rhs = cross_substitution_sides(sp2_entry, so5_entry, cv,
-                                            StepMemo(group("C2"), point))
+        ((lhs, rhs),) = cross_substitution_sides(sp2_entry, so5_entry, cv,
+                                                 StepMemo(group("C2"), point))
         assert lhs == rhs
 
 
 def test_worked_sum(exact_ctx):
     W = group("C2")
     cv, point = sp2_chart().sample(exact_ctx, Random("worked"))
-    summed, factored, engine = worked_sum_values(cv, StepMemo(W, point),
-                                                 W.from_word(WORKED_SUM_SIGMA))
+    (summed, factored), (engine, engine_rhs) = worked_sum_values(
+        W.from_word(WORKED_SUM_SIGMA), cv, StepMemo(W, point))
     assert summed == factored
-    assert engine == factored
+    assert engine == engine_rhs == factored

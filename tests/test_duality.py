@@ -217,7 +217,7 @@ def test_campaigns_enumerate_no_dual(monkeypatch):
     # the dual group is derived from W's tables, so once W is built no
     # campaign enumerates a group
     from ellschub import campaigns, weyl
-    from ellschub.elliptic import EXACT, QContext
+    from ellschub.elliptic import ExactContext
 
     searched = []
     enumerate_group = weyl.enumerate_group
@@ -228,7 +228,7 @@ def test_campaigns_enumerate_no_dual(monkeypatch):
 
     group("B2")
     monkeypatch.setattr(weyl, "enumerate_group", counting)
-    ctx = QContext(EXACT, order=2)
+    ctx = ExactContext(order=2)
     first = checks(campaigns.run_duality("B2", ctx, 1, 0, 1e-9))
     checks(campaigns.run_normalization("B2", ctx, 1, 0, 1e-9))
     assert checks(campaigns.run_duality("B2", ctx, 1, 0, 1e-9)) == first
@@ -239,7 +239,7 @@ def test_campaign_yields_a_point_before_the_next_is_computed(monkeypatch):
     # a runner builds records from one point's values as they are read, so
     # the first row of records needs the first point only
     from ellschub import campaigns
-    from ellschub.elliptic import EXACT, QContext
+    from ellschub.elliptic import ExactContext
 
     calls = []
 
@@ -248,7 +248,7 @@ def test_campaign_yields_a_point_before_the_next_is_computed(monkeypatch):
         return duality_pairs(*args)
 
     monkeypatch.setattr(campaigns, "duality_pairs", counting)
-    records = campaigns.run_duality("A1", QContext(EXACT, order=2), 2, 0, 1e-9)
+    records = campaigns.run_duality("A1", ExactContext(order=2), 2, 0, 1e-9)
     (ok, line), *rest = checks([next(records)])
     assert len(calls) == 1
     first = json.loads(line)

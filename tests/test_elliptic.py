@@ -6,12 +6,11 @@ from random import Random
 import pytest
 
 from ellschub.elliptic import (
-    COMPLEX,
-    EXACT,
     NU,
     ZETA,
+    ComplexContext,
     EvalPoint,
-    QContext,
+    ExactContext,
     QSeries,
     SingularPointError,
     ZeroArgumentError,
@@ -74,7 +73,7 @@ def test_theta_zero_argument(complex_ctx):
 
 
 def test_theta_q_zero_closed_form():
-    ctx = QContext(COMPLEX, order=4, q=0.0)
+    ctx = ComplexContext(order=4, q=0.0)
     for x in (2.0, 0.3 + 1.1j, -1.5 + 0.2j):
         expected = cmath.sqrt(x) - 1 / cmath.sqrt(x)
         assert abs(theta(x, ctx) - expected) < 1e-14
@@ -95,7 +94,7 @@ def test_theta_exact_backend_rejected(exact_ctx):
 
 
 def test_theta_prime_one_q_zero():
-    assert theta_prime_one(QContext(COMPLEX, order=4, q=0.0)) == 1
+    assert theta_prime_one(ComplexContext(order=4, q=0.0)) == 1
 
 
 def test_theta_prime_one_finite_difference(complex_ctx):
@@ -210,7 +209,7 @@ def test_complex_delta_accuracy_across_q(q):
     errors are 2.5e-15 to 6.2e-15 up to |q| = 0.7 and 1.7e-14 at q = 0.9;
     a form whose terms cancel as |q| grows fails here first."""
     mpmath = pytest.importorskip("mpmath")
-    ctx = QContext(COMPLEX, order=8, q=q)
+    ctx = ComplexContext(order=8, q=q)
     rng = Random(f"delta-accuracy:{q}")
     for _ in range(40):
         a, b = ctx.draw(2, rng)
@@ -235,7 +234,7 @@ def test_complex_delta_outside_the_range_of_doubles_is_singular():
     # delta(-1, i) at q = 0.995 is about 3.5e-425 (40-digit product): in
     # doubles it underflows to 0, and a check of zeros would pass vacuously;
     # delta(-1, 2) is in range, 808.03727039920 at 40 digits
-    ctx = QContext(COMPLEX, order=8, q=0.995)
+    ctx = ComplexContext(order=8, q=0.995)
     with pytest.raises(SingularPointError, match="outside the range of doubles"):
         delta(-1.0, 1j, ctx)
     assert abs(delta(-1.0, 2.0, ctx) - 808.03727039920) < 1e-9
@@ -243,7 +242,7 @@ def test_complex_delta_outside_the_range_of_doubles_is_singular():
 
 def test_complex_product_that_10000_factors_do_not_converge_is_refused():
     # 0.997^10000 is about 9e-14, far above the 1e-18 tail bound
-    ctx = QContext(COMPLEX, order=8, q=0.997)
+    ctx = ComplexContext(order=8, q=0.997)
     for value in (lambda: delta(2.0, 3.0, ctx), lambda: theta_prime_one(ctx)):
         with pytest.raises(ValueError, match=r"q = 0\.997(\+0j)?: 10000 factors"):
             value()
@@ -263,7 +262,7 @@ def test_complex_delta_is_the_same_with_a_shared_power_table(q):
     # longest product met; |a| and |b| run from 1/16 to 16, so a table made
     # by a short product is extended by a long one, and a long one's table
     # is read by short ones
-    ctx = QContext(COMPLEX, order=8, q=q)
+    ctx = ComplexContext(order=8, q=q)
     rng = Random(f"shared-table:{q}")
     args = [2.0**e * cmath.exp(1j * rng.uniform(0.0, 2 * cmath.pi)) for e in range(-4, 5)]
     pairs = [(a, b) for a in args for b in args]
@@ -278,7 +277,7 @@ def test_complex_delta_is_the_same_with_a_shared_power_table(q):
 
 
 def test_complex_delta_with_a_shared_table_refuses_the_same_q():
-    ctx = QContext(COMPLEX, order=8, q=0.997)
+    ctx = ComplexContext(order=8, q=0.997)
     want = _repr_outcome(lambda: ctx.delta(2.0, 3.0))
     assert want[0] is ValueError and want[1].startswith("q = 0.997: 10000 factors")
     powers = {}
@@ -290,8 +289,8 @@ def test_complex_delta_with_a_shared_table_refuses_the_same_q():
 def test_backend_agreement(rng):
     # sum the exact series at q = 1/1000 and compare with the complex value
     q = Fraction(1, 1000)
-    ctx_e = QContext(EXACT, order=8)
-    ctx_c = QContext(COMPLEX, order=8, q=float(q))
+    ctx_e = ExactContext(order=8)
+    ctx_c = ComplexContext(order=8, q=float(q))
     checked = 0
     while checked < 100:
         a = Fraction(rng.randint(2, 9), rng.randint(2, 9)) * rng.choice((1, -1))
@@ -338,7 +337,7 @@ def test_transform_point_involution(exact_ctx, rng):
 
 
 def test_transform_point_a1_nu():
-    ctx = QContext(EXACT, order=4)
+    ctx = ExactContext(order=4)
     rs = build_root_system(parse_label("A1"))
     point = EvalPoint(ctx, (Fraction(3), Fraction(5, 2), Fraction(7)))
     moved = transform_point(point, 1, NU, rs)
@@ -347,7 +346,7 @@ def test_transform_point_a1_nu():
 
 def test_transform_point_b2_zeta_example():
     # s2: zeta1 -> zeta1 zeta2^2, zeta2 -> 1/zeta2
-    ctx = QContext(EXACT, order=4)
+    ctx = ExactContext(order=4)
     rs = build_root_system(parse_label("B2"))
     z1, z2 = Fraction(3), Fraction(5)
     point = EvalPoint(ctx, (z1, z2, Fraction(7), Fraction(11), Fraction(13)))
@@ -386,20 +385,20 @@ def rs_covec(coords):
 
 
 def test_sample_point_ranges():
-    ctx = QContext(EXACT, order=4)
+    ctx = ExactContext(order=4)
     point = sample_point(3, ctx, Random(1))
     assert len(point.values) == 7
     for v in point.values:
         assert v != 0 and v != 1
         assert abs(v.numerator) <= 99 and v.denominator <= 99
-    ctxc = QContext(COMPLEX, order=4, q=0.3)
+    ctxc = ComplexContext(order=4, q=0.3)
     pc = sample_point(3, ctxc, Random(1))
     for v in pc.values:
         assert 0.5 - 1e-12 <= abs(v) <= 2.0 + 1e-12
 
 
 def test_sampling_deterministic():
-    ctx = QContext(EXACT, order=4)
+    ctx = ExactContext(order=4)
     a = sample_point(2, ctx, Random("seed-x"))
     b = sample_point(2, ctx, Random("seed-x"))
     assert a.values == b.values
@@ -575,7 +574,7 @@ def _outcome(compute):
 @pytest.mark.parametrize("order", range(11))
 def test_qseries_matches_fraction_reference(order):
     rng = Random(f"qseries-{order}")
-    ctx = QContext(EXACT, order=max(order, 1))
+    ctx = ExactContext(order=max(order, 1))
     for _ in range(40):
         ca = _random_series(rng, order)
         cb = _random_series(rng, order)
@@ -642,12 +641,12 @@ def test_division_reuses_the_divisor_reciprocal(order):
 
 def test_qseries_constant_and_zero_forms():
     for order in (1, 4):
-        zero = QContext(EXACT, order=order).zero()
+        zero = ExactContext(order=order).zero()
         assert zero.num == (0,) * (order + 1) and zero.den == 1
         assert (QSeries([Fraction(1, 3)] * (order + 1)) * 0).den == 1
         c = QSeries.constant(Fraction(-6, 4), order)
         assert c.num == (-3,) + (0,) * order and c.den == 2
-        assert QContext(EXACT, order=order).one() == 1
+        assert ExactContext(order=order).one() == 1
 
 
 def _random_argument(rng):
@@ -657,7 +656,7 @@ def _random_argument(rng):
 @pytest.mark.parametrize("order", range(1, 11))
 def test_delta_exact_matches_fraction_reference(order):
     rng = Random(f"delta-{order}")
-    ctx = QContext(EXACT, order=order)
+    ctx = ExactContext(order=order)
     for _ in range(12):
         a, b = _random_argument(rng), _random_argument(rng)
         if rng.random() < 0.3:  # eval_monomial-sized arguments
@@ -698,7 +697,7 @@ def test_theta_prime_one_matches_fraction_reference(order):
 @pytest.mark.parametrize("order", (*range(1, 17), 24, 30, 36))
 def test_delta_exact_matches_product_reference(order):
     rng = Random(f"triple-product-{order}")
-    ctx = QContext(EXACT, order=order)
+    ctx = ExactContext(order=order)
     few = order > 16
     pairs = [(_random_argument(rng), _random_argument(rng)) for _ in range(2 if few else 16)]
     pairs += [(_random_argument(rng) ** 3, _random_argument(rng)) for _ in range(1 if few else 4)]
@@ -727,7 +726,7 @@ def test_delta_exact_truncation_is_consistent(order):
     # 5 is prime, and 12, 24, 30 and 36 have 6 to 9 divisors: the divisor sum
     # at q^order has the fewest and the most terms
     rng = Random(f"truncation-{order}")
-    low, high = QContext(EXACT, order=order), QContext(EXACT, order=order + 5)
+    low, high = ExactContext(order=order), ExactContext(order=order + 5)
     pairs = [(_random_argument(rng), _random_argument(rng)) for _ in range(12)]
     pairs += [(_random_argument(rng) ** 3, _random_argument(rng)),
               (Fraction(-5, 9), Fraction(-9, 5))]  # ab = 1
@@ -746,7 +745,7 @@ def test_delta_exact_raises_before_series_work(order, monkeypatch):
 
     monkeypatch.setattr(elliptic, "_power_rows", no_series)
     monkeypatch.setattr(QSeries, "_new", classmethod(no_series))
-    ctx = QContext(EXACT, order=order)
+    ctx = ExactContext(order=order)
     for a, b, err, message in (
         (0, 3, ZeroArgumentError, "delta argument is 0"),
         (Fraction(2, 3), Fraction(0), ZeroArgumentError, "delta argument is 0"),
@@ -772,7 +771,7 @@ def _kernel_series(rng, order, den=None):
 @pytest.mark.parametrize("order", (1, 8, 36))
 def test_exact_coset_kernels_equal_the_plain_expressions(order):
     rng = Random(f"coset-kernels-{order}")
-    ctx = QContext(EXACT, order=order)
+    ctx = ExactContext(order=order)
     pair, single = ctx.pair, ctx.single
     zero = QSeries([0] * (order + 1))
     cases = [tuple(_kernel_series(rng, order) for _ in range(6)) for _ in range(30)]
@@ -803,7 +802,7 @@ def test_complex_coset_kernels_are_the_plain_expressions():
     # the complex digests pin the order of float operations, so the kernels
     # must give the bits of the plain expressions
     rng = Random("coset-kernels-complex")
-    ctx = QContext(COMPLEX)
+    ctx = ComplexContext()
     pair, single = ctx.pair, ctx.single
     for _ in range(500):
         a, b, c, d, x, y = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -815,9 +814,9 @@ def test_complex_coset_kernels_are_the_plain_expressions():
 def test_exact_magnitude_beyond_the_float_range_is_inf():
     # the largest coefficient of this delta is about 3e320 at order 160, and
     # about 4e300 at order 150
-    ctx = QContext(EXACT, order=160)
+    ctx = ExactContext(order=160)
     assert ctx.magnitude(delta(Fraction(-98), Fraction(97), ctx)) == float("inf")
-    below = QContext(EXACT, order=150)
+    below = ExactContext(order=150)
     assert 1e300 < below.magnitude(delta(Fraction(-98), Fraction(97), below)) < 1e301
 
 
@@ -852,7 +851,7 @@ def test_an_unread_exact_delta_makes_no_power_row_and_no_series(monkeypatch):
     monkeypatch.setattr(elliptic, "_power_rows", counting_rows)
     monkeypatch.setattr(QSeries, "_new", classmethod(counting_new))
     W = group("A2")
-    memo = StepMemo(W, sample_point(W.rank, QContext(EXACT, order=8), Random("unread")))
+    memo = StepMemo(W, sample_point(W.rank, ExactContext(order=8), Random("unread")))
     value = memo.delta(memo.roots[0], memo.point.h)
     assert len(calls) == 1 and memo.deltas  # called, checked and kept
     assert (rows, made, memo.powers) == ([], [], {}) and _deferred(value)
@@ -866,7 +865,7 @@ def _deferred_cases(order):
     """(make, reference) pairs: make() returns a fresh deferred delta value or
     quotient, reference the FractionQSeries it must equal."""
     rng = Random(f"deferred-{order}")
-    ctx = QContext(EXACT, order=order)
+    ctx = ExactContext(order=order)
     cases = []
     for _ in range(4):
         a, b, c, d = (_random_argument(rng) for _ in range(4))
@@ -914,7 +913,7 @@ def test_deferred_values_equal_the_eager_reference(order):
 
 
 def test_a_quotient_reads_its_divisor_at_once_and_its_dividend_when_read():
-    ctx = QContext(EXACT, order=6)
+    ctx = ExactContext(order=6)
     powers = {}
     dividend = delta(Fraction(2), Fraction(-5, 3), ctx, powers=powers)
     divisor = delta(Fraction(7, 4), Fraction(-1, 9), ctx)
@@ -927,14 +926,14 @@ def test_a_quotient_reads_its_divisor_at_once_and_its_dividend_when_read():
 
 
 def test_a_division_raises_at_once_without_reading_the_dividend():
-    quartic = QContext(EXACT, order=4)
+    quartic = ExactContext(order=4)
     for order, divisor, message in (
             (4, delta(Fraction(3), Fraction(1, 3), quartic), "zero constant term"),  # ab = 1
             (3, delta(Fraction(7, 4), Fraction(3), quartic), "mixed truncation orders"),
             (5, delta(Fraction(7, 4), Fraction(3), quartic), "mixed truncation orders"),
             (3, QSeries([1] * 5), "mixed truncation orders")):
         powers = {}
-        dividend = delta(Fraction(2), Fraction(-5, 3), QContext(EXACT, order=order),
+        dividend = delta(Fraction(2), Fraction(-5, 3), ExactContext(order=order),
                          powers=powers)
         with pytest.raises((SingularPointError, ValueError), match=message):
             dividend / divisor

@@ -17,12 +17,12 @@ from ellschub.classes import StepMemo
 from ellschub.corpus import builtin_chart
 from ellschub.duality import f_interpretation_point, pull_point, relabel_point
 from ellschub.elliptic import (
-    COMPLEX,
     EXACT,
     NU,
     ZETA,
+    ComplexContext,
     EvalPoint,
-    QContext,
+    ExactContext,
     eval_monomial,
     monomial_map,
     sample_point,
@@ -35,7 +35,7 @@ from weyl_reference import LatticeVector, matrices, reflect
 
 LABELS = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
           "D3", "D4", "F4", "G2")
-CONTEXTS = (QContext(EXACT, order=2), QContext(COMPLEX, order=8, q=0.3))
+CONTEXTS = (ExactContext(order=2), ComplexContext(order=8, q=0.3))
 CASES = [(label, ctx) for label in LABELS for ctx in CONTEXTS]
 
 

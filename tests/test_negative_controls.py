@@ -16,10 +16,10 @@ from fractions import Fraction
 import pytest
 
 from ellschub import campaigns, classes, corpus, duality
-from ellschub.elliptic import EXACT, QContext
+from ellschub.elliptic import ExactContext
 from test_campaigns import checks
 
-CTX = QContext(EXACT, order=4)
+CTX = ExactContext(order=4)
 RUNNERS = {"duality": campaigns.run_duality, "double-dual": campaigns.run_double_dual,
            "recursions": campaigns.run_recursions,
            "normalization": campaigns.run_normalization}

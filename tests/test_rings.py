@@ -1,13 +1,14 @@
 """The scalar ring of a context is the only place that knows the scalar
 type: no code in the package compares a `.backend` name, the command line
-offers exactly the registered rings, and every way of making a context
-keeps its ring's class."""
+offers exactly the registered rings, a ring is its class and is registered
+under that class's `backend` name, and every copy of a context keeps its
+ring's class."""
 
 import argparse
 import ast
 import copy
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -41,11 +42,16 @@ def test_backend_choices_are_the_rings():
         assert backend.choices == list(RINGS)
 
 
+def test_a_ring_is_its_class():
+    # the name is a class attribute, so no context can carry a name that
+    # disagrees with its class
+    assert RINGS == {ring.backend: ring for ring in RINGS.values()}
+    for ring in RINGS.values():
+        assert issubclass(ring, QContext)
+        assert "backend" not in [field.name for field in fields(ring)]
+
+
 def test_unknown_ring_is_refused(capsys):
-    with pytest.raises(ValueError, match="unknown backend 'modp'"):
-        QContext("modp")
-    with pytest.raises(ValueError):
-        replace(QContext(EXACT), backend=COMPLEX)
     with pytest.raises(SystemExit) as info:
         main(["table", "--type", "A1", "--backend", "modp"])
     assert info.value.code == 2
@@ -54,7 +60,7 @@ def test_unknown_ring_is_refused(capsys):
 
 @pytest.mark.parametrize("name", list(RINGS))
 def test_copies_keep_the_ring(name):
-    ctx = QContext(name, order=5, q=0.25j)
+    ctx = RINGS[name](order=5, q=0.25j)
     assert type(ctx) is RINGS[name] and isinstance(ctx, QContext)
     for other in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
         assert type(other) is type(ctx) and other == ctx
