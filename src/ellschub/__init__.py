@@ -13,7 +13,10 @@ from .weyl import GroupTooLargeError, WeylGroup, enumerate_group, group
 from .elliptic import (
     COMPLEX,
     EXACT,
+    RINGS,
+    ComplexContext,
     EvalPoint,
+    ExactContext,
     QContext,
     QSeries,
     SingularPointError,
