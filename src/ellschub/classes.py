@@ -75,16 +75,16 @@ class StepMemo:
     point; a memo made with `deltas_of`, a memo of the same context, shares
     both dicts.
 
-    `roots` and `coroots` hold the point's values of e^(-beta) =
-    prod zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into
-    W.roots and W.coroots. A step reads nu_s as coroot g and sigma(alpha_s),
-    or the twist's image of alpha_s, as root r, so its coefficient pairs are
-    kept in rows [g][r], each made once, whole (`coefficients`): `normalized`
-    those of bs_step (bs_row), divided by delta(nu_s, h), `unnormalized` the
-    undivided ones of unnormalized_table, and `rmatrix` those of
-    rmatrix_table (rmatrix_row), which read roots r and -r. A campaign fills
-    the memo before it builds any table (prepare_point), so that its tables
-    only read it."""
+    `roots` and `coroots` hold the point's values of e^(-beta) = prod
+    zeta_t^(beta_t) and h^gamma = prod nu_t^(gamma_t), by index into W.roots
+    and W.coroots. A step reads nu_s as coroot g and sigma(alpha_s), or the
+    twist's image of alpha_s, as root r in W.orbits[g], whatever its letter,
+    so its coefficient pairs are kept in rows [g][r], each made once, whole
+    (`coefficients`): `normalized` those of bs_step (bs_row), divided by
+    delta(nu_s, h), `unnormalized` the undivided ones of unnormalized_table,
+    and `rmatrix` those of rmatrix_table (rmatrix_row), which read roots r
+    and -r. A campaign fills the memo before it builds any table
+    (prepare_point), so that its tables only read it."""
 
     __slots__ = ("group", "point", "roots", "coroots", "normalized", "unnormalized",
                  "rmatrix", "deltas", "powers")
@@ -117,68 +117,63 @@ class StepMemo:
         factors = [self.delta(a, b) for a, b in pairs]
         return reduce(mul, factors) if factors else self.point.ctx.one()
 
-    def coefficients(self, kept: list, s: int, g: int, coefficients) -> list:
-        """[r] -> coefficients(r) for every root r of a step by s that reads
-        nu_s as coroot g, made whole once and kept in kept[g]: those roots are
-        the W-orbit of roots[g], whatever s. They are computed in the order
-        they first appear over sigma, as a per-sigma loop meets them, so a
-        singular point raises the same error, also for a root whose entries
-        are all outside the support."""
+    def coefficients(self, kept: list, g: int, coefficients) -> list:
+        """[r] -> coefficients(r) for every root r of a step that reads nu_s
+        as coroot g, made whole once and kept in kept[g]: those roots are
+        W.orbits[g], the W-orbit of roots[g], whatever the step's letter. A
+        root whose entries all lie outside a table's support is computed
+        too, so whether a point raises does not depend on which table reads
+        the row first."""
         row = kept[g]
         if row is None:
             row = [None] * len(self.roots)
-            for r in self.group.step_roots[s - 1]:
+            for r in self.group.orbits[g]:
                 row[r] = coefficients(r)
             kept[g] = row
         return row
 
 
-def bs_row(memo: StepMemo, s: int, g: int) -> list:
-    """The coefficient row of a Bott-Samelson step by s that reads nu_s as
-    the value of coroot g, kept in memo.normalized: by root r, the pair
+def bs_row(memo: StepMemo, g: int) -> list:
+    """The coefficient row of a Bott-Samelson step that reads nu_s as the
+    value of coroot g, kept in memo.normalized: by root r, the pair
     delta(e^(-r), nu_s) and delta(e^(-r), h), both divided by
     delta(nu_s, h)."""
     nu_val, h = memo.coroots[g], memo.point.h
     den = memo.delta(nu_val, h)
-    return memo.coefficients(memo.normalized, s, g, lambda r: (
+    return memo.coefficients(memo.normalized, g, lambda r: (
         memo.delta(memo.roots[r], nu_val) / den, memo.delta(memo.roots[r], h) / den))
 
 
-def rmatrix_row(memo: StepMemo, s: int, g: int) -> list:
-    """The coefficient row of an R-matrix step by s whose Bott-Samelson
+def rmatrix_row(memo: StepMemo, g: int) -> list:
+    """The coefficient row of an R-matrix step whose Bott-Samelson
     counterpart reads nu_s as coroot g, kept in memo.rmatrix. zeta_s^(+-1)
     at the twisted point are the values at the point of the roots r =
     twist(alpha_s) and -r; nu and h are the point's own."""
     W, h = memo.group, memo.point.h
     den = memo.delta(memo.coroots[_negated(W, g)], h)
-    return memo.coefficients(memo.rmatrix, s, g, lambda r: (
+    return memo.coefficients(memo.rmatrix, g, lambda r: (
         memo.delta(memo.roots[r], memo.coroots[g]) / den,
         memo.delta(memo.roots[_negated(W, r)], h) / den))
 
 
-def prepare_point(memo: StepMemo, rmatrix: bool = False, steps=None) -> None:
-    """Phase 1 of a point: every delta value and coefficient row that
-    bs_table, and with rmatrix rmatrix_table too, reads along the reduced
-    words of memo's group is called and checked here, so that a singular
-    point raises its SingularPointError here and the tables built afterwards
-    call no delta and raise nothing. An exact value's series is expanded
-    when a table first reads it (elliptic.QSeries). steps is W.word_steps
-    of the elements in the order their tables are built, W.steps (index
-    order) by default.
-
-    The initial products read delta(x, h) at the negative coroots and, on
-    the word of w, at the positive coroots w sends to negative ones: the
-    nu_s of the word's steps, whose rows start with delta(nu_s, h). So the
-    values and rows come in the order in which building the tables first
-    computes them, and a point singular in several ways raises the error it
-    would raise there."""
+def prepare_point(memo: StepMemo, rmatrix: bool = False) -> None:
+    """Phase 1 of a point: delta(x, h) at every negative coroot x, then the
+    coefficient row of every positive coroot, bs_row and with rmatrix
+    rmatrix_row too. These are every delta value and row that bs_table, and
+    with rmatrix rmatrix_table, reads along the reduced words of memo's
+    group: the steps of those words read exactly the positive coroots, and
+    an initial product reads delta(x, h) at the negative coroots or at the
+    nu_s of steps, with which their rows start. So a singular point raises
+    its SingularPointError here, and the tables built afterwards call no
+    delta and raise nothing. An exact value's series is expanded when a
+    table first reads it (elliptic.QSeries)."""
     h, half = memo.point.h, len(memo.coroots) // 2
     for x in memo.coroots[half:]:  # the initial product at the identity
         memo.delta(x, h)
-    for s, g in memo.group.steps if steps is None else steps:
-        bs_row(memo, s, g)
+    for g in range(half):
+        bs_row(memo, g)
         if rmatrix:
-            rmatrix_row(memo, s, g)
+            rmatrix_row(memo, g)
 
 
 def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tuple:
@@ -189,13 +184,13 @@ def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tu
     combined (bs_row). support[sigma] is False where the recursion makes
     values[sigma] zero: outside the Bruhat interval below omega, for a
     reduced word."""
-    return _step_values(memo.group, values, support, s, bs_row(memo, s, g), memo.point.ctx)
+    return _step_values(memo.group, values, support, s, bs_row(memo, g), memo.point.ctx)
 
 
 def _unnormalized_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tuple:
     """bs_step with the undivided coefficients, kept in memo.unnormalized."""
     nu_val, h = memo.coroots[g], memo.point.h
-    row = memo.coefficients(memo.unnormalized, s, g, lambda r: (
+    row = memo.coefficients(memo.unnormalized, g, lambda r: (
         memo.delta(memo.roots[r], nu_val), memo.delta(memo.roots[r], h)))
     return _step_values(memo.group, values, support, s, row, memo.point.ctx)
 
@@ -270,7 +265,7 @@ def rmatrix_table(memo: StepMemo, word) -> tuple:
     reads, and the recursion reads its delta values through the memo."""
     word = tuple(word)
     W = memo.group
-    steps = [(s, rmatrix_row(memo, s, g)) for s, g in zip(word, W.step_coroots(word)[1])]
+    steps = [(s, rmatrix_row(memo, g)) for s, g in zip(word, W.step_coroots(word)[1])]
     # the initial product reads no zeta value, so no twist moves it
     start, zero = initial_product(memo), memo.point.ctx.zero()
     return tuple(_rmatrix_value(W, steps, {(len(steps), sigma): start}, zero, 0, W.identity)

@@ -98,7 +98,7 @@ def double_dual_pairs(W: WeylGroup, point: EvalPoint) -> tuple:
     straight_memo = StepMemo(W, point)
     twisted_memo = StepMemo(W, relabel_point(W, point), straight_memo)
     prepare_point(straight_memo)
-    prepare_point(twisted_memo, steps=W.word_steps(conj))
+    prepare_point(twisted_memo)
     straight = (bs_table(straight_memo, W.reduced_word(w)) for w in range(W.order))
     twisted = (bs_table(twisted_memo, W.reduced_word(conj[w])) for w in range(W.order))
     return straight, (tuple(row[c] for c in conj) for row in twisted)

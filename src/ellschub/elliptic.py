@@ -92,6 +92,8 @@ class QContext:
     q: complex = 0.3
 
     def __post_init__(self):
+        if type(self) is QContext:
+            raise TypeError("QContext is a base class: make an ExactContext or a ComplexContext")
         if self.order < 1:
             raise ValueError("truncation order must be >= 1")
         if self.order > sys.maxsize:  # a series holds order + 1 coefficients

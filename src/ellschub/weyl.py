@@ -35,9 +35,7 @@ class GroupTooLargeError(RuntimeError):
 class WeylGroup:
     """A Weyl group with its multiplication, word and root tables, all
     computed once by enumerate_group. The element tables, from lengths to
-    star, are shared with the dual group that dual_group derives. `steps`
-    = word_steps(range(order)), which the campaigns read, is computed on
-    construction as well, as an attribute that is not a field."""
+    star, are shared with the dual group that dual_group derives."""
 
     rs: RootSystem
     lengths: tuple[int, ...]
@@ -49,19 +47,13 @@ class WeylGroup:
     roots: tuple[tuple[int, ...], ...]  # positive roots, then their negatives
     # [w][s-1] -> index of w(alpha_s) in roots, and of w(alpha_s^v) in coroots
     root_index: tuple[tuple[int, ...], ...]
-    # [s-1] -> the indices root_index[w][s-1], each once, in order of first w
-    step_roots: tuple[tuple[int, ...], ...]
+    # [i] -> the W-orbit of roots[i]: root_index[w][s-1] for the first s with
+    # alpha_s in it, each index once, in order of first w
+    orbits: tuple[tuple[int, ...], ...]
     # coroots[i] is the coroot of roots[i]
     coroots: tuple[tuple[int, ...], ...]
     # [s-1][i] -> index of s_s(roots[i]) in roots, and of s_s(coroots[i]) in coroots
     reflected: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        # set as the fields are: a lazy attribute written to the instance's
-        # __dict__ (functools.cached_property) makes CPython give the
-        # instance a dict of its own, which slowed every attribute read of
-        # the table loops, complex B3 recursions by about a tenth
-        object.__setattr__(self, "steps", self.word_steps(range(self.order)))
 
     @property
     def order(self) -> int:
@@ -125,14 +117,6 @@ class WeylGroup:
             gammas.append(self.root_index[u][s - 1])
             u = self.rmult_table[u][s - 1]
         return u, gammas[::-1]
-
-    def word_steps(self, elements) -> tuple:
-        """The distinct steps (s, g) of the reduced words of elements, in
-        the order a walk over the words, each from its first letter, meets
-        them: letter s read with nu_s the coroot of index g (step_coroots)."""
-        return tuple(dict.fromkeys(
-            step for word in map(self.words.__getitem__, elements)
-            for step in zip(word, self.step_coroots(word)[1])))
 
 
 def _walk(rmult_table, w: int, word) -> int:
@@ -228,12 +212,12 @@ def _reflected(rs: RootSystem) -> tuple:
 
 
 def _root_tables(rs: RootSystem, root_index, reflected) -> tuple:
-    """(roots, root_index, step_roots, coroots, reflected) of rs, for a
+    """(roots, root_index, orbits, coroots, reflected) of rs, for a
     root_index in the root order of rs and reflected = _reflected(rs)."""
-    step_roots = tuple(tuple(dict.fromkeys(row[s] for row in root_index))
-                       for s in range(rs.rank))
-    return (_signed(rs.positive_roots), root_index, step_roots,
-            _signed(rs.positive_coroots), reflected)
+    by_simple = [tuple(dict.fromkeys(row[s] for row in root_index)) for s in range(rs.rank)]
+    roots = _signed(rs.positive_roots)
+    orbits = tuple(next(o for o in by_simple if i in o) for i in range(len(roots)))
+    return roots, root_index, orbits, _signed(rs.positive_coroots), reflected
 
 
 @lru_cache(maxsize=None)

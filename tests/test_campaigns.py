@@ -212,36 +212,38 @@ def test_a_delta_only_the_last_table_reads_redraws_the_point_first(backend, monk
 
 @pytest.mark.parametrize("backend", [EXACT, COMPLEX])
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
-def test_first_phase_computes_in_the_order_the_tables_would(label, backend, monkeypatch):
-    # the first phase computes each delta and makes each coefficient row
-    # where building the tables word by word first would, so a point
-    # singular in several ways raises the same error, and a row shared by
-    # steps of several letters is made by the same one
+def test_first_phase_computes_what_the_tables_would(label, backend, monkeypatch):
+    # the first phase computes the delta values and makes the coefficient
+    # rows (kind, coroot) that building every table word by word does, no
+    # more and no fewer, so a point is redrawn exactly when a table would
+    # raise at it: straight, with the R-matrix tables, and conj-twisted as
+    # in the double-dual campaign
     W = group(label)
     point = sample_point(W.rank, RINGS[backend](order=2), Random(label))
     conj = [W.mul(W.mul(W.longest, w), W.longest) for w in range(W.order)]
-    log = []
+    made = set()
     delta, coefficients = classes.delta, classes.StepMemo.coefficients
 
     def logged_delta(a, b, *args, **kwargs):
-        log.append((a, b))
+        made.add((a, b))
         return delta(a, b, *args, **kwargs)
 
-    def logged_coefficients(memo, kept, s, g, pair):
+    def logged_coefficients(memo, kept, g, pair):
         if kept[g] is None:
-            log.append((kept is memo.rmatrix, s, g))
-        return coefficients(memo, kept, s, g, pair)
+            made.add((kept is memo.rmatrix, g))
+        return coefficients(memo, kept, g, pair)
 
     monkeypatch.setattr(classes, "delta", logged_delta)
     monkeypatch.setattr(classes.StepMemo, "coefficients", logged_coefficients)
-    for elements, rmatrix in ((range(W.order), False), (range(W.order), True), (conj, False)):
-        log.clear()
-        classes.prepare_point(classes.StepMemo(W, point), rmatrix, W.word_steps(elements))
-        first = list(log)
-        log.clear()
-        memo = classes.StepMemo(W, point)
+    for at, elements, rmatrix in ((point, range(W.order), False), (point, range(W.order), True),
+                                  (duality.relabel_point(W, point), conj, False)):
+        made.clear()
+        classes.prepare_point(classes.StepMemo(W, at), rmatrix)
+        first = set(made)
+        made.clear()
+        memo = classes.StepMemo(W, at)
         for w in elements:
             classes.bs_table(memo, W.reduced_word(w))
             if rmatrix:
                 classes.rmatrix_table(memo, W.reduced_word(w))
-        assert first == log and first
+        assert first == made and first

@@ -784,7 +784,7 @@ def test_a_zero_constant_term_in_a_step_denominator_is_redrawn():
     W = group("A1")
     singular = EvalPoint(ctx, (Fraction(2), Fraction(3), Fraction(1, 3)))
     with pytest.raises(SingularPointError) as err:
-        classes.bs_row(StepMemo(W, singular), 1, W.root_index[W.identity][0])
+        classes.bs_row(StepMemo(W, singular), W.root_index[W.identity][0])
     assert str(err.value) == "division by q-series with zero constant term"
     points = []
 

@@ -61,33 +61,33 @@ def relabeling_without_star(mp):
 def rmatrix_keep_scaled(mp):
     coefficients = classes.StepMemo.coefficients
 
-    def mutant(memo, kept, s, g, pair):
+    def mutant(memo, kept, g, pair):
         if kept is memo.rmatrix:
             def scaled(r, pair=pair):
                 keep, mixed = pair(r)
                 return keep * Fraction(1001, 1000), mixed
             pair = scaled
-        return coefficients(memo, kept, s, g, pair)
+        return coefficients(memo, kept, g, pair)
 
     mp.setattr(classes.StepMemo, "coefficients", mutant)
 
 
 def bs_mix_scaled(mp):
-    """c_mix scaled by 1001/1000 in every StepMemo.normalized row that a
-    Bott-Samelson step by s = 1 computes, so that both coset kernels of
-    either ring read it; a later step by another s that reads the same
-    coroot reuses the row."""
-    coefficients = classes.StepMemo.coefficients
+    """c_mix scaled by 1001/1000, in a copy of the coefficient row, in
+    every Bott-Samelson step whose row was first read at its memo by a step
+    by s = 1, so that both coset kernels of either ring read it; a later
+    step by another s that reads the same coroot reads the scaled row too."""
+    bs_step, first = classes.bs_step, {}
 
-    def mutant(memo, kept, s, g, pair):
-        if kept is memo.normalized and s == 1:
-            def scaled(r, pair=pair):
-                keep, mixed = pair(r)
-                return keep, mixed * Fraction(1001, 1000)
-            pair = scaled
-        return coefficients(memo, kept, s, g, pair)
+    def mutant(memo, values, support, s, g):
+        # by id(memo), with the memo held so that its id is not reused
+        readers = first.setdefault(id(memo), (memo, {}))[1]
+        if readers.setdefault(g, s) != 1:
+            return bs_step(memo, values, support, s, g)
+        row = [c and (c[0], c[1] * Fraction(1001, 1000)) for c in classes.bs_row(memo, g)]
+        return classes._step_values(memo.group, values, support, s, row, memo.point.ctx)
 
-    mp.setattr(classes.StepMemo, "coefficients", mutant)
+    mp.setattr(classes, "bs_step", mutant)
 
 
 def c_first_factor_dropped(mp):

@@ -1,8 +1,8 @@
 """The scalar ring of a context is the only place that knows the scalar
 type: no code in the package compares a `.backend` name, the command line
 offers exactly the registered rings, a ring is its class and is registered
-under that class's `backend` name, and every copy of a context keeps its
-ring's class."""
+under that class's `backend` name, the base class makes no context, and
+every copy of a context keeps its ring's class."""
 
 import argparse
 import ast
@@ -49,6 +49,14 @@ def test_a_ring_is_its_class():
     for ring in RINGS.values():
         assert issubclass(ring, QContext)
         assert "backend" not in [field.name for field in fields(ring)]
+
+
+def test_the_base_class_is_refused():
+    # QContext names no ring, so it is refused when made, not at its first
+    # ring method
+    for kwargs in ({}, {"order": 3}, {"q": 0.5}):
+        with pytest.raises(TypeError, match="make an ExactContext or a ComplexContext"):
+            QContext(**kwargs)
 
 
 def test_unknown_ring_is_refused(capsys):

@@ -403,17 +403,21 @@ def orbit(W, i):
 
 
 def assert_step_roots_are_the_orbit_of_the_coroot(W, words):
-    """Every step (s, g) of W.steps, and of step_coroots on words, reads the
-    roots step_roots[s-1]: the orbit of roots[g], so a coefficient row kept
-    by g serves every step that reads g."""
-    steps = set(W.steps)
-    for word in words:
-        steps.update(zip(word, W.step_coroots(word)[1]))
-    orbits = {}
-    for s, g in steps:
-        if g not in orbits:
-            orbits[g] = orbit(W, g)
-        assert set(W.step_roots[s - 1]) == orbits[g], (s, g)
+    """orbits[i] is the W-orbit of roots[i], each index once, for every
+    root, negative ones included; every step (s, g) of step_coroots on the
+    reduced words and on words reads only roots in orbits[g], so a
+    coefficient row kept by g serves every step that reads g; and the
+    steps of the reduced words read exactly the positive coroots, so one
+    row per positive coroot is every row the tables of a point read."""
+    orbits = [set(o) for o in W.orbits]
+    for i in range(len(W.roots)):
+        assert len(W.orbits[i]) == len(orbits[i]) and orbits[i] == orbit(W, i), i
+    reads = [{row[s] for row in W.root_index} for s in range(W.rank)]  # sigma(alpha_s)
+    for word in (*W.words, *words):
+        for s, g in zip(word, W.step_coroots(word)[1]):
+            assert reads[s - 1] == orbits[g], (s, g)
+    read = {g for word in W.words for g in W.step_coroots(word)[1]}
+    assert read == set(range(len(W.coroots) // 2))
 
 
 @pytest.mark.parametrize("label", ALL_RANK_AT_MOST_5)

@@ -131,6 +131,7 @@ def matrix_group(rs):
     roots = _signed(rs.positive_roots)
     root_index = _column_index(matrices, roots)
     where = {beta: i for i, beta in enumerate(roots)}
+    by_simple = [tuple(dict.fromkeys(row[s] for row in root_index)) for s in range(n)]
     return {
         "matrices": tuple(matrices),
         "coroot_matrices": tuple(comatrices),
@@ -142,8 +143,7 @@ def matrix_group(rs):
         "star": star,
         "roots": roots,
         "root_index": root_index,
-        "step_roots": tuple(tuple(dict.fromkeys(row[s] for row in root_index))
-                            for s in range(n)),
+        "orbits": tuple(next(o for o in by_simple if i in o) for i in range(len(roots))),
         "coroots": _signed(rs.positive_coroots),
         "reflected": tuple(tuple(where[_matvec(g, beta)] for beta in roots) for g in gens),
     }
