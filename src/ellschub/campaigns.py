@@ -162,7 +162,9 @@ def run_recursions(label, ctx, points, seed, tol):
 
 
 def run_normalization(label, ctx, points, seed, tol):
-    """The c-recursions, EE = c.E, and the f-interpretation of c."""
+    """The c-recursions, EE = c.E, and the f-interpretation of c, which
+    reads one entry of a dual E table, its diagonal, by the one-entry walk
+    (unnormalized_table with read)."""
     W = group(label)
     Wdual = dual_group(W)
     t0 = W.longest
@@ -192,7 +194,7 @@ def run_normalization(label, ctx, points, seed, tol):
             out.append((scaling, omega_text, ee, [c_val * e for e in e_vals], words))
             # c(G, omega) as an inverted diagonal class of the dual group
             target = W.mul(W.inv(omega), t0)
-            dual_e = unnormalized_table(dual_memo, target)[target]
+            dual_e = unnormalized_table(dual_memo, target, read=target)
             out.append((f_interpretation, omega_text, (c_val,), (dual_e,), ("",)))
         return out
 

@@ -20,9 +20,11 @@ with the shared initial condition EE_tau(X_id) = prod over all positive
 coroots gamma of delta(h^{-gamma}, h) for tau = id, else 0.
 
 A Bott-Samelson step mixes only sigma and sigma s, so it is a 2x2 block on
-each right coset {sigma, sigma s}. A step makes the cosets that meet its
-table's support, each by one call of a coset kernel of the context's
-ring (QContext.pair or single), which returns both new entries.
+each right coset {sigma, sigma s}. A step makes the cosets that meet the
+support it is given, each by one call of a coset kernel of the context's
+ring (QContext.pair or single), which returns both new entries. A whole
+table gives each step its table's support; a table read at one entry
+(`read`) gives each step only the part of it that the entry depends on.
 
 Unnormalized classes E take the same walk from E_id(X_id) = 1 along a
 reduced word of omega, so every step raises the length, with the two
@@ -224,34 +226,68 @@ def _step_values(W: WeylGroup, values, support, s: int, coeffs, ctx):
     return tuple(out), tuple(grown)
 
 
-def bs_table(memo: StepMemo, word) -> tuple:
+def bs_table(memo: StepMemo, word, read: int | None = None):
     """EE values by sigma of memo's group at memo's point for omega =
     product of word (need not be reduced); the tables at one point share
-    their step coefficients through the memo."""
+    their step coefficients through the memo. With read, only the entry
+    EE_read(X_omega), from the same steps restricted to what it depends on
+    (_walk)."""
     word, W = tuple(word), memo.group
     u, gammas = W.step_coroots(word)
-    return _walk(memo, word, gammas, initial_product(memo, u), bs_step)
+    return _walk(memo, word, gammas, initial_product(memo, u), bs_step, read)
 
 
-def unnormalized_table(memo: StepMemo, omega: int) -> tuple:
+def unnormalized_table(memo: StepMemo, omega: int, read: int | None = None):
     """E values by sigma (no normalization) for the element omega, built
     along W.reduced_word(omega) from 1: every step raises the length, so
-    each is a Bott-Samelson step with the undivided coefficients. memo as
-    for bs_table."""
+    each is a Bott-Samelson step with the undivided coefficients. memo and
+    read as for bs_table; the diagonal entry, read = omega, takes one
+    `single` kernel call per step."""
     word = memo.group.reduced_word(omega)
     return _walk(memo, word, memo.group.step_coroots(word)[1], memo.point.ctx.one(),
-                 _unnormalized_step)
+                 _unnormalized_step, read)
 
 
-def _walk(memo: StepMemo, word, gammas, start, step) -> tuple:
+def _walk(memo: StepMemo, word, gammas, start, step, read: int | None = None):
     """The table after step(memo, values, support, s, g) for each letter s
     of word and coroot g of gammas, from the table of omega = id, which is
-    start at the identity and zero elsewhere."""
+    start at the identity and zero elsewhere.
+
+    With read, its entry at read alone. Entry sigma after a step by s reads
+    entries sigma and sigma s before it, so a backward pass over word finds
+    the entries of each table that read depends on (_cones), and each step
+    is given its support restricted to them. It makes the cosets of those
+    entries by the same kernel calls on the same inputs as the whole walk,
+    so the entry is the same value, bit for bit on the complex ring; and it
+    still reads every coefficient row that the whole walk reads."""
     rest = memo.group.order - 1  # W.identity is 0
     values, support = (start,) + (memo.point.ctx.zero(),) * rest, (True,) + (False,) * rest
-    for s, g in zip(word, gammas):
-        values, support = step(memo, values, support, s, g)
-    return values
+    if read is None:
+        for s, g in zip(word, gammas):
+            values, support = step(memo, values, support, s, g)
+        return values
+    for s, g, cone in zip(word, gammas, _cones(memo.group, word, read)):
+        kept = [False] * len(support)
+        for sigma in cone:
+            kept[sigma] = support[sigma]
+        values, support = step(memo, values, tuple(kept), s, g)
+    return values[read]
+
+
+def _cones(W: WeylGroup, word, read: int) -> list:
+    """cones[j], the entries of the table before step j of word on which
+    entry read of the last table depends: sigma and sigma s, s = word[j],
+    for each sigma of cones[j + 1] ({read} after the last step), kept if
+    their length is at most j, as the table before step j vanishes beyond
+    length j for any word. A cone costs its size, at most twice the next
+    one's; on the diagonal of a reduced word, one element."""
+    rmult, lengths = W.rmult_table, W.lengths
+    cone, cones = {read}, []
+    for j in range(len(word) - 1, -1, -1):
+        i = word[j] - 1
+        cone = {x for sigma in cone for x in (sigma, rmult[sigma][i]) if lengths[x] <= j}
+        cones.append(cone)
+    return cones[::-1]
 
 
 # ---------------------------------------------------------------------------

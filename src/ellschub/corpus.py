@@ -199,8 +199,9 @@ def eval_factors(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
 
 def corpus_sides(entry: CorpusEntry, chart_values: tuple, memo: StepMemo):
     """((engine value, factored expected value),), the row of one check at
-    the chart values, with memo made for the entry's group at their point."""
-    engine = bs_table(memo, entry.omega_word)[memo.group.from_word(entry.sigma_word)]
+    the chart values, with memo made for the entry's group at their point;
+    the engine value is the one entry of the table that the check reads."""
+    engine = bs_table(memo, entry.omega_word, read=memo.group.from_word(entry.sigma_word))
     if entry.expects_zero:
         return ((engine, memo.point.ctx.zero()),)
     return ((engine, eval_factors(entry, chart_values, memo)),)
@@ -264,7 +265,7 @@ def worked_sum_values(sigma: int, chart_values: tuple, memo: StepMemo):
     prefix, *terms, factored = (
         memo.delta_product(monomial_map(chart_values, pair) for pair in factors)
         for factors in _WORKED_SUM)
-    engine = bs_table(memo, WORKED_SUM_WORD)[sigma]
+    engine = bs_table(memo, WORKED_SUM_WORD, read=sigma)
     return (prefix * sum(terms, memo.point.ctx.zero()), factored), (engine, factored)
 
 

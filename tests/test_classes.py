@@ -884,7 +884,7 @@ def test_shifted_factor_equals_the_transformed_point(label):
 # --- support-sparse steps and the per-point step memo ------------------------
 
 SUPPORT_CASES = [(label, ctx) for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
-                 for ctx in (ExactContext(order=2), ComplexContext(order=8, q=0.3))]
+                 for ctx in (ExactContext(order=1), ComplexContext(order=8, q=0.3))]
 
 
 @pytest.mark.parametrize("label,ctx", SUPPORT_CASES,
@@ -1078,3 +1078,77 @@ def test_a_deltas_of_memo_shares_the_power_rows():
     bs_table(twin, W.reduced_word(W.longest))
     assert memo.powers and len(memo.powers) < 2 * len(memo.deltas)
     assert StepMemo(W, point).powers == {}
+
+
+# --- one-entry walks (read) -------------------------------------------------
+
+
+def same_value(a, b) -> bool:
+    """== on the exact ring; on the complex ring, the same bits in both parts."""
+    if isinstance(a, complex):
+        return (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
+    return a == b
+
+
+READ_CASES = [(label, ctx) for label in ("A2", "B2", "G2", "A3", "B3")
+              for ctx in (ExactContext(order=1), ComplexContext(order=8, q=0.3))]
+
+
+@pytest.mark.parametrize("label,ctx", READ_CASES,
+                         ids=[f"{c[0]}-{c[1].backend}" for c in READ_CASES])
+def test_a_read_entry_is_the_whole_tables_entry(label, ctx):
+    """For every reduced word (and a word that is not reduced) and every
+    sigma, the one-entry walk gives the whole EE table's entry, and for every
+    omega and sigma the whole E table's; the same bits on the complex ring."""
+    W = group(label)
+    memo = StepMemo(W, sample_point(W.rank, ctx, Random(f"read:{label}")))
+    words = list(reduced_words(W)) + ([(1, 2, 1, 1)] if label == "A2" else [])
+    for word in words:
+        table = bs_table(memo, word)
+        for sigma in range(W.order):
+            assert same_value(bs_table(memo, word, read=sigma), table[sigma])
+    for omega in range(W.order):
+        table = unnormalized_table(memo, omega)
+        for sigma in range(W.order):
+            assert same_value(unnormalized_table(memo, omega, read=sigma), table[sigma])
+
+
+@pytest.mark.parametrize("ctx", [ExactContext(order=3), ComplexContext(order=8, q=0.3)],
+                         ids=["exact", "complex"])
+def test_a_read_leaves_the_memo_a_whole_table_leaves(ctx):
+    """A read makes the delta values, in the same order, and the coefficient
+    rows that building the whole table makes."""
+    W = group("B3")
+    point = sample_point(W.rank, ctx, Random("read-memo"))
+    for word, sigma in (((1, 2, 3, 2, 1), 3), ((3, 2, 3, 1), W.identity), ((2, 1, 2, 1), 7)):
+        memos = StepMemo(W, point), StepMemo(W, point)
+        bs_table(memos[0], word)
+        unnormalized_table(memos[0], W.from_word(word))
+        bs_table(memos[1], word, read=sigma)
+        unnormalized_table(memos[1], W.from_word(word), read=sigma)
+        whole, read = memos
+        assert list(read.deltas) == list(whole.deltas)
+        assert read.normalized == whole.normalized
+        assert read.unnormalized == whole.unnormalized
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_a_diagonal_read_makes_one_kernel_call_per_step(label, monkeypatch):
+    """E_x(X_x) read alone takes one `single` call per letter of the reduced
+    word of x, and no `pair`: the length bound keeps one element per cone."""
+    W = group(label)
+    ctx = ExactContext(order=2)
+    memo = StepMemo(W, sample_point(W.rank, ctx, Random(f"diagonal-read:{label}")))
+    calls = {"pair": 0, "single": 0}
+    for name in calls:
+        kernel = getattr(ExactContext, name)
+
+        def counted(*args, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(ExactContext, name, staticmethod(counted))
+    for x in range(W.order):
+        calls.update(pair=0, single=0)
+        unnormalized_table(memo, x, read=x)
+        assert calls == {"pair": 0, "single": W.length(x)}

@@ -131,6 +131,19 @@ def test_exact_d4_duality(capsys):
 
 
 @pytest.mark.tier2
+def test_exact_d4_normalization(capsys):
+    """Exact D4 normalization at one point: 38592 checks, about 5 s; the
+    only exact normalization digest above rank 2, so it pins the diagonal
+    entries that the f-interpretation reads alone, at rank 4."""
+    assert main("verify normalization --type D4 --points 1 --seed 0".split()) == 0
+    out = capsys.readouterr().out
+    summary = json.loads(out.splitlines()[-1])
+    assert (summary["checks"], summary["failures"]) == (38592, 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "da716d9064d1c1bb0dcdf7e5160f416c9adfdd16507fadb535d373fd9d4fc6a0")
+
+
+@pytest.mark.tier2
 def test_exact_b3_duality_at_order_16(capsys):
     """Exact B3 duality at one point and q-order 16: 2304 checks, no failure,
     about 2 s. Its coefficients run to about twice the heights of the
