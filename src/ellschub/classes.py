@@ -266,11 +266,13 @@ def _walk(memo: StepMemo, word, gammas, start, step, read: int | None = None):
         for s, g in zip(word, gammas):
             values, support = step(memo, values, support, s, g)
         return values
+    kept = [False] * len(support)  # support within the cone; False again after each step
     for s, g, cone in zip(word, gammas, _cones(memo.group, word, read)):
-        kept = [False] * len(support)
         for sigma in cone:
             kept[sigma] = support[sigma]
         values, support = step(memo, values, tuple(kept), s, g)
+        for sigma in cone:
+            kept[sigma] = False
     return values[read]
 
 

@@ -884,7 +884,7 @@ def test_shifted_factor_equals_the_transformed_point(label):
 # --- support-sparse steps and the per-point step memo ------------------------
 
 SUPPORT_CASES = [(label, ctx) for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
-                 for ctx in (ExactContext(order=1), ComplexContext(order=8, q=0.3))]
+                 for ctx in (ExactContext(order=2), ComplexContext(order=8, q=0.3))]
 
 
 @pytest.mark.parametrize("label,ctx", SUPPORT_CASES,
