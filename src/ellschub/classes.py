@@ -20,11 +20,12 @@ with the shared initial condition EE_tau(X_id) = prod over all positive
 coroots gamma of delta(h^{-gamma}, h) for tau = id, else 0.
 
 A Bott-Samelson step mixes only sigma and sigma s, so it is a 2x2 block on
-each right coset {sigma, sigma s}. A step makes the cosets that meet the
-support it is given, each by one call of a coset kernel of the context's
-ring (QContext.pair or single), which returns both new entries. A whole
-table gives each step its table's support; a table read at one entry
-(`read`) gives each step only the part of it that the entry depends on.
+each right coset {sigma, sigma s}. A table is the dict of its entries by
+sigma, and an entry it does not hold is zero. A step makes the cosets that
+meet the table's entries, each by one call of a coset kernel of the
+context's ring (QContext.pair or single), which returns both new entries. A
+whole table gives each step all of its table's entries; a table read at one
+entry (`read`) gives each step only those that the entry depends on.
 
 Unnormalized classes E take the same walk from E_id(X_id) = 1 along a
 reduced word of omega, so every step raises the length, with the two
@@ -38,7 +39,6 @@ related by EE = c(G, omega) . E with
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
 from operator import mul
 
 from .elliptic import EvalPoint, delta, monomial_map
@@ -54,8 +54,8 @@ def _negated(W: WeylGroup, i: int) -> int:
 def initial_product(memo: StepMemo, u: int = 0):
     """EE_id(X_id) at memo's point, the full delta product over the
     positive coroots gamma, each read as u(gamma), as the first step of a
-    word with product u^-1 needs (the default 0 is W.identity). Every other
-    entry of the table of omega = id is zero, and _walk makes it."""
+    word with product u^-1 needs (the default 0 is W.identity). It is the
+    one entry of the table of omega = id, from which _walk starts."""
     W = memo.group
     return _h_product(memo, (  # u(-gamma) for the -gamma
         memo.coroots[W.act(u, i)] for i in range(len(W.coroots) // 2, len(W.coroots))))
@@ -123,9 +123,8 @@ class StepMemo:
         """[r] -> coefficients(r) for every root r of a step that reads nu_s
         as coroot g, made whole once and kept in kept[g]: those roots are
         W.orbits[g], the W-orbit of roots[g], whatever the step's letter. A
-        root whose entries all lie outside a table's support is computed
-        too, so whether a point raises does not depend on which table reads
-        the row first."""
+        root whose entries no table holds is computed too, so whether a
+        point raises does not depend on which table reads the row first."""
         row = kept[g]
         if row is None:
             row = [None] * len(self.roots)
@@ -178,52 +177,49 @@ def prepare_point(memo: StepMemo, rmatrix: bool = False) -> None:
             rmatrix_row(memo, g)
 
 
-def bs_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tuple:
-    """(values, support) after one Bott-Samelson step by s from the table
-    `values` with support `support`, reading nu_s as the value of coroot g
-    (an index into W.coroots) at memo's point; bs_table gives each step its
-    g. Both coefficients are divided by delta(nu_s, h) before they are
-    combined (bs_row). support[sigma] is False where the recursion makes
-    values[sigma] zero: outside the Bruhat interval below omega, for a
-    reduced word."""
-    return _step_values(memo.group, values, support, s, bs_row(memo, g), memo.point.ctx)
+def bs_step(memo: StepMemo, table: dict, s: int, g: int) -> dict:
+    """The table after one Bott-Samelson step by s from `table`, reading
+    nu_s as the value of coroot g (an index into W.coroots) at memo's point;
+    bs_table gives each step its g. Both coefficients are divided by
+    delta(nu_s, h) before they are combined (bs_row). The table's entries
+    are those the recursion does not make zero: for a reduced word, the
+    Bruhat interval below omega."""
+    return _step_values(memo.group, table, s, bs_row(memo, g), memo.point.ctx)
 
 
-def _unnormalized_step(memo: StepMemo, values: tuple, support: tuple, s: int, g: int) -> tuple:
+def _unnormalized_step(memo: StepMemo, table: dict, s: int, g: int) -> dict:
     """bs_step with the undivided coefficients, kept in memo.unnormalized."""
     nu_val, h = memo.coroots[g], memo.point.h
     row = memo.coefficients(memo.unnormalized, g, lambda r: (
         memo.delta(memo.roots[r], nu_val), memo.delta(memo.roots[r], h)))
-    return _step_values(memo.group, values, support, s, row, memo.point.ctx)
+    return _step_values(memo.group, table, s, row, memo.point.ctx)
 
 
-def _step_values(W: WeylGroup, values, support, s: int, coeffs, ctx):
-    """(new values, new support) of a step by s, in which the new value is
-    c_keep * values[sigma] + c_mix * values[sigma s] with (c_keep, c_mix) =
+def _step_values(W: WeylGroup, table: dict, s: int, coeffs, ctx) -> dict:
+    """The table after a step by s, in which the new entry is
+    c_keep * table[sigma] + c_mix * table[sigma s] with (c_keep, c_mix) =
     coeffs[r] for the root r = sigma(alpha_s).
 
-    An entry outside `support` is zero, and sigma is in the new support iff
-    sigma or sigma s was in the old one, for any word. So the step makes
-    each coset {sigma, sigma s} that meets the old support once, by one
-    coset kernel of ctx (QContext): `pair` when both entries are in the old
-    support, else `single`, which gives sigma s its one term
-    c_mix(sigma s) * values[sigma]. Every other entry is ctx.zero()."""
+    An entry the table does not hold is zero, and the new table holds sigma
+    iff the old one held sigma or sigma s, for any word. So the step makes
+    each coset {sigma, sigma s} that meets the table's entries once, by one
+    coset kernel of ctx (QContext): `pair` when the table holds both
+    entries, else `single`, which gives sigma s its one term
+    c_mix(sigma s) * table[sigma]."""
     i = s - 1
     rmult, root_index = W.rmult_table, W.root_index
     pair, single = ctx.pair, ctx.single
-    out = [ctx.zero()] * len(values)
-    grown = list(support)
-    for sigma in compress(range(len(values)), support):
+    out = {}
+    for sigma, x in table.items():
         other = rmult[sigma][i]
-        if not support[other]:
+        y = table.get(other)
+        if y is None:
             out[sigma], out[other] = single(coeffs[root_index[sigma][i]],
-                                            coeffs[root_index[other][i]], values[sigma])
-            grown[other] = True
+                                            coeffs[root_index[other][i]], x)
         elif sigma < other:  # else the coset was made at other
             out[sigma], out[other] = pair(coeffs[root_index[sigma][i]],
-                                          coeffs[root_index[other][i]],
-                                          values[sigma], values[other])
-    return tuple(out), tuple(grown)
+                                          coeffs[root_index[other][i]], x, y)
+    return out
 
 
 def bs_table(memo: StepMemo, word, read: int | None = None):
@@ -249,31 +245,27 @@ def unnormalized_table(memo: StepMemo, omega: int, read: int | None = None):
 
 
 def _walk(memo: StepMemo, word, gammas, start, step, read: int | None = None):
-    """The table after step(memo, values, support, s, g) for each letter s
-    of word and coroot g of gammas, from the table of omega = id, which is
-    start at the identity and zero elsewhere.
+    """The table after step(memo, table, s, g) for each letter s of word and
+    coroot g of gammas, from the table of omega = id, whose one entry is
+    start at the identity: a tuple by sigma, zero where the last table holds
+    no entry.
 
     With read, its entry at read alone. Entry sigma after a step by s reads
     entries sigma and sigma s before it, so a backward pass over word finds
     the entries of each table that read depends on (_cones), and each step
-    is given its support restricted to them. It makes the cosets of those
+    is given the table's entries among them. It makes the cosets of those
     entries by the same kernel calls on the same inputs as the whole walk,
     so the entry is the same value, bit for bit on the complex ring; and it
     still reads every coefficient row that the whole walk reads."""
-    rest = memo.group.order - 1  # W.identity is 0
-    values, support = (start,) + (memo.point.ctx.zero(),) * rest, (True,) + (False,) * rest
+    W, zero = memo.group, memo.point.ctx.zero()
+    table = {W.identity: start}
     if read is None:
         for s, g in zip(word, gammas):
-            values, support = step(memo, values, support, s, g)
-        return values
-    kept = [False] * len(support)  # support within the cone; False again after each step
-    for s, g, cone in zip(word, gammas, _cones(memo.group, word, read)):
-        for sigma in cone:
-            kept[sigma] = support[sigma]
-        values, support = step(memo, values, tuple(kept), s, g)
-        for sigma in cone:
-            kept[sigma] = False
-    return values[read]
+            table = step(memo, table, s, g)
+        return tuple(table.get(sigma, zero) for sigma in range(W.order))
+    for s, g, cone in zip(word, gammas, _cones(W, word, read)):
+        table = step(memo, {x: table[x] for x in cone if x in table}, s, g)
+    return table.get(read, zero)
 
 
 def _cones(W: WeylGroup, word, read: int) -> list:

@@ -85,8 +85,8 @@ class QContext:
     a Bott-Samelson step on a right coset {sigma, sigma s}, with (a, b) the
     coefficients (c_keep, c_mix) of sigma, (c, d) those of sigma s and x, y
     their old values: pair((a, b), (c, d), x, y) is (a*x + b*y, c*y + d*x),
-    and single((a, b), (c, d), x), for a sigma s outside the support, is
-    (a*x, d*x)."""
+    and single((a, b), (c, d), x), for a sigma s that is not among the
+    table's entries, is (a*x, d*x)."""
 
     order: int = 8
     q: complex = 0.3

@@ -22,14 +22,18 @@ def em_table(memo: StepMemo, word) -> tuple:
     return tuple(v / full for v in bs_table(memo, word))
 
 
-def identity_table(memo: StepMemo, u: int) -> tuple:
+def identity_table(memo: StepMemo, u: int) -> dict:
     """The table of omega = id that the first step of a word with product
-    u^-1 starts from: initial_product(memo, u) at the identity, zero
-    elsewhere."""
-    W = memo.group
-    values = [memo.point.ctx.zero()] * W.order
-    values[W.identity] = initial_product(memo, u)
-    return tuple(values)
+    u^-1 starts from: its one entry, initial_product(memo, u) at the
+    identity."""
+    return {memo.group.identity: initial_product(memo, u)}
+
+
+def dense(memo: StepMemo, table: dict) -> tuple:
+    """The entries of a step's table by sigma, zero where it holds none, as
+    bs_table returns them."""
+    zero = memo.point.ctx.zero()
+    return tuple(table.get(sigma, zero) for sigma in range(memo.group.order))
 
 
 def tangent_weights(W: WeylGroup, omega: int) -> frozenset:

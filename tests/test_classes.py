@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from classes_reference import (
+    dense,
     diagonal_closed_form,
     em_table,
     identity_table,
@@ -70,11 +71,6 @@ def _nu(point, coroots) -> tuple:
 
 def _neg(row) -> tuple:
     return tuple(-c for c in row)
-
-
-def identity_support(W) -> tuple:
-    """The support of the table of omega = id: the identity alone."""
-    return tuple(sigma == W.identity for sigma in range(W.order))
 
 
 def chart_point(label, ctx, seed):
@@ -144,8 +140,7 @@ def test_bs_step_sl2_word_matches_example(exact_ctx):
     memo = StepMemo(W, point)
     # the initial product reads tau(gamma) for tau = (s1)^-1, and the one
     # step reads nu_1 as the coroot alpha_1^v itself
-    table, _ = bs_step(memo, identity_table(memo, tau), identity_support(W), 1,
-                       W.root_index[W.identity][0])
+    table = bs_step(memo, identity_table(memo, tau), 1, W.root_index[W.identity][0])
     assert table[W.identity] == delta(z2 / z1, mu2 / mu1, exact_ctx)
     assert table[tau] == delta(z1 / z2, h, exact_ctx)
 
@@ -157,15 +152,15 @@ def test_bs_step_requires_transformed_input(exact_ctx):
     point = sample_point(W.rank, exact_ctx, Random("a2-chain"))
     memo = StepMemo(W, point)
     u = W.from_word((2, 1))  # (s1 s2)^-1
-    table = (identity_table(memo, u), identity_support(W))
+    table = identity_table(memo, u)
     # step 1 reads s2(alpha_1^v), step 2 alpha_2^v
     for s, g in ((1, W.root_index[W.from_word((2,))][0]), (2, W.root_index[W.identity][1])):
-        table = bs_step(memo, *table, s, g)
-    assert bs_table(StepMemo(W, point), (1, 2)) == table[0]
-    untransformed = (bs_table(memo, ()), identity_support(W))
+        table = bs_step(memo, table, s, g)
+    assert bs_table(StepMemo(W, point), (1, 2)) == dense(memo, table)
+    untransformed = identity_table(memo, W.identity)
     for s in (1, 2):
-        untransformed = bs_step(memo, *untransformed, s, W.root_index[W.identity][s - 1])
-    assert table[0] != untransformed[0]
+        untransformed = bs_step(memo, untransformed, s, W.root_index[W.identity][s - 1])
+    assert table != untransformed
 
 
 def test_bs_round_trip_single_letter(exact_ctx):
@@ -668,8 +663,8 @@ def test_steps_read_nu_s_where_the_point_chain_did(label, monkeypatch):
 
     # every step returns its table, so bs_table returns the initial one
     monkeypatch.setattr(classes, "initial_product", initial)
-    monkeypatch.setattr(classes, "bs_step", lambda memo, values, support, s, g:
-                        steps.append((s, g)) or (values, support))
+    monkeypatch.setattr(classes, "bs_step", lambda memo, table, s, g:
+                        steps.append((s, g)) or table)
     chain, products = {}, {}
     for word in reduced_words(W):
         steps.clear()
@@ -685,39 +680,38 @@ def test_steps_read_nu_s_where_the_point_chain_did(label, monkeypatch):
         assert start == products[points[0]]
 
 
-def dense_step_values(W, values, support, s, coeffs, zero):
+def dense_step_values(W, table, s, coeffs):
     """_step_values as a loop over every sigma, each entry computed at its
-    own sigma: sigma keeps its two terms inside the old support, and a sigma
-    outside it joins the support with its one term c_mix * values[sigma s]."""
+    own sigma: an entry of the table keeps its two terms, or one if the
+    table does not hold sigma s, and a sigma the table does not hold gets an
+    entry, its one term c_mix * table[sigma s], if the table holds sigma s."""
     i = s - 1
     rmult, root_index = W.rmult_table, W.root_index
-    out = [zero] * len(values)
-    grown = list(support)
-    for sigma, keep in enumerate(support):
+    out = {}
+    for sigma in range(W.order):
         other = rmult[sigma][i]
-        if keep:
-            c = coeffs[root_index[sigma][i]]
-            if support[other]:
-                out[sigma] = c[0] * values[sigma] + c[1] * values[other]
+        c = coeffs[root_index[sigma][i]]
+        if sigma in table:
+            if other in table:
+                out[sigma] = c[0] * table[sigma] + c[1] * table[other]
             else:
-                out[sigma] = c[0] * values[sigma]
-        elif support[other]:
-            out[sigma] = coeffs[root_index[sigma][i]][1] * values[other]
-            grown[sigma] = True
-    return tuple(out), tuple(grown)
+                out[sigma] = c[0] * table[sigma]
+        elif other in table:
+            out[sigma] = c[1] * table[other]
+    return out
 
 
 def prefix_tables(W, point, memo):
     """The table of every reduced word of W, each made by one bs_step from
     the table of its prefix; every step by s reads nu_s as alpha_s^v."""
-    stack = [(W.identity, bs_table(memo, ()), identity_support(W))]
+    stack = [(W.identity, identity_table(memo, W.identity))]
     while stack:
-        w, values, support = stack.pop()
-        yield values
+        w, table = stack.pop()
+        yield table
         for s in range(1, W.rank + 1):
             if W.length(W.rmult(w, s)) > W.length(w):
                 g = W.root_index[W.identity][s - 1]
-                stack.append((W.rmult(w, s), *bs_step(memo, values, support, s, g)))
+                stack.append((W.rmult(w, s), bs_step(memo, table, s, g)))
 
 
 STEP_CASES = [
@@ -732,16 +726,16 @@ STEP_CASES = [
                          ids=[f"{c[0]}-{c[1].backend}" for c in STEP_CASES])
 def test_support_only_step_equals_the_dense_loop(label, ctx, words, monkeypatch):
     """Every step of every reduced word, and of seeded words with repeated
-    letters, gives the values (==, entry for entry) and the support of the
-    loop over every sigma."""
+    letters, gives the entries (==, entry for entry) of the loop over every
+    sigma, and no others."""
     W = group(label)
     point = sample_point(W.rank, ctx, Random(f"support-steps:{label}"))
     memo = StepMemo(W, point)
     support_only, steps = classes._step_values, []
 
-    def both(W, values, support, s, coeffs, ctx):
-        out = support_only(W, values, support, s, coeffs, ctx)
-        assert out == dense_step_values(W, values, support, s, coeffs, ctx.zero())
+    def both(W, table, s, coeffs, ctx):
+        out = support_only(W, table, s, coeffs, ctx)
+        assert out == dense_step_values(W, table, s, coeffs)
         steps.append(s)
         return out
 
@@ -891,8 +885,8 @@ SUPPORT_CASES = [(label, ctx) for label in ("A1", "A2", "A3", "B2", "B3", "C3", 
                          ids=[f"{c[0]}-{c[1].backend}" for c in SUPPORT_CASES])
 def test_tables_vanish_outside_the_bruhat_interval(label, ctx):
     """On a reduced word of omega the nonzero entries are exactly the lower
-    Bruhat interval of omega, and so is the support that the steps return,
-    with one memo per point as a campaign shares it."""
+    Bruhat interval of omega, and so are the entries of the tables that the
+    steps return, with one memo per point as a campaign shares it."""
     W = group(label)
     point = sample_point(W.rank, ctx, Random(f"support:{label}"))
     memo = StepMemo(W, point)
@@ -903,11 +897,11 @@ def test_tables_vanish_outside_the_bruhat_interval(label, ctx):
         for values in (bs_table(memo, word), unnormalized_table(memo, omega)):
             assert [value != zero for value in values] == below
         u, gammas = W.step_coroots(word)
-        values, support = identity_table(memo, u), identity_support(W)
+        table = identity_table(memo, u)
         for s, g in zip(word, gammas):
-            values, support = bs_step(memo, values, support, s, g)
-        assert list(support) == below
-        assert values == bs_table(memo, word)
+            table = bs_step(memo, table, s, g)
+        assert set(table) == {sigma for sigma in range(W.order) if below[sigma]}
+        assert dense(memo, table) == bs_table(memo, word)
 
 
 def test_shared_memo_gives_the_tables_of_fresh_ones():
@@ -938,7 +932,8 @@ def test_memo_shares_deltas_only_within_a_context():
 
 def test_singular_root_of_skipped_entries_still_raises():
     # zeta1 zeta2 = 1: the root alpha1 + alpha2 = s2(alpha1) is a pole, and
-    # only sigma = s2 and s2 s1, both outside the support of the step, use it
+    # only sigma = s2 and s2 s1, neither among the entries of the table the
+    # step is given, use it
     ctx = ExactContext(order=3)
     values = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(7, 3))
     point = EvalPoint(ctx, values)
@@ -960,8 +955,8 @@ def test_singular_root_of_skipped_entries_still_raises():
 def test_exact_step_makes_one_reduction_per_new_entry(monkeypatch):
     # the coset kernels sum each new entry's products over one denominator
     # and reduce it once; the coefficient rows are filled before the step
-    # loop, so what the loop reduces is its entries and the zero it fills in,
-    # besides the deferred coefficients (QSeries.__getattr__) it first reads
+    # loop, so what the loop reduces is its entries, besides the deferred
+    # coefficients (QSeries.__getattr__) it first reads
     W = group("B2")
     point = sample_point(W.rank, ExactContext(order=4), Random("one-reduction"))
     memo = StepMemo(W, point)
@@ -973,13 +968,12 @@ def test_exact_step_makes_one_reduction_per_new_entry(monkeypatch):
             made.append(den)
         return new(cls, num, den)
 
-    def counted_step(W, values, support, s, coeffs, ctx):
+    def counted_step(W, table, s, coeffs, ctx):
         made.clear()
-        out, grown = step_values(W, values, support, s, coeffs, ctx)
-        pairs = sum(1 for sigma in range(W.order)
-                    if support[sigma] and support[W.rmult(sigma, s)])
-        steps.append((len(made), sum(grown) + 1, pairs))
-        return out, grown
+        out = step_values(W, table, s, coeffs, ctx)
+        pairs = sum(1 for sigma in table if W.rmult(sigma, s) in table)
+        steps.append((len(made), len(out), pairs))
+        return out
 
     monkeypatch.setattr(QSeries, "_new", classmethod(counting_new))
     monkeypatch.setattr(classes, "_step_values", counted_step)
@@ -1135,7 +1129,8 @@ def test_a_read_leaves_the_memo_a_whole_table_leaves(ctx):
 @pytest.mark.parametrize("label", ["B3", "G2"])
 def test_a_diagonal_read_makes_one_kernel_call_per_step(label, monkeypatch):
     """E_x(X_x) read alone takes one `single` call per letter of the reduced
-    word of x, and no `pair`: the length bound keeps one element per cone."""
+    word of x, and no `pair`: the length bound keeps one element per cone,
+    so each step is given a table of one entry."""
     W = group(label)
     ctx = ExactContext(order=2)
     memo = StepMemo(W, sample_point(W.rank, ctx, Random(f"diagonal-read:{label}")))
@@ -1148,7 +1143,12 @@ def test_a_diagonal_read_makes_one_kernel_call_per_step(label, monkeypatch):
             return kernel(*args)
 
         monkeypatch.setattr(ExactContext, name, staticmethod(counted))
+    step_values, sizes = classes._step_values, []
+    monkeypatch.setattr(classes, "_step_values", lambda W, table, *rest: (
+        sizes.append(len(table)) or step_values(W, table, *rest)))
     for x in range(W.order):
         calls.update(pair=0, single=0)
+        sizes.clear()
         unnormalized_table(memo, x, read=x)
         assert calls == {"pair": 0, "single": W.length(x)}
+        assert sizes == [1] * W.length(x)

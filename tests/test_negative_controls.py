@@ -79,13 +79,13 @@ def bs_mix_scaled(mp):
     step by another s that reads the same coroot reads the scaled row too."""
     bs_step, first = classes.bs_step, {}
 
-    def mutant(memo, values, support, s, g):
+    def mutant(memo, table, s, g):
         # by id(memo), with the memo held so that its id is not reused
         readers = first.setdefault(id(memo), (memo, {}))[1]
         if readers.setdefault(g, s) != 1:
-            return bs_step(memo, values, support, s, g)
+            return bs_step(memo, table, s, g)
         row = [c and (c[0], c[1] * Fraction(1001, 1000)) for c in classes.bs_row(memo, g)]
-        return classes._step_values(memo.group, values, support, s, row, memo.point.ctx)
+        return classes._step_values(memo.group, table, s, row, memo.point.ctx)
 
     mp.setattr(classes, "bs_step", mutant)
 
