@@ -327,9 +327,10 @@ def _rmatrix_value(W: WeylGroup, steps, kept: dict, zero, j: int, twist: int):
 
 def _kept_positive(W: WeylGroup, omega: int) -> list:
     """F(G, omega): the indices i of the positive coroots that omega keeps
-    positive, in the coordinate order of coroots[i]."""
-    half = len(W.coroots) // 2
-    return sorted((i for i in range(half) if W.act(omega, i) < half),
+    positive, in the coordinate order of coroots[i]. The ones omega sends
+    negative are the coroots that the steps of its reduced word read."""
+    sent = W.step_coroots(W.reduced_word(omega))[1]
+    return sorted(set(range(len(W.coroots) // 2)).difference(sent),
                   key=W.coroots.__getitem__)
 
 

@@ -104,6 +104,8 @@ def _campaign_settings(args, kind: str):
 
 
 def cmd_verify(args, out) -> int:
+    if args.flip_sign and args.kind != "duality":
+        raise ValueError(f"--flip-sign applies to verify duality only, not {args.kind}")
     label = str(parse_label(args.type))
     ctx, tol = _campaign_settings(args, args.kind)
     runner = {"duality": partial(run_duality, flip_sign=args.flip_sign),

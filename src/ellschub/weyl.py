@@ -226,5 +226,6 @@ def _cached_group(label_text: str) -> WeylGroup:
 
 
 def group(label_text: str) -> WeylGroup:
-    """Cached WeylGroup for a textual Cartan label; immutable, shareable."""
-    return _cached_group(label_text)
+    """Cached WeylGroup for a textual Cartan label, one per group however the
+    label is spelled; immutable, shareable."""
+    return _cached_group(str(parse_label(label_text)))

@@ -289,6 +289,16 @@ def test_c_at_longest_is_one(exact_ctx):
         assert normalization_factor(StepMemo(W, point), W.longest) == exact_ctx.one()
 
 
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "G2", "D4", "F4"])
+def test_kept_positive_is_what_omega_keeps_positive(label):
+    # the reference walks every positive coroot through omega
+    W = group(label)
+    half = len(W.coroots) // 2
+    for omega in range(W.order):
+        assert classes._kept_positive(W, omega) == sorted(
+            (i for i in range(half) if W.act(omega, i) < half), key=W.coroots.__getitem__)
+
+
 def test_c_at_identity_sl2(exact_ctx):
     W = group("A1")
     (z1, z2, mu1, mu2, h), point = chart_point("A1", exact_ctx, "c-sl2")

@@ -496,6 +496,10 @@ def test_out_unwritable_fails_before_work(argv, entry, tmp_path, capsys, monkeyp
     ["corpus", "--points", "0"],
     ["verify", "duality", "--type", "A1", "--tol", "-0.5"],
     ["corpus", "--tol", "nan"],
+    # the negative control of the duality theorem, which no other campaign has
+    ["verify", "recursions", "--type", "A1", "--flip-sign"],
+    ["verify", "normalization", "--type", "A1", "--flip-sign"],
+    ["verify", "double-dual", "--type", "A1", "--flip-sign"],
 ])
 def test_bad_campaign_flags(argv, capsys):
     assert main(argv + ["--qorder", "2"]) == 2

@@ -22,6 +22,10 @@ def test_group_orders(label, order):
     assert _group_order(W.rs) == order
 
 
+def test_group_is_cached_once_however_its_label_is_spelled():
+    assert group(" b2 ") is group("b2") is group("B2")
+
+
 def test_a1_elements():
     W = group("A1")
     assert W.order == 2
